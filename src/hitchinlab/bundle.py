@@ -84,13 +84,10 @@ class BundleData:
         return self.state.grid
 
 
-def bundle_data(family: Family, sigma: complex, k: float, halfform: bool = True) -> BundleData:
+def bundle_data(family: Family, sigma: complex, k: float) -> BundleData:
     st = family.state(sigma)
     A_L = level_potential(st, k)
-    if halfform:
-        a_d, leak = halfform_potential(st)
-    else:
-        a_d, leak = np.zeros_like(A_L), 0.0
+    a_d, leak = halfform_potential(st)
     return BundleData(state=st, k=k, A_L=A_L, a_delta=a_d, A=A_L + a_d, type_leakage=leak)
 
 
@@ -114,16 +111,25 @@ def sec_deriv(state: KahlerState, k: float, f: Array, axis: int) -> Array:
     return grid.deriv(f, axis)
 
 
+def _times_potential(A: Array, f: Array) -> Array:
+    """``A[a] * f`` stacked over ``a``; ``f`` may carry leading batch axes."""
+    return A.reshape(A.shape[:1] + (1,) * (f.ndim - 2) + A.shape[1:]) * f
+
+
 def sec_grad(bd: BundleData, f: Array) -> Array:
-    """Full covariant derivative ``(nabla_a f)`` on the level-k half-form bundle."""
+    """Full covariant derivative ``(nabla_a f)`` on the level-k half-form bundle.
+
+    ``f`` is one coefficient ``(n, n)`` or a batch ``(..., n, n)``; the
+    result is ``(2, ..., n, n)``.
+    """
     df = np.stack([sec_deriv(bd.state, bd.k, f, -2), sec_deriv(bd.state, bd.k, f, -1)])
-    return df + bd.A * f
+    return df + _times_potential(bd.A, f)
 
 
 def sec_grad_plain(bd: BundleData, f: Array) -> Array:
     """Covariant derivative using only the level-k part (no half-form twist)."""
     df = np.stack([sec_deriv(bd.state, bd.k, f, -2), sec_deriv(bd.state, bd.k, f, -1)])
-    return df + bd.A_L * f
+    return df + _times_potential(bd.A_L, f)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ sweep
 transport
     Parallel-transport the full level-k basis along a parameter path on the
     torus backend and compare with the self-transport oracle; optionally run
-    a loop-holonomy off-scalar check.
+    a loop-holonomy off-scalar check.  A level below 1, fewer than one step
+    or a path point with Im tau <= 0 is reported on one line, exit code 2.
 basis
     Print basis diagnostics: multipliers, holomorphy defects, Gram data
     (torus) or solved-section defects (chart).
@@ -131,7 +132,15 @@ def _cmd_transport(args: argparse.Namespace) -> int:
     cfg = _base_config(args)
     fam = TorusFamily(TorusGrid(cfg.grid))
     path = _csv_complex(args.path)
-    res = transport(fam, args.k, path, np.eye(args.k), steps=args.steps, eps=cfg.eps)
+    try:
+        res = transport(fam, args.k, path, np.eye(args.k), steps=args.steps, eps=cfg.eps)
+        if args.loop_radius > 0:
+            off, _ = loop_offscalar(
+                fam, args.k, path[0], args.loop_radius, steps=args.steps, eps=cfg.eps
+            )
+    except ValueError as exc:
+        print(f"hitchinlab transport: error: {exc}", file=sys.stderr)
+        return 2
     dev = float(np.max(np.abs(res.end - res.start)))
     print(f"path {' -> '.join(str(p) for p in path)}  level {args.k}  steps {args.steps}")
     print(f"endpoint deviation from oracle: {dev:.3e}")
@@ -139,9 +148,6 @@ def _cmd_transport(args: argparse.Namespace) -> int:
     print(f"Gram norm drift:                {res.norm_drift:.3e}")
     ok = dev <= args.tol and res.norm_drift <= args.tol
     if args.loop_radius > 0:
-        off, _ = loop_offscalar(
-            fam, args.k, path[0], args.loop_radius, steps=args.steps, eps=cfg.eps
-        )
         print(f"loop off-scalar at r={args.loop_radius}:   {off:.3e}")
         ok = ok and off <= args.tol
     return 0 if ok else 1

@@ -219,7 +219,7 @@ def make_state(family: "Family", sigma: complex) -> KahlerState:
     g = compatible_metric(omega, J)
     ginv = inv2(g)
     gamma = christoffel(grid, g)
-    rho = ricci_form(grid, g, J)
+    rho = ricci_form(grid, gamma, J)
     dw = family.dw_at(sigma)
     E = _holo_vector(dw, J)
     h_w = 2.0 * np.einsum("ab...,a...,b...->...", g, E, np.conj(E))

@@ -80,9 +80,9 @@ def riemann(grid: Grid, gamma: Array) -> Array:
     return r
 
 
-def ricci_form(grid: Grid, g: Array, J: Array) -> Array:
-    r"""Ricci form :math:`\rho_{ab} = r(J e_a, e_b)` from the metric pipeline."""
-    gamma = christoffel(grid, g)
+def ricci_form(grid: Grid, gamma: Array, J: Array) -> Array:
+    r"""Ricci form :math:`\rho_{ab} = r(J e_a, e_b)` from the Levi-Civita symbols
+    ``gamma`` of the metric (see :func:`christoffel`)."""
     riem = riemann(grid, gamma)
     # r(X, Y) = tr(Z -> R(Z, X)Y):  r_{ab} = R^c{}_{bca}
     ric = np.einsum("cbca...->ab...", riem)

@@ -41,7 +41,15 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .bundle import BundleData, a_T, bundle_data, sec_deriv, sec_grad, sec_grad_plain
+from .bundle import (
+    BundleData,
+    _times_potential,
+    a_T,
+    bundle_data,
+    sec_deriv,
+    sec_grad,
+    sec_grad_plain,
+)
 from .families import ChartFamily, Family, KahlerState, d_holo, dir_deriv
 from .fields import Array, ChartGrid, TensorField, TorusGrid, max_norm
 from .geometry import cov_deriv
@@ -114,14 +122,15 @@ def delta_G(bd: BundleData, G: Array, f: Array, plain: bool = False) -> Array:
     r"""Apply :math:`\Delta_G` to a section coefficient.
 
     ``plain`` applies the same composition on the untwisted level-``k``
-    bundle (no half-form part in the connection).
+    bundle (no half-form part in the connection).  ``f`` may carry leading
+    batch axes, ``(..., n, n)``.
     """
     st = bd.state
     grad_f = sec_grad_plain(bd, f) if plain else sec_grad(bd, f)
     t = np.einsum("ba...,a...->b...", G, grad_f)
     A = bd.A_L if plain else bd.A
     dt = np.stack([sec_deriv(st, bd.k, t, -2), sec_deriv(st, bd.k, t, -1)])
-    dt = dt + np.einsum("bac...,c...->ab...", st.gamma, t) + A[:, None] * t
+    dt = dt + np.einsum("bac...,c...->ab...", st.gamma, t) + _times_potential(A, t)
     return np.einsum("aa...->...", dt)
 
 
@@ -175,7 +184,9 @@ def u_apply(
     r""":math:`u(V)f = \tfrac{1}{4k}(\Delta_{G(V)} + H(V))f + \text{offset}\cdot f`.
 
     The offset realizes the uniqueness clause: the potential ``H`` is
-    determined only up to a function of the parameter alone.
+    determined only up to a function of the parameter alone.  ``f`` may be
+    a batch of sections ``(..., n, n)``; the bundle data, ``G(V)`` and
+    ``H(V)`` are built once for the whole batch.
     """
     if k == 0:
         raise ValueError("the second-order correction needs a positive level")
@@ -683,9 +694,10 @@ def frame_comparison_residuals(
     :math:`\partial_M\tilde F`) and parameter part
     (:math:`A_T(V) + V[\log m]` against
     :math:`\hat\partial\tilde F(V) = v\,\partial_\sigma\tilde F`);
-    returns the two sup-norm residuals, normalized by the natural scale
-    ``1/(4 Im sigma)`` of the parameter coefficient on the torus and 1
-    on charts.
+    returns the two raw sup-norm residuals (masked on charts), with no
+    normalization.  On the torus at ``F~ = 0`` and ``v = 1`` the parameter
+    residual is the closed-form red ``1/(4 Im sigma)``, e.g. 0.3125 at
+    ``Im sigma = 0.8``.
     """
     st = family.state(sigma)
     grid = st.grid

@@ -15,6 +15,14 @@ part of the connection.  The half-form frame is constant over the torus
 and contributes no shift of the characteristics ``j/k``; this convention
 is frozen by a golden test.
 
+Each summand is separable in the grid coordinates: it is the product of
+an x-factor :math:`e^{i\pi k\tau\tilde n^2 + 2\pi ik\tilde n x}` and a
+y-factor :math:`e^{2\pi ik\tilde n\tau y + i\pi k\tau y^2}`.  Both factors
+are built once per ``(k, tau)`` over the truncated modes of
+:func:`mode_range`, and every sum on the grid (the basis, its termwise
+``tau``- and ``x``-derivatives, the off-grid multiplier check) is one
+product over the mode axis instead of a full-grid exponential per mode.
+
 Each summand separately satisfies the mode identity
 
 .. math::
@@ -43,7 +51,7 @@ import numpy as np
 from .bundle import a_T, bundle_data, sec_grad
 from .families import TorusFamily, dir_deriv
 from .fields import Array, TorusGrid, max_norm, proj_anti
-from .operators import delta_G, u_apply
+from .operators import u_apply
 
 # ---------------------------------------------------------------------------
 # basis
@@ -52,24 +60,45 @@ from .operators import delta_G, u_apply
 
 def mode_range(k: int, t2: float) -> range:
     """Lattice range keeping truncated summands below double-precision floor."""
+    if k < 1:
+        raise ValueError(f"the lattice sums need a positive level, got k = {k}")
+    if not t2 > 0:
+        raise ValueError(f"the lattice sums need Im tau > 0, got Im tau = {t2}")
     reach = int(np.ceil(np.sqrt(38.0 / (np.pi * k * t2)))) + 2
     return range(-reach, reach + 1)
 
 
+def _lattice_factors(x: Array, y: Array, k: int, tau: complex) -> tuple[Array, Array, Array]:
+    r"""Separable factors of the lattice summands on the axes ``x``, ``y``.
+
+    Returns ``nt`` (shape ``(k, m, 1)``, the shifted modes :math:`\tilde n`),
+    ``X[j, m, x] = exp(i pi k tau n~^2 + 2 pi i k n~ x)`` and
+    ``Y[j, m, y] = exp(2 pi i k n~ tau y + i pi k tau y^2)``; the summand at
+    ``(x, y)`` is ``X[j, m, x] * Y[j, m, y]``.
+    """
+    modes = np.array(mode_range(k, tau.imag), dtype=float)
+    nt = (modes[None, :] + np.arange(k)[:, None] / k)[..., None]
+    X = np.exp(1j * np.pi * k * tau * nt * nt + 2j * np.pi * k * nt * x)
+    Y = np.exp(2j * np.pi * k * nt * tau * y + 1j * np.pi * k * tau * y * y)
+    return nt, X, Y
+
+
+def _lattice_sum(X: Array, Y: Array) -> Array:
+    """Sum over modes of ``X[j, m, x] * Y[j, m, y]``, shape ``(k, len(x), len(y))``.
+
+    One batched ``(x, m) @ (m, y)`` product per characteristic ``j``.
+    """
+    return np.swapaxes(X, -1, -2) @ Y
+
+
+def _axes(grid: TorusGrid) -> tuple[Array, Array]:
+    return grid.x[:, 0], grid.y[0, :]
+
+
 def theta_basis(grid: TorusGrid, k: int, tau: complex) -> Array:
     """Holomorphic coefficient functions, shape ``(k, n, n)``."""
-    x, y = grid.x, grid.y
-    z = x + tau * y
-    out = np.zeros((k,) + grid.shape, dtype=complex)
-    for j in range(k):
-        for n in mode_range(k, tau.imag):
-            nt = n + j / k
-            out[j] += np.exp(
-                1j * np.pi * k * tau * nt * nt
-                + 2j * np.pi * k * nt * z
-                + 1j * np.pi * k * tau * y * y
-            )
-    return out
+    _, X, Y = _lattice_factors(*_axes(grid), k, tau)
+    return _lattice_sum(X, Y)
 
 
 def theta_basis_dtau(grid: TorusGrid, k: int, tau: complex) -> Array:
@@ -77,37 +106,15 @@ def theta_basis_dtau(grid: TorusGrid, k: int, tau: complex) -> Array:
     :math:`i\pi k(\tilde n + y)^2` times the summand.  The sums are
     holomorphic in ``tau``, so the derivative along a real tangent
     direction ``v`` is ``v`` times this array."""
-    x, y = grid.x, grid.y
-    z = x + tau * y
-    out = np.zeros((k,) + grid.shape, dtype=complex)
-    for j in range(k):
-        for n in mode_range(k, tau.imag):
-            nt = n + j / k
-            out[j] += (
-                1j * np.pi * k * (nt + y) ** 2
-                * np.exp(
-                    1j * np.pi * k * tau * nt * nt
-                    + 2j * np.pi * k * nt * z
-                    + 1j * np.pi * k * tau * y * y
-                )
-            )
-    return out
+    x, y = _axes(grid)
+    nt, X, Y = _lattice_factors(x, y, k, tau)
+    return _lattice_sum(X, 1j * np.pi * k * (nt + y) ** 2 * Y)
 
 
 def theta_basis_dx(grid: TorusGrid, k: int, tau: complex, order: int = 1) -> Array:
     """Exact x-derivative of the basis, termwise ``(2 pi i k n~)**order``."""
-    x, y = grid.x, grid.y
-    z = x + tau * y
-    out = np.zeros((k,) + grid.shape, dtype=complex)
-    for j in range(k):
-        for n in mode_range(k, tau.imag):
-            nt = n + j / k
-            out[j] += (2j * np.pi * k * nt) ** order * np.exp(
-                1j * np.pi * k * tau * nt * nt
-                + 2j * np.pi * k * nt * z
-                + 1j * np.pi * k * tau * y * y
-            )
-    return out
+    nt, X, Y = _lattice_factors(*_axes(grid), k, tau)
+    return _lattice_sum((2j * np.pi * k * nt) ** order * X, Y)
 
 
 def heat_grid_residual(grid: TorusGrid, k: int, tau: complex) -> float:
@@ -139,24 +146,14 @@ def heat_grid_residual(grid: TorusGrid, k: int, tau: complex) -> float:
 
 def multiplier_residual(grid: TorusGrid, k: int, tau: complex, j: int = 0) -> float:
     """Defect of the y-translation multiplier, evaluated off-grid."""
-    if k < 1:
-        raise ValueError("multiplier check needs a positive level")
-    x, y = grid.x, grid.y
+    x, y = _axes(grid)
 
-    def val(xx: Array, yy: Array) -> Array:
-        z = xx + tau * yy
-        out = np.zeros(xx.shape, dtype=complex)
-        for n in mode_range(k, tau.imag):
-            nt = n + j / k
-            out += np.exp(
-                1j * np.pi * k * tau * nt * nt
-                + 2j * np.pi * k * nt * z
-                + 1j * np.pi * k * tau * yy * yy
-            )
-        return out
+    def val(yy: Array) -> Array:
+        _, X, Y = _lattice_factors(x, yy, k, tau)
+        return _lattice_sum(X[j : j + 1], Y[j : j + 1])[0]
 
-    lhs = val(x, y + 1.0)
-    rhs = np.exp(-2j * np.pi * k * x) * val(x, y)
+    lhs = val(y + 1.0)
+    rhs = np.exp(-2j * np.pi * k * grid.x) * val(y)
     return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
 
 
@@ -166,12 +163,10 @@ def dbar_residual(fam: TorusFamily, tau: complex, k: int) -> float:
     bd = bundle_data(fam, tau, k)
     Q = proj_anti(bd.state.J)
     basis = theta_basis(grid, k, tau)
-    worst = 0.0
-    for j in range(k):
-        gr = sec_grad(bd, basis[j])
-        anti = np.einsum("a...,ab...->b...", gr, Q)
-        worst = max(worst, max_norm(anti) / max(max_norm(basis[j]), 1e-300))
-    return worst
+    anti = np.einsum("a...,ab...->b...", sec_grad(bd, basis), Q)
+    return max(
+        max_norm(anti[:, j]) / max(max_norm(basis[j]), 1e-300) for j in range(k)
+    )
 
 
 def gram(grid: TorusGrid, k: int, tau: complex, basis: Array) -> Array:
@@ -223,16 +218,12 @@ def connection_matrix(
 ) -> ProjectionData:
     grid = fam.grid
     basis = theta_basis(grid, k, tau)
-    bd = bundle_data(fam, tau, k)
     aT = a_T(fam, tau, v, eps, exact=exact)
-    nab = np.empty_like(basis)
-    dbasis = theta_basis_dtau(grid, k, tau) if exact else None
-    for j in range(k):
-        if exact:
-            Vs = v * dbasis[j]
-        else:
-            Vs = dir_deriv(lambda s: theta_basis(grid, k, s)[j], tau, v, eps)
-        nab[j] = Vs + aT * basis[j] + u_apply(fam, tau, k, v, basis[j], eps, exact=exact)
+    if exact:
+        Vs = v * theta_basis_dtau(grid, k, tau)
+    else:
+        Vs = dir_deriv(lambda s: theta_basis(grid, k, s), tau, v, eps)
+    nab = Vs + aT * basis + u_apply(fam, tau, k, v, basis, eps, exact=exact)
     G = gram(grid, k, tau, basis)
     # pairing P[l, j] = weight * mean(conj(s_l) * nabla s_j); with
     # nabla s_j = sum_i M[i, j] s_i this gives P = G^T M, so M solves
@@ -290,6 +281,8 @@ def transport(
     transported section in the holomorphic basis at the endpoint.
     Coefficients may be a vector or a matrix of stacked columns.
     """
+    if steps < 1:
+        raise ValueError(f"transport needs at least one step, got steps = {steps}")
     path = _as_path(path)
     grid = fam.grid
     h = 1.0 / steps

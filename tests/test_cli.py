@@ -151,6 +151,24 @@ def test_transport_subcommand(capsys):
     assert "loop off-scalar" in out
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (["--k", "0"], "positive level"),
+        (["--steps", "0"], "at least one step"),
+        (["--path", "1-1j,1+1j"], "Im tau > 0"),
+    ],
+    ids=["k0", "steps0", "lower_half_plane"],
+)
+def test_transport_rejects_bad_input(capsys, bad, message):
+    code = main(["transport", "--grid", "16", "--k", "1", "--steps", "4"] + bad)
+    assert code == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert "Traceback" not in captured.err
+
+
 def test_basis_subcommand_torus(capsys):
     code = main(["basis", "--backend", "torus", "--k", "2", "--tau", "1j", "--grid", "64"])
     assert code == 0

@@ -11,14 +11,24 @@ from hitchinlab.families import (
     d_holo,
     dir_deriv,
     j_from_mu,
+    make_state,
     nonholo_family,
     nonrigid_family,
     rigid_family,
     variation,
 )
 from hitchinlab.fields import ChartGrid, TorusGrid, identity_like, mat_mul, max_norm
+from hitchinlab.geometry import christoffel, ricci_form
 
 EPS = 1e-4
+
+
+def test_state_ricci_form_reuses_christoffel(torus32, chart48):
+    """The state's Ricci form equals the one built from a fresh Christoffel pass."""
+    for fam, sigma in ((torus32, 0.5 + 0.8j), (chart48[0], 0.1 + 0.05j)):
+        st = make_state(fam, sigma)
+        rho = ricci_form(fam.grid, christoffel(fam.grid, st.g), st.J)
+        assert np.array_equal(st.rho, rho)
 
 
 def test_torus_structure_squares_to_minus_one(torus32):

@@ -33,7 +33,7 @@ def test_flat_metric_has_no_curvature():
     assert max_norm(gamma) < 1e-13
     assert max_norm(riemann(grid, gamma)) < 1e-12
     J = np.broadcast_to(_J_STD[:, :, None, None], (2, 2) + grid.shape)
-    assert max_norm(ricci_form(grid, g, J)) < 1e-12
+    assert max_norm(ricci_form(grid, gamma, J)) < 1e-12
 
 
 def test_inv2_pointwise():
@@ -63,7 +63,7 @@ def test_ricci_form_conformal_oracle():
     lap = -2.0 * (2 * np.pi) ** 2 * phi  # exact Laplacian of the mode
     g = _conformal(grid, phi)
     J = np.broadcast_to(_J_STD[:, :, None, None], (2, 2) + grid.shape)
-    rho = ricci_form(grid, g, J)
+    rho = ricci_form(grid, christoffel(grid, g), J)
     assert max_norm(rho[0, 1] - (-lap)) < 1e-9
     assert max_norm(rho + np.einsum("ab...->ba...", rho)) < 1e-9
 

@@ -13,6 +13,7 @@ from hitchinlab.theta import (
     heat_grid_residual,
     heat_mode_residual,
     loop_offscalar,
+    mode_range,
     multiplier_residual,
     theta_basis,
     theta_basis_dtau,
@@ -132,6 +133,47 @@ def test_loop_holonomy_is_scalar(torus32):
     off, L = loop_offscalar(torus32, 2, 1j, 0.05, steps=60)
     assert off < 1e-8
     assert L.shape == (2, 2)
+
+
+def _direct_sum(grid, k, tau, weight):
+    """Full-grid lattice sum over a wider mode set than ``mode_range``."""
+    x, y = grid.x, grid.y
+    out = np.zeros((k,) + grid.shape, dtype=complex)
+    for j in range(k):
+        for n in range(-15, 16):
+            nt = n + j / k
+            out[j] += weight(nt, y) * np.exp(
+                1j * np.pi * k * tau * nt * nt
+                + 2j * np.pi * k * nt * (x + tau * y)
+                + 1j * np.pi * k * tau * y * y
+            )
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("tau", [1j, 0.5 + 0.8j, 1 + 1j])
+def test_separable_sums_match_direct_lattice_sum(torus32, k, tau):
+    grid = torus32.grid
+    cases = [
+        (theta_basis(grid, k, tau), lambda nt, y: 1.0),
+        (theta_basis_dtau(grid, k, tau), lambda nt, y: 1j * np.pi * k * (nt + y) ** 2),
+        (theta_basis_dx(grid, k, tau, 1), lambda nt, y: 2j * np.pi * k * nt),
+        (theta_basis_dx(grid, k, tau, 2), lambda nt, y: (2j * np.pi * k * nt) ** 2),
+    ]
+    for fast, weight in cases:
+        direct = _direct_sum(grid, k, tau, weight)
+        assert max_norm(fast - direct) / max_norm(direct) <= 1e-13
+
+
+@pytest.mark.parametrize("k, t2", [(0, 1.0), (-1, 1.0), (1, 0.0), (2, -0.5), (1, float("nan"))])
+def test_mode_range_rejects_bad_level_and_parameter(k, t2):
+    with pytest.raises(ValueError):
+        mode_range(k, t2)
+
+
+def test_transport_rejects_zero_steps(torus32):
+    with pytest.raises(ValueError, match="step"):
+        transport(torus32, 1, (1j, 1 + 1j), np.eye(1), steps=0)
 
 
 def test_mode_range_covers_mass():
