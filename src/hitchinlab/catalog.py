@@ -7,7 +7,12 @@ encode the analytically derived status of each identity on the tested
 models: most rows are expected to pass, a small documented set is
 expected to fail (see ``docs/identities.md``), and the adversarial
 family gates are expected to fail by construction.  A run is clean when
-every verdict matches its expectation.
+every verdict matches its expectation; a non-finite case residual is an
+``error`` and never matches.
+
+The rows are data (`ROWS`): each gives its budgets, its case axes and the
+residual of one case, and one driver (`Row.cases`, `_row`) expands the
+axes and reduces the cases to the worst one.
 
 Budgets follow the two error models of the backends:
 
@@ -23,8 +28,9 @@ Mutation hooks flip the sign of a single term inside a chosen identity
 
 from __future__ import annotations
 
+import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -69,6 +75,7 @@ from .operators import (
     potential_oneform_residual,
     potential_variation_residual,
     projector_commutator_residual,
+    section_on,
     torus_sections,
 )
 from .theta import (
@@ -102,10 +109,24 @@ class RunConfig:
     sigma: complex = 0.1 + 0.05j
     radius: float = 0.35
     steps: int = 200
-    seed: int = 0
     mutate: str | None = None
     identities: tuple[str, ...] | None = None
     jobs: int = 4
+
+    def __post_init__(self) -> None:
+        bad = [t for t in self.taus if not complex(t).imag > 0]
+        if bad:
+            raise ValueError(f"taus must have Im tau > 0, got {bad}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
+        margin = ChartGrid.margin
+        if self.backend != "torus" and self.grid <= 2 * margin:
+            raise ValueError(
+                f"chart grid {self.grid} leaves no interior: it needs more than "
+                f"{2 * margin} points per axis"
+            )
+        if self.steps < 1:
+            raise ValueError(f"steps must be at least one step, got {self.steps}")
 
 
 # mutation name -> (identity, flip keyword)
@@ -128,74 +149,65 @@ MUTATIONS = {
 
 
 class Env:
-    """Caches families, bundle data and test sections across catalog rows."""
+    """Families and test sections shared by the catalog rows of one run.
+
+    Test sections are kept for the whole run: a chart section costs about a
+    second and several rows reuse it.  The family states have their own
+    bounded cache (``Family.state``).
+    """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self._lock = threading.Lock()
-        self._torus: TorusFamily | None = None
-        self._chart: ChartFamily | None = None
-        self._sections: dict = {}
-        self._bundles: dict = {}
-
-    # families -------------------------------------------------------------
-    def torus(self) -> TorusFamily:
-        with self._lock:
-            if self._torus is None:
-                self._torus = TorusFamily(TorusGrid(self.cfg.grid))
-            return self._torus
-
-    def chart(self) -> ChartFamily:
-        with self._lock:
-            if self._chart is None:
-                fam, _ = rigid_family(
-                    ChartGrid(self.cfg.grid), CHART_COEFFS, order=8, radius=self.cfg.radius
-                )
-                self._chart = fam
-            return self._chart
+        self._families: dict[str, Family] = {}
+        self._sections: dict[tuple, Future] = {}
 
     def family(self, backend: str) -> Family:
-        return self.torus() if backend == "torus" else self.chart()
+        with self._lock:
+            fam = self._families.get(backend)
+            if fam is None:
+                if backend == "torus":
+                    fam = TorusFamily(TorusGrid(self.cfg.grid))
+                else:
+                    fam, _ = rigid_family(
+                        ChartGrid(self.cfg.grid), CHART_COEFFS, order=8, radius=self.cfg.radius
+                    )
+                self._families[backend] = fam
+            return fam
 
-    # per-backend case axes --------------------------------------------------
+    def chart(self) -> ChartFamily:
+        return self.family("chart")
+
     def params(self, backend: str) -> tuple[complex, ...]:
         return self.cfg.taus if backend == "torus" else (self.cfg.sigma,)
+
+    def levels(self) -> tuple[int, ...]:
+        return tuple(k for k in self.cfg.levels if k >= 1)
 
     def eps_at(self, sigma: complex) -> float:
         return self.cfg.eps * (1.0 + abs(sigma))
 
-    def exact(self, backend: str) -> bool:
-        return backend == "torus"
-
-    # bundles / sections -----------------------------------------------------
-    def bundle(self, backend: str, sigma: complex, k: float):
-        key = (backend, complex(sigma), float(k))
-        with self._lock:
-            bd = self._bundles.get(key)
-        if bd is None:
-            bd = bundle_data(self.family(backend), sigma, k)
-            with self._lock:
-                self._bundles[key] = bd
-        return bd
-
     def sections(self, backend: str, sigma: complex, k: int) -> TestSections:
+        """Test sections at ``(sigma, k)``, built once even when threads race.
+
+        The first caller stores a pending result under the lock and builds
+        it; later callers wait for that result.
+        """
         key = (backend, complex(sigma), int(k))
         with self._lock:
-            ts = self._sections.get(key)
-        if ts is None:
-            bd = self.bundle(backend, sigma, k)
-            ts = torus_sections(bd) if backend == "torus" else chart_sections(bd)
-            with self._lock:
-                self._sections[key] = ts
-        return ts
-
-    def potential(self, backend: str, which: str):
-        fam = self.family(backend)
-        base = self.params(backend)[0] if which == "quadratic" else None
-        return potential_fn(fam, which, base=base, eps=self.cfg.eps)
-
-    def mask(self, backend: str):
-        return None if backend == "torus" else self.family(backend).grid.interior()
+            pending = self._sections.get(key)
+            owner = pending is None
+            if owner:
+                pending = self._sections[key] = Future()
+        if owner:
+            try:
+                bd = bundle_data(self.family(backend), sigma, k)
+                pending.set_result(
+                    torus_sections(bd) if backend == "torus" else chart_sections(bd)
+                )
+            except BaseException as exc:
+                pending.set_exception(exc)
+        return pending.result()
 
     def flip(self, identity: str) -> str | None:
         m = self.cfg.mutate
@@ -206,650 +218,458 @@ class Env:
 
 
 # ---------------------------------------------------------------------------
-# budgets
-# ---------------------------------------------------------------------------
-
-# torus: absolute; chart: C in  C * (eps_eff^2 + h^4), calibrated at grid 64
-# (three times the worst measured residual, rounded up; see docs/identities.md).
-# Torus rows built from termwise-exact data carry the tight 1e-8 budget;
-# rows requiring nested parameter difference quotients (frame curvature and
-# the corrected comparison rows) sit at the eps^2 floor and carry 5e-7/1e-6.
-BUDGETS: dict[str, dict[str, float]] = {
-    "family_gates": {"torus": 1e-6, "chart": 30.0},
-    "family_holomorphy_gate_adversarial": {"chart": 30.0},
-    "family_rigidity_gate_adversarial": {"chart": 30.0},
-    "metric_variation": {"torus": 1e-8, "chart": 10.0},
-    "levicivita_variation": {"torus": 1e-8, "chart": 1.0},
-    "projector_commutator": {"torus": 1e-8, "chart": 1.0},
-    "prequantum_curvature": {"chart": 1.0},
-    "curvature_base": {"torus": 1e-8, "chart": 1.0},
-    "curvature_base_probe": {"torus": 1e-8, "chart": 210.0},
-    "curvature_mixed_trace": {"torus": 1e-8, "chart": 1.0},
-    "curvature_mixed_potential": {"torus": 1e-8, "chart": 1.0},
-    "curvature_param_vanishing": {"torus": 1e-8, "chart": 10.0},
-    "curvature_param_commutator": {"torus": 1e-6, "chart": 10.0},
-    "frame_curvature": {"torus": 1e-6, "chart": 10.0},
-    "halfform_trace": {"torus": 1e-6, "chart": 10.0},
-    "potential_variation": {"torus": 1e-8, "chart": 1.0},
-    "potential_oneform": {"torus": 1e-8, "chart": 10.0},
-    "potential_constancy": {"torus": 1e-8, "chart": 10.0},
-    "potential_constancy_corrected": {"torus": 1e-8, "chart": 10.0},
-    "curvature_reduction": {"torus": 1e-8, "chart": 10.0},
-    "curvature_reduction_corrected": {"torus": 5e-7},
-    "defining_equation": {"torus": 1e-8, "chart": 60.0},
-    "holomorphy_transfer": {"torus": 1e-8, "chart": 300.0},
-    "divergence_closedness": {"torus": 1e-8, "chart": 8000.0},
-    "frame_comparison": {"torus": 1e-8, "chart": 1.0},
-    "frame_comparison_corrected": {"torus": 5e-7},
-    "operator_pullback": {"torus": 1e-8, "chart": 10.0},
-    "connection_agreement": {"torus": 1e-8, "chart": 10.0},
-    "connection_agreement_corrected": {"torus": 5e-7},
-    "basis_multiplier": {"torus": 1e-8},
-    "basis_holomorphy": {"torus": 1e-8, "chart": 10.0},
-    "gram_rank": {"torus": 1e-8},
-    "heat_mode": {"torus": 1e-12},
-    "projection_defect": {"torus": 1e-8},
-    "transport_oracle": {"torus": 1e-6},
-    "loop_offscalar": {"torus": 1e-6},
-}
-
-# rows whose failure is the analytically expected outcome on the tested
-# models; everything else is expected to pass.
-EXPECTED_FAIL: set[tuple[str, str]] = {
-    ("family_holomorphy_gate_adversarial", "chart"),
-    ("family_rigidity_gate_adversarial", "chart"),
-    ("curvature_param_vanishing", "torus"),
-    ("curvature_param_vanishing", "chart"),
-    ("potential_constancy", "chart"),
-    ("curvature_reduction", "torus"),
-    ("frame_comparison", "torus"),
-    ("connection_agreement", "torus"),
-}
-
-NOTES: dict[str, str] = {
-    "curvature_param_vanishing": (
-        "parameter-parameter curvature is measurably nonzero "
-        "(torus: R(d1,d2) = -i/(4 Im tau^2)); "
-        "the commutator form of the same block passes"
-    ),
-    "potential_constancy": (
-        "the parameter-hessian of the potential family varies over the "
-        "surface; adding the parameter-parameter curvature makes it "
-        "constant (corrected row)"
-    ),
-    "curvature_reduction": (
-        "with the pinned pluriharmonic potential the parameter-parameter "
-        "block of the reduction fails by the nonzero parameter curvature; "
-        "the corrected row absorbs it"
-    ),
-    "frame_comparison": (
-        "with the flat potential the parameter part of the frame "
-        "comparison misses the non-closed form -i v/(4 Im tau); its curl "
-        "is exactly the nonzero parameter-parameter curvature"
-    ),
-    "connection_agreement": (
-        "same obstruction as frame_comparison: with the flat potential the "
-        "operator difference equals 1/(4 Im tau) in direction v = 1 and "
-        "cancels to the sigma-difference floor in direction v = i"
-    ),
-    "family_holomorphy_gate_adversarial": "deliberately broken family must be flagged",
-    "family_rigidity_gate_adversarial": "deliberately broken family must be flagged",
-}
-
-
-# chart section-residual rows whose floor grows cubically with the level
-# (calibrated: worst residual / k^3 is level-independent within a factor
-# of a few for k = 1..5); their per-case budgets carry the k^3 weight.
-K_CUBIC = {"defining_equation", "holomorphy_transfer", "curvature_base_probe"}
-
-
-def budget_for(
-    identity: str, backend: str, env: Env, k: int | None = None
-) -> float:
-    b = BUDGETS[identity][backend]
-    if backend == "torus":
-        return b
-    grid = env.family("chart").grid
-    eps_eff = env.eps_at(env.cfg.sigma)
-    scale = eps_eff**2 + grid.h**4
-    if identity in K_CUBIC and k:
-        return b * max(int(k), 1) ** 3 * scale
-    return b * scale
-
-
-# ---------------------------------------------------------------------------
-# runners (each returns the list of case residuals for one backend)
+# one case of a row
 # ---------------------------------------------------------------------------
 
 
-def _run_family_gates(env: Env, backend: str) -> list[float]:
-    fam = env.family(backend)
-    out = []
-    for p in env.params(backend):
-        for v in DIRS:
-            var = variation(fam, p, v, env.eps_at(p))
-            out += [
-                var.anticommute_residual,
-                var.symmetry_residual,
-                var.holomorphy_residual,
-                var.rigidity_residual,
-            ]
-    return out
+@dataclass(frozen=True)
+class Case:
+    """One point of a row's case axes; unused axes stay ``None`` (level 0)."""
+
+    env: Env
+    backend: str
+    p: complex | None = None  # parameter: a tau on the torus, sigma on the chart
+    k: int = 0  # level
+    v: complex | None = None  # direction
+    s: Array | None = None  # test section at (p, k)
+
+    @property
+    def fam(self) -> Family:
+        return self.env.family(self.backend)
+
+    @property
+    def eps(self) -> float:
+        return self.env.eps_at(self.p)
+
+    @property
+    def exact(self) -> bool:
+        return self.backend == "torus"
+
+    @property
+    def mask(self) -> Array | None:
+        return None if self.exact else self.fam.grid.interior()
 
 
-def _run_holo_gate_adv(env: Env, backend: str) -> list[float]:
-    fam = nonholo_family(ChartGrid(env.cfg.grid))
-    var = variation(fam, env.cfg.sigma, 1.0, env.eps_at(env.cfg.sigma))
-    return [var.holomorphy_residual]
+def _rel(val: Array, target: Array, mask: Array | None) -> float:
+    return max_norm(val - target, mask) / max_norm(target, mask)
 
 
-def _run_rigid_gate_adv(env: Env, backend: str) -> list[float]:
-    fam = nonrigid_family(ChartGrid(env.cfg.grid))
-    var = variation(fam, env.cfg.sigma, 1.0, env.eps_at(env.cfg.sigma))
-    return [var.rigidity_residual]
+def _spread(vals: Array, mask: Array | None) -> float:
+    vals = vals if mask is None else vals[mask]
+    return float(np.max(np.abs(vals - np.mean(vals))))
 
 
-def _per_dir(fn) -> Callable[[Env, str], list[float]]:
-    def run(env: Env, backend: str) -> list[float]:
-        fam = env.family(backend)
-        return [
-            fn(fam, p, v, env.eps_at(p))
-            for p in env.params(backend)
-            for v in DIRS
-        ]
-
-    return run
+def _family_gates(c: Case) -> list[float]:
+    var = variation(c.fam, c.p, c.v, c.eps)
+    return [
+        var.anticommute_residual,
+        var.symmetry_residual,
+        var.holomorphy_residual,
+        var.rigidity_residual,
+    ]
 
 
-def _run_prequantum_curvature(env: Env, backend: str) -> list[float]:
+def _prequantum_curvature(c: Case) -> float:
     # chart-only: the gauge potential there is a smooth numeric field whose
     # finite-difference curl genuinely re-derives the curvature; on the torus
     # the potential is linear in the fibre coordinate (not FD-differentiable
     # across the periodic wrap) and the same content is covered by
     # ``curvature_base``, whose correction term vanishes there.
-    fam = env.family(backend)
-    mask = env.mask(backend)
-    out = []
-    for p in env.params(backend):
-        st = fam.state(p)
-        for k in env.cfg.levels:
-            curl = sec_plain_curl(st, level_potential(st, k))
-            target = -1j * k * st.omega[0, 1]
-            out.append(max_norm(curl - target, mask) / max_norm(target, mask))
-    return out
+    st = c.fam.state(c.p)
+    curl = sec_plain_curl(st, level_potential(st, c.k))
+    return _rel(curl, -1j * c.k * st.omega[0, 1], c.mask)
 
 
-def _run_curvature_base(env: Env, backend: str) -> list[float]:
-    fam = env.family(backend)
-    mask = env.mask(backend)
-    out = []
-    for p in env.params(backend):
-        st = fam.state(p)
-        for k in env.cfg.levels:
-            bd = env.bundle(backend, p, k)
-            val = curvature_mm(bd)
-            target = -1j * k * st.omega[0, 1] + 0.5j * st.rho[0, 1]
-            out.append(max_norm(val - target, mask) / max_norm(target, mask))
-    return out
+def _base_target(c: Case) -> Array:
+    st = c.fam.state(c.p)
+    return -1j * c.k * st.omega[0, 1] + 0.5j * st.rho[0, 1]
 
 
-def _run_curvature_base_probe(env: Env, backend: str) -> list:
-    fam = env.family(backend)
-    out = []
-    for p in env.params(backend):
-        st = fam.state(p)
-        for k in env.cfg.levels:
-            if k < 1:
-                continue
-            bd = env.bundle(backend, p, k)
-            target = -1j * k * st.omega[0, 1] + 0.5j * st.rho[0, 1]
-            s = env.sections(backend, p, k).values[0]
-            out.append((mm_commutator_residual(bd, s, target), k))
-    return out
+def _curvature_mixed_trace(c: Case) -> float:
+    st = c.fam.state(c.p)
+    ctm = curvature_tm(c.fam, c.p, c.v, c.eps)
+    Gt = variation(c.fam, c.p, c.v, c.eps).Gt
+    nGt = cov_deriv(c.fam.grid, st.gamma, TensorField(Gt.astype(complex), "uu"))
+    trGt = np.einsum("aab...->b...", nGt.comps)
+    rhs = 0.25j * np.einsum("b...,ba...->a...", trGt, st.omega)
+    den = max(max_norm(rhs, c.mask), max_norm(ctm, c.mask), 1e-12)
+    return max_norm(ctm - rhs, c.mask) / den
 
 
-def _run_curvature_mixed_trace(env: Env, backend: str) -> list[float]:
-    fam = env.family(backend)
-    mask = env.mask(backend)
-    out = []
-    for p in env.params(backend):
-        st = fam.state(p)
-        for v in DIRS:
-            eps = env.eps_at(p)
-            ctm = curvature_tm(fam, p, v, eps)
-            Gt = variation(fam, p, v, eps).Gt
-            nGt = cov_deriv(fam.grid, st.gamma, TensorField(Gt.astype(complex), "uu"))
-            trGt = np.einsum("aab...->b...", nGt.comps)
-            rhs = 0.25j * np.einsum("b...,ba...->a...", trGt, st.omega)
-            den = max(max_norm(rhs, mask), max_norm(ctm, mask), 1e-12)
-            out.append(max_norm(ctm - rhs, mask) / den)
-    return out
+def _curvature_mixed_potential(c: Case) -> float:
+    ctm = curvature_tm(c.fam, c.p, c.v, c.eps)
+    pm = pot_mixed(c.fam, potential_fn(c.fam, "ricci"), c.p, c.v, c.eps)
+    den = max(max_norm(ctm, c.mask), max_norm(pm, c.mask), 1e-12)
+    return max_norm(ctm + pm, c.mask) / den
 
 
-def _run_curvature_mixed_potential(env: Env, backend: str) -> list[float]:
-    fam = env.family(backend)
-    mask = env.mask(backend)
-    Fr = env.potential(backend, "ricci")
-    out = []
-    for p in env.params(backend):
-        for v in DIRS:
-            eps = env.eps_at(p)
-            ctm = curvature_tm(fam, p, v, eps)
-            pm = pot_mixed(fam, Fr, p, v, eps)
-            den = max(max_norm(ctm, mask), max_norm(pm, mask), 1e-12)
-            out.append(max_norm(ctm + pm, mask) / den)
-    return out
+def _curvature_param_commutator(c: Case) -> float:
+    ctt = curvature_tt(c.fam, c.p, c.eps, exact=c.exact)
+    rhs = param_commutator_curvature(c.fam, c.p, c.eps, exact=c.exact)
+    return max_norm(ctt - rhs, c.mask) / max(max_norm(ctt, c.mask), 1e-12)
 
 
-def _run_curvature_param_vanishing(env: Env, backend: str) -> list[float]:
-    fam = env.family(backend)
-    mask = env.mask(backend)
-    return [
-        max_norm(curvature_tt(fam, p, env.eps_at(p), exact=env.exact(backend)), mask)
-        for p in env.params(backend)
+def _halfform_trace(c: Case) -> float:
+    R, _, _ = frame_curvature_data(c.fam, c.p, c.eps)
+    tr = np.einsum("aa...->...", R)
+    ctt = curvature_tt(c.fam, c.p, c.eps, exact=c.exact)
+    return max_norm(-0.5 * tr - ctt, c.mask) / max(max_norm(ctt, c.mask), 1e-12)
+
+
+def _potential_constancy_corrected(c: Case) -> float:
+    ptt = pot_tt(c.fam, potential_fn(c.fam, "ricci"), c.p, c.eps)
+    return _spread(ptt + curvature_tt(c.fam, c.p, c.eps, exact=c.exact), c.mask)
+
+
+def _reduction(c: Case, which: str) -> list[float]:
+    """The three curvature blocks of the reduction at one parameter."""
+    st = c.fam.state(c.p)
+    Ff = potential_fn(c.fam, which)
+    # surface-surface block (relative: the target grows with the level)
+    pmm = pot_mm(c.fam, Ff, c.p, c.eps)
+    out = [
+        _rel(curvature_mm(bundle_data(c.fam, c.p, k)), -1j * k * st.omega[0, 1] - pmm, c.mask)
+        for k in c.env.levels()
     ]
-
-
-def _run_curvature_param_commutator(env: Env, backend: str) -> list[float]:
-    fam = env.family(backend)
-    mask = env.mask(backend)
-    out = []
-    for p in env.params(backend):
-        eps = env.eps_at(p)
-        ctt = curvature_tt(fam, p, eps, exact=env.exact(backend))
-        rhs = param_commutator_curvature(fam, p, eps, exact=env.exact(backend))
-        den = max(max_norm(ctt, mask), 1e-12)
-        out.append(max_norm(ctt - rhs, mask) / den)
+    # mixed block (absolute)
+    for v in DIRS:
+        ctm = curvature_tm(c.fam, c.p, v, c.eps)
+        out.append(max_norm(ctm + pot_mixed(c.fam, Ff, c.p, v, c.eps), c.mask))
+    # parameter-parameter block (absolute)
+    ctt = curvature_tt(c.fam, c.p, c.eps, exact=c.exact)
+    out.append(max_norm(ctt + pot_tt(c.fam, Ff, c.p, c.eps), c.mask))
     return out
 
 
-def _run_frame_curvature(env: Env, backend: str) -> list[float]:
-    fam = env.family(backend)
-    return [frame_curvature_data(fam, p, env.eps_at(p))[2] for p in env.params(backend)]
-
-
-def _run_halfform_trace(env: Env, backend: str) -> list[float]:
-    fam = env.family(backend)
-    mask = env.mask(backend)
-    out = []
-    for p in env.params(backend):
-        eps = env.eps_at(p)
-        R, _, _ = frame_curvature_data(fam, p, eps)
-        tr = np.einsum("aa...->...", R)
-        ctt = curvature_tt(fam, p, eps, exact=env.exact(backend))
-        den = max(max_norm(ctt, mask), 1e-12)
-        out.append(max_norm(-0.5 * tr - ctt, mask) / den)
-    return out
-
-
-def _run_potential_variation(env: Env, backend: str) -> list[float]:
-    fam = env.family(backend)
-    return [
-        potential_variation_residual(fam, p, v, env.eps_at(p), exact=env.exact(backend))
-        for p in env.params(backend)
-        for v in DIRS
-    ]
-
-
-def _run_potential_oneform(env: Env, backend: str) -> list[float]:
-    fam = env.family(backend)
-    flip = env.flip("potential_oneform")
-    return [
-        potential_oneform_residual(
-            fam, p, v, env.eps_at(p), exact=env.exact(backend), flip=flip
-        )
-        for p in env.params(backend)
-        for v in DIRS
-    ]
-
-
-def _constancy_spread(vals: Array) -> float:
-    return float(np.max(np.abs(vals - np.mean(vals))))
-
-
-def _run_potential_constancy(env: Env, backend: str) -> list[float]:
-    fam = env.family(backend)
-    mask = env.mask(backend)
-    Fr = env.potential(backend, "ricci")
-    out = []
-    for p in env.params(backend):
-        ptt = pot_tt(fam, Fr, p, env.eps_at(p))
-        vals = ptt if mask is None else ptt[mask]
-        out.append(_constancy_spread(vals))
-    return out
-
-
-def _run_potential_constancy_corrected(env: Env, backend: str) -> list[float]:
-    fam = env.family(backend)
-    mask = env.mask(backend)
-    Fr = env.potential(backend, "ricci")
-    out = []
-    for p in env.params(backend):
-        eps = env.eps_at(p)
-        total = pot_tt(fam, Fr, p, eps) + curvature_tt(fam, p, eps, exact=env.exact(backend))
-        vals = total if mask is None else total[mask]
-        out.append(_constancy_spread(vals))
-    return out
-
-
-def _reduction_cases(env: Env, backend: str, which: str) -> list[float]:
-    fam = env.family(backend)
-    mask = env.mask(backend)
-    Ff = env.potential(backend, which)
-    out = []
-    for p in env.params(backend):
-        st = fam.state(p)
-        eps = env.eps_at(p)
-        # surface-surface block (relative: the target grows with the level)
-        pmm = pot_mm(fam, Ff, p, eps)
-        for k in env.cfg.levels:
-            bd = env.bundle(backend, p, k)
-            val = curvature_mm(bd)
-            target = -1j * k * st.omega[0, 1] - pmm
-            out.append(max_norm(val - target, mask) / max_norm(target, mask))
-        # mixed block (absolute)
-        for v in DIRS:
-            ctm = curvature_tm(fam, p, v, eps)
-            pm = pot_mixed(fam, Ff, p, v, eps)
-            out.append(max_norm(ctm + pm, mask))
-        # parameter-parameter block (absolute)
-        ctt = curvature_tt(fam, p, eps, exact=env.exact(backend))
-        ptt = pot_tt(fam, Ff, p, eps)
-        out.append(max_norm(ctt + ptt, mask))
-    return out
-
-
-def _run_curvature_reduction(env: Env, backend: str) -> list[float]:
-    which = "ricci"  # on the torus this is the flat (pluriharmonic) choice
-    return _reduction_cases(env, backend, which)
-
-
-def _run_curvature_reduction_corrected(env: Env, backend: str) -> list[float]:
-    return _reduction_cases(env, backend, "log-imtau")
-
-
-def _run_defining(env: Env, backend: str) -> list:
-    fam = env.family(backend)
-    flip = env.flip("defining_equation")
-    out = []
-    for p in env.params(backend):
-        eps = env.eps_at(p)
-        for k in env.cfg.levels:
-            if k < 1:
-                continue
-            ts = env.sections(backend, p, k)
-            for v in DIRS:
-                for s in ts.values:
-                    r = eq_defining_residual(
-                        fam, p, k, v, s, eps, exact=env.exact(backend), flip=flip
-                    )
-                    out.append((r, k))
-    return out
-
-
-def _run_transfer(env: Env, backend: str) -> list:
-    fam = env.family(backend)
-    flip = env.flip("holomorphy_transfer")
-    out = []
-    for p in env.params(backend):
-        eps = env.eps_at(p)
-        for k in env.cfg.levels:
-            if k < 1:
-                continue
-            ts = env.sections(backend, p, k)
-            for v in DIRS:
-                for s in ts.values:
-                    r = eq_transfer_residual(
-                        fam, p, k, v, s, eps, exact=env.exact(backend), flip=flip
-                    )
-                    out.append((r, k))
-    return out
-
-
-def _run_divergence_closedness(env: Env, backend: str) -> list[float]:
-    fam = env.family(backend)
-    out = []
-    for p in env.params(backend):
-        eps = env.eps_at(p)
-        ts = env.sections(backend, p, 0)
-        for v in DIRS:
-            for s in ts.values:
-                out.append(
-                    eq_transfer_residual(fam, p, 0, v, s, eps, exact=env.exact(backend))
-                )
-    return out
-
-
-def _comparison_potential(backend: str) -> str:
+def _comparison_potential(c: Case, which: str | None = None):
     # torus rows pin the flat potential (the pluriharmonic representative);
     # chart rows use the canonical one solving the curvature equation.
-    return "zero" if backend == "torus" else "ricci"
+    return potential_fn(c.fam, which or ("zero" if c.exact else "ricci"))
 
 
-def _run_frame_comparison(env: Env, backend: str, which: str | None = None) -> list[float]:
-    fam = env.family(backend)
-    Ff = env.potential(backend, which or _comparison_potential(backend))
-    out = []
-    for p in env.params(backend):
-        for v in DIRS:
-            rm, rt = frame_comparison_residuals(
-                fam, Ff, p, v, env.eps_at(p), exact=env.exact(backend)
-            )
-            out += [rm, rt]
-    return out
+def _frame_comparison(c: Case, which: str | None = None) -> list[float]:
+    Ff = _comparison_potential(c, which)
+    return list(frame_comparison_residuals(c.fam, Ff, c.p, c.v, c.eps, exact=c.exact))
 
 
-def _run_operator_pullback(env: Env, backend: str) -> list[float]:
-    fam = env.family(backend)
-    Ff = env.potential(backend, _comparison_potential(backend))
-    flip = env.flip("operator_pullback")
-    out = []
-    for p in env.params(backend):
-        eps = env.eps_at(p)
-        for k in env.cfg.levels:
-            if k < 1:
-                continue
-            ts = env.sections(backend, p, k)
-            for v in DIRS:
-                out.append(
-                    operator_pullback_residual(
-                        fam, Ff, p, k, v, ts.values[0], eps,
-                        exact=env.exact(backend), flip=flip,
-                    )
-                )
-    return out
+def _connection_agreement(c: Case, which: str | None = None) -> float:
+    Ff = _comparison_potential(c, which)
+    return connection_agreement_residual(
+        c.fam, Ff, c.p, c.k, c.v, c.s, c.eps, exact=c.exact
+    )
 
 
-def _run_connection_agreement(env: Env, backend: str, which: str | None = None) -> list[float]:
-    fam = env.family(backend)
-    Ff = env.potential(backend, which or _comparison_potential(backend))
-    out = []
-    for p in env.params(backend):
-        eps = env.eps_at(p)
-        for k in env.cfg.levels:
-            if k < 1:
-                continue
-            ts = env.sections(backend, p, k)
-            for v in DIRS:
-                out.append(
-                    connection_agreement_residual(
-                        fam, Ff, p, k, v, ts.values[0], eps, exact=env.exact(backend)
-                    )
-                )
-    return out
-
-
-def _run_basis_multiplier(env: Env, backend: str) -> list[float]:
-    grid = env.torus().grid
+def _gram_rank(c: Case) -> list[float]:
+    G = gram(c.fam.grid, c.k, c.p, theta_basis(c.fam.grid, c.k, c.p))
+    golden = np.sqrt(2.0 * np.pi / c.k)
     return [
-        multiplier_residual(grid, k, tau, j)
-        for tau in env.cfg.taus
-        for k in env.cfg.levels
-        if k >= 1
-        for j in range(k)
+        0.0 if gram_rank(G) == c.k else 1.0,
+        float(np.max(np.abs(G - golden * np.eye(c.k)))) / golden,
     ]
 
 
-def _run_basis_holomorphy(env: Env, backend: str) -> list[float]:
-    out = []
-    for p in env.params(backend):
-        for k in env.cfg.levels:
-            if k < 1:
-                continue
-            if backend == "torus":
-                out.append(dbar_residual(env.torus(), p, k))
-            else:
-                out += list(env.sections(backend, p, k).defects)
-    return out
-
-
-def _run_gram_rank(env: Env, backend: str) -> list[float]:
-    grid = env.torus().grid
-    out = []
-    for tau in env.cfg.taus:
-        for k in env.cfg.levels:
-            if k < 1:
-                continue
-            basis = theta_basis(grid, k, tau)
-            G = gram(grid, k, tau, basis)
-            golden = np.sqrt(2.0 * np.pi / k)
-            out.append(0.0 if gram_rank(G) == k else 1.0)
-            out.append(float(np.max(np.abs(G - golden * np.eye(k)))) / golden)
-    return out
-
-
-def _run_heat_mode(env: Env, backend: str) -> list[float]:
-    grid = env.torus().grid
-    out = []
-    for tau in env.cfg.taus:
-        for k in env.cfg.levels:
-            if k < 1:
-                continue
-            out.append(heat_mode_residual(k, tau))
-            out.append(heat_grid_residual(grid, k, tau))
-    return out
-
-
-def _run_projection_defect(env: Env, backend: str) -> list[float]:
-    fam = env.torus()
-    return [
-        connection_matrix(fam, tau, k, v, eps=env.eps_at(tau), exact=True).defect
-        for tau in env.cfg.taus
-        for k in env.cfg.levels
-        if k >= 1
-        for v in DIRS
-    ]
-
-
-def _run_transport_oracle(env: Env, backend: str) -> list[float]:
-    fam = env.torus()
-    out = []
-    for k in env.cfg.levels:
-        if k < 1:
-            continue
-        res = transport(fam, k, (1j, 1 + 1j), np.eye(k), steps=env.cfg.steps)
-        out.append(float(np.max(np.abs(res.end - res.start))))
-        out.append(res.norm_drift)
-    return out
-
-
-def _run_loop_offscalar(env: Env, backend: str) -> list[float]:
-    fam = env.torus()
-    out = []
-    for k in env.cfg.levels:
-        if k < 1:
-            continue
-        off, _ = loop_offscalar(fam, k, 1j, 0.01, steps=max(env.cfg.steps // 2, 50))
-        out.append(off)
-    return out
+def _transport_oracle(c: Case) -> list[float]:
+    res = transport(c.fam, c.k, (1j, 1 + 1j), np.eye(c.k), steps=c.env.cfg.steps)
+    return [float(np.max(np.abs(res.end - res.start))), res.norm_drift]
 
 
 # ---------------------------------------------------------------------------
-# registry
+# the row table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Row:
+    """One identity of the catalog as data.
+
+    ``budgets`` maps each backend the row runs on to its budget constant
+    (absolute on the torus, ``C`` of ``C * (eps_eff**2 + h**4)`` on the
+    chart; see `budget_for`).  ``axes`` names the case axes, nested in
+    this order: ``p`` the parameter (``taus`` on the torus, ``sigma`` on
+    the chart), ``k`` the level (the configured levels >= 1; level 0
+    without this axis), ``v`` the direction in `DIRS`, and ``s`` every
+    test section at ``(p, k)`` or ``f`` only the first one.
+    ``residual(case)`` returns one residual or a list of them.  ``fails``
+    lists the backends on which the row is expected to fail; a
+    ``k_cubic`` row's chart budget grows with the cube of the level.
+    """
+
+    identity: str
+    budgets: dict[str, float]
+    axes: str
+    residual: Callable[[Case], float | list[float]]
+    fails: tuple[str, ...] = ()
+    note: str = ""
+    k_cubic: bool = False
+
+    def cases(self, env: Env, backend: str) -> list[tuple[float, int]]:
+        """Every case residual of this row on ``backend`` with its level."""
+        ax = self.axes
+        out: list[tuple[float, int]] = []
+        for p in env.params(backend) if "p" in ax else (None,):
+            for k in env.levels() if "k" in ax else (0,):
+                secs: Iterable = (None,)
+                if "s" in ax or "f" in ax:
+                    secs = env.sections(backend, p, k).values
+                    secs = secs[:1] if "f" in ax else secs
+                for v in DIRS if "v" in ax else (None,):
+                    for s in secs:
+                        r = self.residual(Case(env, backend, p, k, v, s))
+                        out += [(x, k) for x in (r if isinstance(r, list) else [r])]
+        return out
+
+
+TORUS, CHART = "torus", "chart"
+ADVERSARIAL = "deliberately broken family must be flagged"
+
+# Torus budgets: rows built from termwise-exact data carry the tight 1e-8;
+# rows requiring nested parameter difference quotients (frame curvature and
+# the corrected comparison rows) sit at the eps^2 floor and carry 5e-7/1e-6.
+# Chart constants are three times the worst residual measured at grid 64,
+# rounded up (see docs/identities.md).  The k-cubic rows are the chart
+# section residuals whose floor grows cubically with the level (worst
+# residual / k^3 is level-independent within a factor of a few, k = 1..5).
+ROWS: dict[str, Row] = {
+    r.identity: r
+    for r in (
+        Row("family_gates", {TORUS: 1e-6, CHART: 30.0}, "pv", _family_gates),
+        Row(
+            "family_holomorphy_gate_adversarial", {CHART: 30.0}, "p",
+            lambda c: variation(
+                nonholo_family(ChartGrid(c.env.cfg.grid)), c.p, 1.0, c.eps
+            ).holomorphy_residual,
+            fails=(CHART,), note=ADVERSARIAL,
+        ),
+        Row(
+            "family_rigidity_gate_adversarial", {CHART: 30.0}, "p",
+            lambda c: variation(
+                nonrigid_family(ChartGrid(c.env.cfg.grid)), c.p, 1.0, c.eps
+            ).rigidity_residual,
+            fails=(CHART,), note=ADVERSARIAL,
+        ),
+        Row(
+            "metric_variation", {TORUS: 1e-8, CHART: 10.0}, "pv",
+            lambda c: metric_variation_residual(c.fam, c.p, c.v, c.eps),
+        ),
+        Row(
+            "levicivita_variation", {TORUS: 1e-8, CHART: 1.0}, "pv",
+            lambda c: levicivita_variation_residual(c.fam, c.p, c.v, c.eps),
+        ),
+        Row(
+            "projector_commutator", {TORUS: 1e-8, CHART: 1.0}, "pv",
+            lambda c: projector_commutator_residual(c.fam, c.p, c.v, c.eps),
+        ),
+        Row("prequantum_curvature", {CHART: 1.0}, "pk", _prequantum_curvature),
+        Row(
+            "curvature_base", {TORUS: 1e-8, CHART: 1.0}, "pk",
+            lambda c: _rel(curvature_mm(bundle_data(c.fam, c.p, c.k)), _base_target(c), c.mask),
+        ),
+        Row(
+            "curvature_base_probe", {TORUS: 1e-8, CHART: 210.0}, "pkf",
+            lambda c: mm_commutator_residual(
+                bundle_data(c.fam, c.p, c.k), c.s, _base_target(c)
+            ),
+            k_cubic=True,
+        ),
+        Row("curvature_mixed_trace", {TORUS: 1e-8, CHART: 1.0}, "pv", _curvature_mixed_trace),
+        Row(
+            "curvature_mixed_potential", {TORUS: 1e-8, CHART: 1.0}, "pv",
+            _curvature_mixed_potential,
+        ),
+        Row(
+            "curvature_param_vanishing", {TORUS: 1e-8, CHART: 10.0}, "p",
+            lambda c: max_norm(curvature_tt(c.fam, c.p, c.eps, exact=c.exact), c.mask),
+            fails=(TORUS, CHART),
+            note=(
+                "parameter-parameter curvature is measurably nonzero "
+                "(torus: R(d1,d2) = -i/(4 Im tau^2)); "
+                "the commutator form of the same block passes"
+            ),
+        ),
+        Row(
+            "curvature_param_commutator", {TORUS: 1e-6, CHART: 10.0}, "p",
+            _curvature_param_commutator,
+        ),
+        Row(
+            "frame_curvature", {TORUS: 1e-6, CHART: 10.0}, "p",
+            lambda c: frame_curvature_data(c.fam, c.p, c.eps)[2],
+        ),
+        Row("halfform_trace", {TORUS: 1e-6, CHART: 10.0}, "p", _halfform_trace),
+        Row(
+            "potential_variation", {TORUS: 1e-8, CHART: 1.0}, "pv",
+            lambda c: potential_variation_residual(c.fam, c.p, c.v, c.eps, exact=c.exact),
+        ),
+        Row(
+            "potential_oneform", {TORUS: 1e-8, CHART: 10.0}, "pv",
+            lambda c: potential_oneform_residual(
+                c.fam, c.p, c.v, c.eps, exact=c.exact, flip=c.env.flip("potential_oneform")
+            ),
+        ),
+        Row(
+            "potential_constancy", {TORUS: 1e-8, CHART: 10.0}, "p",
+            lambda c: _spread(pot_tt(c.fam, potential_fn(c.fam, "ricci"), c.p, c.eps), c.mask),
+            fails=(CHART,),
+            note=(
+                "the parameter-hessian of the potential family varies over the "
+                "surface; adding the parameter-parameter curvature makes it "
+                "constant (corrected row)"
+            ),
+        ),
+        Row(
+            "potential_constancy_corrected", {TORUS: 1e-8, CHART: 10.0}, "p",
+            _potential_constancy_corrected,
+        ),
+        Row(
+            # on the torus the Ricci potential is the flat (pluriharmonic) choice
+            "curvature_reduction", {TORUS: 1e-8, CHART: 10.0}, "p",
+            lambda c: _reduction(c, "ricci"),
+            fails=(TORUS,),
+            note=(
+                "with the pinned pluriharmonic potential the parameter-parameter "
+                "block of the reduction fails by the nonzero parameter curvature; "
+                "the corrected row absorbs it"
+            ),
+        ),
+        Row(
+            "curvature_reduction_corrected", {TORUS: 5e-7}, "p",
+            lambda c: _reduction(c, "log-imtau"),
+        ),
+        Row(
+            "defining_equation", {TORUS: 1e-8, CHART: 60.0}, "pkvs",
+            lambda c: eq_defining_residual(
+                c.fam, c.p, c.k, c.v, c.s, c.eps,
+                exact=c.exact, flip=c.env.flip("defining_equation"),
+            ),
+            k_cubic=True,
+        ),
+        Row(
+            "holomorphy_transfer", {TORUS: 1e-8, CHART: 300.0}, "pkvs",
+            lambda c: eq_transfer_residual(
+                c.fam, c.p, c.k, c.v, c.s, c.eps,
+                exact=c.exact, flip=c.env.flip("holomorphy_transfer"),
+            ),
+            k_cubic=True,
+        ),
+        Row(
+            "divergence_closedness", {TORUS: 1e-8, CHART: 8000.0}, "pvs",
+            lambda c: eq_transfer_residual(c.fam, c.p, c.k, c.v, c.s, c.eps, exact=c.exact),
+        ),
+        Row(
+            "frame_comparison", {TORUS: 1e-8, CHART: 1.0}, "pv", _frame_comparison,
+            fails=(TORUS,),
+            note=(
+                "with the flat potential the parameter part of the frame "
+                "comparison misses the non-closed form -i v/(4 Im tau); its curl "
+                "is exactly the nonzero parameter-parameter curvature"
+            ),
+        ),
+        Row(
+            "frame_comparison_corrected", {TORUS: 5e-7}, "pv",
+            lambda c: _frame_comparison(c, "log-imtau"),
+        ),
+        Row(
+            "operator_pullback", {TORUS: 1e-8, CHART: 10.0}, "pkvf",
+            lambda c: operator_pullback_residual(
+                c.fam, _comparison_potential(c), c.p, c.k, c.v, c.s, c.eps,
+                exact=c.exact, flip=c.env.flip("operator_pullback"),
+            ),
+        ),
+        Row(
+            "connection_agreement", {TORUS: 1e-8, CHART: 10.0}, "pkvf",
+            _connection_agreement,
+            fails=(TORUS,),
+            note=(
+                "same obstruction as frame_comparison: with the flat potential the "
+                "operator difference equals 1/(4 Im tau) in direction v = 1 and "
+                "cancels to the sigma-difference floor in direction v = i"
+            ),
+        ),
+        Row(
+            "connection_agreement_corrected", {TORUS: 5e-7}, "pkvf",
+            lambda c: _connection_agreement(c, "log-imtau"),
+        ),
+        Row(
+            "basis_multiplier", {TORUS: 1e-8}, "pk",
+            lambda c: [multiplier_residual(c.fam.grid, c.k, c.p, j) for j in range(c.k)],
+        ),
+        Row(
+            "basis_holomorphy", {TORUS: 1e-8, CHART: 10.0}, "pk",
+            lambda c: dbar_residual(c.fam, c.p, c.k) if c.exact
+            else list(c.env.sections(c.backend, c.p, c.k).defects),
+        ),
+        Row("gram_rank", {TORUS: 1e-8}, "pk", _gram_rank),
+        Row(
+            "heat_mode", {TORUS: 1e-12}, "pk",
+            lambda c: [heat_mode_residual(c.k, c.p), heat_grid_residual(c.fam.grid, c.k, c.p)],
+        ),
+        Row(
+            "projection_defect", {TORUS: 1e-8}, "pkv",
+            lambda c: connection_matrix(c.fam, c.p, c.k, c.v, eps=c.eps, exact=True).defect,
+        ),
+        Row("transport_oracle", {TORUS: 1e-6}, "k", _transport_oracle),
+        Row(
+            "loop_offscalar", {TORUS: 1e-6}, "k",
+            lambda c: loop_offscalar(c.fam, c.k, 1j, 0.01, steps=max(c.env.cfg.steps // 2, 50))[0],
+        ),
+    )
+}
+
+
+def budget_for(
+    identity: str, backend: str, env: Env, k: int | None = None
+) -> float:
+    row = ROWS[identity]
+    b = row.budgets[backend]
+    if backend == "torus":
+        return b
+    grid = env.family("chart").grid
+    eps_eff = env.eps_at(env.cfg.sigma)
+    scale = eps_eff**2 + grid.h**4
+    if row.k_cubic and k:
+        return b * max(int(k), 1) ** 3 * scale
+    return b * scale
+
+
+# ---------------------------------------------------------------------------
+# registry and execution
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Entry:
+    """One row on one backend; ``runner(env, backend)`` returns its case
+    residuals, each bare or as a ``(residual, level)`` pair."""
+
     identity: str
     backend: str
-    runner: Callable[[Env, str], list[float]]
+    runner: Callable[[Env, str], list]
 
 
-def _registry() -> list[Entry]:
-    both = lambda name, fn: [Entry(name, "torus", fn), Entry(name, "chart", fn)]
-    torus = lambda name, fn: [Entry(name, "torus", fn)]
-    chart = lambda name, fn: [Entry(name, "chart", fn)]
-    entries: list[Entry] = []
-    entries += both("family_gates", _run_family_gates)
-    entries += chart("family_holomorphy_gate_adversarial", _run_holo_gate_adv)
-    entries += chart("family_rigidity_gate_adversarial", _run_rigid_gate_adv)
-    entries += both("metric_variation", _per_dir(metric_variation_residual))
-    entries += both("levicivita_variation", _per_dir(levicivita_variation_residual))
-    entries += both("projector_commutator", _per_dir(projector_commutator_residual))
-    entries += chart("prequantum_curvature", _run_prequantum_curvature)
-    entries += both("curvature_base", _run_curvature_base)
-    entries += both("curvature_base_probe", _run_curvature_base_probe)
-    entries += both("curvature_mixed_trace", _run_curvature_mixed_trace)
-    entries += both("curvature_mixed_potential", _run_curvature_mixed_potential)
-    entries += both("curvature_param_vanishing", _run_curvature_param_vanishing)
-    entries += both("curvature_param_commutator", _run_curvature_param_commutator)
-    entries += both("frame_curvature", _run_frame_curvature)
-    entries += both("halfform_trace", _run_halfform_trace)
-    entries += both("potential_variation", _run_potential_variation)
-    entries += both("potential_oneform", _run_potential_oneform)
-    entries += both("potential_constancy", _run_potential_constancy)
-    entries += both("potential_constancy_corrected", _run_potential_constancy_corrected)
-    entries += both("curvature_reduction", _run_curvature_reduction)
-    entries += torus("curvature_reduction_corrected", _run_curvature_reduction_corrected)
-    entries += both("defining_equation", _run_defining)
-    entries += both("holomorphy_transfer", _run_transfer)
-    entries += both("divergence_closedness", _run_divergence_closedness)
-    entries += both("frame_comparison", _run_frame_comparison)
-    entries += torus(
-        "frame_comparison_corrected",
-        lambda env, b: _run_frame_comparison(env, b, "log-imtau"),
-    )
-    entries += both("operator_pullback", _run_operator_pullback)
-    entries += both("connection_agreement", _run_connection_agreement)
-    entries += torus(
-        "connection_agreement_corrected",
-        lambda env, b: _run_connection_agreement(env, b, "log-imtau"),
-    )
-    entries += torus("basis_multiplier", _run_basis_multiplier)
-    entries += both("basis_holomorphy", _run_basis_holomorphy)
-    entries += torus("gram_rank", _run_gram_rank)
-    entries += torus("heat_mode", _run_heat_mode)
-    entries += torus("projection_defect", _run_projection_defect)
-    entries += torus("transport_oracle", _run_transport_oracle)
-    entries += torus("loop_offscalar", _run_loop_offscalar)
-    return entries
-
-
-REGISTRY = _registry()
-IDENTITY_NAMES = tuple(sorted({e.identity for e in REGISTRY}))
-
-
-# ---------------------------------------------------------------------------
-# execution
-# ---------------------------------------------------------------------------
+REGISTRY = tuple(Entry(r.identity, b, r.cases) for r in ROWS.values() for b in r.budgets)
+IDENTITY_NAMES = tuple(sorted(ROWS))
 
 
 def _row(entry: Entry, env: Env) -> dict:
-    raw = entry.runner(env, entry.backend)
-    cases = [
-        item if isinstance(item, tuple) else (float(item), None) for item in raw
-    ]
+    row = ROWS[entry.identity]
     pairs = [
-        (r, budget_for(entry.identity, entry.backend, env, k)) for r, k in cases
+        (r, budget_for(entry.identity, entry.backend, env, k))
+        for r, k in (
+            item if isinstance(item, tuple) else (item, None)
+            for item in entry.runner(env, entry.backend)
+        )
     ]
-    if pairs:
-        residual, budget = max(pairs, key=lambda rb: rb[0] / rb[1])
+    nonfinite = [rb for rb in pairs if not math.isfinite(rb[0])]
+    if nonfinite:  # the first non-finite case is shown; it can neither pass nor fail
+        (residual, budget), verdict = nonfinite[0], "error"
     else:
-        residual, budget = 0.0, budget_for(entry.identity, entry.backend, env)
+        residual, budget = (
+            max(pairs, key=lambda rb: rb[0] / rb[1])
+            if pairs
+            else (0.0, budget_for(entry.identity, entry.backend, env))
+        )
+        verdict = "pass" if residual / budget <= 1.0 else "fail"
     ratio = residual / budget
-    verdict = "pass" if ratio <= 1.0 else "fail"
-    expected = "fail" if (entry.identity, entry.backend) in EXPECTED_FAIL else "pass"
+    expected = "fail" if entry.backend in row.fails else "pass"
     return {
         "identity": entry.identity,
         "backend": entry.backend,
@@ -860,7 +680,7 @@ def _row(entry: Entry, env: Env) -> dict:
         "verdict": verdict,
         "expected": expected,
         "status": "ok" if verdict == expected else "unexpected",
-        "note": NOTES.get(entry.identity, ""),
+        "note": row.note,
     }
 
 
@@ -911,27 +731,11 @@ def _chart_residual_at(
     coeff: Array | None,
 ) -> tuple[float, Array]:
     """One chart residual with sections frozen across grids via ``coeff``."""
-    from .operators import section_on
-
-    fam, _ = rigid_family(ChartGrid(n), CHART_COEFFS, order=8, radius=radius)
-    eps_eff = eps * (1.0 + abs(sigma))
+    env = Env(RunConfig(backend="chart", grid=n, eps=eps, sigma=sigma, radius=radius))
     if coeff is None:
-        bd = bundle_data(fam, sigma, k)
-        ts = chart_sections(bd)
-        coeff = ts.coeff[0]
-    s = section_on(fam.grid, coeff)
-    Ff = potential_fn(fam, "ricci")
-    if identity == "defining_equation":
-        r = eq_defining_residual(fam, sigma, k, 1.0, s, eps_eff)
-    elif identity == "holomorphy_transfer":
-        r = eq_transfer_residual(fam, sigma, k, 1.0, s, eps_eff)
-    elif identity == "operator_pullback":
-        r = operator_pullback_residual(fam, Ff, sigma, k, 1.0, s, eps_eff)
-    elif identity == "connection_agreement":
-        r = connection_agreement_residual(fam, Ff, sigma, k, 1.0, s, eps_eff)
-    else:
-        raise ValueError(f"identity {identity!r} is not sweepable")
-    return r, coeff
+        coeff = env.sections("chart", sigma, k).coeff[0]
+    s = section_on(env.chart().grid, coeff)
+    return ROWS[identity].residual(Case(env, "chart", sigma, k, 1.0, s)), coeff
 
 
 def sweep_orders(
@@ -956,40 +760,33 @@ def sweep_orders(
     for identity in identities:
         if identity not in SWEEPABLE:
             raise ValueError(f"identity {identity!r} is not sweepable")
-        # h-order at fixed small eps
+        # h-order at fixed small eps: (axis, pair, coarse, fine, step ratio)
         res_h = []
         coeff = None
         for n in grids:
             r, coeff = _chart_residual_at(identity, n, eps, k, radius, sigma, coeff)
             res_h.append(r)
-        for i in range(len(grids) - 1):
-            ratio = (grids[i + 1] - 1) / (grids[i] - 1)
-            order = float(np.log(res_h[i] / res_h[i + 1]) / np.log(ratio))
-            rows.append(
-                {
-                    "identity": identity,
-                    "axis": "h",
-                    "pair": f"{grids[i]}->{grids[i+1]}",
-                    "coarse": res_h[i],
-                    "fine": res_h[i + 1],
-                    "order": order,
-                }
-            )
+        orders = [
+            ("h", f"{grids[i]}->{grids[i+1]}", res_h[i], res_h[i + 1],
+             (grids[i + 1] - 1) / (grids[i] - 1))
+            for i in range(len(grids) - 1)
+        ]
         # eps-order on the finest grid, where the h^4 floor is smallest
         e0, e1 = eps_pair
-        r0, coeff0 = _chart_residual_at(identity, grids[-1], e0, k, radius, sigma, coeff)
-        r1, _ = _chart_residual_at(identity, grids[-1], e1, k, radius, sigma, coeff0)
-        order = float(np.log(r0 / r1) / np.log(e0 / e1))
-        rows.append(
+        r0, _ = _chart_residual_at(identity, grids[-1], e0, k, radius, sigma, coeff)
+        r1, _ = _chart_residual_at(identity, grids[-1], e1, k, radius, sigma, coeff)
+        orders.append(("eps", f"{e0}->{e1}", r0, r1, e0 / e1))
+        rows += [
             {
                 "identity": identity,
-                "axis": "eps",
-                "pair": f"{e0}->{e1}",
-                "coarse": r0,
-                "fine": r1,
-                "order": order,
+                "axis": axis,
+                "pair": pair,
+                "coarse": coarse,
+                "fine": fine,
+                "order": float(np.log(coarse / fine) / np.log(ratio)),
             }
-        )
+            for axis, pair, coarse, fine, ratio in orders
+        ]
     rows.sort(key=lambda r: (r["identity"], r["axis"], r["pair"]))
     return rows
 

@@ -12,11 +12,14 @@ sweep
 transport
     Parallel-transport the full level-k basis along a parameter path on the
     torus backend and compare with the self-transport oracle; optionally run
-    a loop-holonomy off-scalar check.  A level below 1, fewer than one step
-    or a path point with Im tau <= 0 is reported on one line, exit code 2.
+    a loop-holonomy off-scalar check.
 basis
     Print basis diagnostics: multipliers, holomorphy defects, Gram data
     (torus) or solved-section defects (chart).
+
+Bad input (for example a level below 1, fewer than one step, a parameter
+with Im tau <= 0, eps <= 0 or a chart grid with no interior) is reported on
+one ``error:`` line with exit code 2.
 """
 
 from __future__ import annotations
@@ -68,14 +71,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="INI file with a [run] section")
     p.add_argument("--backend", choices=("torus", "chart", "both"))
     p.add_argument("--grid", type=int, help="grid points per axis")
-    p.add_argument("--seed", type=int, help="seed for randomized extensions")
     p.add_argument("--out", help="directory for report files")
 
 
 def _base_config(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(getattr(args, "config", None))
     updates = {}
-    for name in ("backend", "grid", "seed"):
+    for name in ("backend", "grid"):
         val = getattr(args, name, None)
         if val is not None:
             updates[name] = val
@@ -132,15 +134,13 @@ def _cmd_transport(args: argparse.Namespace) -> int:
     cfg = _base_config(args)
     fam = TorusFamily(TorusGrid(cfg.grid))
     path = _csv_complex(args.path)
-    try:
-        res = transport(fam, args.k, path, np.eye(args.k), steps=args.steps, eps=cfg.eps)
-        if args.loop_radius > 0:
-            off, _ = loop_offscalar(
-                fam, args.k, path[0], args.loop_radius, steps=args.steps, eps=cfg.eps
-            )
-    except ValueError as exc:
-        print(f"hitchinlab transport: error: {exc}", file=sys.stderr)
-        return 2
+    if args.k < 1:  # checked before np.eye(k) fails on a negative size
+        raise ValueError(f"transport needs a positive level, got k = {args.k}")
+    res = transport(fam, args.k, path, np.eye(args.k), steps=args.steps, eps=cfg.eps)
+    if args.loop_radius > 0:
+        off, _ = loop_offscalar(
+            fam, args.k, path[0], args.loop_radius, steps=args.steps, eps=cfg.eps
+        )
     dev = float(np.max(np.abs(res.end - res.start)))
     print(f"path {' -> '.join(str(p) for p in path)}  level {args.k}  steps {args.steps}")
     print(f"endpoint deviation from oracle: {dev:.3e}")
@@ -255,7 +255,11 @@ def main(argv: list[str] | None = None) -> int:
     p_basis.set_defaults(fn=_cmd_basis)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        print(f"hitchinlab {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

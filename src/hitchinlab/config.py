@@ -32,7 +32,7 @@ def _parse_value(name: str, raw: str):
         return tuple(p.strip() for p in raw.split(",") if p.strip())
     if name in ("sigma",):
         return complex(raw)
-    if name in ("grid", "steps", "seed", "jobs"):
+    if name in ("grid", "steps", "jobs"):
         return int(raw)
     if name in ("eps", "radius"):
         return float(raw)

@@ -154,11 +154,6 @@ class ChartGrid:
 Grid = TorusGrid | ChartGrid
 
 
-def grad(grid: Grid, f: Array) -> Array:
-    """Coordinate gradient ``(df/dx, df/dy)`` stacked on a new leading axis."""
-    return np.stack([grid.deriv(f, -2), grid.deriv(f, -1)])
-
-
 # ---------------------------------------------------------------------------
 # tensor fields
 # ---------------------------------------------------------------------------
@@ -203,42 +198,6 @@ class TensorField:
     __rmul__ = __mul__
 
 
-def _spec(rank: int, grid_rank: int = 2) -> str:
-    return _LETTERS[:rank] + "..."
-
-
-def contract(t1: TensorField, slot1: int, t2: TensorField, slot2: int) -> TensorField:
-    """Natural pairing of an up slot of one field with a down slot of the other."""
-    if {t1.variance[slot1], t2.variance[slot2]} != {"u", "d"}:
-        raise ValueError("contraction needs one up and one down slot")
-    s1 = list(_LETTERS[: t1.rank])
-    s2 = list(_LETTERS[t1.rank : t1.rank + t2.rank])
-    s2[slot2] = s1[slot1]
-    out = [c for i, c in enumerate(s1) if i != slot1] + [
-        c for i, c in enumerate(s2) if i != slot2
-    ]
-    comps = np.einsum(
-        f"{''.join(s1)}...,{''.join(s2)}...->{''.join(out)}...", t1.comps, t2.comps
-    )
-    variance = (
-        "".join(v for i, v in enumerate(t1.variance) if i != slot1)
-        + "".join(v for i, v in enumerate(t2.variance) if i != slot2)
-    )
-    return TensorField(comps, variance)
-
-
-def self_trace(t: TensorField, slot1: int, slot2: int) -> TensorField:
-    """Trace an up slot against a down slot of the same field."""
-    if {t.variance[slot1], t.variance[slot2]} != {"u", "d"}:
-        raise ValueError("trace needs one up and one down slot")
-    s = list(_LETTERS[: t.rank])
-    s[slot2] = s[slot1]
-    out = [c for i, c in enumerate(s) if i not in (slot1, slot2)]
-    comps = np.einsum(f"{''.join(s)}...->{''.join(out)}...", t.comps)
-    variance = "".join(v for i, v in enumerate(t.variance) if i not in (slot1, slot2))
-    return TensorField(comps, variance)
-
-
 def apply_matrix(m: Array, t: TensorField, slot: int) -> TensorField:
     """Apply an endomorphism field ``m[a, b]`` to one slot of ``t``.
 
@@ -262,10 +221,6 @@ def apply_matrix(m: Array, t: TensorField, slot: int) -> TensorField:
 def mat_mul(a: Array, b: Array) -> Array:
     """Pointwise product of endomorphism fields ``(2,2,n,n)``."""
     return np.einsum("ab...,bc...->ac...", a, b)
-
-
-def mat_trace(a: Array) -> Array:
-    return np.einsum("aa...->...", a)
 
 
 def identity_like(g: Array) -> Array:

@@ -51,7 +51,7 @@ from .bundle import (
     sec_grad_plain,
 )
 from .families import ChartFamily, Family, KahlerState, d_holo, dir_deriv
-from .fields import Array, ChartGrid, TensorField, TorusGrid, max_norm
+from .fields import Array, ChartGrid, TensorField, max_norm
 from .geometry import cov_deriv
 
 # ---------------------------------------------------------------------------
@@ -244,8 +244,6 @@ def chart_sections(
     bd: BundleData,
     count: int = 2,
     deg: int | None = None,
-    sub: int = 1,
-    plain: bool = False,
 ) -> TestSections:
     r"""Numerically holomorphic sections by constrained least squares.
 
@@ -271,19 +269,16 @@ def chart_sections(
     Vx = _cheb.chebvander(u1, deg)  # (n, deg+1)
     Vy = _cheb.chebvander(v1, deg)
     pairs = [(p, q) for p in range(deg + 1) for q in range(deg + 1 - p)]
-    idx = np.arange(0, grid.n, sub)
-    A = bd.A_L if plain else bd.A
+    Ax, Ay = bd.A
     Q = st.Q
     rows = []
     dVx = np.stack([_cheb.chebval(u1, _cheb.chebder(np.eye(deg + 1)[:, p])) for p in range(deg + 1)], 1) / grid.half
     dVy = np.stack([_cheb.chebval(v1, _cheb.chebder(np.eye(deg + 1)[:, q])) for q in range(deg + 1)], 1) / grid.half
-    Ax, Ay = A[0][np.ix_(idx, idx)], A[1][np.ix_(idx, idx)]
-    Q_sub = Q[:, :, idx][:, :, :, idx]
     for p, q in pairs:
-        s = np.outer(Vx[idx, p], Vy[idx, q])
-        sx = np.outer(dVx[idx, p], Vy[idx, q]) + Ax * s
-        sy = np.outer(Vx[idx, p], dVy[idx, q]) + Ay * s
-        anti = np.stack([sx * Q_sub[0, 0] + sy * Q_sub[1, 0], sx * Q_sub[0, 1] + sy * Q_sub[1, 1]])
+        s = np.outer(Vx[:, p], Vy[:, q])
+        sx = np.outer(dVx[:, p], Vy[:, q]) + Ax * s
+        sy = np.outer(Vx[:, p], dVy[:, q]) + Ay * s
+        anti = np.stack([sx * Q[0, 0] + sy * Q[1, 0], sx * Q[0, 1] + sy * Q[1, 1]])
         rows.append(anti.ravel())
     D = np.stack(rows, axis=1)
 
@@ -314,12 +309,6 @@ def chart_sections(
         defects.append(float(np.max(np.abs(D @ c))) / scale)
         coeffs.append(C / scale)
     return TestSections(values=np.stack(values), defects=tuple(defects), coeff=np.stack(coeffs))
-
-
-def test_sections(bd: BundleData, plain: bool = False, count: int = 2) -> TestSections:
-    if isinstance(bd.grid, TorusGrid):
-        return torus_sections(bd)
-    return chart_sections(bd, count=count, plain=plain)
 
 
 # ---------------------------------------------------------------------------

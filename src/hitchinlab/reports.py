@@ -53,7 +53,7 @@ def _cell(value) -> str:
 def format_catalog(rows: list[dict]) -> str:
     lines = []
     for r in rows:
-        mark = "PASS" if r["verdict"] == "pass" else "FAIL"
+        mark = r["verdict"].upper()  # PASS, FAIL or ERROR (a non-finite case)
         status = "" if r["status"] == "ok" else "   <-- unexpected"
         lines.append(
             f"[{mark}] {r['identity']:38s} {r['backend']:5s} "

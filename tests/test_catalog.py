@@ -1,20 +1,23 @@
 from __future__ import annotations
 
 import dataclasses
+import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hitchinlab import catalog
 from hitchinlab.catalog import (
-    BUDGETS,
-    EXPECTED_FAIL,
     IDENTITY_NAMES,
-    K_CUBIC,
     MUTATIONS,
-    NOTES,
     REGISTRY,
+    ROWS,
     RunConfig,
     SWEEPABLE,
     Env,
+    _row,
     budget_for,
     run_catalog,
     select_entries,
@@ -32,15 +35,106 @@ from hitchinlab.reports import (
 def test_registry_is_consistent():
     pairs = {(e.identity, e.backend) for e in REGISTRY}
     assert len(pairs) == len(REGISTRY)  # no duplicate rows
-    assert EXPECTED_FAIL <= pairs
-    assert set(NOTES) <= set(IDENTITY_NAMES)
-    assert set(SWEEPABLE) <= set(IDENTITY_NAMES)
-    assert K_CUBIC <= set(IDENTITY_NAMES)
+    assert set(IDENTITY_NAMES) == set(ROWS) == {e.identity for e in REGISTRY}
+    env = Env(RunConfig(grid=48))
+    for row in ROWS.values():
+        assert set(row.budgets) <= {"torus", "chart"}
+        assert {(row.identity, b) for b in row.fails} <= pairs  # expected-fail rows exist
+        assert set(row.axes) <= set("pkvsf") and not {"s", "f"} <= set(row.axes)
+        if row.k_cubic:
+            assert "k" in row.axes
     for identity, backend in pairs:
-        assert backend in BUDGETS[identity]
+        assert budget_for(identity, backend, env) > 0
+    assert set(SWEEPABLE) <= set(IDENTITY_NAMES)
     for target, flip in MUTATIONS.values():
         assert target in set(IDENTITY_NAMES)
         assert isinstance(flip, str) and flip
+
+
+def test_every_mutation_turns_its_row_unexpected():
+    # the chart is the backend on which every flipped term shows; the chart
+    # family and its sections are shared, only the mutation changes
+    env = Env(RunConfig(backend="chart", levels=(1,)))
+    entries = {e.identity: e for e in REGISTRY if e.backend == "chart"}
+    assert _row(entries["defining_equation"], env)["status"] == "ok"
+    for name, (target, _) in MUTATIONS.items():
+        env.cfg = dataclasses.replace(env.cfg, mutate=name)
+        row = _row(entries[target], env)
+        assert (row["verdict"], row["status"]) == ("fail", "unexpected"), name
+
+
+@pytest.mark.parametrize(
+    "identity, backend", [("gram_rank", "torus"), ("connection_agreement", "torus")]
+)
+@pytest.mark.parametrize(
+    "cases",
+    [[0.0, float("nan")], [float("nan"), 0.0], [(1.0, 1), (float("inf"), 3)]],
+    ids=["nan_last", "nan_first", "inf_with_level"],
+)
+def test_nonfinite_case_is_an_error(identity, backend, cases):
+    # an expected-green and an expected-red row: neither may read ok
+    entry = next(e for e in REGISTRY if (e.identity, e.backend) == (identity, backend))
+    row = _row(dataclasses.replace(entry, runner=lambda e, b: cases), Env(RunConfig()))
+    assert (row["verdict"], row["status"]) == ("error", "unexpected")
+    assert row["cases"] == len(cases)
+    text = format_catalog([row])
+    assert "[ERROR]" in text and "<-- unexpected" in text and "1 unexpected" in text
+
+
+def test_sections_are_built_once_under_threads(monkeypatch):
+    built = []
+
+    def slow_sections(bd):
+        built.append(bd.k)
+        time.sleep(0.2)
+        return object()
+
+    monkeypatch.setattr(catalog, "torus_sections", slow_sections)
+    env = Env(RunConfig(backend="torus", grid=16))
+    got = []
+    threads = [
+        threading.Thread(target=lambda: got.append(env.sections("torus", 1j, 1)))
+        for _ in range(2)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(built) == 1
+    assert len(got) == 2 and got[0] is got[1]
+
+
+_bad_im = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(re=st.floats(-3, 3), im=_bad_im)
+def test_runconfig_rejects_lower_half_plane_tau(re, im):
+    with pytest.raises(ValueError, match="Im tau > 0"):
+        RunConfig(taus=(1j, complex(re, im)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(eps=st.floats(max_value=0.0) | st.just(float("nan")))
+def test_runconfig_rejects_nonpositive_eps(eps):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        RunConfig(eps=eps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=st.integers(-4, 12), backend=st.sampled_from(["chart", "both"]))
+def test_runconfig_rejects_chart_grid_without_interior(grid, backend):
+    with pytest.raises(ValueError, match="no interior"):
+        RunConfig(backend=backend, grid=grid)
+    assert RunConfig(backend=backend, grid=13).grid == 13
+    assert RunConfig(backend="torus", grid=grid).grid == grid  # the rule is the chart's
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=st.integers(max_value=0))
+def test_runconfig_rejects_fewer_than_one_step(steps):
+    with pytest.raises(ValueError, match="at least one step"):
+        RunConfig(steps=steps)
 
 
 def test_runconfig_is_frozen():

@@ -25,7 +25,6 @@ def test_default_config_roundtrip(tmp_path):
         "levels = 1,2\n"
         "taus = 1j, 1+1j\n"
         "eps = 2e-4\n"
-        "seed = 7\n"
     )
     cfg = load_config(str(ini))
     assert cfg.backend == "torus"
@@ -33,13 +32,15 @@ def test_default_config_roundtrip(tmp_path):
     assert cfg.levels == (1, 2)
     assert cfg.taus == (1j, 1 + 1j)
     assert cfg.eps == 2e-4
-    assert cfg.seed == 7
 
 
 def test_config_rejects_unknown_key(tmp_path):
     ini = tmp_path / "bad.ini"
     ini.write_text("[run]\nnot_a_key = 1\n")
     with pytest.raises(ValueError):
+        load_config(str(ini))
+    ini.write_text("[run]\nseed = 7\n")  # the old unused seed option is gone
+    with pytest.raises(ValueError, match="unknown key 'seed'"):
         load_config(str(ini))
 
 
@@ -157,8 +158,9 @@ def test_transport_subcommand(capsys):
         (["--k", "0"], "positive level"),
         (["--steps", "0"], "at least one step"),
         (["--path", "1-1j,1+1j"], "Im tau > 0"),
+        (["--k", "-1"], "positive level"),
     ],
-    ids=["k0", "steps0", "lower_half_plane"],
+    ids=["k0", "steps0", "lower_half_plane", "k_negative"],
 )
 def test_transport_rejects_bad_input(capsys, bad, message):
     code = main(["transport", "--grid", "16", "--k", "1", "--steps", "4"] + bad)
@@ -181,3 +183,38 @@ def test_basis_subcommand_chart(capsys):
     code = main(["basis", "--backend", "chart", "--k", "1", "--grid", "48"])
     assert code == 0
     assert "section defects" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--backend", "torus", "--config", "{ini}"], "Im tau > 0"),
+        (["verify", "--eps", "0"], "eps must be positive"),
+        (["verify", "--grid", "12"], "no interior"),
+        (["verify", "--identities", "no_such_identity"], "unknown identities"),
+        (["sweep", "--grids", "12,24"], "no interior"),
+        (["sweep", "--eps-pair", "0,0.05"], "eps must be positive"),
+        (["basis", "--backend", "chart", "--grid", "12"], "no interior"),
+        (["basis", "--backend", "torus", "--grid", "16", "--tau", "1-1j"], "Im tau > 0"),
+    ],
+    ids=[
+        "verify_lower_half_plane",
+        "verify_eps0",
+        "verify_grid12",
+        "verify_unknown_identity",
+        "sweep_grid12",
+        "sweep_eps0",
+        "basis_grid12",
+        "basis_lower_half_plane",
+    ],
+)
+def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\ntaus = 1-1j\nidentities = heat_mode\n")
+    code = main([a.format(ini=ini) for a in argv])
+    assert code == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"hitchinlab {argv[0]}: error:")
+    assert message in err[0]
+    assert captured.out == ""

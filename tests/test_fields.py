@@ -11,14 +11,11 @@ from hitchinlab.fields import (
     TensorField,
     TorusGrid,
     apply_matrix,
-    contract,
-    grad,
     identity_like,
     mat_mul,
     max_norm,
     proj_anti,
     proj_holo,
-    self_trace,
 )
 
 
@@ -69,39 +66,12 @@ def test_chart_grid_geometry():
     assert not grid.periodic
 
 
-def test_grad_stacks_both_axes():
-    grid = TorusGrid(16)
-    f = np.cos(2 * np.pi * grid.y)
-    g = grad(grid, f)
-    assert g.shape == (2, 16, 16)
-    assert max_norm(g[0]) < 1e-12
-
-
 def test_tensorfield_variance_validation():
     grid = TorusGrid(8)
     comps = np.zeros((2,) + grid.shape)
     TensorField(comps, "u")
     with pytest.raises(ValueError):
         TensorField(comps, "uu")
-
-
-def test_contract_matches_einsum():
-    rng = np.random.default_rng(0)
-    a = TensorField(rng.normal(size=(2, 2, 4, 4)), "ud")
-    b = TensorField(rng.normal(size=(2, 4, 4)), "u")
-    out = contract(a, 1, b, 0)
-    assert out.variance == "u"
-    assert np.allclose(out.comps, np.einsum("ab...,b...->a...", a.comps, b.comps))
-    with pytest.raises(ValueError):
-        contract(a, 0, b, 0)  # two up slots
-
-
-def test_self_trace_matches_einsum():
-    rng = np.random.default_rng(1)
-    t = TensorField(rng.normal(size=(2, 2, 2, 4, 4)), "udu")
-    tr = self_trace(t, 0, 1)
-    assert tr.variance == "u"
-    assert np.allclose(tr.comps, np.einsum("aab...->b...", t.comps))
 
 
 def test_apply_matrix_identity_is_noop():
