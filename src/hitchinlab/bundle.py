@@ -27,11 +27,11 @@ closed-form targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import Array, ChartGrid, TorusGrid, max_norm
+from .fields import Array, TorusGrid, max_norm
 from .families import Family, KahlerState, dir_deriv, step_for
 
 # ---------------------------------------------------------------------------
@@ -64,8 +64,7 @@ def halfform_potential(state: KahlerState) -> tuple[Array, float]:
     ddw = ddw - np.einsum("cab...,c...->ab...", state.gamma, state.dw)
     alpha = np.einsum("ab...,b...->a...", ddw, state.E)
     beta = np.einsum("ab...,b...->a...", ddw, np.conj(state.E))
-    mask = grid.interior() if isinstance(grid, ChartGrid) else None
-    return 0.5 * alpha, max_norm(beta, mask)
+    return 0.5 * alpha, max_norm(beta, grid.interior())
 
 
 @dataclass
@@ -82,6 +81,11 @@ class BundleData:
     @property
     def grid(self):
         return self.state.grid
+
+    @property
+    def plain(self) -> "BundleData":
+        """The same data on the untwisted level-k bundle: ``A`` is ``A_L``."""
+        return replace(self, A=self.A_L)
 
 
 def bundle_data(family: Family, sigma: complex, k: float) -> BundleData:
@@ -124,12 +128,6 @@ def sec_grad(bd: BundleData, f: Array) -> Array:
     """
     df = np.stack([sec_deriv(bd.state, bd.k, f, -2), sec_deriv(bd.state, bd.k, f, -1)])
     return df + _times_potential(bd.A, f)
-
-
-def sec_grad_plain(bd: BundleData, f: Array) -> Array:
-    """Covariant derivative using only the level-k part (no half-form twist)."""
-    df = np.stack([sec_deriv(bd.state, bd.k, f, -2), sec_deriv(bd.state, bd.k, f, -1)])
-    return df + _times_potential(bd.A_L, f)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +201,7 @@ def mm_commutator_residual(bd: BundleData, s: Array, target: Array) -> float:
     ddx = sec_deriv(st, bd.k, g1[1], -2) + bd.A[0] * g1[1]
     ddy = sec_deriv(st, bd.k, g1[0], -1) + bd.A[1] * g1[0]
     comm = ddx - ddy
-    mask = st.grid.interior() if isinstance(st.grid, ChartGrid) else None
+    mask = st.grid.interior()
     return max_norm(comm - target * s, mask) / max(max_norm(s, mask), 1e-300)
 
 

@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .bundle import (
+    BundleData,
     bundle_data,
     curvature_mm,
     curvature_tm,
@@ -49,13 +50,15 @@ from .families import (
     ChartFamily,
     Family,
     TorusFamily,
+    build_once,
     nonholo_family,
     nonrigid_family,
     rigid_family,
     variation,
+    variation_tensors,
+    vj_of,
 )
-from .fields import Array, ChartGrid, TensorField, TorusGrid, max_norm
-from .geometry import cov_deriv
+from .fields import Array, ChartGrid, TorusGrid, max_norm
 from .operators import (
     TestSections,
     chart_sections,
@@ -77,6 +80,7 @@ from .operators import (
     projector_commutator_residual,
     section_on,
     torus_sections,
+    trace_nabla,
 )
 from .theta import (
     connection_matrix,
@@ -114,6 +118,11 @@ class RunConfig:
     jobs: int = 4
 
     def __post_init__(self) -> None:
+        for name in ("levels", "taus"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
+        if min(self.levels) < 1:
+            raise ValueError(f"levels must be at least 1, got {self.levels}")
         bad = [t for t in self.taus if not complex(t).imag > 0]
         if bad:
             raise ValueError(f"taus must have Im tau > 0, got {bad}")
@@ -160,7 +169,7 @@ class Env:
         self.cfg = cfg
         self._lock = threading.Lock()
         self._families: dict[str, Family] = {}
-        self._sections: dict[tuple, Future] = {}
+        self._sections: dict = {}
 
     def family(self, backend: str) -> Family:
         with self._lock:
@@ -181,33 +190,17 @@ class Env:
     def params(self, backend: str) -> tuple[complex, ...]:
         return self.cfg.taus if backend == "torus" else (self.cfg.sigma,)
 
-    def levels(self) -> tuple[int, ...]:
-        return tuple(k for k in self.cfg.levels if k >= 1)
-
     def eps_at(self, sigma: complex) -> float:
         return self.cfg.eps * (1.0 + abs(sigma))
 
     def sections(self, backend: str, sigma: complex, k: int) -> TestSections:
-        """Test sections at ``(sigma, k)``, built once even when threads race.
+        """Test sections at ``(sigma, k)``, built once even when threads race."""
 
-        The first caller stores a pending result under the lock and builds
-        it; later callers wait for that result.
-        """
-        key = (backend, complex(sigma), int(k))
-        with self._lock:
-            pending = self._sections.get(key)
-            owner = pending is None
-            if owner:
-                pending = self._sections[key] = Future()
-        if owner:
-            try:
-                bd = bundle_data(self.family(backend), sigma, k)
-                pending.set_result(
-                    torus_sections(bd) if backend == "torus" else chart_sections(bd)
-                )
-            except BaseException as exc:
-                pending.set_exception(exc)
-        return pending.result()
+        def build() -> TestSections:
+            bd = bundle_data(self.family(backend), sigma, k)
+            return torus_sections(bd) if backend == "torus" else chart_sections(bd)
+
+        return build_once(self._lock, self._sections, (backend, complex(sigma), int(k)), build)
 
     def flip(self, identity: str) -> str | None:
         m = self.cfg.mutate
@@ -231,7 +224,8 @@ class Case:
     p: complex | None = None  # parameter: a tau on the torus, sigma on the chart
     k: int = 0  # level
     v: complex | None = None  # direction
-    s: Array | None = None  # test section at (p, k)
+    s: Array | None = None  # test sections at (p, k): a batch (m, n, n) or one (n, n)
+    bd: BundleData | None = None  # bundle data at (p, k), given with s
 
     @property
     def fam(self) -> Family:
@@ -246,16 +240,16 @@ class Case:
         return self.backend == "torus"
 
     @property
-    def mask(self) -> Array | None:
-        return None if self.exact else self.fam.grid.interior()
+    def mask(self) -> Array:
+        return self.fam.grid.interior()
 
 
-def _rel(val: Array, target: Array, mask: Array | None) -> float:
+def _rel(val: Array, target: Array, mask: Array) -> float:
     return max_norm(val - target, mask) / max_norm(target, mask)
 
 
-def _spread(vals: Array, mask: Array | None) -> float:
-    vals = vals if mask is None else vals[mask]
+def _spread(vals: Array, mask: Array) -> float:
+    vals = vals[mask]
     return float(np.max(np.abs(vals - np.mean(vals))))
 
 
@@ -288,10 +282,8 @@ def _base_target(c: Case) -> Array:
 def _curvature_mixed_trace(c: Case) -> float:
     st = c.fam.state(c.p)
     ctm = curvature_tm(c.fam, c.p, c.v, c.eps)
-    Gt = variation(c.fam, c.p, c.v, c.eps).Gt
-    nGt = cov_deriv(c.fam.grid, st.gamma, TensorField(Gt.astype(complex), "uu"))
-    trGt = np.einsum("aab...->b...", nGt.comps)
-    rhs = 0.25j * np.einsum("b...,ba...->a...", trGt, st.omega)
+    Gt, _ = variation_tensors(st, vj_of(c.fam, c.p, c.v, c.eps))
+    rhs = 0.25j * np.einsum("b...,ba...->a...", trace_nabla(st, Gt), st.omega)
     den = max(max_norm(rhs, c.mask), max_norm(ctm, c.mask), 1e-12)
     return max_norm(ctm - rhs, c.mask) / den
 
@@ -310,7 +302,7 @@ def _curvature_param_commutator(c: Case) -> float:
 
 
 def _halfform_trace(c: Case) -> float:
-    R, _, _ = frame_curvature_data(c.fam, c.p, c.eps)
+    R, _ = frame_curvature_data(c.fam, c.p, c.eps)
     tr = np.einsum("aa...->...", R)
     ctt = curvature_tt(c.fam, c.p, c.eps, exact=c.exact)
     return max_norm(-0.5 * tr - ctt, c.mask) / max(max_norm(ctt, c.mask), 1e-12)
@@ -329,7 +321,7 @@ def _reduction(c: Case, which: str) -> list[float]:
     pmm = pot_mm(c.fam, Ff, c.p, c.eps)
     out = [
         _rel(curvature_mm(bundle_data(c.fam, c.p, k)), -1j * k * st.omega[0, 1] - pmm, c.mask)
-        for k in c.env.levels()
+        for k in c.env.cfg.levels
     ]
     # mixed block (absolute)
     for v in DIRS:
@@ -354,9 +346,7 @@ def _frame_comparison(c: Case, which: str | None = None) -> list[float]:
 
 def _connection_agreement(c: Case, which: str | None = None) -> float:
     Ff = _comparison_potential(c, which)
-    return connection_agreement_residual(
-        c.fam, Ff, c.p, c.k, c.v, c.s, c.eps, exact=c.exact
-    )
+    return connection_agreement_residual(c.fam, Ff, c.bd, c.v, c.s, c.eps, exact=c.exact)
 
 
 def _gram_rank(c: Case) -> list[float]:
@@ -386,10 +376,11 @@ class Row:
     (absolute on the torus, ``C`` of ``C * (eps_eff**2 + h**4)`` on the
     chart; see `budget_for`).  ``axes`` names the case axes, nested in
     this order: ``p`` the parameter (``taus`` on the torus, ``sigma`` on
-    the chart), ``k`` the level (the configured levels >= 1; level 0
-    without this axis), ``v`` the direction in `DIRS`, and ``s`` every
-    test section at ``(p, k)`` or ``f`` only the first one.
-    ``residual(case)`` returns one residual or a list of them.  ``fails``
+    the chart), ``k`` the level (the configured levels; level 0 without
+    this axis), ``v`` the direction in `DIRS`, and ``s`` every test
+    section at ``(p, k)`` or ``f`` only the first one, passed as one batch
+    together with the bundle data at ``(p, k)``.  ``residual(case)``
+    returns one residual or several (a list, or one per section).  ``fails``
     lists the backends on which the row is expected to fail; a
     ``k_cubic`` row's chart budget grows with the cube of the level.
     """
@@ -407,15 +398,15 @@ class Row:
         ax = self.axes
         out: list[tuple[float, int]] = []
         for p in env.params(backend) if "p" in ax else (None,):
-            for k in env.levels() if "k" in ax else (0,):
-                secs: Iterable = (None,)
+            for k in env.cfg.levels if "k" in ax else (0,):
+                s = bd = None
                 if "s" in ax or "f" in ax:
-                    secs = env.sections(backend, p, k).values
-                    secs = secs[:1] if "f" in ax else secs
+                    s = env.sections(backend, p, k).values
+                    s = s[:1] if "f" in ax else s
+                    bd = bundle_data(env.family(backend), p, k)
                 for v in DIRS if "v" in ax else (None,):
-                    for s in secs:
-                        r = self.residual(Case(env, backend, p, k, v, s))
-                        out += [(x, k) for x in (r if isinstance(r, list) else [r])]
+                    r = self.residual(Case(env, backend, p, k, v, s, bd))
+                    out += [(x, k) for x in np.ravel(r).tolist()]
         return out
 
 
@@ -466,9 +457,7 @@ ROWS: dict[str, Row] = {
         ),
         Row(
             "curvature_base_probe", {TORUS: 1e-8, CHART: 210.0}, "pkf",
-            lambda c: mm_commutator_residual(
-                bundle_data(c.fam, c.p, c.k), c.s, _base_target(c)
-            ),
+            lambda c: mm_commutator_residual(c.bd, c.s, _base_target(c)),
             k_cubic=True,
         ),
         Row("curvature_mixed_trace", {TORUS: 1e-8, CHART: 1.0}, "pv", _curvature_mixed_trace),
@@ -492,7 +481,7 @@ ROWS: dict[str, Row] = {
         ),
         Row(
             "frame_curvature", {TORUS: 1e-6, CHART: 10.0}, "p",
-            lambda c: frame_curvature_data(c.fam, c.p, c.eps)[2],
+            lambda c: frame_curvature_data(c.fam, c.p, c.eps)[1],
         ),
         Row("halfform_trace", {TORUS: 1e-6, CHART: 10.0}, "p", _halfform_trace),
         Row(
@@ -537,7 +526,7 @@ ROWS: dict[str, Row] = {
         Row(
             "defining_equation", {TORUS: 1e-8, CHART: 60.0}, "pkvs",
             lambda c: eq_defining_residual(
-                c.fam, c.p, c.k, c.v, c.s, c.eps,
+                c.fam, c.bd, c.v, c.s, c.eps,
                 exact=c.exact, flip=c.env.flip("defining_equation"),
             ),
             k_cubic=True,
@@ -545,14 +534,14 @@ ROWS: dict[str, Row] = {
         Row(
             "holomorphy_transfer", {TORUS: 1e-8, CHART: 300.0}, "pkvs",
             lambda c: eq_transfer_residual(
-                c.fam, c.p, c.k, c.v, c.s, c.eps,
+                c.fam, c.bd, c.v, c.s, c.eps,
                 exact=c.exact, flip=c.env.flip("holomorphy_transfer"),
             ),
             k_cubic=True,
         ),
         Row(
             "divergence_closedness", {TORUS: 1e-8, CHART: 8000.0}, "pvs",
-            lambda c: eq_transfer_residual(c.fam, c.p, c.k, c.v, c.s, c.eps, exact=c.exact),
+            lambda c: eq_transfer_residual(c.fam, c.bd, c.v, c.s, c.eps, exact=c.exact),
         ),
         Row(
             "frame_comparison", {TORUS: 1e-8, CHART: 1.0}, "pv", _frame_comparison,
@@ -570,7 +559,7 @@ ROWS: dict[str, Row] = {
         Row(
             "operator_pullback", {TORUS: 1e-8, CHART: 10.0}, "pkvf",
             lambda c: operator_pullback_residual(
-                c.fam, _comparison_potential(c), c.p, c.k, c.v, c.s, c.eps,
+                c.fam, _comparison_potential(c), c.bd, c.v, c.s, c.eps,
                 exact=c.exact, flip=c.env.flip("operator_pullback"),
             ),
         ),
@@ -659,14 +648,12 @@ def _row(entry: Entry, env: Env) -> dict:
         )
     ]
     nonfinite = [rb for rb in pairs if not math.isfinite(rb[0])]
+    if not pairs:  # a row without cases measured nothing
+        nonfinite = [(math.nan, budget_for(entry.identity, entry.backend, env))]
     if nonfinite:  # the first non-finite case is shown; it can neither pass nor fail
         (residual, budget), verdict = nonfinite[0], "error"
     else:
-        residual, budget = (
-            max(pairs, key=lambda rb: rb[0] / rb[1])
-            if pairs
-            else (0.0, budget_for(entry.identity, entry.backend, env))
-        )
+        residual, budget = max(pairs, key=lambda rb: rb[0] / rb[1])
         verdict = "pass" if residual / budget <= 1.0 else "fail"
     ratio = residual / budget
     expected = "fail" if entry.backend in row.fails else "pass"
@@ -722,20 +709,16 @@ SWEEPABLE = (
 
 
 def _chart_residual_at(
-    identity: str,
-    n: int,
-    eps: float,
-    k: int,
-    radius: float,
-    sigma: complex,
-    coeff: Array | None,
+    identity: str, cfg: RunConfig, k: int, coeff: Array | None
 ) -> tuple[float, Array]:
     """One chart residual with sections frozen across grids via ``coeff``."""
-    env = Env(RunConfig(backend="chart", grid=n, eps=eps, sigma=sigma, radius=radius))
+    env = Env(cfg)
+    fam = env.chart()
     if coeff is None:
-        coeff = env.sections("chart", sigma, k).coeff[0]
-    s = section_on(env.chart().grid, coeff)
-    return ROWS[identity].residual(Case(env, "chart", sigma, k, 1.0, s)), coeff
+        coeff = env.sections("chart", cfg.sigma, k).coeff[0]
+    s = section_on(fam.grid, coeff)
+    case = Case(env, "chart", cfg.sigma, k, 1.0, s, bundle_data(fam, cfg.sigma, k))
+    return float(ROWS[identity].residual(case)), coeff
 
 
 def sweep_orders(
@@ -755,16 +738,30 @@ def sweep_orders(
     a different kernel representative per grid.  The eps sweep uses
     parameter steps large enough that the :math:`\varepsilon^2`
     difference-quotient error dominates the :math:`h^4` floor.
+
+    The inputs are checked before any work: sweepable identities, two or
+    more distinct grids, two distinct eps steps, and a run configuration
+    (grid with an interior, positive eps, level >= 1) for every point.
     """
-    rows: list[dict] = []
+    identities = tuple(identities)
     for identity in identities:
         if identity not in SWEEPABLE:
             raise ValueError(f"identity {identity!r} is not sweepable")
+    if len(grids) < 2 or len(set(grids)) < len(grids):
+        raise ValueError(f"an h order needs two or more distinct grids, got {grids}")
+    e0, e1 = eps_pair
+    if e0 == e1:
+        raise ValueError(f"an eps order needs two distinct eps steps, got {eps_pair}")
+    base = RunConfig(backend="chart", eps=eps, sigma=sigma, radius=radius, levels=(k,))
+    h_cfgs = [replace(base, grid=n) for n in grids]
+    eps_cfgs = [replace(h_cfgs[-1], eps=e) for e in eps_pair]
+    rows: list[dict] = []
+    for identity in identities:
         # h-order at fixed small eps: (axis, pair, coarse, fine, step ratio)
         res_h = []
         coeff = None
-        for n in grids:
-            r, coeff = _chart_residual_at(identity, n, eps, k, radius, sigma, coeff)
+        for cfg in h_cfgs:
+            r, coeff = _chart_residual_at(identity, cfg, k, coeff)
             res_h.append(r)
         orders = [
             ("h", f"{grids[i]}->{grids[i+1]}", res_h[i], res_h[i + 1],
@@ -772,9 +769,7 @@ def sweep_orders(
             for i in range(len(grids) - 1)
         ]
         # eps-order on the finest grid, where the h^4 floor is smallest
-        e0, e1 = eps_pair
-        r0, _ = _chart_residual_at(identity, grids[-1], e0, k, radius, sigma, coeff)
-        r1, _ = _chart_residual_at(identity, grids[-1], e1, k, radius, sigma, coeff)
+        r0, r1 = (_chart_residual_at(identity, cfg, k, coeff)[0] for cfg in eps_cfgs)
         orders.append(("eps", f"{e0}->{e1}", r0, r1, e0 / e1))
         rows += [
             {

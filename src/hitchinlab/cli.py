@@ -156,7 +156,7 @@ def _cmd_transport(args: argparse.Namespace) -> int:
 def _cmd_basis(args: argparse.Namespace) -> int:
     cfg = _base_config(args)
     backend = cfg.backend if cfg.backend != "both" else "torus"
-    levels = (args.k,) if args.k else tuple(k for k in cfg.levels if k >= 1)
+    levels = (args.k,) if args.k else cfg.levels
     worst = 0.0
     if backend == "torus":
         from .families import TorusFamily

@@ -24,16 +24,22 @@ frame trivializes the canonical bundle.  Two constructions are provided:
 Variations are taken per the difference-quotient contract: a real
 parameter direction is encoded as a unit complex number ``v`` and the
 derivative of any :math:`\sigma`-dependent field is the central
-difference with step ``eps * (1 + |sigma|)``.  Families additionally
-expose closed-form variations (``exact=True``) used by the convergence
-sweeps to separate the two discretization error sources.
+difference with step ``eps * (1 + |sigma|)``.  The torus family also
+has closed-form variations (``exact=True``), which the torus rows of the
+catalog use; the chart families are varied by difference quotients only.
+
+The variation :math:`V[J]` and its tensors :math:`\tilde G(V)` and
+:math:`G(V)` are derived once here (:func:`vj_of`,
+:func:`variation_tensors`); the gates of :func:`variation` and the
+operators of ``hitchinlab.operators`` both use them.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from concurrent.futures import Future
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -159,19 +165,6 @@ def frame_from_mu(mu: Array) -> tuple[Array, Array]:
     return E, eta
 
 
-def dj_from_mu(mu: Array, nu: Array) -> Array:
-    r"""Closed-form variation of :func:`j_from_mu`.
-
-    For a Beltrami path with :math:`\dot\mu = \nu` (and
-    :math:`\dot{\bar\mu} = \bar\nu`):
-    :math:`\dot J = \frac{2i\nu}{1-|\mu|^2} E\otimes\bar\eta + \text{c.c.}`
-    """
-    den = 1.0 - np.abs(mu) ** 2
-    E, eta = frame_from_mu(mu)
-    t = (2j * nu / den) * np.einsum("a...,b...->ab...", E, np.conj(eta))
-    return np.real(t + np.conj(t)) * 1.0
-
-
 # ---------------------------------------------------------------------------
 # states
 # ---------------------------------------------------------------------------
@@ -249,6 +242,28 @@ def make_state(family: "Family", sigma: complex) -> KahlerState:
 # ---------------------------------------------------------------------------
 
 
+def build_once(lock: threading.Lock, cache: dict, key, build: Callable, bound: int | None = None):
+    """``cache[key]``, made by ``build()`` once even when threads race.
+
+    The first caller stores a pending result under ``lock`` and builds it;
+    later callers wait for that result.  With ``bound``, ``cache`` is an
+    ``OrderedDict`` that drops its oldest entries beyond ``bound``.
+    """
+    with lock:
+        pending = cache.get(key)
+        owner = pending is None
+        if owner:
+            pending = cache[key] = Future()
+            while bound is not None and len(cache) > bound:
+                cache.popitem(last=False)
+    if owner:
+        try:
+            pending.set_result(build())
+        except BaseException as exc:
+            pending.set_exception(exc)
+    return pending.result()
+
+
 class Family:
     """Base class: subclasses provide ``J_at`` and ``dw_at``."""
 
@@ -264,25 +279,18 @@ class Family:
         raise NotImplementedError
 
     def state(self, sigma: complex) -> KahlerState:
+        """The member at ``sigma``; the 48 latest states are kept."""
         sigma = complex(sigma)
         lock = self.__dict__.setdefault("_state_lock", threading.Lock())
-        with lock:
-            cache = self.__dict__.setdefault("_states", OrderedDict())
-            st = cache.get(sigma)
-        if st is None:
-            st = make_state(self, sigma)
-            with lock:
-                cache[sigma] = st
-                while len(cache) > 48:
-                    cache.popitem(last=False)
-        return st
+        cache = self.__dict__.setdefault("_states", OrderedDict())
+        return build_once(lock, cache, sigma, lambda: make_state(self, sigma), bound=48)
 
-    # closed-form variations (optional; difference quotients are the default)
-    def vj_exact(self, sigma: complex, v: complex) -> Array | None:
-        return None
+    # closed-form variations: only the torus has them
+    def vj_exact(self, sigma: complex, v: complex) -> Array:
+        raise ValueError(f"{self.label} has no closed-form variation")
 
-    def g_exact(self, sigma: complex, v: complex) -> Array | None:
-        return None
+    def g_exact(self, sigma: complex, v: complex) -> Array:
+        raise ValueError(f"{self.label} has no closed-form variation")
 
 
 class TorusFamily(Family):
@@ -339,14 +347,12 @@ class ChartFamily(Family):
         grid: ChartGrid,
         mu_at: Callable[[complex, Array], Array],
         w_at: Callable[[complex, Array], Array],
-        dmu_at: Callable[[complex, complex, Array], Array] | None = None,
         omega0: float = DEFAULT_OMEGA0,
         label: str = "chart",
     ):
         self.grid = grid
         self._mu_at = mu_at
         self._w_at = w_at
-        self._dmu_at = dmu_at
         self.omega0 = omega0
         self.label = label
         self.normalized_potential = False
@@ -364,22 +370,6 @@ class ChartFamily(Family):
     def dw_at(self, sigma: complex) -> Array:
         wz, wzb = self._w_at(complex(sigma), self.z)
         return np.stack([wz + wzb, 1j * (wz - wzb)])
-
-    def vj_exact(self, sigma: complex, v: complex) -> Array | None:
-        if self._dmu_at is None:
-            return None
-        nu = self._dmu_at(complex(sigma), complex(v), self.z)
-        return dj_from_mu(self.mu(sigma), nu)
-
-    def g_exact(self, sigma: complex, v: complex) -> Array | None:
-        r""":math:`G(V) = \frac{4\nu_V}{\omega_0}\,E\otimes E` where
-        :math:`\nu_V` is the complex-linear part of the :math:`\mu`
-        variation (so antiholomorphic tangents contribute nothing)."""
-        if self._dmu_at is None:
-            return None
-        nu = self._dmu_at(complex(sigma), complex(v), self.z)
-        E, _ = frame_from_mu(self.mu(sigma))
-        return (4.0 / self.omega0) * nu * np.einsum("a...,b...->ab...", E, E)
 
 
 # ---------------------------------------------------------------------------
@@ -424,16 +414,7 @@ def _poly_series_family(
                 wzb = wzb + sigma**j * _peval(wzbs[j], z)
         return wz, wzb
 
-    def dmu_at(sigma: complex, v: complex, z: Array) -> Array:
-        # mu is a polynomial in sigma alone, so the directional derivative
-        # along the real direction v is v * dmu/dsigma
-        out = np.zeros_like(z, dtype=complex)
-        for j, p in enumerate(mu_series):
-            if p and j > 0:
-                out = out + j * sigma ** (j - 1) * _peval(p, z)
-        return v * out
-
-    return ChartFamily(grid, mu_at, w_at, dmu_at, omega0=omega0, label=label)
+    return ChartFamily(grid, mu_at, w_at, omega0=omega0, label=label)
 
 
 def rigid_family(
@@ -504,10 +485,7 @@ def nonrigid_family(grid: ChartGrid, omega0: float = DEFAULT_OMEGA0) -> ChartFam
         # w = z + sigma (omega0/4) zbar^2/2 solves the Beltrami equation exactly
         return np.ones_like(z), sigma * (omega0 / 4.0) * np.conj(z)
 
-    def dmu_at(sigma: complex, v: complex, z: Array) -> Array:
-        return v * (omega0 / 4.0) * np.conj(z)
-
-    return ChartFamily(grid, mu_at, w_at, dmu_at, omega0=omega0, label="chart-nonrigid")
+    return ChartFamily(grid, mu_at, w_at, omega0=omega0, label="chart-nonrigid")
 
 
 def nonholo_family(
@@ -521,7 +499,7 @@ def nonholo_family(
     def w_at(sigma: complex, z: Array) -> tuple[Array, Array]:
         return np.ones_like(z), sigma.real * (omega0 * c / 4.0) * np.ones_like(z)
 
-    return ChartFamily(grid, mu_at, w_at, None, omega0=omega0, label="chart-nonholo")
+    return ChartFamily(grid, mu_at, w_at, omega0=omega0, label="chart-nonholo")
 
 
 # ---------------------------------------------------------------------------
@@ -553,15 +531,31 @@ def d_anti(fieldfn: Callable[[complex], Array], sigma: complex, eps: float) -> A
     )
 
 
+def vj_of(family: Family, sigma: complex, v: complex, eps: float, exact: bool = False) -> Array:
+    """Variation :math:`V[J]` along the real direction ``v``: the closed form
+    (``exact``, torus only) or the central difference."""
+    if exact:
+        return family.vj_exact(sigma, v)
+    return dir_deriv(family.J_at, sigma, v, eps)
+
+
+def variation_tensors(st: KahlerState, VJ: Array) -> tuple[Array, Array]:
+    r"""``(Gt, G)``: ``Gt = VJ . omega^{-1}`` solves
+    :math:`V[J] = \tilde G(V)\omega`, and ``G`` is its (2,0) part."""
+    Gt = np.einsum("ac...,cb...->ab...", VJ, inv2(st.omega))
+    P = st.P
+    return Gt, np.einsum("ac...,cd...,bd...->ab...", P, Gt, P)
+
+
 @dataclass
 class Variation:
     r"""Parameter variation tensors at one (sigma, direction) pair.
 
     ``v`` encodes a real tangent direction of the parameter plane;
-    ``VJ`` is the derivative of J along it; ``Gt = VJ . omega^{-1}``
-    solves :math:`V[J] = \tilde G(V)\omega`, and ``G`` is its (2,0)
-    part.  The residuals are the family gates: they are *measured*,
-    and identity runs report them rather than assuming them.
+    ``VJ`` is the derivative of J along it and ``Gt``, ``G`` are its
+    tensors (:func:`variation_tensors`).  The residuals are the family
+    gates: they are *measured*, and identity runs report them rather than
+    assuming them.
     """
 
     sigma: complex
@@ -584,29 +578,18 @@ def variation(
     exact: bool = False,
 ) -> Variation:
     st = family.state(sigma)
-    if exact:
-        VJ = family.vj_exact(sigma, v)
-        if VJ is None:
-            raise ValueError(f"{family.label} has no closed-form variation")
-    else:
-        VJ = dir_deriv(lambda s: family.J_at(s), sigma, v, eps)
-    winv = inv2(st.omega)
-    Gt = np.einsum("ac...,cb...->ab...", VJ, winv)
-    P = st.P
-    G = np.einsum("ac...,cd...,bd...->ab...", P, Gt, P)
-    mask = st.grid.interior() if isinstance(st.grid, ChartGrid) else None
+    VJ = vj_of(family, sigma, v, eps, exact)
+    Gt, G = variation_tensors(st, VJ)
+    mask = st.grid.interior()
 
     anti = max_norm(mat_mul(VJ, st.J) + mat_mul(st.J, VJ), mask)
     sym = max_norm(Gt - np.einsum("ab...->ba...", Gt), mask)
 
     # holomorphy gate: the (1,0) parameter part of V[J] must map (0,1) to (1,0)
-    if exact:
-        VJ_i = family.vj_exact(sigma, 1j * v)
-    else:
-        VJ_i = dir_deriv(lambda s: family.J_at(s), sigma, 1j * v, eps)
+    VJ_i = vj_of(family, sigma, 1j * v, eps, exact)
     VJ_holo = 0.5 * (VJ - 1j * VJ_i)
     VJ_anti = 0.5 * (VJ + 1j * VJ_i)
-    Q = st.Q
+    P, Q = st.P, st.Q
     holo = max(
         max_norm(mat_mul(Q, mat_mul(VJ_holo, P)), mask),
         max_norm(mat_mul(P, mat_mul(VJ_anti, Q)), mask),

@@ -179,24 +179,6 @@ class TensorField:
     def rank(self) -> int:
         return len(self.variance)
 
-    def conj(self) -> "TensorField":
-        return TensorField(np.conj(self.comps), self.variance)
-
-    def __add__(self, other: "TensorField") -> "TensorField":
-        if self.variance != other.variance:
-            raise ValueError("variance mismatch")
-        return TensorField(self.comps + other.comps, self.variance)
-
-    def __sub__(self, other: "TensorField") -> "TensorField":
-        if self.variance != other.variance:
-            raise ValueError("variance mismatch")
-        return TensorField(self.comps - other.comps, self.variance)
-
-    def __mul__(self, c) -> "TensorField":
-        return TensorField(self.comps * c, self.variance)
-
-    __rmul__ = __mul__
-
 
 def apply_matrix(m: Array, t: TensorField, slot: int) -> TensorField:
     """Apply an endomorphism field ``m[a, b]`` to one slot of ``t``.

@@ -28,9 +28,18 @@ with ``n = 0`` throughout this lab (torus and planar chart).
 Every identity of the catalog is implemented as a *residual*: both sides
 are assembled through independent code paths (difference quotients in
 the parameter, spectral/finite-difference calculus on the surface) and
-the sup-norm of the difference, normalized by the section scale, is
-reported.  ``flip`` arguments implement the mutation self-test: flipping
-the sign of any single term must push the residual above its budget.
+the sup-norm of the difference over ``grid.interior()``, normalized by
+the section scale, is reported.  ``flip`` arguments implement the
+mutation self-test: flipping the sign of any single term must push the
+residual above its budget.
+
+Each ingredient of :math:`u(V)` has one derivation, built once per
+residual call and passed down: :func:`G_of` (from the variation tensors
+of ``hitchinlab.families``), the bundle data of ``(sigma, k)``
+(``bundle.bundle_data``, built by the caller), :func:`H_of` from the
+state, ``G(V)`` and a potential field, and :func:`u_apply` from those.
+Section arguments may be one coefficient ``(n, n)`` or a batch
+``(..., n, n)``; the residuals then return one value per section.
 """
 
 from __future__ import annotations
@@ -45,45 +54,24 @@ from .bundle import (
     BundleData,
     _times_potential,
     a_T,
-    bundle_data,
+    halfform_potential,
     sec_deriv,
     sec_grad,
-    sec_grad_plain,
 )
-from .families import ChartFamily, Family, KahlerState, d_holo, dir_deriv
+from .families import Family, KahlerState, d_holo, dir_deriv, variation_tensors, vj_of
 from .fields import Array, ChartGrid, TensorField, max_norm
 from .geometry import cov_deriv
 
 # ---------------------------------------------------------------------------
-# variation tensors (lightweight; gates live in families.variation)
+# the variation tensor and pointwise helpers
 # ---------------------------------------------------------------------------
 
 
 def G_of(family: Family, sigma: complex, v: complex, eps: float, exact: bool = False) -> Array:
     """(2,0) variation tensor G(V) for the real parameter direction ``v``."""
     if exact:
-        g = family.g_exact(sigma, v)
-        if g is not None:
-            return g
-    st = family.state(sigma)
-    VJ = dir_deriv(lambda s: family.J_at(s), sigma, v, eps)
-    from .geometry import inv2
-
-    Gt = np.einsum("ac...,cb...->ab...", VJ, inv2(st.omega))
-    return np.einsum("ac...,cd...,bd...->ab...", st.P, Gt, st.P)
-
-
-def vj_of(family: Family, sigma: complex, v: complex, eps: float, exact: bool = False) -> Array:
-    if exact:
-        vj = family.vj_exact(sigma, v)
-        if vj is not None:
-            return vj
-    return dir_deriv(lambda s: family.J_at(s), sigma, v, eps)
-
-
-# ---------------------------------------------------------------------------
-# pointwise helpers
-# ---------------------------------------------------------------------------
+        return family.g_exact(sigma, v)
+    return variation_tensors(family.state(sigma), vj_of(family, sigma, v, eps))[1]
 
 
 def form_anti(st: KahlerState, alpha: Array) -> Array:
@@ -95,9 +83,9 @@ def form_holo(st: KahlerState, alpha: Array) -> Array:
     return np.einsum("a...,ab...->b...", alpha, st.P)
 
 
-def dF_holo(st: KahlerState) -> Array:
-    """(1,0) part of dF for the state's Ricci potential."""
-    dF = np.stack([st.grid.deriv(st.F, -2), st.grid.deriv(st.F, -1)])
+def dF_holo(st: KahlerState, F: Array) -> Array:
+    """(1,0) part of dF for a potential field ``F`` on the state's surface."""
+    dF = np.stack([st.grid.deriv(F, -2), st.grid.deriv(F, -1)])
     return form_holo(st, dF)
 
 
@@ -113,56 +101,47 @@ def trace_nabla_endo(st: KahlerState, T: Array) -> Array:
     return np.einsum("aab...->b...", nT.comps)
 
 
+def _section_ratio(err: Array, scale: Array, s: Array, mask: Array) -> Array:
+    """Sup of ``err`` over ``mask`` relative to the sup of ``scale``, one value
+    per section of ``s`` (``(..., n, n)``); ``err`` and ``scale`` may carry
+    tensor axes before the section axes."""
+
+    def sups(x: Array) -> Array:
+        a = np.abs(x)[..., mask]
+        return a.reshape((-1,) + s.shape[:-2] + a.shape[-1:]).max(axis=(0, -1))
+
+    return sups(err) / np.maximum(sups(scale), 1e-300)
+
+
 # ---------------------------------------------------------------------------
 # the second-order operator and the potential
 # ---------------------------------------------------------------------------
 
 
-def delta_G(bd: BundleData, G: Array, f: Array, plain: bool = False) -> Array:
-    r"""Apply :math:`\Delta_G` to a section coefficient.
-
-    ``plain`` applies the same composition on the untwisted level-``k``
-    bundle (no half-form part in the connection).  ``f`` may carry leading
-    batch axes, ``(..., n, n)``.
+def delta_G(bd: BundleData, G: Array, f: Array) -> Array:
+    r"""Apply :math:`\Delta_G` to a section coefficient of the bundle of ``bd``
+    (``bd.plain`` for the untwisted level-``k`` bundle).  ``f`` may carry
+    leading batch axes, ``(..., n, n)``.
     """
     st = bd.state
-    grad_f = sec_grad_plain(bd, f) if plain else sec_grad(bd, f)
-    t = np.einsum("ba...,a...->b...", G, grad_f)
-    A = bd.A_L if plain else bd.A
+    t = np.einsum("ba...,a...->b...", G, sec_grad(bd, f))
     dt = np.stack([sec_deriv(st, bd.k, t, -2), sec_deriv(st, bd.k, t, -1)])
-    dt = dt + np.einsum("bac...,c...->ab...", st.gamma, t) + _times_potential(A, t)
+    dt = dt + np.einsum("bac...,c...->ab...", st.gamma, t) + _times_potential(bd.A, t)
     return np.einsum("aa...->...", dt)
 
 
-def grad_along(bd: BundleData, X: Array, f: Array, plain: bool = False) -> Array:
+def grad_along(bd: BundleData, X: Array, f: Array) -> Array:
     """Directional covariant derivative along a vector field ``X``."""
-    grad_f = sec_grad_plain(bd, f) if plain else sec_grad(bd, f)
-    return np.einsum("a...,a...->...", X, grad_f)
+    return np.einsum("a...,a...->...", X, sec_grad(bd, f))
 
 
-def H_of(
-    family: Family,
-    sigma: complex,
-    v: complex,
-    eps: float,
-    exact: bool = False,
-    flip: str | None = None,
-    potential: Callable[[complex], Array] | None = None,
-) -> Array:
-    r"""Divergence potential :math:`H(V)` from the closed form above.
-
-    ``potential`` overrides the state's Ricci potential (used by the
-    operator-pullback identity, which states ``H`` in terms of the
-    reduction potential); ``flip`` in {'quad', 'div'} negates one term.
+def H_of(st: KahlerState, G: Array, F: Array, flip: str | None = None) -> Array:
+    r"""Divergence potential :math:`H(V)` of ``G = G(V)`` and the potential
+    field ``F`` from the closed form above (``F = st.F`` in :math:`u(V)`;
+    the operator-pullback identity passes the reduction potential);
+    ``flip`` in {'quad', 'div'} negates one term.
     """
-    st = family.state(sigma)
-    G = G_of(family, sigma, v, eps, exact)
-    if potential is None:
-        F = st.F
-    else:
-        F = potential(sigma)
-    dF = np.stack([st.grid.deriv(F, -2), st.grid.deriv(F, -1)])
-    pF = form_holo(st, dF)
+    pF = dF_holo(st, F)
     quad = np.einsum("a...,ab...,b...->...", pF, G, pF)
     GdF = np.einsum("ab...,b...->a...", G, pF)
     div = np.einsum("aa...->...", cov_deriv(st.grid, st.gamma, TensorField(GdF, "u")).comps)
@@ -171,29 +150,15 @@ def H_of(
     return s_quad * quad + s_div * div
 
 
-def u_apply(
-    family: Family,
-    sigma: complex,
-    k: float,
-    v: complex,
-    f: Array,
-    eps: float,
-    exact: bool = False,
-    h_offset: complex = 0.0,
-) -> Array:
-    r""":math:`u(V)f = \tfrac{1}{4k}(\Delta_{G(V)} + H(V))f + \text{offset}\cdot f`.
-
-    The offset realizes the uniqueness clause: the potential ``H`` is
-    determined only up to a function of the parameter alone.  ``f`` may be
-    a batch of sections ``(..., n, n)``; the bundle data, ``G(V)`` and
-    ``H(V)`` are built once for the whole batch.
+def u_apply(bd: BundleData, G: Array, f: Array) -> Array:
+    r""":math:`u(V)f = \tfrac{1}{4k}(\Delta_{G(V)} + H(V))f` on the bundle of
+    ``bd`` with ``G = G(V)``; ``H(V)`` is built from ``G`` and the state's
+    Ricci potential.  ``f`` may be a batch of sections ``(..., n, n)``.
     """
-    if k == 0:
+    if bd.k == 0:
         raise ValueError("the second-order correction needs a positive level")
-    bd = bundle_data(family, sigma, k)
-    G = G_of(family, sigma, v, eps, exact)
-    H = H_of(family, sigma, v, eps, exact)
-    return (delta_G(bd, G, f) + H * f) / (4.0 * k) + h_offset * f
+    H = H_of(bd.state, G, bd.state.F)
+    return (delta_G(bd, G, f) + H * f) / (4.0 * bd.k)
 
 
 # ---------------------------------------------------------------------------
@@ -316,79 +281,66 @@ def chart_sections(
 # ---------------------------------------------------------------------------
 
 
-def _mask(st: KahlerState) -> Array | None:
-    return st.grid.interior() if isinstance(st.grid, ChartGrid) else None
-
-
 def eq_defining_residual(
     family: Family,
-    sigma: complex,
-    k: int,
+    bd: BundleData,
     v: complex,
     s: Array,
     eps: float,
     exact: bool = False,
     flip: str | None = None,
-) -> float:
-    r"""Defining identity of the second-order correction on holomorphic ``s``:
+) -> Array:
+    r"""Defining identity of the second-order correction on holomorphic ``s``
+    (sections of the bundle of ``bd``):
 
     .. math::
         \nabla^{0,1}\big(u(V)s\big) = \tfrac{i}{2} V[J]\,\nabla s
         + \tfrac{i}{4}\operatorname{Tr}\tilde\nabla(G(V))\,\omega\; s .
     """
-    st = family.state(sigma)
-    bd = bundle_data(family, sigma, k)
-    us = u_apply(family, sigma, k, v, s, eps, exact)
-    lhs = form_anti(st, sec_grad(bd, us))
-    VJ = vj_of(family, sigma, v, eps, exact)
-    grad_s = sec_grad(bd, s)
-    t1 = 0.5j * np.einsum("ba...,b...->a...", VJ, grad_s)
-    G = G_of(family, sigma, v, eps, exact)
-    trG = trace_nabla(st, G)
-    t2 = 0.25j * np.einsum("b...,ba...->a...", trG, st.omega) * s
+    st = bd.state
+    G = G_of(family, st.sigma, v, eps, exact)
+    lhs = form_anti(st, sec_grad(bd, u_apply(bd, G, s)))
+    VJ = vj_of(family, st.sigma, v, eps, exact)
+    t1 = 0.5j * np.einsum("ba...,b...->a...", VJ, sec_grad(bd, s))
+    t2 = _times_potential(0.25j * np.einsum("b...,ba...->a...", trace_nabla(st, G), st.omega), s)
     if flip == "vj":
         t1 = -t1
     if flip == "trace":
         t2 = -t2
-    scale = max(max_norm(s, _mask(st)), 1e-300)
-    return max_norm(lhs - t1 - t2, _mask(st)) / scale
+    return _section_ratio(lhs - t1 - t2, s, s, st.grid.interior())
 
 
 def eq_transfer_residual(
     family: Family,
-    sigma: complex,
-    k: float,
+    bd: BundleData,
     v: complex,
     s: Array,
     eps: float,
     exact: bool = False,
     flip: str | None = None,
-) -> float:
-    r"""Holomorphy-transfer identity on holomorphic ``s``:
+) -> Array:
+    r"""Holomorphy-transfer identity on holomorphic ``s`` at the level ``k``
+    of ``bd``:
 
     .. math::
         \nabla^{0,1}\Delta_{G(V)} s = -2ik\,\omega G(V)\nabla s
         + ik\operatorname{Tr}\tilde\nabla(G(V))\,\omega\,s
         - \tfrac{i}{2}\operatorname{Tr}\tilde\nabla(G(V)\rho)\,s .
     """
-    st = family.state(sigma)
-    bd = bundle_data(family, sigma, k)
-    G = G_of(family, sigma, v, eps, exact)
+    st, k = bd.state, bd.k
+    G = G_of(family, st.sigma, v, eps, exact)
     lhs = form_anti(st, sec_grad(bd, delta_G(bd, G, s)))
-    grad_s = sec_grad(bd, s)
-    t1 = -2j * k * np.einsum("ab...,bc...,c...->a...", st.omega, G, grad_s)
-    trG = trace_nabla(st, G)
-    t2 = 1j * k * np.einsum("b...,ba...->a...", trG, st.omega) * s
+    t1 = -2j * k * np.einsum("ab...,bc...,c...->a...", st.omega, G, sec_grad(bd, s))
+    t2 = _times_potential(1j * k * np.einsum("b...,ba...->a...", trace_nabla(st, G), st.omega), s)
     Grho = np.einsum("ac...,cb...->ab...", G, st.rho)
-    t3 = -0.5j * trace_nabla_endo(st, Grho) * s
+    t3 = _times_potential(-0.5j * trace_nabla_endo(st, Grho), s)
     if flip == "omega":
         t1 = -t1
     if flip == "trace":
         t2 = -t2
     if flip == "rho":
         t3 = -t3
-    scale = max(max_norm(s, _mask(st)), 1e-300)
-    return max_norm(lhs - t1 - t2 - t3, _mask(st)) / scale
+    return _section_ratio(lhs - t1 - t2 - t3, s, s, st.grid.interior())
 
 
 def potential_variation_residual(
@@ -408,12 +360,10 @@ def potential_variation_residual(
     dv = np.stack([st.grid.deriv(vpf, -2), st.grid.deriv(vpf, -1)])
     lhs = form_anti(st, dv)
     G = G_of(family, sigma, v, eps, exact)
-    trG = trace_nabla(st, G)
-    t1 = -0.25j * np.einsum("b...,ba...->a...", trG, st.omega)
-    pF = dF_holo(st)
-    t2 = -0.5j * np.einsum("b...,bc...,ca...->a...", pF, G, st.omega)
-    scale = max(max_norm(G, _mask(st)), 1e-300)
-    return max_norm(lhs - t1 - t2, _mask(st)) / scale
+    t1 = -0.25j * np.einsum("b...,ba...->a...", trace_nabla(st, G), st.omega)
+    t2 = -0.5j * np.einsum("b...,bc...,ca...->a...", dF_holo(st, st.F), G, st.omega)
+    mask = st.grid.interior()
+    return max_norm(lhs - t1 - t2, mask) / max(max_norm(G, mask), 1e-300)
 
 
 def potential_oneform_residual(
@@ -428,14 +378,12 @@ def potential_oneform_residual(
     :math:`\bar\partial_M H(V) = \tfrac{i}{2}\operatorname{Tr}
     \tilde\nabla(G(V)\rho)`."""
     st = family.state(sigma)
-    H = H_of(family, sigma, v, eps, exact, flip=flip)
-    dH = np.stack([st.grid.deriv(H, -2), st.grid.deriv(H, -1)])
-    lhs = form_anti(st, dH)
     G = G_of(family, sigma, v, eps, exact)
-    Grho = np.einsum("ac...,cb...->ab...", G, st.rho)
-    rhs = 0.5j * trace_nabla_endo(st, Grho)
-    scale = max(max_norm(G, _mask(st)), 1e-300)
-    return max_norm(lhs - rhs, _mask(st)) / scale
+    H = H_of(st, G, st.F, flip)
+    lhs = form_anti(st, np.stack([st.grid.deriv(H, -2), st.grid.deriv(H, -1)]))
+    rhs = 0.5j * trace_nabla_endo(st, np.einsum("ac...,cb...->ab...", G, st.rho))
+    mask = st.grid.interior()
+    return max_norm(lhs - rhs, mask) / max(max_norm(G, mask), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +398,8 @@ def metric_variation_residual(family: Family, sigma: complex, v: complex, eps: f
     vg = dir_deriv(lambda s: family.state(s).g, sigma, v, eps)
     VJ = vj_of(family, sigma, v, eps)
     rhs = np.einsum("ac...,cb...->ab...", st.omega, VJ)
-    scale = max(max_norm(rhs, _mask(st)), 1e-300)
-    return max_norm(vg - rhs, _mask(st)) / scale
+    mask = st.grid.interior()
+    return max_norm(vg - rhs, mask) / max(max_norm(rhs, mask), 1e-300)
 
 
 def levicivita_variation_residual(family: Family, sigma: complex, v: complex, eps: float) -> float:
@@ -472,8 +420,8 @@ def levicivita_variation_residual(family: Family, sigma: complex, v: complex, ep
         + np.einsum("bac...->abc...", D)
         - np.einsum("cab...->abc...", D)
     )
-    scale = max(max_norm(rhs, _mask(st)), 1e-300)
-    return max_norm(lhs - rhs, _mask(st)) / scale
+    mask = st.grid.interior()
+    return max_norm(lhs - rhs, mask) / max(max_norm(rhs, mask), 1e-300)
 
 
 def projector_commutator_residual(family: Family, sigma: complex, v: complex, eps: float) -> float:
@@ -493,13 +441,11 @@ def projector_commutator_residual(family: Family, sigma: complex, v: complex, ep
     lhs = dir_deriv(QX, sigma, v, eps)
     VJ = vj_of(family, sigma, v, eps)
     rhs = 0.5j * np.einsum("ab...,b...->a...", VJ, X)
-    scale = max(max_norm(rhs, _mask(st)), 1e-300)
-    return max_norm(lhs - rhs, _mask(st)) / scale
+    mask = st.grid.interior()
+    return max_norm(lhs - rhs, mask) / max(max_norm(rhs, mask), 1e-300)
 
 
-def frame_curvature_data(
-    family: Family, sigma: complex, eps: float
-) -> tuple[Array, Array, float]:
+def frame_curvature_data(family: Family, sigma: complex, eps: float) -> tuple[Array, float]:
     r"""Parameter-direction curvature of the type-projected frame connection.
 
     The connection :math:`\hat\nabla^T_V Y = \pi^{1,0}V[Y]` on (1,0)
@@ -510,8 +456,9 @@ def frame_curvature_data(
         = -\tfrac14\,[\partial_1 J, \partial_2 J]\; Y ,
 
     computed here by nested difference quotients (left) and from the
-    structure derivatives (right); returns both endomorphisms restricted
-    to the (1,0) subspace and their sup-norm mismatch relative to scale.
+    structure derivatives (right); returns the left endomorphism
+    restricted to the (1,0) subspace and the sup-norm mismatch of the two
+    sides relative to the right.
     """
     st = family.state(sigma)
 
@@ -535,8 +482,8 @@ def frame_curvature_data(
     d2J = vj_of(family, sigma, 1j, eps)
     commJ = np.einsum("ab...,bc...->ac...", d1J, d2J) - np.einsum("ab...,bc...->ac...", d2J, d1J)
     target = -0.25 * np.einsum("ab...,bc...,cd...->ad...", P0, commJ, P0)
-    scale = max(max_norm(target, _mask(st)), 1e-300)
-    return R, target, max_norm(R - target, _mask(st)) / scale
+    mask = st.grid.interior()
+    return R, max_norm(R - target, mask) / max(max_norm(target, mask), 1e-300)
 
 
 def param_commutator_curvature(
@@ -560,17 +507,14 @@ def param_commutator_curvature(
 PotentialFn = Callable[[complex], Array]
 
 
-def potential_fn(family: Family, which: str, base: complex | None = None, eps: float = 1e-4) -> PotentialFn:
+def potential_fn(family: Family, which: str) -> PotentialFn:
     """Reduction-potential families by name.
 
     ``zero``      -- identically zero (the normalized torus convention);
     ``ricci``     -- the state's Ricci potential field;
     ``log-imtau`` -- ``(1/2) log Im sigma`` (constant over M), the
                      non-pluriharmonic repair that absorbs the
-                     parameter-direction curvature on the torus;
-    ``quadratic`` -- the Ricci potential plus ``c0 |sigma - base|^2``
-                     with ``c0`` chosen so the parameter-parameter
-                     curvature is absorbed at ``base`` on a chart.
+                     parameter-direction curvature on the torus.
     """
     if which == "zero":
         return lambda s: np.zeros(family.grid.shape, dtype=complex)
@@ -578,26 +522,6 @@ def potential_fn(family: Family, which: str, base: complex | None = None, eps: f
         return lambda s: family.state(s).F
     if which == "log-imtau":
         return lambda s: np.full(family.grid.shape, 0.5 * np.log(s.imag), dtype=complex)
-    if which == "quadratic":
-        if base is None:
-            raise ValueError("quadratic potential needs a base point")
-        from .bundle import curvature_tt
-
-        rtt = curvature_tt(family, base, eps)
-        ptt = pot_tt(family, lambda s: family.state(s).F, base, eps)
-        field = rtt + ptt  # (d1, d2) components; must be absorbed by c0
-        mask = family.grid.interior() if isinstance(family.grid, ChartGrid) else None
-        if mask is None:
-            c0 = complex(np.mean(field))
-        else:
-            c0 = complex(np.mean(field[mask]))
-        # pot_tt of c|sigma-base|^2 equals -2i * dsigma dsigmabar (c |.|^2) = -2i c
-        cc = c0 / (2j)
-
-        def fn(s: complex) -> Array:
-            return family.state(s).F + cc * abs(s - base) ** 2
-
-        return fn
     raise ValueError(f"unknown potential family: {which}")
 
 
@@ -683,8 +607,8 @@ def frame_comparison_residuals(
     :math:`\partial_M\tilde F`) and parameter part
     (:math:`A_T(V) + V[\log m]` against
     :math:`\hat\partial\tilde F(V) = v\,\partial_\sigma\tilde F`);
-    returns the two raw sup-norm residuals (masked on charts), with no
-    normalization.  On the torus at ``F~ = 0`` and ``v = 1`` the parameter
+    returns the two raw sup-norm residuals over ``grid.interior()``, with
+    no normalization.  On the torus at ``F~ = 0`` and ``v = 1`` the parameter
     residual is the closed-form red ``1/(4 Im sigma)``, e.g. 0.3125 at
     ``Im sigma = 0.8``.
     """
@@ -697,70 +621,60 @@ def frame_comparison_residuals(
 
     lm = logm(sigma)
     dlm = np.stack([grid.deriv(lm, -2), grid.deriv(lm, -1)])
-    F = Ffn(sigma)
-    dFfield = np.stack([grid.deriv(F, -2), grid.deriv(F, -1)])
-    pF = form_holo(st, dFfield)
-    from .bundle import halfform_potential
-
     a_d, _ = halfform_potential(st)
-    res_m = max_norm(a_d + dlm - pF, _mask(st))
+    mask = grid.interior()
+    res_m = max_norm(a_d + dlm - dF_holo(st, Ffn(sigma)), mask)
 
     aT = a_T(family, sigma, v, eps, exact=exact)
     vlm = dir_deriv(logm, sigma, v, eps)
     dsF = v * d_holo(Ffn, sigma, eps)
-    res_t = max_norm(aT + vlm - dsF, _mask(st))
+    res_t = max_norm(aT + vlm - dsF, mask)
     return res_m, res_t
 
 
 def operator_pullback_residual(
     family: Family,
     Ffn: PotentialFn,
-    sigma: complex,
-    k: float,
+    bd: BundleData,
     v: complex,
     s: Array,
     eps: float,
     exact: bool = False,
     flip: str | None = None,
-) -> float:
-    r"""Pullback of the second-order operator through the comparison map:
+) -> Array:
+    r"""Pullback of the second-order operator through the comparison map,
+    on sections ``s`` of the bundle of ``bd``:
 
     .. math::
         m^{-1}\Delta_{G(V)}(m\,s) = \Delta^{L}_{G(V)} s
         + 2\nabla^{L}_{G(V)\partial_M\tilde F}\,s - H(V)\,s
         - 2n\,V'[\tilde F]\,s \qquad (n = 0).
     """
-    st = family.state(sigma)
-    bd = bundle_data(family, sigma, k)
-    G = G_of(family, sigma, v, eps, exact)
-    m = comparison_multiplier(family, Ffn, sigma)
+    st = bd.state
+    G = G_of(family, st.sigma, v, eps, exact)
+    m = comparison_multiplier(family, Ffn, st.sigma)
     lhs = delta_G(bd, G, m * s) / m
-    F = Ffn(sigma)
-    dFfield = np.stack([st.grid.deriv(F, -2), st.grid.deriv(F, -1)])
-    pF = form_holo(st, dFfield)
-    GdF = np.einsum("ab...,b...->a...", G, pF)
-    t1 = delta_G(bd, G, s, plain=True)
-    t2 = 2.0 * grad_along(bd, GdF, s, plain=True)
-    H = H_of(family, sigma, v, eps, exact, potential=Ffn)
-    t3 = -H * s
+    F = Ffn(st.sigma)
+    GdF = np.einsum("ab...,b...->a...", G, dF_holo(st, F))
+    t1 = delta_G(bd.plain, G, s)
+    t2 = 2.0 * grad_along(bd.plain, GdF, s)
+    t3 = -H_of(st, G, F) * s
     if flip == "gradient":
         t2 = -t2
     if flip == "potential":
         t3 = -t3
-    scale = max(max_norm(delta_G(bd, G, s, plain=True), _mask(st)), 1e-300)
-    return max_norm(lhs - t1 - t2 - t3, _mask(st)) / scale
+    return _section_ratio(lhs - t1 - t2 - t3, t1, s, st.grid.interior())
 
 
 def connection_agreement_residual(
     family: Family,
     Ffn: PotentialFn,
-    sigma: complex,
-    k: float,
+    bd: BundleData,
     v: complex,
     s: Array,
     eps: float,
     exact: bool = False,
-) -> float:
+) -> Array:
     r"""Full-connection agreement through the comparison map:
 
     .. math::
@@ -768,25 +682,20 @@ def connection_agreement_residual(
         \tilde u(V) = \tfrac1{4k}\big(\Delta^{L}_{G(V)}
         + 2\nabla^{L}_{G(V)\partial_M\tilde F}\big) + V'[\tilde F]
 
-    for a parameter-constant coefficient ``s`` (so ``V[s] = 0``).
+    for a parameter-constant coefficient ``s`` of the bundle of ``bd``
+    (so ``V[s] = 0``).
     """
-    st = family.state(sigma)
-    bd = bundle_data(family, sigma, k)
+    st, sigma, k = bd.state, bd.state.sigma, bd.k
     m = comparison_multiplier(family, Ffn, sigma)
     vm = dir_deriv(lambda t: comparison_multiplier(family, Ffn, t), sigma, v, eps)
     aT = a_T(family, sigma, v, eps, exact=exact)
-    us = u_apply(family, sigma, k, v, m * s, eps, exact)
-    lhs = (vm * s + aT * m * s + us) / m
     G = G_of(family, sigma, v, eps, exact)
-    F = Ffn(sigma)
-    dFfield = np.stack([st.grid.deriv(F, -2), st.grid.deriv(F, -1)])
-    pF = form_holo(st, dFfield)
-    GdF = np.einsum("ab...,b...->a...", G, pF)
+    lhs = (vm * s + aT * m * s + u_apply(bd, G, m * s)) / m
+    GdF = np.einsum("ab...,b...->a...", G, dF_holo(st, Ffn(sigma)))
     vpF = 0.5 * (
         dir_deriv(Ffn, sigma, v, eps) - 1j * dir_deriv(Ffn, sigma, 1j * v, eps)
     )
-    rhs = (delta_G(bd, G, s, plain=True) + 2.0 * grad_along(bd, GdF, s, plain=True)) / (
+    rhs = (delta_G(bd.plain, G, s) + 2.0 * grad_along(bd.plain, GdF, s)) / (
         4.0 * k
     ) + vpF * s
-    scale = max(max_norm(s, _mask(st)), 1e-300)
-    return max_norm(lhs - rhs, _mask(st)) / scale
+    return _section_ratio(lhs - rhs, s, s, st.grid.interior())

@@ -51,7 +51,7 @@ import numpy as np
 from .bundle import a_T, bundle_data, sec_grad
 from .families import TorusFamily, dir_deriv
 from .fields import Array, TorusGrid, max_norm, proj_anti
-from .operators import u_apply
+from .operators import G_of, u_apply
 
 # ---------------------------------------------------------------------------
 # basis
@@ -223,7 +223,7 @@ def connection_matrix(
         Vs = v * theta_basis_dtau(grid, k, tau)
     else:
         Vs = dir_deriv(lambda s: theta_basis(grid, k, s), tau, v, eps)
-    nab = Vs + aT * basis + u_apply(fam, tau, k, v, basis, eps, exact=exact)
+    nab = Vs + aT * basis + u_apply(bundle_data(fam, tau, k), G_of(fam, tau, v, eps, exact), basis)
     G = gram(grid, k, tau, basis)
     # pairing P[l, j] = weight * mean(conj(s_l) * nabla s_j); with
     # nabla s_j = sum_i M[i, j] s_i this gives P = G^T M, so M solves

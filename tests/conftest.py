@@ -3,12 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hitchinlab.catalog import CHART_COEFFS
 from hitchinlab.families import TorusFamily, rigid_family
 from hitchinlab.fields import ChartGrid, TorusGrid
 
-# Deterministic chart test family: same free datum as the default catalog
+# Deterministic chart test family: the free datum of the default catalog
 # configuration, smaller grid so unit tests stay fast.
-CHART_COEFFS = {0: 0.1, 1: 0.15 + 0.1j}
 CHART_SIGMA = 0.1 + 0.05j
 EPS = 1e-4
 

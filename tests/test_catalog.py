@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hitchinlab import catalog
+from hitchinlab import catalog, families
 from hitchinlab.catalog import (
     IDENTITY_NAMES,
     MUTATIONS,
@@ -23,6 +23,7 @@ from hitchinlab.catalog import (
     select_entries,
     sweep_axis_ok,
 )
+from hitchinlab.fields import TorusGrid
 from hitchinlab.reports import (
     CATALOG_COLUMNS,
     format_catalog,
@@ -68,11 +69,12 @@ def test_every_mutation_turns_its_row_unexpected():
 )
 @pytest.mark.parametrize(
     "cases",
-    [[0.0, float("nan")], [float("nan"), 0.0], [(1.0, 1), (float("inf"), 3)]],
-    ids=["nan_last", "nan_first", "inf_with_level"],
+    [[0.0, float("nan")], [float("nan"), 0.0], [(1.0, 1), (float("inf"), 3)], []],
+    ids=["nan_last", "nan_first", "inf_with_level", "no_cases"],
 )
 def test_nonfinite_case_is_an_error(identity, backend, cases):
-    # an expected-green and an expected-red row: neither may read ok
+    # an expected-green and an expected-red row: neither may read ok, and
+    # neither may a row that measured nothing
     entry = next(e for e in REGISTRY if (e.identity, e.backend) == (identity, backend))
     row = _row(dataclasses.replace(entry, runner=lambda e, b: cases), Env(RunConfig()))
     assert (row["verdict"], row["status"]) == ("error", "unexpected")
@@ -104,6 +106,28 @@ def test_sections_are_built_once_under_threads(monkeypatch):
     assert len(got) == 2 and got[0] is got[1]
 
 
+def test_states_are_built_once_under_threads(monkeypatch):
+    built = []
+    make_state = families.make_state
+
+    def slow_make_state(family, sigma):
+        built.append(sigma)
+        time.sleep(0.2)
+        return make_state(family, sigma)
+
+    monkeypatch.setattr(families, "make_state", slow_make_state)
+    fam = families.TorusFamily(TorusGrid(16))
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(fam.state(1j))) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert built == [1j]
+    assert len(got) == 2 and got[0] is got[1]
+
+
 _bad_im = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
 
 
@@ -128,6 +152,25 @@ def test_runconfig_rejects_chart_grid_without_interior(grid, backend):
         RunConfig(backend=backend, grid=grid)
     assert RunConfig(backend=backend, grid=13).grid == 13
     assert RunConfig(backend="torus", grid=grid).grid == grid  # the rule is the chart's
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(["levels", "taus"]), backend=st.sampled_from(["torus", "chart", "both"]))
+def test_runconfig_rejects_empty_levels_or_taus(name, backend):
+    with pytest.raises(ValueError, match=f"{name} must not be empty"):
+        RunConfig(backend=backend, **{name: ()})
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    levels=st.lists(st.integers(1, 6), max_size=3),
+    bad=st.integers(max_value=0),
+    at=st.integers(0, 3),
+)
+def test_runconfig_rejects_level_below_one(levels, bad, at):
+    levels.insert(min(at, len(levels)), bad)
+    with pytest.raises(ValueError, match="levels must be at least 1"):
+        RunConfig(levels=tuple(levels))
 
 
 @settings(max_examples=25, deadline=None)

@@ -194,6 +194,9 @@ def test_basis_subcommand_chart(capsys):
         (["verify", "--identities", "no_such_identity"], "unknown identities"),
         (["sweep", "--grids", "12,24"], "no interior"),
         (["sweep", "--eps-pair", "0,0.05"], "eps must be positive"),
+        (["sweep", "--eps-pair", "0.1,0.1"], "two distinct eps steps"),
+        (["sweep", "--grids", "64"], "two or more distinct grids"),
+        (["sweep", "--level", "0"], "levels must be at least 1"),
         (["basis", "--backend", "chart", "--grid", "12"], "no interior"),
         (["basis", "--backend", "torus", "--grid", "16", "--tau", "1-1j"], "Im tau > 0"),
     ],
@@ -204,6 +207,9 @@ def test_basis_subcommand_chart(capsys):
         "verify_unknown_identity",
         "sweep_grid12",
         "sweep_eps0",
+        "sweep_eps_equal",
+        "sweep_one_grid",
+        "sweep_level0",
         "basis_grid12",
         "basis_lower_half_plane",
     ],

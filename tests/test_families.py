@@ -81,13 +81,6 @@ def test_rigid_family_gates(chart48):
     assert var.rigidity_residual < 1e-8
 
 
-def test_rigid_family_exact_variation_agrees_with_quotient(chart48):
-    fam, _ = chart48
-    sigma = 0.1 + 0.05j
-    fd = dir_deriv(fam.J_at, sigma, 1.0, EPS)
-    assert max_norm(fam.vj_exact(sigma, 1.0) - fd) < 1e-6
-
-
 def test_nonrigid_family_is_flagged():
     grid = ChartGrid(48)
     var = variation(nonrigid_family(grid), 0.05, 1.0, EPS)

@@ -6,6 +6,7 @@ import pytest
 from hitchinlab.bundle import bundle_data
 from hitchinlab.fields import max_norm
 from hitchinlab.operators import (
+    G_of,
     H_of,
     chart_sections,
     comparison_multiplier,
@@ -53,18 +54,20 @@ def test_second_order_principal_symbol(torus64):
 
 
 def test_divergence_potential_vanishes_on_torus(torus32):
-    assert max_norm(H_of(torus32, TAU, 1.0, EPS, exact=True)) == 0.0
+    st = torus32.state(TAU)
+    assert max_norm(H_of(st, G_of(torus32, TAU, 1.0, EPS, exact=True), st.F)) == 0.0
 
 
 def test_u_apply_rejects_level_zero(torus32):
+    G = G_of(torus32, TAU, 1.0, EPS)
     with pytest.raises(ValueError):
-        u_apply(torus32, TAU, 0, 1.0, np.ones(torus32.grid.shape), EPS)
+        u_apply(bundle_data(torus32, TAU, 0), G, np.ones(torus32.grid.shape))
 
 
 def test_defining_identity_torus(torus64):
     for k in (1, 2):
         s = theta_basis(torus64.grid, k, TAU)[0]
-        r = eq_defining_residual(torus64, TAU, k, 1.0, s, EPS, exact=True)
+        r = eq_defining_residual(torus64, bundle_data(torus64, TAU, k), 1.0, s, EPS, exact=True)
         assert r < 1e-9
 
 
@@ -73,27 +76,30 @@ def test_defining_identity_mutations_visible_on_chart(chart48):
     # (the corrected derivative of a theta section is again holomorphic),
     # so sign flips are only observable on a deformed chart member
     fam, _ = chart48
-    s = chart_sections(bundle_data(fam, SIGMA, 1)).values[0]
-    base = eq_defining_residual(fam, SIGMA, 1, 1.0, s, EPS)
+    bd = bundle_data(fam, SIGMA, 1)
+    s = chart_sections(bd).values[0]
+    base = eq_defining_residual(fam, bd, 1.0, s, EPS)
     for flip in ("vj", "trace"):
-        r = eq_defining_residual(fam, SIGMA, 1, 1.0, s, EPS, flip=flip)
+        r = eq_defining_residual(fam, bd, 1.0, s, EPS, flip=flip)
         assert r > 1e4 * base
 
 
 def test_transfer_identity_torus(torus64):
     for k in (1, 3):
         s = theta_basis(torus64.grid, k, TAU)[0]
-        assert eq_transfer_residual(torus64, TAU, k, 1.0, s, EPS, exact=True) < 1e-8
+        bd = bundle_data(torus64, TAU, k)
+        assert eq_transfer_residual(torus64, bd, 1.0, s, EPS, exact=True) < 1e-8
 
 
 def test_transfer_mutations_visible_on_chart(chart48):
     # the rho-term vanishes identically on the torus, so its flip is only
     # observable on a deformed chart member
     fam, _ = chart48
-    s = chart_sections(bundle_data(fam, SIGMA, 1)).values[0]
-    base = eq_transfer_residual(fam, SIGMA, 1, 1.0, s, EPS)
+    bd = bundle_data(fam, SIGMA, 1)
+    s = chart_sections(bd).values[0]
+    base = eq_transfer_residual(fam, bd, 1.0, s, EPS)
     for flip, factor in (("omega", 1e4), ("trace", 1e4), ("rho", 50.0)):
-        r = eq_transfer_residual(fam, SIGMA, 1, 1.0, s, EPS, flip=flip)
+        r = eq_transfer_residual(fam, bd, 1.0, s, EPS, flip=flip)
         assert r > factor * base
 
 
@@ -138,13 +144,15 @@ def test_frame_comparison_repaired_potential(torus32):
 def test_pullback_identity_and_mutations(torus64, chart48):
     s = theta_basis(torus64.grid, 1, TAU)[0]
     zero = potential_fn(torus64, "zero")
-    assert operator_pullback_residual(torus64, zero, TAU, 1, 1.0, s, EPS, exact=True) < 1e-8
+    bd = bundle_data(torus64, TAU, 1)
+    assert operator_pullback_residual(torus64, zero, bd, 1.0, s, EPS, exact=True) < 1e-8
     fam, _ = chart48
     Ffn = potential_fn(fam, "ricci")
-    sc = chart_sections(bundle_data(fam, SIGMA, 1)).values[0]
-    base = operator_pullback_residual(fam, Ffn, SIGMA, 1, 1.0, sc, EPS)
+    bdc = bundle_data(fam, SIGMA, 1)
+    sc = chart_sections(bdc).values[0]
+    base = operator_pullback_residual(fam, Ffn, bdc, 1.0, sc, EPS)
     for flip in ("gradient", "potential"):
-        r = operator_pullback_residual(fam, Ffn, SIGMA, 1, 1.0, sc, EPS, flip=flip)
+        r = operator_pullback_residual(fam, Ffn, bdc, 1.0, sc, EPS, flip=flip)
         assert r > max(100.0 * base, 1e-3)
 
 
@@ -152,8 +160,9 @@ def test_connection_agreement_obstruction_and_repair(torus32):
     s = theta_basis(torus32.grid, 1, TAU)[0]
     zero = potential_fn(torus32, "zero")
     fixed = potential_fn(torus32, "log-imtau")
-    r_zero = connection_agreement_residual(torus32, zero, TAU, 1, 1.0, s, EPS, exact=True)
-    r_fix = connection_agreement_residual(torus32, fixed, TAU, 1, 1.0, s, EPS, exact=True)
+    bd = bundle_data(torus32, TAU, 1)
+    r_zero = connection_agreement_residual(torus32, zero, bd, 1.0, s, EPS, exact=True)
+    r_fix = connection_agreement_residual(torus32, fixed, bd, 1.0, s, EPS, exact=True)
     assert abs(r_zero - 1.0 / (4.0 * TAU.imag)) < 1e-10
     assert r_fix < 1e-6
 
@@ -163,9 +172,11 @@ def test_u_apply_batch_matches_per_section(torus32, exact):
     """A batch of sections gives, bit for bit, the per-section results."""
     tau, k = 0.5 + 0.8j, 3
     basis = theta_basis(torus32.grid, k, tau)
+    bd = bundle_data(torus32, tau, k)
     for v in (1.0, 1j):
-        batched = u_apply(torus32, tau, k, v, basis, EPS, exact=exact)
-        single = np.stack([u_apply(torus32, tau, k, v, s, EPS, exact=exact) for s in basis])
+        G = G_of(torus32, tau, v, EPS, exact=exact)
+        batched = u_apply(bd, G, basis)
+        single = np.stack([u_apply(bd, G, s) for s in basis])
         assert batched.shape == basis.shape
         assert np.array_equal(batched, single)
 
@@ -188,8 +199,7 @@ def test_chart_sections_solve_and_reevaluate(chart48):
         assert max_norm(re_eval - ts.values[i]) < 1e-12
 
 
-def test_quadratic_potential_family_needs_base(torus32):
-    with pytest.raises(ValueError):
-        potential_fn(torus32, "quadratic")
-    with pytest.raises(ValueError):
-        potential_fn(torus32, "no-such-family")
+def test_unknown_potential_family_is_rejected(torus32):
+    for which in ("quadratic", "no-such-family"):
+        with pytest.raises(ValueError, match="unknown potential family"):
+            potential_fn(torus32, which)
