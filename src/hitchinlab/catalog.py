@@ -593,7 +593,7 @@ ROWS: dict[str, Row] = {
         ),
         Row(
             "projection_defect", {TORUS: 1e-8}, "pkv",
-            lambda c: connection_matrix(c.fam, c.p, c.k, c.v, eps=c.eps, exact=True).defect,
+            lambda c: connection_matrix(c.fam, c.p, c.k, c.v).defect,
         ),
         Row("transport_oracle", {TORUS: 1e-6}, "k", _transport_oracle),
         Row(
@@ -708,19 +708,6 @@ SWEEPABLE = (
 )
 
 
-def _chart_residual_at(
-    identity: str, cfg: RunConfig, k: int, coeff: Array | None
-) -> tuple[float, Array]:
-    """One chart residual with sections frozen across grids via ``coeff``."""
-    env = Env(cfg)
-    fam = env.chart()
-    if coeff is None:
-        coeff = env.sections("chart", cfg.sigma, k).coeff[0]
-    s = section_on(fam.grid, coeff)
-    case = Case(env, "chart", cfg.sigma, k, 1.0, s, bundle_data(fam, cfg.sigma, k))
-    return float(ROWS[identity].residual(case)), coeff
-
-
 def sweep_orders(
     identities: Iterable[str],
     grids: tuple[int, ...] = (64, 128),
@@ -732,16 +719,20 @@ def sweep_orders(
 ) -> list[dict]:
     r"""Measured convergence orders on the chart backend.
 
-    The grid sweep keeps one *frozen* section (polynomial coefficients
-    built on the coarsest grid, re-evaluated exactly on the finer ones)
-    so that the h-order is not masked by the section constructor picking
-    a different kernel representative per grid.  The eps sweep uses
+    Each configuration (every grid, then every eps step on the finest
+    grid) gets one `Env` and one `Case`, shared by every identity.  The
+    grid sweep keeps one *frozen* section (polynomial coefficients built
+    once on the coarsest grid, re-evaluated exactly on the finer ones) so
+    that the h-order is not masked by the section constructor picking a
+    different kernel representative per grid.  The eps sweep uses
     parameter steps large enough that the :math:`\varepsilon^2`
-    difference-quotient error dominates the :math:`h^4` floor.
+    difference-quotient error dominates the :math:`h^4` floor.  Only one
+    `Env` is alive at a time: keeping them all raises the peak memory.
 
     The inputs are checked before any work: sweepable identities, two or
-    more distinct grids, two distinct eps steps, and a run configuration
-    (grid with an interior, positive eps, level >= 1) for every point.
+    more distinct grids, an eps pair of two distinct steps, and a run
+    configuration (grid with an interior, positive eps, level >= 1) for
+    every point.
     """
     identities = tuple(identities)
     for identity in identities:
@@ -749,28 +740,35 @@ def sweep_orders(
             raise ValueError(f"identity {identity!r} is not sweepable")
     if len(grids) < 2 or len(set(grids)) < len(grids):
         raise ValueError(f"an h order needs two or more distinct grids, got {grids}")
+    if len(eps_pair) != 2 or eps_pair[0] == eps_pair[1]:
+        raise ValueError(
+            f"an eps order needs an eps pair of two distinct eps steps, got {eps_pair}"
+        )
     e0, e1 = eps_pair
-    if e0 == e1:
-        raise ValueError(f"an eps order needs two distinct eps steps, got {eps_pair}")
     base = RunConfig(backend="chart", eps=eps, sigma=sigma, radius=radius, levels=(k,))
-    h_cfgs = [replace(base, grid=n) for n in grids]
-    eps_cfgs = [replace(h_cfgs[-1], eps=e) for e in eps_pair]
+    cfgs = [replace(base, grid=n) for n in grids]
+    cfgs += [replace(cfgs[-1], eps=e) for e in eps_pair]
+    coeff = None
+    res = []  # per configuration: identity -> residual
+    for cfg in cfgs:
+        env = Env(cfg)
+        if coeff is None:  # the frozen section, from the coarsest grid
+            coeff = env.sections("chart", sigma, k).coeff[0]
+        s = section_on(env.chart().grid, coeff)
+        case = Case(env, "chart", sigma, k, 1.0, s, bundle_data(env.chart(), sigma, k))
+        res.append({i: float(ROWS[i].residual(case)) for i in identities})
+        del env, s, case  # free this Env before the next one is built
     rows: list[dict] = []
     for identity in identities:
+        r = [at[identity] for at in res]
         # h-order at fixed small eps: (axis, pair, coarse, fine, step ratio)
-        res_h = []
-        coeff = None
-        for cfg in h_cfgs:
-            r, coeff = _chart_residual_at(identity, cfg, k, coeff)
-            res_h.append(r)
         orders = [
-            ("h", f"{grids[i]}->{grids[i+1]}", res_h[i], res_h[i + 1],
+            ("h", f"{grids[i]}->{grids[i+1]}", r[i], r[i + 1],
              (grids[i + 1] - 1) / (grids[i] - 1))
             for i in range(len(grids) - 1)
         ]
         # eps-order on the finest grid, where the h^4 floor is smallest
-        r0, r1 = (_chart_residual_at(identity, cfg, k, coeff)[0] for cfg in eps_cfgs)
-        orders.append(("eps", f"{e0}->{e1}", r0, r1, e0 / e1))
+        orders.append(("eps", f"{e0}->{e1}", r[-2], r[-1], e0 / e1))
         rows += [
             {
                 "identity": identity,

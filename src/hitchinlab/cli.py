@@ -18,8 +18,8 @@ basis
     (torus) or solved-section defects (chart).
 
 Bad input (for example a level below 1, fewer than one step, a parameter
-with Im tau <= 0, eps <= 0 or a chart grid with no interior) is reported on
-one ``error:`` line with exit code 2.
+with Im tau <= 0, eps <= 0, a chart grid with no interior or an eps pair of
+other than two values) is reported on one ``error:`` line with exit code 2.
 """
 
 from __future__ import annotations
@@ -108,12 +108,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _base_config(args)
     identities = _csv_names(args.identities) if args.identities else SWEEPABLE
-    grids = _csv_ints(args.grids)
-    e0, e1 = _csv_floats(args.eps_pair)
     rows = sweep_orders(
         identities,
-        grids=grids,
-        eps_pair=(e0, e1),
+        grids=_csv_ints(args.grids),
+        eps_pair=_csv_floats(args.eps_pair),
         k=args.level,
         radius=cfg.radius,
         sigma=cfg.sigma,
@@ -136,11 +134,9 @@ def _cmd_transport(args: argparse.Namespace) -> int:
     path = _csv_complex(args.path)
     if args.k < 1:  # checked before np.eye(k) fails on a negative size
         raise ValueError(f"transport needs a positive level, got k = {args.k}")
-    res = transport(fam, args.k, path, np.eye(args.k), steps=args.steps, eps=cfg.eps)
+    res = transport(fam, args.k, path, np.eye(args.k), steps=args.steps)
     if args.loop_radius > 0:
-        off, _ = loop_offscalar(
-            fam, args.k, path[0], args.loop_radius, steps=args.steps, eps=cfg.eps
-        )
+        off, _ = loop_offscalar(fam, args.k, path[0], args.loop_radius, steps=args.steps)
     dev = float(np.max(np.abs(res.end - res.start)))
     print(f"path {' -> '.join(str(p) for p in path)}  level {args.k}  steps {args.steps}")
     print(f"endpoint deviation from oracle: {dev:.3e}")
@@ -155,8 +151,9 @@ def _cmd_transport(args: argparse.Namespace) -> int:
 
 def _cmd_basis(args: argparse.Namespace) -> int:
     cfg = _base_config(args)
+    if args.k is not None:
+        cfg = replace(cfg, levels=(args.k,))
     backend = cfg.backend if cfg.backend != "both" else "torus"
-    levels = (args.k,) if args.k else cfg.levels
     worst = 0.0
     if backend == "torus":
         from .families import TorusFamily
@@ -167,7 +164,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
         fam = TorusFamily(grid)
         taus = (complex(args.tau),) if args.tau else cfg.taus
         for tau in taus:
-            for k in levels:
+            for k in cfg.levels:
                 basis = theta_basis(grid, k, tau)
                 G = gram(grid, k, tau, basis)
                 golden = np.sqrt(2 * np.pi / k)
@@ -193,7 +190,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
     )
     sigma = complex(args.sigma) if args.sigma else cfg.sigma
     print(f"generated family: radius {cfg.radius}, report {report}")
-    for k in levels:
+    for k in cfg.levels:
         bd = bundle_data(fam, sigma, k)
         ts = chart_sections(bd)
         defects = "  ".join(f"{d:.2e}" for d in ts.defects)

@@ -268,7 +268,7 @@ class Family:
     """Base class: subclasses provide ``J_at`` and ``dw_at``."""
 
     grid: Grid
-    omega0: float
+    omega0: float = DEFAULT_OMEGA0
     label: str = "family"
     normalized_potential: bool = False
 
@@ -296,9 +296,8 @@ class Family:
 class TorusFamily(Family):
     r"""Unit torus, :math:`\omega = 2\pi\,dx\wedge dy`, :math:`w = x + \tau y`."""
 
-    def __init__(self, grid: TorusGrid, omega0: float = DEFAULT_OMEGA0):
+    def __init__(self, grid: TorusGrid):
         self.grid = grid
-        self.omega0 = omega0
         self.label = "torus"
         self.normalized_potential = True
 
@@ -347,13 +346,11 @@ class ChartFamily(Family):
         grid: ChartGrid,
         mu_at: Callable[[complex, Array], Array],
         w_at: Callable[[complex, Array], Array],
-        omega0: float = DEFAULT_OMEGA0,
         label: str = "chart",
     ):
         self.grid = grid
         self._mu_at = mu_at
         self._w_at = w_at
-        self.omega0 = omega0
         self.label = label
         self.normalized_potential = False
 
@@ -391,7 +388,6 @@ def _poly_series_family(
     grid: ChartGrid,
     mu_series: list[dict],
     w_series: list[dict],
-    omega0: float,
     label: str,
 ) -> ChartFamily:
     wzs = [_pdz(p) for p in w_series]
@@ -414,14 +410,13 @@ def _poly_series_family(
                 wzb = wzb + sigma**j * _peval(wzbs[j], z)
         return wz, wzb
 
-    return ChartFamily(grid, mu_at, w_at, omega0=omega0, label=label)
+    return ChartFamily(grid, mu_at, w_at, label=label)
 
 
 def rigid_family(
     grid: ChartGrid,
     f_coeffs: dict[int, complex],
     order: int = 8,
-    omega0: float = DEFAULT_OMEGA0,
     radius: float = 0.1,
 ) -> tuple[ChartFamily, GeneratorReport]:
     r"""Generate a family whose variation is :math:`f(w)\partial_w^{\otimes 2}`.
@@ -454,12 +449,12 @@ def rigid_family(
         wzinv = _series_inv(wz, j - 1)
         wzinv2 = _series_mul(wzinv, wzinv, j - 1)
         rhs = _series_mul(rhs, wzinv2, j - 1)
-        mu_series[j] = _pscale(rhs[j - 1], omega0 / (4.0 * j))
+        mu_series[j] = _pscale(rhs[j - 1], DEFAULT_OMEGA0 / (4.0 * j))
         beltrami = dict(mu_series[j])
         for i in range(1, j):
             beltrami = _padd(beltrami, _pmul(mu_series[i], _pdz(w_series[j - i])))
         w_series[j] = _pint_zbar(beltrami)
-    fam = _poly_series_family(grid, mu_series, w_series, omega0, label="chart-rigid")
+    fam = _poly_series_family(grid, mu_series, w_series, label="chart-rigid")
     z = fam.z
     mu_sup = 0.0
     for phase in (1.0, 1j, (1 + 1j) / np.sqrt(2)):
@@ -473,33 +468,31 @@ def rigid_family(
     return fam, report
 
 
-def nonrigid_family(grid: ChartGrid, omega0: float = DEFAULT_OMEGA0) -> ChartFamily:
+def nonrigid_family(grid: ChartGrid) -> ChartFamily:
     r"""Adversarial family with :math:`G(V) = \bar z\,\partial_z\otimes\partial_z`
     at the base point: the variation is antiholomorphic, so the rigidity
     gate must reject it."""
 
     def mu_at(sigma: complex, z: Array) -> Array:
-        return sigma * (omega0 / 4.0) * np.conj(z)
+        return sigma * (DEFAULT_OMEGA0 / 4.0) * np.conj(z)
 
     def w_at(sigma: complex, z: Array) -> tuple[Array, Array]:
         # w = z + sigma (omega0/4) zbar^2/2 solves the Beltrami equation exactly
-        return np.ones_like(z), sigma * (omega0 / 4.0) * np.conj(z)
+        return np.ones_like(z), sigma * (DEFAULT_OMEGA0 / 4.0) * np.conj(z)
 
-    return ChartFamily(grid, mu_at, w_at, omega0=omega0, label="chart-nonrigid")
+    return ChartFamily(grid, mu_at, w_at, label="chart-nonrigid")
 
 
-def nonholo_family(
-    grid: ChartGrid, c: complex = 1.0, omega0: float = DEFAULT_OMEGA0
-) -> ChartFamily:
+def nonholo_family(grid: ChartGrid) -> ChartFamily:
     """Adversarial family depending on Re(sigma) only: not holomorphic."""
 
     def mu_at(sigma: complex, z: Array) -> Array:
-        return sigma.real * (omega0 * c / 4.0) * np.ones_like(z)
+        return sigma.real * (DEFAULT_OMEGA0 / 4.0) * np.ones_like(z)
 
     def w_at(sigma: complex, z: Array) -> tuple[Array, Array]:
-        return np.ones_like(z), sigma.real * (omega0 * c / 4.0) * np.ones_like(z)
+        return np.ones_like(z), sigma.real * (DEFAULT_OMEGA0 / 4.0) * np.ones_like(z)
 
-    return ChartFamily(grid, mu_at, w_at, omega0=omega0, label="chart-nonholo")
+    return ChartFamily(grid, mu_at, w_at, label="chart-nonholo")
 
 
 # ---------------------------------------------------------------------------

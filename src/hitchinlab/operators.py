@@ -170,9 +170,9 @@ def u_apply(bd: BundleData, G: Array, f: Array) -> Array:
 class TestSections:
     """Numerically holomorphic section coefficients with their defects."""
 
-    values: Array  # (count, n, n)
+    values: Array  # (m, n, n)
     defects: tuple[float, ...]  # relative (0,1)-derivative residuals
-    coeff: Array | None = None  # chart Chebyshev coefficients (count, d+1, d+1)
+    coeff: Array | None = None  # chart Chebyshev coefficients (m, d+1, d+1)
 
 
 def section_on(grid: ChartGrid, C: Array) -> Array:
@@ -205,15 +205,12 @@ def torus_sections(bd: BundleData) -> TestSections:
     return TestSections(values=basis, defects=tuple(defects))
 
 
-def chart_sections(
-    bd: BundleData,
-    count: int = 2,
-    deg: int | None = None,
-) -> TestSections:
-    r"""Numerically holomorphic sections by constrained least squares.
+def chart_sections(bd: BundleData) -> TestSections:
+    r"""Two numerically holomorphic sections by constrained least squares.
 
     The design operator evaluates the (0,1) covariant derivative of each
-    tensor-Chebyshev basis element on every interior node.  Its
+    tensor-Chebyshev basis element on every node of the grid, the margin
+    included.  Its
     numerical kernel is high-dimensional (any holomorphic factor below
     the basis degree), so the representative is pinned by anchor-value
     constraints (value 1 at one point; additionally a zero for the
@@ -221,14 +218,13 @@ def chart_sections(
     stacked system selects the smoothest such element.  Determinism and
     smoothness are what the finite-difference budgets of the identity
     runs rely on; defects are the measured (0,1)-derivative residuals
-    of the result, not the optimizer's claim.
+    of the result over the same nodes, not the optimizer's claim.
     """
     grid: ChartGrid = bd.grid
     st = bd.state
-    if deg is None:
-        # the sections decay like exp(-k w0 |z|^2 / 4); steeper levels
-        # need more polynomial headroom before the defect floor is hit
-        deg = min(14 + 2 * int(round(bd.k)), 26)
+    # the sections decay like exp(-k w0 |z|^2 / 4); steeper levels
+    # need more polynomial headroom before the defect floor is hit
+    deg = min(14 + 2 * int(round(bd.k)), 26)
     u1 = (grid.x[:, 0] - grid.center[0]) / grid.half
     v1 = (grid.y[0, :] - grid.center[1]) / grid.half
     Vx = _cheb.chebvander(u1, deg)  # (n, deg+1)
@@ -258,8 +254,7 @@ def chart_sections(
     values = []
     defects = []
     coeffs = []
-    for r in range(count):
-        anchors = [(a0, 1.0)] if r == 0 else [(a0, 0.0), (a1, 1.0)]
+    for anchors in ([(a0, 1.0)], [(a0, 0.0), (a1, 1.0)]):
         R = np.stack([value_row(a) for a, _ in anchors])
         t = np.array([val for _, val in anchors], dtype=complex)
         stacked = np.vstack([D, kappa * R])

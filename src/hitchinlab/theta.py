@@ -176,9 +176,9 @@ def gram(grid: TorusGrid, k: int, tau: complex, basis: Array) -> Array:
     return weight * np.einsum("iab,jab->ij", basis, np.conj(basis)) / grid.n**2
 
 
-def gram_rank(G: Array, rtol: float = 1e-10) -> int:
+def gram_rank(G: Array) -> int:
     ev = np.linalg.eigvalsh(G)
-    return int(np.sum(ev > rtol * ev.max()))
+    return int(np.sum(ev > 1e-10 * ev.max()))
 
 
 def heat_mode_residual(k: int, tau: complex) -> float:
@@ -270,8 +270,6 @@ def transport(
     path,
     c0: Array,
     steps: int = 1000,
-    eps: float = 1e-4,
-    exact: bool = True,
 ) -> TransportResult:
     r"""Fixed-step RK4 integration of :math:`\dot c = -M(t)\,c`.
 
@@ -279,7 +277,8 @@ def transport(
     sequence of waypoints joined by straight segments); directions are
     the path velocity.  The endpoint coefficients express the
     transported section in the holomorphic basis at the endpoint.
-    Coefficients may be a vector or a matrix of stacked columns.
+    Coefficients may be a vector or a matrix of stacked columns.  The
+    connection matrices take the closed-form torus variations.
     """
     if steps < 1:
         raise ValueError(f"transport needs at least one step, got steps = {steps}")
@@ -299,7 +298,7 @@ def transport(
         dt = 1e-6
         t_hi, t_lo = min(t + dt, 1.0), max(t - dt, 0.0)
         vel = (path(t_hi) - path(t_lo)) / (t_hi - t_lo)
-        pd = connection_matrix(fam, tau, k, vel, eps, exact)
+        pd = connection_matrix(fam, tau, k, vel)
         max_defect = max(max_defect, pd.defect)
         memo[key] = pd.M
         return pd.M
@@ -339,8 +338,6 @@ def loop_offscalar(
     center: complex,
     radius: float,
     steps: int = 200,
-    eps: float = 1e-4,
-    exact: bool = True,
 ) -> tuple[float, Array]:
     """Transport the full basis around a parameter circle.
 
@@ -351,7 +348,7 @@ def loop_offscalar(
     def path(t: float) -> complex:
         return center + radius * np.exp(2j * np.pi * t)
 
-    L = transport(fam, k, path, np.eye(k, dtype=complex), steps, eps, exact).end
+    L = transport(fam, k, path, np.eye(k, dtype=complex), steps).end
     lam = np.trace(L) / k
     off = np.linalg.norm(L - lam * np.eye(k), 2) / max(abs(lam), 1e-300)
     return float(off), L

@@ -128,6 +128,25 @@ def test_states_are_built_once_under_threads(monkeypatch):
     assert len(got) == 2 and got[0] is got[1]
 
 
+def test_sweep_builds_each_configuration_once(monkeypatch):
+    calls = {"sections": 0, "families": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(catalog, "chart_sections", counted("sections", catalog.chart_sections))
+    monkeypatch.setattr(catalog, "rigid_family", counted("families", catalog.rigid_family))
+    grids = (24, 32)
+    rows = catalog.sweep_orders(SWEEPABLE, grids=grids)
+    # one frozen section on the coarsest grid; one family per grid and per eps step
+    assert calls == {"sections": 1, "families": len(grids) + 2}
+    assert len(rows) == len(SWEEPABLE) * len(grids)  # one h and one eps order each
+
+
 _bad_im = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
 
 

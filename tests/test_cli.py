@@ -197,8 +197,10 @@ def test_basis_subcommand_chart(capsys):
         (["sweep", "--eps-pair", "0.1,0.1"], "two distinct eps steps"),
         (["sweep", "--grids", "64"], "two or more distinct grids"),
         (["sweep", "--level", "0"], "levels must be at least 1"),
+        (["sweep", "--eps-pair", "0.1,0.05,0.02"], "eps pair"),
         (["basis", "--backend", "chart", "--grid", "12"], "no interior"),
         (["basis", "--backend", "torus", "--grid", "16", "--tau", "1-1j"], "Im tau > 0"),
+        (["basis", "--backend", "torus", "--k", "0", "--grid", "32"], "levels must be at least 1"),
     ],
     ids=[
         "verify_lower_half_plane",
@@ -210,8 +212,10 @@ def test_basis_subcommand_chart(capsys):
         "sweep_eps_equal",
         "sweep_one_grid",
         "sweep_level0",
+        "sweep_eps_three",
         "basis_grid12",
         "basis_lower_half_plane",
+        "basis_k0",
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):
