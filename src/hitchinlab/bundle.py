@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import Array, TorusGrid, max_norm
-from .families import Family, KahlerState, dir_deriv, step_for
+from .families import Family, KahlerState, dir_deriv
 
 # ---------------------------------------------------------------------------
 # gauges

@@ -49,6 +49,7 @@ from .bundle import (
 from .families import (
     ChartFamily,
     Family,
+    GeneratorReport,
     TorusFamily,
     build_once,
     nonholo_family,
@@ -101,6 +102,12 @@ from .theta import (
 
 DIRS = (1.0, 1j)
 CHART_COEFFS = {0: 0.1, 1: 0.15 + 0.1j}
+
+
+def chart_family(grid: int, radius: float) -> tuple[ChartFamily, GeneratorReport]:
+    """The catalog's chart family on a ``grid x grid`` chart, with the
+    generator report (``radius`` is the parameter radius it is sized for)."""
+    return rigid_family(ChartGrid(grid), CHART_COEFFS, order=8, radius=radius)
 
 
 @dataclass(frozen=True)
@@ -178,9 +185,7 @@ class Env:
                 if backend == "torus":
                     fam = TorusFamily(TorusGrid(self.cfg.grid))
                 else:
-                    fam, _ = rigid_family(
-                        ChartGrid(self.cfg.grid), CHART_COEFFS, order=8, radius=self.cfg.radius
-                    )
+                    fam, _ = chart_family(self.cfg.grid, self.cfg.radius)
                 self._families[backend] = fam
             return fam
 

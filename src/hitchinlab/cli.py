@@ -36,6 +36,7 @@ from .catalog import (
     MUTATIONS,
     RunConfig,
     SWEEPABLE,
+    chart_family,
     run_catalog,
     sweep_axis_ok,
     sweep_orders,
@@ -180,14 +181,9 @@ def _cmd_basis(args: argparse.Namespace) -> int:
                 worst = max(worst, gdev, mult, dbar, 0.0 if rank == k else 1.0)
         return 0 if worst <= 1e-8 else 1
     from .bundle import bundle_data
-    from .families import rigid_family
-    from .fields import ChartGrid
-    from .catalog import CHART_COEFFS
     from .operators import chart_sections
 
-    fam, report = rigid_family(
-        ChartGrid(cfg.grid), CHART_COEFFS, order=8, radius=cfg.radius
-    )
+    fam, report = chart_family(cfg.grid, cfg.radius)
     sigma = complex(args.sigma) if args.sigma else cfg.sigma
     print(f"generated family: radius {cfg.radius}, report {report}")
     for k in cfg.levels:

@@ -48,13 +48,11 @@ from .fields import (
     Array,
     ChartGrid,
     Grid,
-    TensorField,
     TorusGrid,
     mat_mul,
     max_norm,
     proj_anti,
     proj_holo,
-    project_slot,
 )
 from .geometry import (
     christoffel,
@@ -180,7 +178,6 @@ class KahlerState:
     J: Array
     omega: Array
     g: Array
-    ginv: Array
     gamma: Array
     rho: Array
     dw: Array  # coframe components of the tracked holomorphic coordinate
@@ -210,7 +207,6 @@ def make_state(family: "Family", sigma: complex) -> KahlerState:
     J = family.J_at(sigma)
     omega = make_omega(grid, family.omega0)
     g = compatible_metric(omega, J)
-    ginv = inv2(g)
     gamma = christoffel(grid, g)
     rho = ricci_form(grid, gamma, J)
     dw = family.dw_at(sigma)
@@ -227,7 +223,6 @@ def make_state(family: "Family", sigma: complex) -> KahlerState:
         J=J,
         omega=omega,
         g=g,
-        ginv=ginv,
         gamma=gamma,
         rho=rho,
         dw=dw,
@@ -542,21 +537,18 @@ def variation_tensors(st: KahlerState, VJ: Array) -> tuple[Array, Array]:
 
 @dataclass
 class Variation:
-    r"""Parameter variation tensors at one (sigma, direction) pair.
+    r"""Family gates at one (sigma, direction) pair.
 
-    ``v`` encodes a real tangent direction of the parameter plane;
-    ``VJ`` is the derivative of J along it and ``Gt``, ``G`` are its
-    tensors (:func:`variation_tensors`).  The residuals are the family
-    gates: they are *measured*, and identity runs report them rather than
-    assuming them.
+    Each residual is a sup over ``grid.interior()`` of a property of the
+    variation :math:`V[J]` along the real direction ``v`` and of its
+    tensors :math:`\tilde G(V)`, :math:`G(V)` (:func:`variation_tensors`):
+    :math:`V[J]` anticommutes with :math:`J`, :math:`\tilde G(V)` is
+    symmetric, the :math:`(1,0)` parameter part of :math:`V[J]` maps
+    :math:`(0,1)` to :math:`(1,0)` vectors, and :math:`G(V)` is rigid
+    (its :math:`(0,1)` covariant derivative vanishes).  The gates are
+    *measured*, and identity runs report them rather than assuming them.
     """
 
-    sigma: complex
-    v: complex
-    eps: float
-    VJ: Array
-    Gt: Array
-    G: Array
     anticommute_residual: float
     symmetry_residual: float
     holomorphy_residual: float
@@ -588,17 +580,11 @@ def variation(
         max_norm(mat_mul(P, mat_mul(VJ_anti, Q)), mask),
     )
 
-    # rigidity gate: (0,1) covariant derivative of G
-    nablaG = cov_deriv(st.grid, st.gamma, TensorField(G.astype(complex), "uu"))
-    rig = max_norm(project_slot(nablaG, 0, st.J, "anti").comps, mask)
+    # rigidity gate: (0,1) covariant derivative of G, pi^{0,1} on the new slot
+    nablaG = cov_deriv(st.grid, st.gamma, G.astype(complex), "uu")
+    rig = max_norm(np.einsum("az...,abc...->zbc...", Q, nablaG), mask)
 
     return Variation(
-        sigma=complex(sigma),
-        v=complex(v),
-        eps=eps,
-        VJ=VJ,
-        Gt=Gt,
-        G=G,
         anticommute_residual=anti,
         symmetry_residual=sym,
         holomorphy_residual=holo,

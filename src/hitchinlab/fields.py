@@ -1,4 +1,4 @@
-"""Grids, derivative operators, and real-indexed tensor fields.
+"""Grids, derivative operators, and pointwise algebra of real-indexed tensors.
 
 Two backends share one calculus interface:
 
@@ -9,25 +9,24 @@ Two backends share one calculus interface:
   differences (central stencils in the interior, one-sided at the
   boundary); residual norms are evaluated on an interior mask.
 
-Tensor fields carry *real* frame indices: component arrays of shape
-``(2,)*rank + (n, n)`` over the coordinate frame ``(d/dx, d/dy)`` or its
-dual, with a variance signature such as ``"ud"`` (up = vector slot,
-down = covector slot).  Complex structures, projectors, metrics and
-two-forms are rank-2 fields of this kind; all contractions are plain
-``einsum`` calls over the leading index axes.
+Tensor fields are plain component arrays with *real* frame indices, of
+shape ``(2,)*rank + (n, n)`` over the coordinate frame ``(d/dx, d/dy)`` or
+its dual.  Which slots are vectors and which are covectors is not stored:
+the one routine that needs it, ``geometry.cov_deriv``, takes it as an
+argument.  Complex structures, projectors, metrics and two-forms are
+rank-2 fields of this kind; all contractions are plain ``einsum`` calls
+over the leading index axes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
 Array = np.ndarray
-
-# Slot index letters available to einsum-based contractions.
-_LETTERS = "abcdefgh"
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +54,6 @@ class TorusGrid:
     def shape(self) -> tuple[int, int]:
         return (self.n, self.n)
 
-    @property
-    def periodic(self) -> bool:
-        return True
-
     @cached_property
     def _ik(self) -> Array:
         # 2*pi*i * integer wavenumbers, for unit period.
@@ -75,10 +70,6 @@ class TorusGrid:
     def interior(self) -> Array:
         return np.ones(self.shape, dtype=bool)
 
-    def mean(self, f: Array) -> Array:
-        """Grid mean == trapezoidal quadrature / area on a periodic grid."""
-        return np.mean(f, axis=(-2, -1))
-
 
 # 4th-order one-sided first-derivative stencils (rows: boundary point,
 # next-to-boundary point), offsets 0..4 and -1..3 respectively.
@@ -90,16 +81,18 @@ _EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 class ChartGrid:
     """Uniform ``n x n`` grid on a closed box with 4th-order differences.
 
-    The box is ``[cx-half, cx+half] x [cy-half, cy+half]`` including the
-    endpoints; ``h = 2*half/(n-1)``.  Boundary derivatives use one-sided
+    The box is ``[cx-half, cx+half] x [cy-half, cy+half]`` with the fixed
+    ``center = (cx, cy)`` and ``half``, endpoints included;
+    ``h = 2*half/(n-1)``.  Boundary derivatives use one-sided
     4th-order stencils so that composed operators remain well defined
-    everywhere, but accuracy claims are made only on :meth:`interior`.
+    everywhere, but accuracy claims are made only on :meth:`interior`,
+    the nodes at least ``margin`` points away from the boundary.
     """
 
     n: int
-    half: float = 0.5
-    center: tuple[float, float] = (0.0, 0.0)
-    margin: int = 6
+    half: ClassVar[float] = 0.5
+    center: ClassVar[tuple[float, float]] = (0.0, 0.0)
+    margin: ClassVar[int] = 6
 
     @property
     def h(self) -> float:
@@ -119,10 +112,6 @@ class ChartGrid:
     def shape(self) -> tuple[int, int]:
         return (self.n, self.n)
 
-    @property
-    def periodic(self) -> bool:
-        return False
-
     def deriv(self, f: Array, axis: int) -> Array:
         """4th-order finite-difference partial derivative along ``axis``."""
         g = np.moveaxis(np.asarray(f, dtype=complex), axis, -1)
@@ -137,67 +126,19 @@ class ChartGrid:
         out /= self.h
         return np.moveaxis(out, -1, axis)
 
-    def interior(self, margin: int | None = None) -> Array:
-        m = self.margin if margin is None else margin
+    def interior(self) -> Array:
+        m = self.margin
         mask = np.zeros(self.shape, dtype=bool)
         mask[m : self.n - m, m : self.n - m] = True
         return mask
-
-    def mean(self, f: Array) -> Array:
-        """Trapezoidal quadrature / area over the closed box."""
-        w = np.ones(self.n)
-        w[0] = w[-1] = 0.5
-        ww = np.outer(w, w)
-        return np.sum(f * ww, axis=(-2, -1)) / np.sum(ww)
 
 
 Grid = TorusGrid | ChartGrid
 
 
 # ---------------------------------------------------------------------------
-# tensor fields
+# pointwise algebra
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class TensorField:
-    """Tensor field in the real coordinate frame.
-
-    ``comps`` has shape ``(2,)*rank + grid.shape``; ``variance`` holds one
-    character per slot, ``'u'`` (vector) or ``'d'`` (covector).  Rank-0
-    fields (``variance == ""``) wrap plain scalar grids.
-    """
-
-    comps: Array
-    variance: str
-
-    def __post_init__(self) -> None:
-        if self.comps.shape[: len(self.variance)] != (2,) * len(self.variance):
-            raise ValueError("component shape does not match variance signature")
-
-    @property
-    def rank(self) -> int:
-        return len(self.variance)
-
-
-def apply_matrix(m: Array, t: TensorField, slot: int) -> TensorField:
-    """Apply an endomorphism field ``m[a, b]`` to one slot of ``t``.
-
-    Up slots transform with ``m``, down slots with its transpose inverse
-    convention ``(m^T)``: ``(m . t)_a = m[b, a] t_b`` so that natural
-    pairings are preserved when ``m`` is a projector applied to both
-    factors.
-    """
-    s = list(_LETTERS[: t.rank])
-    new = "z"
-    if t.variance[slot] == "u":
-        sub = f"z{s[slot]}...,{''.join(s)}...->"
-    else:
-        sub = f"{s[slot]}z...,{''.join(s)}...->"
-    out = s.copy()
-    out[slot] = new
-    comps = np.einsum(sub + "".join(out) + "...", m, t.comps)
-    return TensorField(comps, t.variance)
 
 
 def mat_mul(a: Array, b: Array) -> Array:
@@ -220,17 +161,6 @@ def proj_holo(J: Array) -> Array:
 def proj_anti(J: Array) -> Array:
     r"""Type projector :math:`\pi^{0,1} = \tfrac12(\mathrm{Id} + iJ)` on vectors."""
     return 0.5 * (identity_like(J) + 1j * J)
-
-
-def project_slot(t: TensorField, slot: int, J: Array, kind: str) -> TensorField:
-    """Project one slot onto its (1,0) (``kind='holo'``) or (0,1) part.
-
-    For a covector slot the projector dualizes: the (1,0) part of a
-    one-form annihilates antiholomorphic vectors, i.e. it is composition
-    with :math:`\\pi^{1,0}` on the argument.
-    """
-    P = proj_holo(J) if kind == "holo" else proj_anti(J)
-    return apply_matrix(P, t, slot)
 
 
 def max_norm(f: Array, mask: Array | None = None) -> float:

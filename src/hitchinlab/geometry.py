@@ -8,8 +8,9 @@ and differential constructions downstream code needs:
 
 * compatible metric, inverse, Levi-Civita symbols, curvature,
   Ricci form :math:`\rho(X, Y) = r(JX, Y)`;
-* covariant derivatives of arbitrary tensor fields (used for the
-  divergence-type traces in the operator identities).
+* covariant derivatives of tensor fields, given as a component array
+  and a variance string (used for the divergence-type traces in the
+  operator identities).
 
 Curvature conventions: :math:`R(X,Y)Z = \nabla_X\nabla_Y Z
 - \nabla_Y\nabla_X Z - \nabla_{[X,Y]}Z` and
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Array, Grid, TensorField
+from .fields import Array, Grid
 
 # ---------------------------------------------------------------------------
 # pointwise algebra
@@ -94,21 +95,24 @@ def ricci_form(grid: Grid, gamma: Array, J: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def cov_deriv(grid: Grid, gamma: Array, t: TensorField) -> TensorField:
+def cov_deriv(grid: Grid, gamma: Array, comps: Array, variance: str) -> Array:
     r"""Levi-Civita covariant derivative; the new covector slot comes first.
 
-    For each up slot ``(\nabla t)`` gains :math:`+\Gamma^b{}_{ae}t^{e}`,
-    for each down slot :math:`-\Gamma^e{}_{ab}t_{e}`.
+    ``comps`` has shape ``(2,)*rank + grid.shape`` and ``variance`` holds
+    one character per slot, ``'u'`` (vector) or ``'d'`` (covector).  For
+    each up slot ``(\nabla t)`` gains :math:`+\Gamma^b{}_{ae}t^{e}`, for
+    each down slot :math:`-\Gamma^e{}_{ab}t_{e}`.  The result has variance
+    ``"d" + variance``.
     """
-    comps = np.stack([grid.deriv(t.comps, -2), grid.deriv(t.comps, -1)])
-    letters = "bcdefgh"[: t.rank]
-    for i, v in enumerate(t.variance):
+    out = np.stack([grid.deriv(comps, -2), grid.deriv(comps, -1)])
+    letters = "bcdefgh"[: len(variance)]
+    for i, v in enumerate(variance):
         s = list(letters)
         s[i] = "z"
         src = "".join(s)
         if v == "u":
-            corr = np.einsum(f"{letters[i]}az...,{src}...->a{letters}...", gamma, t.comps)
+            corr = np.einsum(f"{letters[i]}az...,{src}...->a{letters}...", gamma, comps)
         else:
-            corr = -np.einsum(f"za{letters[i]}...,{src}...->a{letters}...", gamma, t.comps)
-        comps = comps + corr
-    return TensorField(comps, "d" + t.variance)
+            corr = -np.einsum(f"za{letters[i]}...,{src}...->a{letters}...", gamma, comps)
+        out = out + corr
+    return out

@@ -59,7 +59,7 @@ from .bundle import (
     sec_grad,
 )
 from .families import Family, KahlerState, d_holo, dir_deriv, variation_tensors, vj_of
-from .fields import Array, ChartGrid, TensorField, max_norm
+from .fields import Array, ChartGrid, max_norm
 from .geometry import cov_deriv
 
 # ---------------------------------------------------------------------------
@@ -91,14 +91,14 @@ def dF_holo(st: KahlerState, F: Array) -> Array:
 
 def trace_nabla(st: KahlerState, T: Array) -> Array:
     r"""Divergence :math:`(\operatorname{Tr}\tilde\nabla T)^b = \tilde\nabla_a T^{ab}`."""
-    nT = cov_deriv(st.grid, st.gamma, TensorField(T.astype(complex), "uu"))
-    return np.einsum("aab...->b...", nT.comps)
+    nT = cov_deriv(st.grid, st.gamma, T.astype(complex), "uu")
+    return np.einsum("aab...->b...", nT)
 
 
 def trace_nabla_endo(st: KahlerState, T: Array) -> Array:
     r"""One-form :math:`\tilde\nabla_a T^a{}_b` for an endomorphism-valued field."""
-    nT = cov_deriv(st.grid, st.gamma, TensorField(T.astype(complex), "ud"))
-    return np.einsum("aab...->b...", nT.comps)
+    nT = cov_deriv(st.grid, st.gamma, T.astype(complex), "ud")
+    return np.einsum("aab...->b...", nT)
 
 
 def _section_ratio(err: Array, scale: Array, s: Array, mask: Array) -> Array:
@@ -144,7 +144,7 @@ def H_of(st: KahlerState, G: Array, F: Array, flip: str | None = None) -> Array:
     pF = dF_holo(st, F)
     quad = np.einsum("a...,ab...,b...->...", pF, G, pF)
     GdF = np.einsum("ab...,b...->a...", G, pF)
-    div = np.einsum("aa...->...", cov_deriv(st.grid, st.gamma, TensorField(GdF, "u")).comps)
+    div = np.einsum("aa...->...", cov_deriv(st.grid, st.gamma, GdF, "u"))
     s_quad = -1.0 if flip != "quad" else 1.0
     s_div = -1.0 if flip != "div" else 1.0
     return s_quad * quad + s_div * div
@@ -409,7 +409,7 @@ def levicivita_variation_residual(family: Family, sigma: complex, v: complex, ep
     vgamma = dir_deriv(lambda s: family.state(s).gamma, sigma, v, eps)
     lhs = np.einsum("cd...,dab...->abc...", st.g, vgamma)
     vg = dir_deriv(lambda s: family.state(s).g, sigma, v, eps)
-    D = cov_deriv(st.grid, st.gamma, TensorField(vg.astype(complex), "dd")).comps
+    D = cov_deriv(st.grid, st.gamma, vg.astype(complex), "dd")
     rhs = 0.5 * (
         D
         + np.einsum("bac...->abc...", D)

@@ -239,8 +239,6 @@ def connection_matrix(
 
 @dataclass
 class TransportResult:
-    path: tuple[complex, ...]
-    steps: int
     start: Array  # coefficients at the start
     end: Array  # coefficients at the end
     max_defect: float  # worst projection defect along the path
@@ -285,29 +283,20 @@ def transport(
     path = _as_path(path)
     grid = fam.grid
     h = 1.0 / steps
-    c = np.asarray(c0, dtype=complex).copy()
-    max_defect = 0.0
-    memo: dict[float, Array] = {}
 
-    def M_at(t: float) -> Array:
-        nonlocal max_defect
-        key = round(t, 12)
-        if key in memo:
-            return memo[key]
-        tau = path(t)
+    def matrix_at(t: float) -> ProjectionData:
         dt = 1e-6
         t_hi, t_lo = min(t + dt, 1.0), max(t - dt, 0.0)
         vel = (path(t_hi) - path(t_lo)) / (t_hi - t_lo)
-        pd = connection_matrix(fam, tau, k, vel)
-        max_defect = max(max_defect, pd.defect)
-        memo[key] = pd.M
-        return pd.M
+        return connection_matrix(fam, path(t), k, vel)
 
+    # RK4 needs M at every step start, midpoint and end; a step's end is the
+    # next step's start, so entry 2*i is the start of step i
+    ts = [0.0] + [t for i in range(steps) for t in (i * h + 0.5 * h, i * h + h)]
+    data = [matrix_at(t) for t in ts]
+    c = np.asarray(c0, dtype=complex).copy()
     for i in range(steps):
-        t = i * h
-        M1 = M_at(t)
-        M2 = M_at(t + 0.5 * h)
-        M4 = M_at(t + h)
+        M1, M2, M4 = (pd.M for pd in data[2 * i : 2 * i + 3])
         k1 = -M1 @ c
         k2 = -M2 @ (c + 0.5 * h * k1)
         k3 = -M2 @ (c + 0.5 * h * k2)
@@ -323,11 +312,9 @@ def transport(
     n1 = float(np.einsum("im,ij,jm->", np.conj(cm), G1, cm).real)
     drift = abs(n1 - n0) / max(n0, 1e-300)
     return TransportResult(
-        path=(tau0, tau1),
-        steps=steps,
         start=np.asarray(c0, dtype=complex),
         end=c,
-        max_defect=max_defect,
+        max_defect=max([0.0] + [pd.defect for pd in data]),
         norm_drift=drift,
     )
 

@@ -3,9 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hitchinlab.catalog import CHART_COEFFS
-from hitchinlab.families import TorusFamily, rigid_family
-from hitchinlab.fields import ChartGrid, TorusGrid
+from hitchinlab.catalog import chart_family
+from hitchinlab.families import TorusFamily
+from hitchinlab.fields import TorusGrid
 
 # Deterministic chart test family: the free datum of the default catalog
 # configuration, smaller grid so unit tests stay fast.
@@ -25,8 +25,7 @@ def torus64() -> TorusFamily:
 
 @pytest.fixture(scope="session")
 def chart48():
-    fam, report = rigid_family(ChartGrid(48), CHART_COEFFS, order=8, radius=0.35)
-    return fam, report
+    return chart_family(48, radius=0.35)
 
 
 def rel_dev(a: np.ndarray, b: np.ndarray) -> float:

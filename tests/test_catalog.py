@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +84,25 @@ def test_nonfinite_case_is_an_error(identity, backend, cases):
     assert row["cases"] == len(cases)
     text = format_catalog([row])
     assert "[ERROR]" in text and "<-- unexpected" in text and "1 unexpected" in text
+
+
+def test_bench_case_check_stays_active(monkeypatch):
+    # bench/workloads.CaseCheck wraps catalog._row and reads REGISTRY[*].runner;
+    # it switches itself off silently when one of them changes
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses resolve
+    spec.loader.exec_module(workloads)
+    monkeypatch.setattr(catalog, "_row", catalog._row)  # restored after the test
+    check = workloads.CaseCheck(catalog)
+    assert check.active
+    entry = next(e for e in REGISTRY if (e.identity, e.backend) == ("gram_rank", "torus"))
+    catalog._row(
+        dataclasses.replace(entry, runner=lambda e, b: [0.0, float("nan")]),
+        Env(RunConfig()),
+    )
+    assert check.bad == ["gram_rank/torus"]
 
 
 def test_sections_are_built_once_under_threads(monkeypatch):

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from hitchinlab.families import j_from_mu
 from hitchinlab.fields import (
     ChartGrid,
-    TensorField,
     TorusGrid,
-    apply_matrix,
     identity_like,
     mat_mul,
     max_norm,
@@ -26,12 +24,6 @@ def test_torus_spectral_derivative_exact():
     dfy = -4 * np.pi * np.sin(2 * np.pi * grid.x) * np.sin(4 * np.pi * grid.y)
     assert max_norm(grid.deriv(f, -2) - dfx) < 1e-11
     assert max_norm(grid.deriv(f, -1) - dfy) < 1e-11
-
-
-def test_torus_mean_is_exact_quadrature():
-    grid = TorusGrid(16)
-    f = 3.0 + np.sin(2 * np.pi * grid.x) + np.cos(2 * np.pi * grid.y)
-    assert abs(grid.mean(f) - 3.0) < 1e-14
 
 
 def test_chart_stencil_exact_on_quartics():
@@ -57,29 +49,13 @@ def test_chart_derivative_fourth_order():
 
 
 def test_chart_grid_geometry():
-    grid = ChartGrid(21, half=0.3, center=(0.1, -0.2))
-    assert grid.x[0, 0] == pytest.approx(-0.2)
-    assert grid.x[-1, 0] == pytest.approx(0.4)
+    grid = ChartGrid(21)
+    assert grid.x[0, 0] == pytest.approx(-0.5)
+    assert grid.x[-1, 0] == pytest.approx(0.5)
     assert grid.y[0, 0] == pytest.approx(-0.5)
-    assert grid.h == pytest.approx(0.6 / 20)
-    assert grid.interior(margin=3).sum() == 15 * 15
-    assert not grid.periodic
-
-
-def test_tensorfield_variance_validation():
-    grid = TorusGrid(8)
-    comps = np.zeros((2,) + grid.shape)
-    TensorField(comps, "u")
-    with pytest.raises(ValueError):
-        TensorField(comps, "uu")
-
-
-def test_apply_matrix_identity_is_noop():
-    rng = np.random.default_rng(2)
-    t = TensorField(rng.normal(size=(2, 2, 4, 4)), "ud")
-    eye = identity_like(np.zeros((2, 2, 4, 4)))
-    for slot in (0, 1):
-        assert np.allclose(apply_matrix(eye, t, slot).comps, t.comps)
+    assert grid.y[0, -1] == pytest.approx(0.5)
+    assert grid.h == pytest.approx(1.0 / 20)
+    assert grid.interior().sum() == (21 - 2 * ChartGrid.margin) ** 2
 
 
 def test_max_norm_mask():
@@ -118,16 +94,13 @@ def test_projectors_from_any_structure(mu):
 def test_projected_slots_are_type_pure(mu, data):
     field = np.full((3, 3), mu, dtype=complex)
     J = j_from_mu(field)
-    from hitchinlab.fields import project_slot
-
     comps = np.array(
         [
             data.draw(st.floats(-2, 2)) + 1j * data.draw(st.floats(-2, 2))
             for _ in range(2)
         ]
     )[:, None, None] * np.ones((2, 3, 3))
-    X = TensorField(comps, "u")
-    holo = project_slot(X, 0, J, "holo")
+    holo = np.einsum("za...,a...->z...", proj_holo(J), comps)
     # a (1,0) vector is an eigenvector of J with eigenvalue +i
-    JX = np.einsum("ab...,b...->a...", J, holo.comps)
-    assert max_norm(JX - 1j * holo.comps) < 1e-9
+    JX = np.einsum("ab...,b...->a...", J, holo)
+    assert max_norm(JX - 1j * holo) < 1e-9

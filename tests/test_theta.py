@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hitchinlab import theta
 from hitchinlab.fields import TorusGrid, max_norm
 from hitchinlab.theta import (
     _as_path,
@@ -127,6 +128,20 @@ def test_transport_vector_and_matrix_coefficients(torus32):
     res = transport(torus32, 2, (1j, 0.8 + 1.2j), c0, steps=60)
     assert res.end.shape == c0.shape
     assert float(np.max(np.abs(res.end - c0))) < 1e-9
+
+
+def test_transport_builds_each_connection_matrix_once(torus32, monkeypatch):
+    # RK4 reads M at each step start, midpoint and end, and a step's end is
+    # the next step's start: 2 * steps + 1 matrices
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return connection_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(theta, "connection_matrix", counted)
+    transport(torus32, 1, (1j, 1 + 1j), np.eye(1), steps=4)
+    assert len(calls) == len(set(calls)) == 9
 
 
 def test_loop_holonomy_is_scalar(torus32):
