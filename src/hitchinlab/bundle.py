@@ -147,12 +147,13 @@ def a_T(
     ``c`` is the frame coefficient of :math:`\pi^{1,0}V[\partial_w]`
     on :math:`\partial_w`; on the torus with direction ``v`` it equals
     :math:`v\,\tfrac{i}{2\operatorname{Im}\tau}` so
-    :math:`A_T = -v\,\tfrac{i}{4\operatorname{Im}\tau}`.
+    :math:`A_T = -v\,\tfrac{i}{4\operatorname{Im}\tau}`, which ``exact``
+    takes (torus only).  Torus rows use both: ``curvature_tm`` differentiates
+    the frame.
     """
+    if exact:
+        return family.a_t_exact(sigma, v)
     st = family.state(sigma)
-    if exact and isinstance(family.grid, TorusGrid):
-        val = -1j * v / (4.0 * sigma.imag)
-        return np.full(family.grid.shape, val, dtype=complex)
     VE = dir_deriv(lambda s: family.state(s).E, sigma, v, eps)
     c = np.einsum("a...,ab...,b...->...", st.dw, st.P, VE)
     return -0.5 * c
@@ -180,8 +181,7 @@ def curvature_mm(bd: BundleData) -> Array:
     the half-form part is a smooth field and is curled numerically.
     """
     st = bd.state
-    level = -1j * bd.k * (2.0 * np.pi if isinstance(st.grid, TorusGrid) else st.omega0)
-    return level + sec_plain_curl(st, bd.a_delta)
+    return -1j * bd.k * st.omega0 + sec_plain_curl(st, bd.a_delta)
 
 
 def sec_plain_curl(state: KahlerState, A: Array) -> Array:
@@ -205,14 +205,13 @@ def mm_commutator_residual(bd: BundleData, s: Array, target: Array) -> float:
     return max_norm(comm - target * s, mask) / max(max_norm(s, mask), 1e-300)
 
 
-def curvature_tt(
-    family: Family, sigma: complex, eps: float = 1e-4, exact: bool = False
-) -> Array:
+def curvature_tt(family: Family, sigma: complex, eps: float = 1e-4) -> Array:
     r"""Parameter-parameter curvature scalar :math:`R(\partial_1, \partial_2)`.
 
     The level part of the connection has no parameter dependence in this
     gauge, so the TT curvature is the parameter curl of ``A_T``.
     """
+    exact = family.closed_form
     d1 = dir_deriv(lambda s: a_T(family, s, 1j, eps, exact), sigma, 1.0, eps)
     d2 = dir_deriv(lambda s: a_T(family, s, 1.0, eps, exact), sigma, 1j, eps)
     return d1 - d2

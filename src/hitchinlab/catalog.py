@@ -21,6 +21,9 @@ Budgets follow the two error models of the backends:
 * chart rows use ``C * (eps_eff**2 + h**4)`` with per-identity constants
   ``C`` calibrated at grid 64 and checked against the measured
   convergence orders (``sweep_orders``); ``eps_eff = eps * (1 + |sigma|)``.
+  A row passes ``eps_eff`` as its step (``Case.eps``) and
+  ``families.dir_deriv`` scales it by ``(1 + |sigma|)`` again, so the step
+  actually taken is ``eps * (1 + |sigma|)**2``.
 
 Mutation hooks flip the sign of a single term inside a chosen identity
 (`MUTATIONS`); a healthy harness must then report a failure.
@@ -85,7 +88,6 @@ from .operators import (
 )
 from .theta import (
     connection_matrix,
-    dbar_residual,
     gram,
     gram_rank,
     heat_grid_residual,
@@ -241,10 +243,6 @@ class Case:
         return self.env.eps_at(self.p)
 
     @property
-    def exact(self) -> bool:
-        return self.backend == "torus"
-
-    @property
     def mask(self) -> Array:
         return self.fam.grid.interior()
 
@@ -301,21 +299,21 @@ def _curvature_mixed_potential(c: Case) -> float:
 
 
 def _curvature_param_commutator(c: Case) -> float:
-    ctt = curvature_tt(c.fam, c.p, c.eps, exact=c.exact)
-    rhs = param_commutator_curvature(c.fam, c.p, c.eps, exact=c.exact)
+    ctt = curvature_tt(c.fam, c.p, c.eps)
+    rhs = param_commutator_curvature(c.fam, c.p, c.eps)
     return max_norm(ctt - rhs, c.mask) / max(max_norm(ctt, c.mask), 1e-12)
 
 
 def _halfform_trace(c: Case) -> float:
     R, _ = frame_curvature_data(c.fam, c.p, c.eps)
     tr = np.einsum("aa...->...", R)
-    ctt = curvature_tt(c.fam, c.p, c.eps, exact=c.exact)
+    ctt = curvature_tt(c.fam, c.p, c.eps)
     return max_norm(-0.5 * tr - ctt, c.mask) / max(max_norm(ctt, c.mask), 1e-12)
 
 
 def _potential_constancy_corrected(c: Case) -> float:
     ptt = pot_tt(c.fam, potential_fn(c.fam, "ricci"), c.p, c.eps)
-    return _spread(ptt + curvature_tt(c.fam, c.p, c.eps, exact=c.exact), c.mask)
+    return _spread(ptt + curvature_tt(c.fam, c.p, c.eps), c.mask)
 
 
 def _reduction(c: Case, which: str) -> list[float]:
@@ -333,7 +331,7 @@ def _reduction(c: Case, which: str) -> list[float]:
         ctm = curvature_tm(c.fam, c.p, v, c.eps)
         out.append(max_norm(ctm + pot_mixed(c.fam, Ff, c.p, v, c.eps), c.mask))
     # parameter-parameter block (absolute)
-    ctt = curvature_tt(c.fam, c.p, c.eps, exact=c.exact)
+    ctt = curvature_tt(c.fam, c.p, c.eps)
     out.append(max_norm(ctt + pot_tt(c.fam, Ff, c.p, c.eps), c.mask))
     return out
 
@@ -341,17 +339,17 @@ def _reduction(c: Case, which: str) -> list[float]:
 def _comparison_potential(c: Case, which: str | None = None):
     # torus rows pin the flat potential (the pluriharmonic representative);
     # chart rows use the canonical one solving the curvature equation.
-    return potential_fn(c.fam, which or ("zero" if c.exact else "ricci"))
+    return potential_fn(c.fam, which or ("zero" if c.fam.closed_form else "ricci"))
 
 
 def _frame_comparison(c: Case, which: str | None = None) -> list[float]:
     Ff = _comparison_potential(c, which)
-    return list(frame_comparison_residuals(c.fam, Ff, c.p, c.v, c.eps, exact=c.exact))
+    return list(frame_comparison_residuals(c.fam, Ff, c.p, c.v, c.eps))
 
 
 def _connection_agreement(c: Case, which: str | None = None) -> float:
     Ff = _comparison_potential(c, which)
-    return connection_agreement_residual(c.fam, Ff, c.bd, c.v, c.s, c.eps, exact=c.exact)
+    return connection_agreement_residual(c.fam, Ff, c.bd, c.v, c.s, c.eps)
 
 
 def _gram_rank(c: Case) -> list[float]:
@@ -472,7 +470,7 @@ ROWS: dict[str, Row] = {
         ),
         Row(
             "curvature_param_vanishing", {TORUS: 1e-8, CHART: 10.0}, "p",
-            lambda c: max_norm(curvature_tt(c.fam, c.p, c.eps, exact=c.exact), c.mask),
+            lambda c: max_norm(curvature_tt(c.fam, c.p, c.eps), c.mask),
             fails=(TORUS, CHART),
             note=(
                 "parameter-parameter curvature is measurably nonzero "
@@ -491,12 +489,12 @@ ROWS: dict[str, Row] = {
         Row("halfform_trace", {TORUS: 1e-6, CHART: 10.0}, "p", _halfform_trace),
         Row(
             "potential_variation", {TORUS: 1e-8, CHART: 1.0}, "pv",
-            lambda c: potential_variation_residual(c.fam, c.p, c.v, c.eps, exact=c.exact),
+            lambda c: potential_variation_residual(c.fam, c.p, c.v, c.eps),
         ),
         Row(
             "potential_oneform", {TORUS: 1e-8, CHART: 10.0}, "pv",
             lambda c: potential_oneform_residual(
-                c.fam, c.p, c.v, c.eps, exact=c.exact, flip=c.env.flip("potential_oneform")
+                c.fam, c.p, c.v, c.eps, flip=c.env.flip("potential_oneform")
             ),
         ),
         Row(
@@ -531,22 +529,20 @@ ROWS: dict[str, Row] = {
         Row(
             "defining_equation", {TORUS: 1e-8, CHART: 60.0}, "pkvs",
             lambda c: eq_defining_residual(
-                c.fam, c.bd, c.v, c.s, c.eps,
-                exact=c.exact, flip=c.env.flip("defining_equation"),
+                c.fam, c.bd, c.v, c.s, c.eps, flip=c.env.flip("defining_equation")
             ),
             k_cubic=True,
         ),
         Row(
             "holomorphy_transfer", {TORUS: 1e-8, CHART: 300.0}, "pkvs",
             lambda c: eq_transfer_residual(
-                c.fam, c.bd, c.v, c.s, c.eps,
-                exact=c.exact, flip=c.env.flip("holomorphy_transfer"),
+                c.fam, c.bd, c.v, c.s, c.eps, flip=c.env.flip("holomorphy_transfer")
             ),
             k_cubic=True,
         ),
         Row(
             "divergence_closedness", {TORUS: 1e-8, CHART: 8000.0}, "pvs",
-            lambda c: eq_transfer_residual(c.fam, c.bd, c.v, c.s, c.eps, exact=c.exact),
+            lambda c: eq_transfer_residual(c.fam, c.bd, c.v, c.s, c.eps),
         ),
         Row(
             "frame_comparison", {TORUS: 1e-8, CHART: 1.0}, "pv", _frame_comparison,
@@ -565,7 +561,7 @@ ROWS: dict[str, Row] = {
             "operator_pullback", {TORUS: 1e-8, CHART: 10.0}, "pkvf",
             lambda c: operator_pullback_residual(
                 c.fam, _comparison_potential(c), c.bd, c.v, c.s, c.eps,
-                exact=c.exact, flip=c.env.flip("operator_pullback"),
+                flip=c.env.flip("operator_pullback"),
             ),
         ),
         Row(
@@ -587,8 +583,9 @@ ROWS: dict[str, Row] = {
             lambda c: [multiplier_residual(c.fam.grid, c.k, c.p, j) for j in range(c.k)],
         ),
         Row(
+            # torus: one case per basis (its worst element); chart: one per section
             "basis_holomorphy", {TORUS: 1e-8, CHART: 10.0}, "pk",
-            lambda c: dbar_residual(c.fam, c.p, c.k) if c.exact
+            lambda c: max(c.env.sections(c.backend, c.p, c.k).defects) if c.fam.closed_form
             else list(c.env.sections(c.backend, c.p, c.k).defects),
         ),
         Row("gram_rank", {TORUS: 1e-8}, "pk", _gram_rank),

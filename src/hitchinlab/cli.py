@@ -31,6 +31,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .bundle import bundle_data
 from .catalog import (
     IDENTITY_NAMES,
     MUTATIONS,
@@ -42,6 +43,7 @@ from .catalog import (
     sweep_orders,
 )
 from .config import load_config
+from .operators import chart_sections, torus_sections
 from .reports import (
     CATALOG_COLUMNS,
     SWEEP_COLUMNS,
@@ -159,19 +161,19 @@ def _cmd_basis(args: argparse.Namespace) -> int:
     if backend == "torus":
         from .families import TorusFamily
         from .fields import TorusGrid
-        from .theta import dbar_residual, gram, gram_rank, multiplier_residual, theta_basis
+        from .theta import gram, gram_rank, multiplier_residual
 
         grid = TorusGrid(cfg.grid)
         fam = TorusFamily(grid)
         taus = (complex(args.tau),) if args.tau else cfg.taus
         for tau in taus:
             for k in cfg.levels:
-                basis = theta_basis(grid, k, tau)
-                G = gram(grid, k, tau, basis)
+                ts = torus_sections(bundle_data(fam, tau, k))
+                G = gram(grid, k, tau, ts.values)
                 golden = np.sqrt(2 * np.pi / k)
                 gdev = float(np.max(np.abs(G - golden * np.eye(k)))) / golden
                 mult = max(multiplier_residual(grid, k, tau, j) for j in range(k))
-                dbar = dbar_residual(fam, tau, k)
+                dbar = max(ts.defects)
                 rank = gram_rank(G)
                 print(
                     f"tau={tau} k={k}: rank {rank}/{k}  "
@@ -180,9 +182,6 @@ def _cmd_basis(args: argparse.Namespace) -> int:
                 )
                 worst = max(worst, gdev, mult, dbar, 0.0 if rank == k else 1.0)
         return 0 if worst <= 1e-8 else 1
-    from .bundle import bundle_data
-    from .operators import chart_sections
-
     fam, report = chart_family(cfg.grid, cfg.radius)
     sigma = complex(args.sigma) if args.sigma else cfg.sigma
     print(f"generated family: radius {cfg.radius}, report {report}")

@@ -24,9 +24,9 @@ frame trivializes the canonical bundle.  Two constructions are provided:
 Variations are taken per the difference-quotient contract: a real
 parameter direction is encoded as a unit complex number ``v`` and the
 derivative of any :math:`\sigma`-dependent field is the central
-difference with step ``eps * (1 + |sigma|)``.  The torus family also
-has closed-form variations (``exact=True``), which the torus rows of the
-catalog use; the chart families are varied by difference quotients only.
+difference with step ``eps * (1 + |sigma|)``.  Only the torus family
+has closed forms (``closed_form``) of :math:`V[J]`, :math:`G(V)` and
+:math:`A_T(V)`; the identity residuals take them wherever they exist.
 
 The variation :math:`V[J]` and its tensors :math:`\tilde G(V)` and
 :math:`G(V)` are derived once here (:func:`vj_of`,
@@ -266,6 +266,7 @@ class Family:
     omega0: float = DEFAULT_OMEGA0
     label: str = "family"
     normalized_potential: bool = False
+    closed_form: bool = False  # has vj_exact, g_exact and a_t_exact
 
     def J_at(self, sigma: complex) -> Array:
         raise NotImplementedError
@@ -287,9 +288,14 @@ class Family:
     def g_exact(self, sigma: complex, v: complex) -> Array:
         raise ValueError(f"{self.label} has no closed-form variation")
 
+    def a_t_exact(self, sigma: complex, v: complex) -> Array:
+        raise ValueError(f"{self.label} has no closed-form variation")
+
 
 class TorusFamily(Family):
     r"""Unit torus, :math:`\omega = 2\pi\,dx\wedge dy`, :math:`w = x + \tau y`."""
+
+    closed_form = True
 
     def __init__(self, grid: TorusGrid):
         self.grid = grid
@@ -331,6 +337,10 @@ class TorusFamily(Family):
         dz = np.array([-np.conj(sigma), 1.0]) / (2j * t2)
         G = (1j / np.pi) * v * np.einsum("a,b->ab", dz, dz)
         return np.broadcast_to(G[:, :, None, None], (2, 2) + self.grid.shape).copy()
+
+    def a_t_exact(self, sigma: complex, v: complex) -> Array:
+        r""":math:`A_T(V) = -v\,\tfrac{i}{4\operatorname{Im}\tau}`, constant over M."""
+        return np.full(self.grid.shape, -1j * v / (4.0 * sigma.imag), dtype=complex)
 
 
 class ChartFamily(Family):
@@ -505,23 +515,31 @@ def dir_deriv(fieldfn: Callable[[complex], Array], sigma: complex, v: complex, e
     return (fieldfn(sigma + e * v) - fieldfn(sigma - e * v)) / (2.0 * e)
 
 
+def v_parts(
+    fieldfn: Callable[[complex], Array], sigma: complex, v: complex, eps: float
+) -> tuple[Array, Array]:
+    r"""``(V'[f], V''[f])``: the parts :math:`\tfrac12(V[f] \mp i\,(iV)[f])`
+    of the real direction ``v``, by central differences."""
+    dv = dir_deriv(fieldfn, sigma, v, eps)
+    div = dir_deriv(fieldfn, sigma, 1j * v, eps)
+    return 0.5 * (dv - 1j * div), 0.5 * (dv + 1j * div)
+
+
 def d_holo(fieldfn: Callable[[complex], Array], sigma: complex, eps: float) -> Array:
     r""":math:`\partial_\sigma f = \tfrac12(\partial_1 - i\partial_2)f`."""
-    return 0.5 * (
-        dir_deriv(fieldfn, sigma, 1.0, eps) - 1j * dir_deriv(fieldfn, sigma, 1j, eps)
-    )
+    return v_parts(fieldfn, sigma, 1.0, eps)[0]
 
 
 def d_anti(fieldfn: Callable[[complex], Array], sigma: complex, eps: float) -> Array:
     r""":math:`\partial_{\bar\sigma} f = \tfrac12(\partial_1 + i\partial_2)f`."""
-    return 0.5 * (
-        dir_deriv(fieldfn, sigma, 1.0, eps) + 1j * dir_deriv(fieldfn, sigma, 1j, eps)
-    )
+    return v_parts(fieldfn, sigma, 1.0, eps)[1]
 
 
 def vj_of(family: Family, sigma: complex, v: complex, eps: float, exact: bool = False) -> Array:
     """Variation :math:`V[J]` along the real direction ``v``: the closed form
-    (``exact``, torus only) or the central difference."""
+    (``exact``; torus only) or the central difference.  Torus rows use both:
+    ``metric_variation``, ``projector_commutator``, ``frame_curvature`` and
+    ``curvature_mixed_trace`` take the difference quotient."""
     if exact:
         return family.vj_exact(sigma, v)
     return dir_deriv(family.J_at, sigma, v, eps)
@@ -562,6 +580,8 @@ def variation(
     eps: float = 1e-4,
     exact: bool = False,
 ) -> Variation:
+    """The gates at ``(sigma, v)`` from :func:`vj_of` (``exact`` as there);
+    the torus ``family_gates`` row takes the difference quotient."""
     st = family.state(sigma)
     VJ = vj_of(family, sigma, v, eps, exact)
     Gt, G = variation_tensors(st, VJ)

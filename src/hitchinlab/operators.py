@@ -34,10 +34,12 @@ mutation self-test: flipping the sign of any single term must push the
 residual above its budget.
 
 Each ingredient of :math:`u(V)` has one derivation, built once per
-residual call and passed down: :func:`G_of` (from the variation tensors
-of ``hitchinlab.families``), the bundle data of ``(sigma, k)``
-(``bundle.bundle_data``, built by the caller), :func:`H_of` from the
-state, ``G(V)`` and a potential field, and :func:`u_apply` from those.
+residual call and passed down: :func:`G_of` (the family's closed form,
+or the variation tensors of ``hitchinlab.families``), the bundle data of
+``(sigma, k)`` (``bundle.bundle_data``, built by the caller), :func:`H_of`
+from the state, ``G(V)`` and a potential field, and :func:`u_apply` from
+those.  The residuals take the closed forms of ``G(V)``, ``V[J]`` and
+``A_T(V)`` whenever the family has them (``Family.closed_form``).
 Section arguments may be one coefficient ``(n, n)`` or a batch
 ``(..., n, n)``; the residuals then return one value per section.
 """
@@ -58,7 +60,7 @@ from .bundle import (
     sec_deriv,
     sec_grad,
 )
-from .families import Family, KahlerState, d_holo, dir_deriv, variation_tensors, vj_of
+from .families import Family, KahlerState, d_holo, dir_deriv, v_parts, variation_tensors, vj_of
 from .fields import Array, ChartGrid, max_norm
 from .geometry import cov_deriv
 
@@ -67,9 +69,11 @@ from .geometry import cov_deriv
 # ---------------------------------------------------------------------------
 
 
-def G_of(family: Family, sigma: complex, v: complex, eps: float, exact: bool = False) -> Array:
-    """(2,0) variation tensor G(V) for the real parameter direction ``v``."""
-    if exact:
+def G_of(family: Family, sigma: complex, v: complex, eps: float) -> Array:
+    """(2,0) variation tensor G(V) for the real parameter direction ``v``:
+    the family's closed form when it has one, else from the central
+    difference of ``J``."""
+    if family.closed_form:
         return family.g_exact(sigma, v)
     return variation_tensors(family.state(sigma), vj_of(family, sigma, v, eps))[1]
 
@@ -189,6 +193,8 @@ def section_on(grid: ChartGrid, C: Array) -> Array:
 
 
 def torus_sections(bd: BundleData) -> TestSections:
+    """The theta basis at the level of ``bd`` with the relative sup of each
+    element's (0,1) covariant derivative."""
     from .theta import theta_basis
 
     grid = bd.grid
@@ -196,13 +202,14 @@ def torus_sections(bd: BundleData) -> TestSections:
     if k >= 1:
         basis = theta_basis(grid, k, bd.state.sigma)
     else:
+        # rows without a level axis (divergence_closedness) ask for level 0,
+        # where the constant is the holomorphic section
         basis = np.ones((1,) + grid.shape, dtype=complex)
-    defects = []
-    for s in basis:
-        gr = sec_grad(bd, s)
-        anti = form_anti(bd.state, gr)
-        defects.append(max_norm(anti) / max(max_norm(s), 1e-300))
-    return TestSections(values=basis, defects=tuple(defects))
+    anti = form_anti(bd.state, sec_grad(bd, basis))
+    defects = tuple(
+        max_norm(anti[:, j]) / max(max_norm(s), 1e-300) for j, s in enumerate(basis)
+    )
+    return TestSections(values=basis, defects=defects)
 
 
 def chart_sections(bd: BundleData) -> TestSections:
@@ -282,7 +289,6 @@ def eq_defining_residual(
     v: complex,
     s: Array,
     eps: float,
-    exact: bool = False,
     flip: str | None = None,
 ) -> Array:
     r"""Defining identity of the second-order correction on holomorphic ``s``
@@ -293,9 +299,9 @@ def eq_defining_residual(
         + \tfrac{i}{4}\operatorname{Tr}\tilde\nabla(G(V))\,\omega\; s .
     """
     st = bd.state
-    G = G_of(family, st.sigma, v, eps, exact)
+    G = G_of(family, st.sigma, v, eps)
     lhs = form_anti(st, sec_grad(bd, u_apply(bd, G, s)))
-    VJ = vj_of(family, st.sigma, v, eps, exact)
+    VJ = vj_of(family, st.sigma, v, eps, family.closed_form)
     t1 = 0.5j * np.einsum("ba...,b...->a...", VJ, sec_grad(bd, s))
     t2 = _times_potential(0.25j * np.einsum("b...,ba...->a...", trace_nabla(st, G), st.omega), s)
     if flip == "vj":
@@ -311,7 +317,6 @@ def eq_transfer_residual(
     v: complex,
     s: Array,
     eps: float,
-    exact: bool = False,
     flip: str | None = None,
 ) -> Array:
     r"""Holomorphy-transfer identity on holomorphic ``s`` at the level ``k``
@@ -323,7 +328,7 @@ def eq_transfer_residual(
         - \tfrac{i}{2}\operatorname{Tr}\tilde\nabla(G(V)\rho)\,s .
     """
     st, k = bd.state, bd.k
-    G = G_of(family, st.sigma, v, eps, exact)
+    G = G_of(family, st.sigma, v, eps)
     lhs = form_anti(st, sec_grad(bd, delta_G(bd, G, s)))
     t1 = -2j * k * np.einsum("ab...,bc...,c...->a...", st.omega, G, sec_grad(bd, s))
     t2 = _times_potential(1j * k * np.einsum("b...,ba...->a...", trace_nabla(st, G), st.omega), s)
@@ -338,9 +343,7 @@ def eq_transfer_residual(
     return _section_ratio(lhs - t1 - t2 - t3, s, s, st.grid.interior())
 
 
-def potential_variation_residual(
-    family: Family, sigma: complex, v: complex, eps: float, exact: bool = False
-) -> float:
+def potential_variation_residual(family: Family, sigma: complex, v: complex, eps: float) -> float:
     r"""Variation of the Ricci potential:
 
     .. math::
@@ -348,13 +351,10 @@ def potential_variation_residual(
         \tilde\nabla(G(V))\,\omega - \tfrac{i}{2}\,\partial_M F\,G(V)\,\omega .
     """
     st = family.state(sigma)
-    # V'[F] = (V[F] - i (iV)[F]) / 2 as a field over M
-    f1 = dir_deriv(lambda s: family.state(s).F, sigma, v, eps)
-    f2 = dir_deriv(lambda s: family.state(s).F, sigma, 1j * v, eps)
-    vpf = 0.5 * (f1 - 1j * f2)
+    vpf, _ = v_parts(lambda s: family.state(s).F, sigma, v, eps)  # V'[F] over M
     dv = np.stack([st.grid.deriv(vpf, -2), st.grid.deriv(vpf, -1)])
     lhs = form_anti(st, dv)
-    G = G_of(family, sigma, v, eps, exact)
+    G = G_of(family, sigma, v, eps)
     t1 = -0.25j * np.einsum("b...,ba...->a...", trace_nabla(st, G), st.omega)
     t2 = -0.5j * np.einsum("b...,bc...,ca...->a...", dF_holo(st, st.F), G, st.omega)
     mask = st.grid.interior()
@@ -366,14 +366,13 @@ def potential_oneform_residual(
     sigma: complex,
     v: complex,
     eps: float,
-    exact: bool = False,
     flip: str | None = None,
 ) -> float:
     r"""The closed-form potential satisfies
     :math:`\bar\partial_M H(V) = \tfrac{i}{2}\operatorname{Tr}
     \tilde\nabla(G(V)\rho)`."""
     st = family.state(sigma)
-    G = G_of(family, sigma, v, eps, exact)
+    G = G_of(family, sigma, v, eps)
     H = H_of(st, G, st.F, flip)
     lhs = form_anti(st, np.stack([st.grid.deriv(H, -2), st.grid.deriv(H, -1)]))
     rhs = 0.5j * trace_nabla_endo(st, np.einsum("ac...,cb...->ab...", G, st.rho))
@@ -481,15 +480,14 @@ def frame_curvature_data(family: Family, sigma: complex, eps: float) -> tuple[Ar
     return R, max_norm(R - target, mask) / max(max_norm(target, mask), 1e-300)
 
 
-def param_commutator_curvature(
-    family: Family, sigma: complex, eps: float, exact: bool = False
-) -> Array:
+def param_commutator_curvature(family: Family, sigma: complex, eps: float) -> Array:
     r"""Trace form :math:`\tfrac18\operatorname{Tr}\big(\pi^{1,0}
     [\partial_1 J, \partial_2 J]\big)` of the parameter-direction
-    curvature on the half-form factor (field over M)."""
+    curvature on the half-form factor (field over M), from the closed-form
+    structure derivatives when the family has them."""
     st = family.state(sigma)
-    d1J = vj_of(family, sigma, 1.0, eps, exact)
-    d2J = vj_of(family, sigma, 1j, eps, exact)
+    d1J = vj_of(family, sigma, 1.0, eps, family.closed_form)
+    d2J = vj_of(family, sigma, 1j, eps, family.closed_form)
     commJ = np.einsum("ab...,bc...->ac...", d1J, d2J) - np.einsum("ab...,bc...->ac...", d2J, d1J)
     return 0.125 * np.einsum("ab...,ba...->...", st.P, commJ)
 
@@ -526,10 +524,10 @@ def pot_tt(family: Family, Ffn: PotentialFn, sigma: complex, eps: float) -> Arra
     = \partial_1[\partial_2''F] - \partial_2[\partial_1''F]` as a field on M."""
 
     def w2(s: complex) -> Array:
-        return 0.5 * (dir_deriv(Ffn, s, 1j, eps) - 1j * dir_deriv(Ffn, s, 1.0, eps))
+        return v_parts(Ffn, s, 1j, eps)[1]
 
     def v2(s: complex) -> Array:
-        return 0.5 * (dir_deriv(Ffn, s, 1.0, eps) + 1j * dir_deriv(Ffn, s, 1j, eps))
+        return v_parts(Ffn, s, 1.0, eps)[1]
 
     return dir_deriv(w2, sigma, 1.0, eps) - dir_deriv(v2, sigma, 1j, eps)
 
@@ -548,9 +546,7 @@ def pot_mixed(
         return form_anti(st, dF)
 
     t1 = dir_deriv(dbarF, sigma, v, eps)
-    vppF = 0.5 * (
-        dir_deriv(Ffn, sigma, v, eps) + 1j * dir_deriv(Ffn, sigma, 1j * v, eps)
-    )
+    _, vppF = v_parts(Ffn, sigma, v, eps)
     grid = family.grid
     t2 = np.stack([grid.deriv(vppF, -2), grid.deriv(vppF, -1)])
     return t1 - t2
@@ -591,7 +587,6 @@ def frame_comparison_residuals(
     sigma: complex,
     v: complex,
     eps: float,
-    exact: bool = False,
 ) -> tuple[float, float]:
     r"""Connection-form comparison under the multiplier ``m``:
 
@@ -620,7 +615,7 @@ def frame_comparison_residuals(
     mask = grid.interior()
     res_m = max_norm(a_d + dlm - dF_holo(st, Ffn(sigma)), mask)
 
-    aT = a_T(family, sigma, v, eps, exact=exact)
+    aT = a_T(family, sigma, v, eps, family.closed_form)
     vlm = dir_deriv(logm, sigma, v, eps)
     dsF = v * d_holo(Ffn, sigma, eps)
     res_t = max_norm(aT + vlm - dsF, mask)
@@ -634,7 +629,6 @@ def operator_pullback_residual(
     v: complex,
     s: Array,
     eps: float,
-    exact: bool = False,
     flip: str | None = None,
 ) -> Array:
     r"""Pullback of the second-order operator through the comparison map,
@@ -646,7 +640,7 @@ def operator_pullback_residual(
         - 2n\,V'[\tilde F]\,s \qquad (n = 0).
     """
     st = bd.state
-    G = G_of(family, st.sigma, v, eps, exact)
+    G = G_of(family, st.sigma, v, eps)
     m = comparison_multiplier(family, Ffn, st.sigma)
     lhs = delta_G(bd, G, m * s) / m
     F = Ffn(st.sigma)
@@ -668,7 +662,6 @@ def connection_agreement_residual(
     v: complex,
     s: Array,
     eps: float,
-    exact: bool = False,
 ) -> Array:
     r"""Full-connection agreement through the comparison map:
 
@@ -683,13 +676,11 @@ def connection_agreement_residual(
     st, sigma, k = bd.state, bd.state.sigma, bd.k
     m = comparison_multiplier(family, Ffn, sigma)
     vm = dir_deriv(lambda t: comparison_multiplier(family, Ffn, t), sigma, v, eps)
-    aT = a_T(family, sigma, v, eps, exact=exact)
-    G = G_of(family, sigma, v, eps, exact)
+    aT = a_T(family, sigma, v, eps, family.closed_form)
+    G = G_of(family, sigma, v, eps)
     lhs = (vm * s + aT * m * s + u_apply(bd, G, m * s)) / m
     GdF = np.einsum("ab...,b...->a...", G, dF_holo(st, Ffn(sigma)))
-    vpF = 0.5 * (
-        dir_deriv(Ffn, sigma, v, eps) - 1j * dir_deriv(Ffn, sigma, 1j * v, eps)
-    )
+    vpF, _ = v_parts(Ffn, sigma, v, eps)
     rhs = (delta_G(bd.plain, G, s) + 2.0 * grad_along(bd.plain, GdF, s)) / (
         4.0 * k
     ) + vpF * s

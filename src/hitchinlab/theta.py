@@ -48,10 +48,10 @@ from typing import Callable
 
 import numpy as np
 
-from .bundle import a_T, bundle_data, sec_grad
-from .families import TorusFamily, dir_deriv
-from .fields import Array, TorusGrid, max_norm, proj_anti
-from .operators import G_of, u_apply
+from .bundle import a_T, bundle_data
+from .families import TorusFamily, dir_deriv, variation_tensors, vj_of
+from .fields import Array, TorusGrid, max_norm
+from .operators import u_apply
 
 # ---------------------------------------------------------------------------
 # basis
@@ -157,18 +157,6 @@ def multiplier_residual(grid: TorusGrid, k: int, tau: complex, j: int = 0) -> fl
     return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
 
 
-def dbar_residual(fam: TorusFamily, tau: complex, k: int) -> float:
-    """Relative sup of the (0,1) covariant derivative over the basis."""
-    grid = fam.grid
-    bd = bundle_data(fam, tau, k)
-    Q = proj_anti(bd.state.J)
-    basis = theta_basis(grid, k, tau)
-    anti = np.einsum("a...,ab...->b...", sec_grad(bd, basis), Q)
-    return max(
-        max_norm(anti[:, j]) / max(max_norm(basis[j]), 1e-300) for j in range(k)
-    )
-
-
 def gram(grid: TorusGrid, k: int, tau: complex, basis: Array) -> Array:
     r"""Inner products :math:`\langle s_i, s_j\rangle
     = 2\pi\sqrt{\operatorname{Im}\tau/\pi}\;\overline{\text{mean}}(s_i\bar s_j)`."""
@@ -209,21 +197,23 @@ class ProjectionData:
 
 
 def connection_matrix(
-    fam: TorusFamily,
-    tau: complex,
-    k: int,
-    v: complex,
-    eps: float = 1e-4,
-    exact: bool = True,
+    fam: TorusFamily, tau: complex, k: int, v: complex, exact: bool = True
 ) -> ProjectionData:
+    r""":math:`\nabla_V` of the level-``k`` basis in that basis, from the torus
+    closed forms of ``V[s]``, ``A_T(V)``, ``G(V)`` or (``exact=False``, a
+    reference for the tests) from central differences with ``eps = 1e-4``."""
     grid = fam.grid
+    bd = bundle_data(fam, tau, k)
     basis = theta_basis(grid, k, tau)
-    aT = a_T(fam, tau, v, eps, exact=exact)
     if exact:
         Vs = v * theta_basis_dtau(grid, k, tau)
+        aT, GV = fam.a_t_exact(tau, v), fam.g_exact(tau, v)
     else:
+        eps = 1e-4
         Vs = dir_deriv(lambda s: theta_basis(grid, k, s), tau, v, eps)
-    nab = Vs + aT * basis + u_apply(bundle_data(fam, tau, k), G_of(fam, tau, v, eps, exact), basis)
+        aT = a_T(fam, tau, v, eps)
+        GV = variation_tensors(bd.state, vj_of(fam, tau, v, eps))[1]
+    nab = Vs + aT * basis + u_apply(bd, GV, basis)
     G = gram(grid, k, tau, basis)
     # pairing P[l, j] = weight * mean(conj(s_l) * nabla s_j); with
     # nabla s_j = sum_i M[i, j] s_i this gives P = G^T M, so M solves

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hitchinlab.bundle import a_T
 from hitchinlab.families import (
-    TorusFamily,
     d_anti,
     d_holo,
     dir_deriv,
@@ -19,7 +19,7 @@ from hitchinlab.families import (
     variation_tensors,
     vj_of,
 )
-from hitchinlab.fields import ChartGrid, TorusGrid, identity_like, mat_mul, max_norm
+from hitchinlab.fields import ChartGrid, identity_like, mat_mul, max_norm
 from hitchinlab.geometry import christoffel, ricci_form
 
 EPS = 1e-4
@@ -98,9 +98,10 @@ def test_nonholo_family_is_flagged():
 
 
 def test_variation_raises_without_closed_form():
-    grid = ChartGrid(16)
-    with pytest.raises(ValueError):
-        variation(nonholo_family(grid), 0.05, 1.0, EPS, exact=True)
+    fam = nonholo_family(ChartGrid(16))
+    for fn in (variation, vj_of, a_T):
+        with pytest.raises(ValueError, match="no closed-form variation"):
+            fn(fam, 0.05, 1.0, EPS, exact=True)
 
 
 @given(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hitchinlab.bundle import bundle_data
+from hitchinlab.families import variation_tensors, vj_of
 from hitchinlab.fields import max_norm
 from hitchinlab.operators import (
     G_of,
@@ -55,7 +56,7 @@ def test_second_order_principal_symbol(torus64):
 
 def test_divergence_potential_vanishes_on_torus(torus32):
     st = torus32.state(TAU)
-    assert max_norm(H_of(st, G_of(torus32, TAU, 1.0, EPS, exact=True), st.F)) == 0.0
+    assert max_norm(H_of(st, G_of(torus32, TAU, 1.0, EPS), st.F)) == 0.0
 
 
 def test_u_apply_rejects_level_zero(torus32):
@@ -67,7 +68,7 @@ def test_u_apply_rejects_level_zero(torus32):
 def test_defining_identity_torus(torus64):
     for k in (1, 2):
         s = theta_basis(torus64.grid, k, TAU)[0]
-        r = eq_defining_residual(torus64, bundle_data(torus64, TAU, k), 1.0, s, EPS, exact=True)
+        r = eq_defining_residual(torus64, bundle_data(torus64, TAU, k), 1.0, s, EPS)
         assert r < 1e-9
 
 
@@ -88,7 +89,7 @@ def test_transfer_identity_torus(torus64):
     for k in (1, 3):
         s = theta_basis(torus64.grid, k, TAU)[0]
         bd = bundle_data(torus64, TAU, k)
-        assert eq_transfer_residual(torus64, bd, 1.0, s, EPS, exact=True) < 1e-8
+        assert eq_transfer_residual(torus64, bd, 1.0, s, EPS) < 1e-8
 
 
 def test_transfer_mutations_visible_on_chart(chart48):
@@ -104,7 +105,7 @@ def test_transfer_mutations_visible_on_chart(chart48):
 
 
 def test_potential_variation_residuals(torus32, chart48):
-    assert potential_variation_residual(torus32, TAU, 1.0, EPS, exact=True) < 1e-8
+    assert potential_variation_residual(torus32, TAU, 1.0, EPS) < 1e-8
     fam, _ = chart48
     assert potential_variation_residual(fam, SIGMA, 1.0, EPS) < 1e-5
 
@@ -127,8 +128,8 @@ def test_frame_comparison_direction_dependence(torus32):
     while the second direction cancels -- the sharp signature of the
     non-closed comparison one-form."""
     zero = potential_fn(torus32, "zero")
-    _, rt1 = frame_comparison_residuals(torus32, zero, TAU, 1.0, EPS, exact=True)
-    _, rt2 = frame_comparison_residuals(torus32, zero, TAU, 1j, EPS, exact=True)
+    _, rt1 = frame_comparison_residuals(torus32, zero, TAU, 1.0, EPS)
+    _, rt2 = frame_comparison_residuals(torus32, zero, TAU, 1j, EPS)
     assert abs(rt1 - 1.0 / (4.0 * TAU.imag)) < 1e-6
     assert rt2 < 1e-6
 
@@ -136,7 +137,7 @@ def test_frame_comparison_direction_dependence(torus32):
 def test_frame_comparison_repaired_potential(torus32):
     fixed = potential_fn(torus32, "log-imtau")
     for v in (1.0, 1j):
-        rm, rt = frame_comparison_residuals(torus32, fixed, TAU, v, EPS, exact=True)
+        rm, rt = frame_comparison_residuals(torus32, fixed, TAU, v, EPS)
         assert rm < 1e-10
         assert rt < 1e-6
 
@@ -145,7 +146,7 @@ def test_pullback_identity_and_mutations(torus64, chart48):
     s = theta_basis(torus64.grid, 1, TAU)[0]
     zero = potential_fn(torus64, "zero")
     bd = bundle_data(torus64, TAU, 1)
-    assert operator_pullback_residual(torus64, zero, bd, 1.0, s, EPS, exact=True) < 1e-8
+    assert operator_pullback_residual(torus64, zero, bd, 1.0, s, EPS) < 1e-8
     fam, _ = chart48
     Ffn = potential_fn(fam, "ricci")
     bdc = bundle_data(fam, SIGMA, 1)
@@ -161,8 +162,8 @@ def test_connection_agreement_obstruction_and_repair(torus32):
     zero = potential_fn(torus32, "zero")
     fixed = potential_fn(torus32, "log-imtau")
     bd = bundle_data(torus32, TAU, 1)
-    r_zero = connection_agreement_residual(torus32, zero, bd, 1.0, s, EPS, exact=True)
-    r_fix = connection_agreement_residual(torus32, fixed, bd, 1.0, s, EPS, exact=True)
+    r_zero = connection_agreement_residual(torus32, zero, bd, 1.0, s, EPS)
+    r_fix = connection_agreement_residual(torus32, fixed, bd, 1.0, s, EPS)
     assert abs(r_zero - 1.0 / (4.0 * TAU.imag)) < 1e-10
     assert r_fix < 1e-6
 
@@ -174,7 +175,10 @@ def test_u_apply_batch_matches_per_section(torus32, exact):
     basis = theta_basis(torus32.grid, k, tau)
     bd = bundle_data(torus32, tau, k)
     for v in (1.0, 1j):
-        G = G_of(torus32, tau, v, EPS, exact=exact)
+        if exact:
+            G = G_of(torus32, tau, v, EPS)
+        else:
+            G = variation_tensors(torus32.state(tau), vj_of(torus32, tau, v, EPS))[1]
         batched = u_apply(bd, G, basis)
         single = np.stack([u_apply(bd, G, s) for s in basis])
         assert batched.shape == basis.shape
