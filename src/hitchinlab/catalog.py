@@ -92,10 +92,10 @@ from .theta import (
     gram_rank,
     heat_grid_residual,
     heat_mode_residual,
-    loop_offscalar,
+    loop_offscalar_levels,
     multiplier_residual,
     theta_basis,
-    transport,
+    transport_levels,
 )
 
 # ---------------------------------------------------------------------------
@@ -362,8 +362,21 @@ def _gram_rank(c: Case) -> list[float]:
 
 
 def _transport_oracle(c: Case) -> list[float]:
-    res = transport(c.fam, c.k, (1j, 1 + 1j), np.eye(c.k), steps=c.env.cfg.steps)
-    return [float(np.max(np.abs(res.end - res.start))), res.norm_drift]
+    # one pass along the path for every level; per level, the deviation from
+    # the self-transport oracle and the norm drift
+    levels = c.env.cfg.levels
+    starts = {k: np.eye(k) for k in levels}
+    res = transport_levels(c.fam, starts, (1j, 1 + 1j), steps=c.env.cfg.steps)
+    out = []
+    for k in levels:
+        out += [float(np.max(np.abs(res[k].end - res[k].start))), res[k].norm_drift]
+    return out
+
+
+def _loop_offscalar(c: Case) -> list[float]:
+    levels = c.env.cfg.levels
+    offs = loop_offscalar_levels(c.fam, levels, 1j, 0.01, steps=max(c.env.cfg.steps // 2, 50))
+    return [offs[k][0] for k in levels]
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +395,10 @@ class Row:
     the chart), ``k`` the level (the configured levels; level 0 without
     this axis), ``v`` the direction in `DIRS`, and ``s`` every test
     section at ``(p, k)`` or ``f`` only the first one, passed as one batch
-    together with the bundle data at ``(p, k)``.  ``residual(case)``
-    returns one residual or several (a list, or one per section).  ``fails``
+    together with the bundle data at ``(p, k)``; without axes the row has
+    one case (the transport rows walk one path for every level).
+    ``residual(case)`` returns one residual or several (a list, or one per
+    section).  ``fails``
     lists the backends on which the row is expected to fail; a
     ``k_cubic`` row's chart budget grows with the cube of the level.
     """
@@ -597,11 +612,9 @@ ROWS: dict[str, Row] = {
             "projection_defect", {TORUS: 1e-8}, "pkv",
             lambda c: connection_matrix(c.fam, c.p, c.k, c.v).defect,
         ),
-        Row("transport_oracle", {TORUS: 1e-6}, "k", _transport_oracle),
-        Row(
-            "loop_offscalar", {TORUS: 1e-6}, "k",
-            lambda c: loop_offscalar(c.fam, c.k, 1j, 0.01, steps=max(c.env.cfg.steps // 2, 50))[0],
-        ),
+        # one case each: a single pass along the path covers every level
+        Row("transport_oracle", {TORUS: 1e-6}, "", _transport_oracle),
+        Row("loop_offscalar", {TORUS: 1e-6}, "", _loop_offscalar),
     )
 }
 

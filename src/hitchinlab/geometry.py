@@ -6,8 +6,11 @@ Throughout the lab the symplectic form is the fixed background
 :math:`g(X, Y) = \omega(X, JY)`.  This module provides the pointwise
 and differential constructions downstream code needs:
 
-* compatible metric, inverse, Levi-Civita symbols, curvature,
-  Ricci form :math:`\rho(X, Y) = r(JX, Y)`;
+* compatible metric, inverse, Levi-Civita symbols, and the Ricci form
+  :math:`\rho(X, Y) = r(JX, Y)`, with the Ricci tensor contracted from the
+  symbols and their first derivatives
+  (:math:`r_{ab} = \partial_c\Gamma^c{}_{ab} - \partial_a\Gamma^c{}_{cb}
+  + \Gamma^c{}_{ce}\Gamma^e{}_{ab} - \Gamma^c{}_{ae}\Gamma^e{}_{cb}`);
 * covariant derivatives of tensor fields, given as a component array
   and a variance string (used for the divergence-type traces in the
   operator identities).
@@ -70,23 +73,25 @@ def christoffel(grid: Grid, g: Array) -> Array:
     return 0.5 * np.einsum("ad...,dbc...->abc...", ginv, term)
 
 
-def riemann(grid: Grid, gamma: Array) -> Array:
-    r"""Curvature of the symbols: ``R[a,b,c,d]`` = :math:`R^a{}_{bcd}` with
-    :math:`R(e_c, e_d)e_b = R^a{}_{bcd}\, e_a`.
-    """
-    dgam = np.stack([grid.deriv(gamma, -2), grid.deriv(gamma, -1)])  # [p,a,b,c]
-    r = np.einsum("cadb...->abcd...", dgam) - np.einsum("dacb...->abcd...", dgam)
-    r += np.einsum("ace...,edb...->abcd...", gamma, gamma)
-    r -= np.einsum("ade...,ecb...->abcd...", gamma, gamma)
-    return r
-
-
 def ricci_form(grid: Grid, gamma: Array, J: Array) -> Array:
     r"""Ricci form :math:`\rho_{ab} = r(J e_a, e_b)` from the Levi-Civita symbols
-    ``gamma`` of the metric (see :func:`christoffel`)."""
-    riem = riemann(grid, gamma)
-    # r(X, Y) = tr(Z -> R(Z, X)Y):  r_{ab} = R^c{}_{bca}
-    ric = np.einsum("cbca...->ab...", riem)
+    ``gamma`` of the metric (see :func:`christoffel`).
+
+    The Ricci tensor is contracted from the symbols directly,
+
+    .. math::
+        r_{ab} = \partial_c\Gamma^c{}_{ab} - \partial_a\Gamma^c{}_{cb}
+            + \Gamma^c{}_{ce}\Gamma^e{}_{ab} - \Gamma^c{}_{ae}\Gamma^e{}_{cb},
+
+    that is :math:`\partial_x\Gamma^0 + \partial_y\Gamma^1 - d(\mathrm{tr})
+    + \mathrm{tr}\cdot\Gamma - \Gamma\cdot\Gamma` with
+    :math:`\mathrm{tr}_b = \Gamma^c{}_{cb}`: twelve field derivatives.
+    """
+    tr = np.einsum("ccb...->b...", gamma)
+    ric = grid.deriv(gamma[0], -2) + grid.deriv(gamma[1], -1)
+    ric -= np.stack([grid.deriv(tr, -2), grid.deriv(tr, -1)])
+    ric += np.einsum("e...,eab...->ab...", tr, gamma)
+    ric -= np.einsum("cae...,ecb...->ab...", gamma, gamma)
     return np.einsum("ca...,cb...->ab...", J, ric)
 
 

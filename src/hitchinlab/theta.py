@@ -38,7 +38,10 @@ fixed-step 4th-order Runge-Kutta scheme, where ``M`` is the connection
 matrix of the full family connection (reference part plus the
 second-order correction) in the moving basis, assembled by Gram
 projection.  The projection defect measures how well the connection
-preserves the holomorphic subspace.
+preserves the holomorphic subspace.  One pass along a path integrates
+every requested level (:func:`transport_levels`): the level enters only
+through the bundle data and the basis of the connection matrix, so the
+levels share the family state at each point.
 """
 
 from __future__ import annotations
@@ -252,14 +255,14 @@ def _as_path(path) -> Callable[[float], complex]:
     return fn
 
 
-def transport(
+def transport_levels(
     fam: TorusFamily,
-    k: int,
+    starts: dict[int, Array],
     path,
-    c0: Array,
     steps: int = 1000,
-) -> TransportResult:
-    r"""Fixed-step RK4 integration of :math:`\dot c = -M(t)\,c`.
+) -> dict[int, TransportResult]:
+    r"""Fixed-step RK4 integration of :math:`\dot c = -M_k(t)\,c` for every
+    level ``k`` of ``starts`` (level -> start coefficients) along one path.
 
     ``path`` maps ``t in [0, 1]`` to parameters (a callable, or a
     sequence of waypoints joined by straight segments); directions are
@@ -267,46 +270,96 @@ def transport(
     transported section in the holomorphic basis at the endpoint.
     Coefficients may be a vector or a matrix of stacked columns.  The
     connection matrices take the closed-form torus variations.
+
+    The path is walked once: at each RK4 point the parameter and the
+    velocity are computed once and the levels' connection matrices are
+    built back to back, so they share the one state of the point
+    (``Family.state``).  Each level's result is bit for bit the one of a
+    pass with that level alone.
     """
     if steps < 1:
         raise ValueError(f"transport needs at least one step, got steps = {steps}")
+    if not starts:
+        raise ValueError("transport needs at least one level")
     path = _as_path(path)
     grid = fam.grid
     h = 1.0 / steps
-
-    def matrix_at(t: float) -> ProjectionData:
-        dt = 1e-6
-        t_hi, t_lo = min(t + dt, 1.0), max(t - dt, 0.0)
-        vel = (path(t_hi) - path(t_lo)) / (t_hi - t_lo)
-        return connection_matrix(fam, path(t), k, vel)
+    dt = 1e-6
 
     # RK4 needs M at every step start, midpoint and end; a step's end is the
     # next step's start, so entry 2*i is the start of step i
     ts = [0.0] + [t for i in range(steps) for t in (i * h + 0.5 * h, i * h + h)]
-    data = [matrix_at(t) for t in ts]
-    c = np.asarray(c0, dtype=complex).copy()
-    for i in range(steps):
-        M1, M2, M4 = (pd.M for pd in data[2 * i : 2 * i + 3])
-        k1 = -M1 @ c
-        k2 = -M2 @ (c + 0.5 * h * k1)
-        k3 = -M2 @ (c + 0.5 * h * k2)
-        k4 = -M4 @ (c + h * k3)
-        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    data: dict[int, list[ProjectionData]] = {k: [] for k in starts}
+    for t in ts:
+        t_hi, t_lo = min(t + dt, 1.0), max(t - dt, 0.0)
+        tau, vel = path(t), (path(t_hi) - path(t_lo)) / (t_hi - t_lo)
+        for k in starts:
+            data[k].append(connection_matrix(fam, tau, k, vel))
 
     tau0, tau1 = path(0.0), path(1.0)
-    G0 = gram(grid, k, tau0, theta_basis(grid, k, tau0))
-    G1 = gram(grid, k, tau1, theta_basis(grid, k, tau1))
-    c0 = np.asarray(c0, dtype=complex)
-    c0m, cm = c0.reshape(c0.shape[0], -1), c.reshape(c.shape[0], -1)
-    n0 = float(np.einsum("im,ij,jm->", np.conj(c0m), G0, c0m).real)
-    n1 = float(np.einsum("im,ij,jm->", np.conj(cm), G1, cm).real)
-    drift = abs(n1 - n0) / max(n0, 1e-300)
-    return TransportResult(
-        start=np.asarray(c0, dtype=complex),
-        end=c,
-        max_defect=max([0.0] + [pd.defect for pd in data]),
-        norm_drift=drift,
-    )
+    out = {}
+    for k, start in starts.items():
+        c0 = np.asarray(start, dtype=complex)
+        c = c0.copy()
+        for i in range(steps):
+            M1, M2, M4 = (pd.M for pd in data[k][2 * i : 2 * i + 3])
+            k1 = -M1 @ c
+            k2 = -M2 @ (c + 0.5 * h * k1)
+            k3 = -M2 @ (c + 0.5 * h * k2)
+            k4 = -M4 @ (c + h * k3)
+            c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        G0 = gram(grid, k, tau0, theta_basis(grid, k, tau0))
+        G1 = gram(grid, k, tau1, theta_basis(grid, k, tau1))
+        c0m, cm = c0.reshape(c0.shape[0], -1), c.reshape(c.shape[0], -1)
+        n0 = float(np.einsum("im,ij,jm->", np.conj(c0m), G0, c0m).real)
+        n1 = float(np.einsum("im,ij,jm->", np.conj(cm), G1, cm).real)
+        out[k] = TransportResult(
+            start=c0,
+            end=c,
+            max_defect=max([0.0] + [pd.defect for pd in data[k]]),
+            norm_drift=abs(n1 - n0) / max(n0, 1e-300),
+        )
+    return out
+
+
+def transport(
+    fam: TorusFamily,
+    k: int,
+    path,
+    c0: Array,
+    steps: int = 1000,
+) -> TransportResult:
+    """Transport of the level-``k`` coefficients ``c0`` along ``path``: the
+    one-level pass of :func:`transport_levels`."""
+    return transport_levels(fam, {k: c0}, path, steps)[k]
+
+
+def loop_offscalar_levels(
+    fam: TorusFamily,
+    levels: tuple[int, ...],
+    center: complex,
+    radius: float,
+    steps: int = 200,
+) -> dict[int, tuple[float, Array]]:
+    """Transport the full basis of every level around one parameter circle.
+
+    Returns, per level, the distance of the holonomy matrix from scalar
+    multiples of the identity (relative operator norm) together with the
+    matrix.  The circle is walked once for all levels
+    (:func:`transport_levels`).
+    """
+
+    def path(t: float) -> complex:
+        return center + radius * np.exp(2j * np.pi * t)
+
+    starts = {k: np.eye(k, dtype=complex) for k in levels}
+    out = {}
+    for k, res in transport_levels(fam, starts, path, steps).items():
+        L = res.end
+        lam = np.trace(L) / k
+        off = np.linalg.norm(L - lam * np.eye(k), 2) / max(abs(lam), 1e-300)
+        out[k] = (float(off), L)
+    return out
 
 
 def loop_offscalar(
@@ -316,16 +369,7 @@ def loop_offscalar(
     radius: float,
     steps: int = 200,
 ) -> tuple[float, Array]:
-    """Transport the full basis around a parameter circle.
-
-    Returns the distance of the holonomy matrix from scalar multiples of
-    the identity (relative operator norm) together with the matrix.
-    """
-
-    def path(t: float) -> complex:
-        return center + radius * np.exp(2j * np.pi * t)
-
-    L = transport(fam, k, path, np.eye(k, dtype=complex), steps).end
-    lam = np.trace(L) / k
-    off = np.linalg.norm(L - lam * np.eye(k), 2) / max(abs(lam), 1e-300)
-    return float(off), L
+    """Holonomy off-scalar distance and matrix of the level-``k`` basis
+    around a parameter circle: the one-level pass of
+    :func:`loop_offscalar_levels`."""
+    return loop_offscalar_levels(fam, (k,), center, radius, steps)[k]

@@ -166,7 +166,6 @@ def chart_orders():
         grids=(64, 128),
         eps_pair=(0.02, 0.01),
         k=1,
-        radius=0.1,
         sigma=0.03 + 0.02j,
     )
     return {(r["identity"], r["axis"]): r for r in rows}
@@ -218,7 +217,7 @@ def test_03_variation_orders_chart(chart_orders, identity):
     re_ = chart_orders[(identity, "eps")]
     ok = rh["order"] >= 3.5 and re_["order"] >= 1.9
     _line(
-        f"{identity} convergence orders (radius 0.1, 64->128)",
+        f"{identity} convergence orders (64->128)",
         ok,
         f"h-order {rh['order']:.2f} (>=3.5), eps-order {re_['order']:.2f} (>=1.9)",
     )

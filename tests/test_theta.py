@@ -3,9 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hitchinlab import theta
+from hitchinlab import families, theta
 from hitchinlab.bundle import bundle_data
-from hitchinlab.fields import max_norm
+from hitchinlab.families import TorusFamily
+from hitchinlab.fields import TorusGrid, max_norm
 from hitchinlab.operators import torus_sections
 from hitchinlab.theta import (
     _as_path,
@@ -15,12 +16,14 @@ from hitchinlab.theta import (
     heat_grid_residual,
     heat_mode_residual,
     loop_offscalar,
+    loop_offscalar_levels,
     mode_range,
     multiplier_residual,
     theta_basis,
     theta_basis_dtau,
     theta_basis_dx,
     transport,
+    transport_levels,
 )
 
 TAUS = (1j, 2j, 1 + 1j, 0.5 + 0.8j)
@@ -143,6 +146,43 @@ def test_transport_builds_each_connection_matrix_once(torus32, monkeypatch):
     monkeypatch.setattr(theta, "connection_matrix", counted)
     transport(torus32, 1, (1j, 1 + 1j), np.eye(1), steps=4)
     assert len(calls) == len(set(calls)) == 9
+
+
+def test_levels_in_one_pass_match_one_level_passes(torus32):
+    """Levels 1 and 3 walked together give bit for bit the per-level results."""
+    path = (1j, 1 + 1j)
+    both = transport_levels(torus32, {1: np.eye(1), 3: np.eye(3)}, path, steps=4)
+    loops = loop_offscalar_levels(torus32, (1, 3), 1j, 0.05, steps=4)
+    for k in (1, 3):
+        one = transport(torus32, k, path, np.eye(k), steps=4)
+        assert np.array_equal(both[k].end, one.end)
+        assert both[k].norm_drift == one.norm_drift
+        assert both[k].max_defect == one.max_defect
+        off, L = loop_offscalar(torus32, k, 1j, 0.05, steps=4)
+        assert loops[k][0] == off
+        assert np.array_equal(loops[k][1], L)
+
+
+def test_levels_in_one_pass_build_one_state_per_point(monkeypatch):
+    # 2 * steps + 1 = 49 points, more than Family.state keeps (48): a level
+    # that walked the path on its own would rebuild every state
+    steps = 24
+    built = []
+    make_state = families.make_state
+
+    def counted(family, sigma):
+        built.append(sigma)
+        return make_state(family, sigma)
+
+    monkeypatch.setattr(families, "make_state", counted)
+    fam = TorusFamily(TorusGrid(32))
+    transport_levels(fam, {1: np.eye(1), 3: np.eye(3)}, (1j, 1 + 1j), steps=steps)
+    assert len(built) == len(set(built)) == 2 * steps + 1
+
+
+def test_transport_levels_rejects_no_level(torus32):
+    with pytest.raises(ValueError, match="at least one level"):
+        transport_levels(torus32, {}, (1j, 1 + 1j), steps=4)
 
 
 def test_loop_holonomy_is_scalar(torus32):
