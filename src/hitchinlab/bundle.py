@@ -159,19 +159,6 @@ def a_T(
     return -0.5 * c
 
 
-def frame_step_check(family: Family, sigma: complex, v: complex, eps: float) -> float:
-    """Branch-continuity diagnostic: relative drift of A_T under step halving.
-
-    A sign flip of the square-root frame between neighbouring parameters
-    would blow the difference quotient up by O(1/eps); consistent
-    quotients certify the frame was continued on one branch.
-    """
-    a1 = a_T(family, sigma, v, eps)
-    a2 = a_T(family, sigma, v, 0.5 * eps)
-    scale = max(max_norm(a1), 1e-12)
-    return max_norm(a1 - a2) / scale
-
-
 def curvature_mm(bd: BundleData) -> Array:
     """(x, y) component of the MM curvature: curl of the total potential.
 

@@ -19,7 +19,10 @@ frame trivializes the canonical bundle.  Two constructions are provided:
   polynomials in :math:`\sigma` so that the parameter variation
   :math:`G(V) = f(w)\,\partial_w\otimes\partial_w` is holomorphic in
   :math:`w` up to a controlled truncation order (the *rigidity* gate
-  measures the defect rather than assuming it).
+  measures the defect rather than assuming it).  The family holds the
+  :math:`\sigma^j` coefficient fields of :math:`\mu`, :math:`\partial_z w`
+  and :math:`\partial_{\bar z} w`, evaluated once on its grid; its
+  callables take :math:`\sigma` only and sum :math:`\sigma^j` times them.
 
 Variations are taken per the difference-quotient contract: a real
 parameter direction is encoded as a unit complex number ``v`` and the
@@ -344,13 +347,20 @@ class TorusFamily(Family):
 
 
 class ChartFamily(Family):
-    """Beltrami family on a planar chart, built from callables."""
+    r"""Beltrami family on a planar chart, built from callables of ``sigma``.
+
+    ``mu_at(sigma)`` gives the Beltrami coefficient and ``w_at(sigma)`` the
+    pair :math:`(\partial_z w, \partial_{\bar z} w)` on ``grid``; the
+    constructors close over the grid's points, and the polynomial family of
+    :func:`rigid_family` over its :math:`\sigma^j` coefficient fields,
+    evaluated once on the grid.
+    """
 
     def __init__(
         self,
         grid: ChartGrid,
-        mu_at: Callable[[complex, Array], Array],
-        w_at: Callable[[complex, Array], Array],
+        mu_at: Callable[[complex], Array],
+        w_at: Callable[[complex], tuple[Array, Array]],
         label: str = "chart",
     ):
         self.grid = grid
@@ -359,18 +369,14 @@ class ChartFamily(Family):
         self.label = label
         self.normalized_potential = False
 
-    @property
-    def z(self) -> Array:
-        return self.grid.x + 1j * self.grid.y
-
     def mu(self, sigma: complex) -> Array:
-        return self._mu_at(complex(sigma), self.z)
+        return self._mu_at(complex(sigma))
 
     def J_at(self, sigma: complex) -> Array:
         return j_from_mu(self.mu(sigma))
 
     def dw_at(self, sigma: complex) -> Array:
-        wz, wzb = self._w_at(complex(sigma), self.z)
+        wz, wzb = self._w_at(complex(sigma))
         return np.stack([wz + wzb, 1j * (wz - wzb)])
 
 
@@ -395,25 +401,34 @@ def _poly_series_family(
     w_series: list[dict],
     label: str,
 ) -> ChartFamily:
-    wzs = [_pdz(p) for p in w_series]
-    wzbs = [_pdzbar(p) for p in w_series]
+    r"""The family :math:`\mu(\sigma) = \sum_j \sigma^j\mu_j`,
+    :math:`w(\sigma) = \sum_j \sigma^j w_j` of polynomial coefficients
+    ``mu_series[j]``, ``w_series[j]``; each nonzero coefficient of
+    :math:`\mu`, :math:`\partial_z w` and :math:`\partial_{\bar z} w` is
+    evaluated on the grid once, here."""
+    z = grid.x + 1j * grid.y
 
-    def mu_at(sigma: complex, z: Array) -> Array:
+    def fields(series: list[dict]) -> list[tuple[int, Array]]:
+        return [(j, _peval(p, z)) for j, p in enumerate(series) if p]
+
+    mus = fields(mu_series)
+    wzs = fields([_pdz(p) for p in w_series])
+    wzbs = fields([_pdzbar(p) for p in w_series])
+
+    def series_at(sigma: complex, terms: list[tuple[int, Array]]) -> Array:
         out = np.zeros_like(z, dtype=complex)
-        for j, p in enumerate(mu_series):
-            if p:
-                out = out + sigma**j * _peval(p, z)
+        for j, f in terms:
+            # a copy keeps the rounding of a direct evaluation: NumPy computes
+            # s * temporary in place as multiply(temporary, s) from 256 KiB
+            # on, and that rounds differently from multiply(s, f)
+            out = out + sigma**j * f.copy()
         return out
 
-    def w_at(sigma: complex, z: Array) -> tuple[Array, Array]:
-        wz = np.zeros_like(z, dtype=complex)
-        wzb = np.zeros_like(z, dtype=complex)
-        for j in range(len(w_series)):
-            if wzs[j]:
-                wz = wz + sigma**j * _peval(wzs[j], z)
-            if wzbs[j]:
-                wzb = wzb + sigma**j * _peval(wzbs[j], z)
-        return wz, wzb
+    def mu_at(sigma: complex) -> Array:
+        return series_at(sigma, mus)
+
+    def w_at(sigma: complex) -> tuple[Array, Array]:
+        return series_at(sigma, wzs), series_at(sigma, wzbs)
 
     return ChartFamily(grid, mu_at, w_at, label=label)
 
@@ -460,7 +475,6 @@ def rigid_family(
             beltrami = _padd(beltrami, _pmul(mu_series[i], _pdz(w_series[j - i])))
         w_series[j] = _pint_zbar(beltrami)
     fam = _poly_series_family(grid, mu_series, w_series, label="chart-rigid")
-    z = fam.z
     mu_sup = 0.0
     for phase in (1.0, 1j, (1 + 1j) / np.sqrt(2)):
         mu_sup = max(mu_sup, float(np.max(np.abs(fam.mu(radius * phase)))))
@@ -477,11 +491,12 @@ def nonrigid_family(grid: ChartGrid) -> ChartFamily:
     r"""Adversarial family with :math:`G(V) = \bar z\,\partial_z\otimes\partial_z`
     at the base point: the variation is antiholomorphic, so the rigidity
     gate must reject it."""
+    z = grid.x + 1j * grid.y
 
-    def mu_at(sigma: complex, z: Array) -> Array:
+    def mu_at(sigma: complex) -> Array:
         return sigma * (DEFAULT_OMEGA0 / 4.0) * np.conj(z)
 
-    def w_at(sigma: complex, z: Array) -> tuple[Array, Array]:
+    def w_at(sigma: complex) -> tuple[Array, Array]:
         # w = z + sigma (omega0/4) zbar^2/2 solves the Beltrami equation exactly
         return np.ones_like(z), sigma * (DEFAULT_OMEGA0 / 4.0) * np.conj(z)
 
@@ -490,11 +505,12 @@ def nonrigid_family(grid: ChartGrid) -> ChartFamily:
 
 def nonholo_family(grid: ChartGrid) -> ChartFamily:
     """Adversarial family depending on Re(sigma) only: not holomorphic."""
+    z = grid.x + 1j * grid.y
 
-    def mu_at(sigma: complex, z: Array) -> Array:
+    def mu_at(sigma: complex) -> Array:
         return sigma.real * (DEFAULT_OMEGA0 / 4.0) * np.ones_like(z)
 
-    def w_at(sigma: complex, z: Array) -> tuple[Array, Array]:
+    def w_at(sigma: complex) -> tuple[Array, Array]:
         return np.ones_like(z), sigma.real * (DEFAULT_OMEGA0 / 4.0) * np.ones_like(z)
 
     return ChartFamily(grid, mu_at, w_at, label="chart-nonholo")
@@ -528,11 +544,6 @@ def v_parts(
 def d_holo(fieldfn: Callable[[complex], Array], sigma: complex, eps: float) -> Array:
     r""":math:`\partial_\sigma f = \tfrac12(\partial_1 - i\partial_2)f`."""
     return v_parts(fieldfn, sigma, 1.0, eps)[0]
-
-
-def d_anti(fieldfn: Callable[[complex], Array], sigma: complex, eps: float) -> Array:
-    r""":math:`\partial_{\bar\sigma} f = \tfrac12(\partial_1 + i\partial_2)f`."""
-    return v_parts(fieldfn, sigma, 1.0, eps)[1]
 
 
 def vj_of(family: Family, sigma: complex, v: complex, eps: float, exact: bool = False) -> Array:

@@ -129,9 +129,8 @@ def delta_G(bd: BundleData, G: Array, f: Array) -> Array:
     """
     st = bd.state
     t = np.einsum("ba...,a...->b...", G, sec_grad(bd, f))
-    dt = np.stack([sec_deriv(st, bd.k, t, -2), sec_deriv(st, bd.k, t, -1)])
-    dt = dt + np.einsum("bac...,c...->ab...", st.gamma, t) + _times_potential(bd.A, t)
-    return np.einsum("aa...->...", dt)
+    gt = np.einsum("aac...,c...->a...", st.gamma, t)
+    return sum(sec_deriv(st, bd.k, t[a], a - 2) + gt[a] + bd.A[a] * t[a] for a in range(2))
 
 
 def grad_along(bd: BundleData, X: Array, f: Array) -> Array:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hitchinlab import families
 from hitchinlab.bundle import a_T
+from hitchinlab.catalog import chart_family
 from hitchinlab.families import (
-    d_anti,
     d_holo,
     dir_deriv,
     j_from_mu,
@@ -15,6 +16,8 @@ from hitchinlab.families import (
     nonholo_family,
     nonrigid_family,
     rigid_family,
+    step_for,
+    v_parts,
     variation,
     variation_tensors,
     vj_of,
@@ -74,6 +77,72 @@ def test_rigid_family_constant_datum_closed_form():
         assert max_norm(fam.mu(sigma) - target) < 1e-14
 
 
+def _capture_series(monkeypatch) -> list:
+    """Record the ``(mu_series, w_series)`` of every polynomial family built."""
+    built = []
+    make = families._poly_series_family
+
+    def recording(grid, mu_series, w_series, label):
+        built.append((mu_series, w_series))
+        return make(grid, mu_series, w_series, label)
+
+    monkeypatch.setattr(families, "_poly_series_family", recording)
+    return built
+
+
+def _direct_sum(series: list[dict], sigma: complex, z: np.ndarray) -> np.ndarray:
+    """``sum_j sigma**j * p_j(z)``, each coefficient evaluated on the grid anew."""
+    out = np.zeros_like(z, dtype=complex)
+    for j, p in enumerate(series):
+        if p:
+            out = out + sigma**j * families._peval(p, z)
+    return out
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_chart_family_fields_match_direct_evaluation(monkeypatch, n):
+    """The family's stored sigma^j fields give, bit for bit, the sum that
+    evaluates every coefficient polynomial on the grid at each sigma (128 is
+    the first grid whose complex fields NumPy reuses as temporaries)."""
+    built = _capture_series(monkeypatch)
+    fam, _ = chart_family(n, radius=0.35)
+    (mu_series, w_series), = built
+    z = fam.grid.x + 1j * fam.grid.y
+    sigma = 0.1 + 0.05j
+    e = step_for(sigma, step_for(sigma, EPS))  # the step of a catalog row
+    for s in (sigma, sigma + e, sigma - e, sigma + 1j * e, sigma - 1j * e, 0.35j):
+        mu = _direct_sum(mu_series, s, z)
+        wz = _direct_sum([families._pdz(p) for p in w_series], s, z)
+        wzb = _direct_sum([families._pdzbar(p) for p in w_series], s, z)
+        assert np.array_equal(fam.mu(s), mu)
+        assert np.array_equal(fam.J_at(s), j_from_mu(mu))
+        assert np.array_equal(fam.dw_at(s), np.stack([wz + wzb, 1j * (wz - wzb)]))
+
+
+def test_chart_family_evaluates_its_polynomials_once(monkeypatch):
+    """Each nonzero coefficient polynomial is evaluated on the grid when the
+    family is built, and states and variations evaluate none."""
+    built = _capture_series(monkeypatch)
+    calls = []
+    peval = families._peval
+
+    def counting(p, z):
+        calls.append(p)
+        return peval(p, z)
+
+    monkeypatch.setattr(families, "_peval", counting)
+    fam, _ = chart_family(32, radius=0.35)
+    (mu_series, w_series), = built
+    polys = mu_series + [families._pdz(p) for p in w_series]
+    polys += [families._pdzbar(p) for p in w_series]
+    assert len(calls) == sum(1 for p in polys if p) == 25
+    calls.clear()
+    for s in (0.1 + 0.05j, 0.12 + 0.05j, 0.1 + 0.07j, 0.08 + 0.05j, 0.1 + 0.03j):
+        fam.state(s)
+    vj_of(fam, 0.1 + 0.05j, 1.0, EPS)
+    assert calls == []
+
+
 def test_rigid_family_gates(chart48):
     fam, report = chart48
     assert report.order == 8
@@ -118,7 +187,7 @@ def test_parameter_wirtinger_derivatives(sr, si):
     # cubic in sigma: holomorphic derivative 3 sigma^2, antiholomorphic zero
     scale = max(abs(sigma) ** 2, 1.0)
     assert abs(d_holo(f, sigma, 1e-5)[0, 0] - 3 * sigma**2) < 1e-7 * scale
-    assert abs(d_anti(f, sigma, 1e-5)[0, 0]) < 1e-7 * scale
+    assert abs(v_parts(f, sigma, 1.0, 1e-5)[1][0, 0]) < 1e-7 * scale
 
 
 @given(mr=st.floats(-0.5, 0.5), mi=st.floats(-0.5, 0.5))

@@ -1,8 +1,9 @@
-"""Static check: every name a module imports is used in that module.
+"""Static checks: every name a module imports is used in that module, and
+every name a function binds is read in that function.
 
-The check walks each file's syntax tree, so it needs no linter.  A name
-counts as used when it appears as a name anywhere in the module or is
-listed in ``__all__``.
+The checks walk each file's syntax tree, so they need no linter.  An
+imported name counts as used when it appears as a name anywhere in the
+module or is listed in ``__all__``.
 """
 
 from __future__ import annotations
@@ -45,5 +46,71 @@ def test_no_unused_imports():
         str(path.relative_to(ROOT)): unused
         for path in FILES
         if (unused := unused_imports(path.read_text()))
+    }
+    assert found == {}
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(fn: ast.AST):
+    """The nodes of ``fn``'s body outside the functions and classes it defines."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(source: str) -> list[str]:
+    """The names a function of ``source`` binds and never reads, with their lines.
+
+    A binding is an assignment, ``for`` or ``with`` target in the function's
+    own body; a read anywhere in the function, nested functions included,
+    counts.  Names starting with ``_`` are exempt.
+    """
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {
+            n.id
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+        }
+        for node in _own_nodes(fn):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.For, ast.AsyncFor)):
+                targets = [node.target]
+            elif isinstance(node, (ast.With, ast.AsyncWith)):
+                targets = [item.optional_vars for item in node.items if item.optional_vars]
+            else:
+                continue
+            for target in targets:
+                for n in ast.walk(target):
+                    if (
+                        isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Store)
+                        and not n.id.startswith("_")
+                        and n.id not in read
+                    ):
+                        found.add((n.id, n.lineno))
+    return [f"{name} (line {line})" for name, line in sorted(found)]
+
+
+def test_no_unused_locals():
+    # the check itself sees an unread assignment, unread for and with
+    # targets, a read in a nested function and an exempt name
+    assert unused_locals("def f():\n    x = 1\n    y = 2\n    return y\n") == ["x (line 2)"]
+    loops = "def f(p):\n    for i, _j in p:\n        pass\n    with open(p) as fh:\n        pass\n"
+    assert unused_locals(loops) == ["fh (line 4)", "i (line 2)"]
+    nested = "def f():\n    x = 1\n    def g():\n        return x\n    return g\n"
+    assert unused_locals(nested) == []
+    found = {
+        str(path.relative_to(ROOT)): unused
+        for path in FILES
+        if (unused := unused_locals(path.read_text()))
     }
     assert found == {}
