@@ -143,6 +143,8 @@ class RunConfig:
                 f"chart grid {self.grid} leaves no interior: it needs more than "
                 f"{2 * margin} points per axis"
             )
+        if self.grid < 1:
+            raise ValueError(f"torus grid {self.grid} needs at least 1 point per axis")
         if self.steps < 1:
             raise ValueError(f"steps must be at least one step, got {self.steps}")
 
@@ -734,12 +736,14 @@ def sweep_orders(
 ) -> list[dict]:
     r"""Measured convergence orders on the chart backend.
 
-    Each configuration (every grid, then every eps step on the finest
-    grid) gets one `Env` and one `Case`, shared by every identity.  The
-    grid sweep keeps one *frozen* section (polynomial coefficients built
-    once on the coarsest grid, re-evaluated exactly on the finer ones) so
-    that the h-order is not masked by the section constructor picking a
-    different kernel representative per grid.  The eps sweep uses
+    Each grid gets one `Env` and one `Case`, shared by every identity and
+    by every configuration on that grid: the base step on every grid, then
+    each eps step of the pair on the finest grid, where only
+    ``Env.cfg.eps`` changes and the chart family and its states are kept.
+    The grid sweep keeps one *frozen* section (polynomial coefficients
+    built once on the coarsest grid, re-evaluated exactly on the finer
+    ones) so that the h-order is not masked by the section constructor
+    picking a different kernel representative per grid.  The eps sweep uses
     parameter steps large enough that the :math:`\varepsilon^2`
     difference-quotient error dominates the :math:`h^4` floor.  Only one
     `Env` is alive at a time: keeping them all raises the peak memory.
@@ -762,7 +766,7 @@ def sweep_orders(
     e0, e1 = eps_pair
     base = RunConfig(backend="chart", eps=eps, sigma=sigma, radius=radius, levels=(k,))
     cfgs = [replace(base, grid=n) for n in grids]
-    cfgs += [replace(cfgs[-1], eps=e) for e in eps_pair]
+    eps_cfgs = [replace(cfgs[-1], eps=e) for e in eps_pair]
     coeff = None
     res = []  # per configuration: identity -> residual
     for cfg in cfgs:
@@ -771,7 +775,9 @@ def sweep_orders(
             coeff = env.sections("chart", sigma, k).coeff[0]
         s = section_on(env.chart().grid, coeff)
         case = Case(env, "chart", sigma, k, 1.0, s, bundle_data(env.chart(), sigma, k))
-        res.append({i: float(ROWS[i].residual(case)) for i in identities})
+        for step_cfg in [cfg] + (eps_cfgs if cfg is cfgs[-1] else []):
+            env.cfg = step_cfg  # the case reads its step from env.cfg
+            res.append({i: float(ROWS[i].residual(case)) for i in identities})
         del env, s, case  # free this Env before the next one is built
     rows: list[dict] = []
     for identity in identities:

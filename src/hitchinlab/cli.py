@@ -12,14 +12,17 @@ sweep
 transport
     Parallel-transport the full level-k basis along a parameter path on the
     torus backend and compare with the self-transport oracle; optionally run
-    a loop-holonomy off-scalar check.
+    a loop-holonomy off-scalar check.  Its ``--grid`` is a torus grid, and
+    it takes no ``--backend`` or ``--out``.
 basis
     Print basis diagnostics: multipliers, holomorphy defects, Gram data
     (torus) or solved-section defects (chart).
 
 Bad input (for example a level below 1, fewer than one step, a parameter
-with Im tau <= 0, eps <= 0, a chart grid with no interior or an eps pair of
-other than two values) is reported on one ``error:`` line with exit code 2.
+with Im tau <= 0, eps <= 0, a chart grid with no interior, a torus grid
+below one point, a transport tolerance that is not positive and finite, a
+negative or non-finite loop radius or an eps pair of other than two
+values) is reported on one ``error:`` line with exit code 2.
 """
 
 from __future__ import annotations
@@ -78,13 +81,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _base_config(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config(getattr(args, "config", None))
     updates = {}
     for name in ("backend", "grid"):
         val = getattr(args, name, None)
         if val is not None:
             updates[name] = val
-    return replace(cfg, **updates) if updates else cfg
+    return load_config(getattr(args, "config", None), updates)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -137,6 +139,10 @@ def _cmd_transport(args: argparse.Namespace) -> int:
     path = _csv_complex(args.path)
     if args.k < 1:  # checked before np.eye(k) fails on a negative size
         raise ValueError(f"transport needs a positive level, got k = {args.k}")
+    if not (args.tol > 0 and np.isfinite(args.tol)):
+        raise ValueError(f"tol must be positive and finite, got {args.tol}")
+    if not (args.loop_radius >= 0 and np.isfinite(args.loop_radius)):
+        raise ValueError(f"loop-radius must be finite and not negative, got {args.loop_radius}")
     res = transport(fam, args.k, path, np.eye(args.k), steps=args.steps)
     if args.loop_radius > 0:
         off, _ = loop_offscalar(fam, args.k, path[0], args.loop_radius, steps=args.steps)
@@ -226,7 +232,8 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_tr = sub.add_parser("transport", help="parallel transport vs oracle")
-    _add_common(p_tr)
+    p_tr.add_argument("--config", help="INI file with a [run] section")
+    p_tr.add_argument("--grid", type=int, help="torus grid points per axis")
     p_tr.add_argument("--k", type=int, default=3, help="level")
     p_tr.add_argument("--path", default="1j,1+1j", help="waypoints, e.g. 1j,1+1j")
     p_tr.add_argument("--steps", type=int, default=1000)
@@ -237,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         default=0.0,
         help="also transport around a circle of this radius at the first waypoint",
     )
-    p_tr.set_defaults(fn=_cmd_transport)
+    p_tr.set_defaults(fn=_cmd_transport, backend="torus")
 
     p_basis = sub.add_parser("basis", help="basis diagnostics")
     _add_common(p_basis)

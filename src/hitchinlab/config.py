@@ -17,7 +17,7 @@ Command-line flags override file values; unset keys keep the defaults of
 from __future__ import annotations
 
 import configparser
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from .catalog import RunConfig
 
@@ -41,10 +41,12 @@ def _parse_value(name: str, raw: str):
     raise KeyError(name)
 
 
-def load_config(path: str | None) -> RunConfig:
-    cfg = RunConfig()
+def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
+    """The file's values with ``overrides`` (command-line values) on top,
+    checked once, as the one configuration they make together."""
+    overrides = overrides or {}
     if not path:
-        return cfg
+        return RunConfig(**overrides)
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -57,4 +59,4 @@ def load_config(path: str | None) -> RunConfig:
         if key not in known:
             raise ValueError(f"{path}: unknown key {key!r} in [run]")
         updates[key] = _parse_value(key, raw)
-    return replace(cfg, **updates)
+    return RunConfig(**{**updates, **overrides})

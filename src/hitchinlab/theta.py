@@ -51,8 +51,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bundle import a_T, bundle_data
-from .families import TorusFamily, dir_deriv, variation_tensors, vj_of
+from .bundle import bundle_data
+from .families import TorusFamily
 from .fields import Array, TorusGrid, max_norm
 from .operators import u_apply
 
@@ -199,24 +199,14 @@ class ProjectionData:
     defect: float  # sup-norm residual of nabla_V s_j off the span, relative
 
 
-def connection_matrix(
-    fam: TorusFamily, tau: complex, k: int, v: complex, exact: bool = True
-) -> ProjectionData:
+def connection_matrix(fam: TorusFamily, tau: complex, k: int, v: complex) -> ProjectionData:
     r""":math:`\nabla_V` of the level-``k`` basis in that basis, from the torus
-    closed forms of ``V[s]``, ``A_T(V)``, ``G(V)`` or (``exact=False``, a
-    reference for the tests) from central differences with ``eps = 1e-4``."""
+    closed forms of ``V[s]``, ``A_T(V)`` and ``G(V)``."""
     grid = fam.grid
     bd = bundle_data(fam, tau, k)
     basis = theta_basis(grid, k, tau)
-    if exact:
-        Vs = v * theta_basis_dtau(grid, k, tau)
-        aT, GV = fam.a_t_exact(tau, v), fam.g_exact(tau, v)
-    else:
-        eps = 1e-4
-        Vs = dir_deriv(lambda s: theta_basis(grid, k, s), tau, v, eps)
-        aT = a_T(fam, tau, v, eps)
-        GV = variation_tensors(bd.state, vj_of(fam, tau, v, eps))[1]
-    nab = Vs + aT * basis + u_apply(bd, GV, basis)
+    Vs = v * theta_basis_dtau(grid, k, tau)
+    nab = Vs + fam.a_t_exact(tau, v) * basis + u_apply(bd, fam.g_exact(tau, v), basis)
     G = gram(grid, k, tau, basis)
     # pairing P[l, j] = weight * mean(conj(s_l) * nabla s_j); with
     # nabla s_j = sum_i M[i, j] s_i this gives P = G^T M, so M solves

@@ -159,8 +159,23 @@ def test_transport_subcommand(capsys):
         (["--steps", "0"], "at least one step"),
         (["--path", "1-1j,1+1j"], "Im tau > 0"),
         (["--k", "-1"], "positive level"),
+        (["--tol", "-1"], "tol must be positive and finite"),
+        (["--tol", "nan"], "tol must be positive and finite"),
+        (["--grid", "0"], "torus grid 0"),
+        (["--loop-radius", "-0.05"], "loop-radius must be finite and not negative"),
+        (["--loop-radius", "nan"], "loop-radius must be finite and not negative"),
     ],
-    ids=["k0", "steps0", "lower_half_plane", "k_negative"],
+    ids=[
+        "k0",
+        "steps0",
+        "lower_half_plane",
+        "k_negative",
+        "tol_negative",
+        "tol_nan",
+        "grid0",
+        "loop_radius_negative",
+        "loop_radius_nan",
+    ],
 )
 def test_transport_rejects_bad_input(capsys, bad, message):
     code = main(["transport", "--grid", "16", "--k", "1", "--steps", "4"] + bad)
@@ -169,6 +184,19 @@ def test_transport_rejects_bad_input(capsys, bad, message):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and message in err[0]
     assert "Traceback" not in captured.err
+
+
+def test_transport_grid_is_a_torus_grid(tmp_path, capsys):
+    """A grid too small for a chart interior is a valid torus grid, from the
+    command line or from a config file, and transport has no backend to
+    choose."""
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\ngrid = 8\n")
+    for source in (["--grid", "8"], ["--config", str(ini)]):
+        assert main(["transport", "--k", "1", "--steps", "4"] + source) == 0
+        assert "endpoint deviation" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["transport", "--backend", "torus"])
 
 
 def test_basis_subcommand_torus(capsys):
@@ -201,6 +229,10 @@ def test_basis_subcommand_chart(capsys):
         (["basis", "--backend", "chart", "--grid", "12"], "no interior"),
         (["basis", "--backend", "torus", "--grid", "16", "--tau", "1-1j"], "Im tau > 0"),
         (["basis", "--backend", "torus", "--k", "0", "--grid", "32"], "levels must be at least 1"),
+        (["basis", "--backend", "torus", "--grid", "0"], "torus grid 0"),
+        (["verify", "--backend", "torus", "--grid", "0"], "torus grid 0"),
+        (["transport", "--tol", "-1"], "tol must be positive and finite"),
+        (["transport", "--tol", "nan"], "tol must be positive and finite"),
     ],
     ids=[
         "verify_lower_half_plane",
@@ -216,6 +248,10 @@ def test_basis_subcommand_chart(capsys):
         "basis_grid12",
         "basis_lower_half_plane",
         "basis_k0",
+        "basis_torus_grid0",
+        "verify_torus_grid0",
+        "transport_tol_negative",
+        "transport_tol_nan",
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):

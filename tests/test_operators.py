@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hitchinlab import operators
 from hitchinlab.bundle import bundle_data
 from hitchinlab.families import variation_tensors, vj_of
 from hitchinlab.fields import max_norm
@@ -201,6 +202,47 @@ def test_chart_sections_solve_and_reevaluate(chart48):
     for i in range(ts.values.shape[0]):
         re_eval = section_on(fam.grid, ts.coeff[i])
         assert max_norm(re_eval - ts.values[i]) < 1e-12
+
+
+def _stacked_coeffs(D, systems):
+    """The anchored solve on the full stacked system ``[D; kappa R]`` with
+    ``lstsq``'s default cutoff: the reference for the one-QR solve of
+    :func:`chart_sections`."""
+    kappa = float(np.linalg.norm(D, 2))
+    return [
+        np.linalg.lstsq(
+            np.vstack([D, kappa * R]),
+            np.concatenate([np.zeros(D.shape[0], dtype=complex), kappa * t]),
+            rcond=None,
+        )[0]
+        for R, t in systems
+    ]
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_chart_sections_match_the_stacked_solve(chart48, monkeypatch, k):
+    """One QR of the design matrix with the stacked system's rank cutoff
+    keeps every numerical rank and moves the sections only at rounding.
+    The ``k = 0`` defects sit at the rounding floor (about 1e-12), so the
+    relative defect check has an absolute floor of 1e-12."""
+    fam, _ = chart48
+    bd = bundle_data(fam, SIGMA, k)
+    lstsq = np.linalg.lstsq
+    ranks = []
+
+    def recorded(*args, **kwargs):
+        out = lstsq(*args, **kwargs)
+        ranks.append(int(out[2]))
+        return out
+
+    monkeypatch.setattr(np.linalg, "lstsq", recorded)
+    ts = chart_sections(bd)
+    monkeypatch.setattr(operators, "_anchored_coeffs", _stacked_coeffs)
+    ref = chart_sections(bd)
+    assert ranks[:2] == ranks[2:]
+    assert max_norm(ts.values - ref.values) < 1e-5
+    for d, r in zip(ts.defects, ref.defects):
+        assert abs(d - r) <= 1e-3 * r + 1e-12
 
 
 def test_unknown_potential_family_is_rejected(torus32):
