@@ -219,12 +219,15 @@ def _anchored_coeffs(D: Array, systems: list[tuple[Array, Array]]) -> list[Array
     ``D = Q R_D``, and each system is solved on the small
     ``[R_D; kappa R]``: ``Q`` is an isometry and the target is zero on the
     ``D`` rows, so both systems have the same singular values and the same
-    minimum-norm solution.  The rank cutoff is the one ``lstsq`` takes on
-    the stacked system, ``eps * max(M + a, N)`` relative to the largest
-    singular value (``a`` anchor rows).  The default cutoff of the small
-    system, ``eps * (N + a)``, is 35 to 72 times smaller at ``n = 64``: it
-    keeps directions of the numerical kernel that the stacked solve drops
-    (rank 150 -> 153 at ``k = 1``), and the sections move by 0.36 (sup).
+    minimum-norm solution.  ``D`` has one row per grid node and stands for
+    the design with one row per node and coordinate component of the
+    (0,1)-form (the same Gram matrix, see :func:`chart_sections`), so the
+    rank cutoff is the one ``lstsq`` takes on that design stacked with the
+    anchors, ``eps * max(2M + a, N)`` relative to the largest singular
+    value (``a`` anchor rows).  The default cutoff of the small system,
+    ``eps * (N + a)``, is 35 to 72 times smaller at ``n = 64``: it keeps
+    directions of the numerical kernel that the stacked solve drops (rank
+    150 -> 153 at ``k = 1``), and the sections move by 0.36 (sup).
     """
     RD = np.linalg.qr(D, mode="r")
     kappa = float(np.linalg.norm(RD, 2))
@@ -232,7 +235,7 @@ def _anchored_coeffs(D: Array, systems: list[tuple[Array, Array]]) -> list[Array
     for R, t in systems:
         stacked = np.vstack([RD, kappa * R])
         target = np.concatenate([np.zeros(RD.shape[0], dtype=complex), kappa * t])
-        rcond = np.finfo(float).eps * max(D.shape[0] + len(t), D.shape[1])
+        rcond = np.finfo(float).eps * max(2 * D.shape[0] + len(t), D.shape[1])
         out.append(np.linalg.lstsq(stacked, target, rcond=rcond)[0])
     return out
 
@@ -253,9 +256,17 @@ def chart_sections(bd: BundleData) -> TestSections:
     the measured (0,1)-derivative residuals of the result over the same
     nodes, not the optimizer's claim.
 
-    The tall design matrix is factored once per call and both anchored
-    systems are solved on its triangular factor (:func:`_anchored_coeffs`),
-    with the rank cutoff of the stacked system.
+    The (0,1) projector ``Q = (I + iJ)/2`` has rank one, so at each node
+    the (0,1)-form ``(d_a s + A_a s) Q[a, b]`` is ``c * l_b`` with
+    ``l = Q[0, :]`` and ``|l| >= |Q[0, 0]| >= 1/2`` (``J`` is real).  The
+    design therefore takes one row per node, the component along the unit
+    direction ``conj(l)/|l|``: it has the Gram matrix of the design with
+    one row per node and coordinate component, so the same singular values
+    and the same minimum-norm solution, with half the rows to factor.  The
+    defect is the larger coordinate component, ``|c| max_b |l_b|``.  The
+    design is factored once per call and both anchored systems are solved
+    on its triangular factor (:func:`_anchored_coeffs`), with the rank
+    cutoff of the two-component stacked system.
     """
     grid: ChartGrid = bd.grid
     st = bd.state
@@ -269,6 +280,10 @@ def chart_sections(bd: BundleData) -> TestSections:
     pairs = [(p, q) for p in range(deg + 1) for q in range(deg + 1 - p)]
     Ax, Ay = bd.A
     Q = st.Q
+    l_norm = np.hypot(np.abs(Q[0, 0]), np.abs(Q[0, 1]))
+    wx, wy = np.einsum("ab...,b...->a...", Q, np.conj(Q[0])) / l_norm
+    # the larger coordinate component of c * l, relative to |c * l|
+    comp = np.maximum(np.abs(Q[0, 0]), np.abs(Q[0, 1])) / l_norm
     rows = []
     dVx = np.stack([_cheb.chebval(u1, _cheb.chebder(np.eye(deg + 1)[:, p])) for p in range(deg + 1)], 1) / grid.half
     dVy = np.stack([_cheb.chebval(v1, _cheb.chebder(np.eye(deg + 1)[:, q])) for q in range(deg + 1)], 1) / grid.half
@@ -276,8 +291,7 @@ def chart_sections(bd: BundleData) -> TestSections:
         s = np.outer(Vx[:, p], Vy[:, q])
         sx = np.outer(dVx[:, p], Vy[:, q]) + Ax * s
         sy = np.outer(Vx[:, p], dVy[:, q]) + Ay * s
-        anti = np.stack([sx * Q[0, 0] + sy * Q[1, 0], sx * Q[0, 1] + sy * Q[1, 1]])
-        rows.append(anti.ravel())
+        rows.append((sx * wx + sy * wy).ravel())
     D = np.stack(rows, axis=1)
 
     def value_row(a: complex) -> Array:
@@ -301,7 +315,7 @@ def chart_sections(bd: BundleData) -> TestSections:
         s_full = Vx @ C @ Vy.T
         scale = max(float(np.max(np.abs(s_full))), 1e-300)
         values.append(s_full / scale)
-        defects.append(float(np.max(np.abs(D @ c))) / scale)
+        defects.append(float(np.max(np.abs(D @ c) * comp.ravel())) / scale)
         coeffs.append(C / scale)
     return TestSections(values=np.stack(values), defects=tuple(defects), coeff=np.stack(coeffs))
 

@@ -204,8 +204,11 @@ def connection_matrix(fam: TorusFamily, tau: complex, k: int, v: complex) -> Pro
     closed forms of ``V[s]``, ``A_T(V)`` and ``G(V)``."""
     grid = fam.grid
     bd = bundle_data(fam, tau, k)
-    basis = theta_basis(grid, k, tau)
-    Vs = v * theta_basis_dtau(grid, k, tau)
+    # theta_basis and theta_basis_dtau from one set of lattice factors
+    x, y = _axes(grid)
+    nt, X, Y = _lattice_factors(x, y, k, tau)
+    basis = _lattice_sum(X, Y)
+    Vs = v * _lattice_sum(X, 1j * np.pi * k * (nt + y) ** 2 * Y)
     nab = Vs + fam.a_t_exact(tau, v) * basis + u_apply(bd, fam.g_exact(tau, v), basis)
     G = gram(grid, k, tau, basis)
     # pairing P[l, j] = weight * mean(conj(s_l) * nabla s_j); with

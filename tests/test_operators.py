@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as cheb
 
 from hitchinlab import operators
 from hitchinlab.bundle import bundle_data
@@ -204,45 +205,102 @@ def test_chart_sections_solve_and_reevaluate(chart48):
         assert max_norm(re_eval - ts.values[i]) < 1e-12
 
 
-def _stacked_coeffs(D, systems):
-    """The anchored solve on the full stacked system ``[D; kappa R]`` with
-    ``lstsq``'s default cutoff: the reference for the one-QR solve of
-    :func:`chart_sections`."""
-    kappa = float(np.linalg.norm(D, 2))
-    return [
-        np.linalg.lstsq(
-            np.vstack([D, kappa * R]),
-            np.concatenate([np.zeros(D.shape[0], dtype=complex), kappa * t]),
-            rcond=None,
-        )[0]
-        for R, t in systems
-    ]
+def _two_row_design(bd):
+    """The design of :func:`chart_sections` with one row per grid node and
+    coordinate component of the (0,1)-form ``(d_a s + A_a s) Q[a, b]``
+    (``2 n^2`` rows): the reference for its one-row design.  Returns the
+    design and the ``(p, q)`` degrees of its columns."""
+    grid, Q = bd.grid, bd.state.Q
+    deg = min(14 + 2 * int(round(bd.k)), 26)
+    u1 = (grid.x[:, 0] - grid.center[0]) / grid.half
+    v1 = (grid.y[0, :] - grid.center[1]) / grid.half
+    Vx, Vy = cheb.chebvander(u1, deg), cheb.chebvander(v1, deg)
+    dVx = np.stack([cheb.chebval(u1, cheb.chebder(np.eye(deg + 1)[:, p])) for p in range(deg + 1)], 1) / grid.half
+    dVy = np.stack([cheb.chebval(v1, cheb.chebder(np.eye(deg + 1)[:, q])) for q in range(deg + 1)], 1) / grid.half
+    pairs = [(p, q) for p in range(deg + 1) for q in range(deg + 1 - p)]
+    Ax, Ay = bd.A
+    cols = []
+    for p, q in pairs:
+        s = np.outer(Vx[:, p], Vy[:, q])
+        sx = np.outer(dVx[:, p], Vy[:, q]) + Ax * s
+        sy = np.outer(Vx[:, p], dVy[:, q]) + Ay * s
+        cols.append(np.stack([sx * Q[0, 0] + sy * Q[1, 0], sx * Q[0, 1] + sy * Q[1, 1]]).ravel())
+    return np.stack(cols, axis=1), pairs
+
+
+def _recorded_solves(monkeypatch):
+    """Record the design and the anchor systems of each :func:`chart_sections` solve."""
+    calls = []
+    solve = operators._anchored_coeffs
+
+    def recorded(D, systems):
+        calls.append((D, systems))
+        return solve(D, systems)
+
+    monkeypatch.setattr(operators, "_anchored_coeffs", recorded)
+    return calls
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
 def test_chart_sections_match_the_stacked_solve(chart48, monkeypatch, k):
-    """One QR of the design matrix with the stacked system's rank cutoff
-    keeps every numerical rank and moves the sections only at rounding.
-    The ``k = 0`` defects sit at the rounding floor (about 1e-12), so the
+    """The one-row design, solved with one QR and the stacked system's rank
+    cutoff, keeps every numerical rank of ``lstsq`` on the two-row design
+    stacked with the anchors and moves the sections only at rounding.  The
+    ``k = 0`` defects sit at the rounding floor (about 1e-12), so the
     relative defect check has an absolute floor of 1e-12."""
     fam, _ = chart48
     bd = bundle_data(fam, SIGMA, k)
     lstsq = np.linalg.lstsq
     ranks = []
 
-    def recorded(*args, **kwargs):
+    def ranked(*args, **kwargs):
         out = lstsq(*args, **kwargs)
         ranks.append(int(out[2]))
         return out
 
-    monkeypatch.setattr(np.linalg, "lstsq", recorded)
+    calls = _recorded_solves(monkeypatch)
+    monkeypatch.setattr(np.linalg, "lstsq", ranked)
     ts = chart_sections(bd)
-    monkeypatch.setattr(operators, "_anchored_coeffs", _stacked_coeffs)
-    ref = chart_sections(bd)
+    ((_, systems),) = calls
+    D, pairs = _two_row_design(bd)
+    kappa = float(np.linalg.norm(D, 2))
+    ps, qs = np.array(pairs).T
+    for i, (R, t) in enumerate(systems):
+        stacked = np.vstack([D, kappa * R])
+        target = np.concatenate([np.zeros(D.shape[0], dtype=complex), kappa * t])
+        c = np.linalg.lstsq(stacked, target, rcond=None)[0]
+        C = np.zeros((ps.max() + 1, qs.max() + 1), dtype=complex)
+        C[ps, qs] = c
+        s = section_on(fam.grid, C)
+        scale = max_norm(s)
+        assert max_norm(ts.values[i] - s / scale) < 1e-5
+        ref_defect = max_norm(D @ c) / scale
+        assert abs(ts.defects[i] - ref_defect) <= 1e-3 * ref_defect + 1e-12
     assert ranks[:2] == ranks[2:]
-    assert max_norm(ts.values - ref.values) < 1e-5
-    for d, r in zip(ts.defects, ref.defects):
-        assert abs(d - r) <= 1e-3 * r + 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_chart_design_compresses_the_two_row_design(chart48, monkeypatch, k):
+    """``Q = (I + iJ)/2`` has rank one, so the two coordinate blocks of the
+    two-row design are pointwise proportional, ``c * l_0`` and ``c * l_1``
+    with ``l = Q[0, :]``, and the one-row design, their component along
+    ``conj(l)/|l|``, has the same Gram matrix."""
+    fam, _ = chart48
+    bd = bundle_data(fam, SIGMA, k)
+    calls = _recorded_solves(monkeypatch)
+    chart_sections(bd)
+    ((D1, _),) = calls
+    D, _ = _two_row_design(bd)
+    m = D1.shape[0]
+    assert D.shape == (2 * m, D1.shape[1])
+    Q = bd.state.Q
+    l0, l1 = Q[0, 0].ravel(), Q[0, 1].ravel()
+    l_norm = np.hypot(np.abs(l0), np.abs(l1))
+    assert l_norm.min() >= 0.5
+    cross = D[:m] * l1[:, None] - D[m:] * l0[:, None]
+    assert max_norm(cross) <= 1e-14 * max_norm(D) * l_norm.max()
+    gram_gap = np.linalg.norm(D1.conj().T @ D1 - D.conj().T @ D, 2)
+    assert gram_gap <= 1e-13 * np.linalg.norm(D, 2) ** 2
 
 
 def test_unknown_potential_family_is_rejected(torus32):

@@ -124,6 +124,30 @@ def test_connection_matrix_difference_quotient_agrees(torus32):
     assert max_norm(pd_exact.M - M_fd) < 1e-6
 
 
+def _connection_matrix_two_sums(fam, tau, k, v):
+    """The connection matrix with the basis and its tau-derivative from
+    :func:`theta_basis` and :func:`theta_basis_dtau`, each building its own
+    lattice factors: the reference for :func:`connection_matrix`."""
+    grid = fam.grid
+    bd = bundle_data(fam, tau, k)
+    basis = theta_basis(grid, k, tau)
+    Vs = v * theta_basis_dtau(grid, k, tau)
+    nab = Vs + fam.a_t_exact(tau, v) * basis + u_apply(bd, fam.g_exact(tau, v), basis)
+    weight = 2.0 * np.pi * np.sqrt(tau.imag / np.pi)
+    P = weight * np.einsum("lab,jab->lj", np.conj(basis), nab) / grid.n**2
+    M = np.linalg.solve(np.conj(gram(grid, k, tau, basis)), P)
+    defect = max_norm(nab - np.einsum("ij,iab->jab", M, basis)) / max(max_norm(basis), 1e-300)
+    return M, defect
+
+
+@pytest.mark.parametrize("tau,k,v", [(1j, 1, 1.0), (1 + 1j, 3, 1j), (0.5 + 0.8j, 2, 0.6 - 0.8j)])
+def test_connection_matrix_matches_the_two_sums_bit_for_bit(torus32, tau, k, v):
+    pd = connection_matrix(torus32, tau, k, v)
+    M, defect = _connection_matrix_two_sums(torus32, tau, k, v)
+    assert np.array_equal(pd.M, M)
+    assert pd.defect == defect
+
+
 def test_path_normalization():
     path = _as_path((1j, 1 + 1j))
     assert path(0.0) == 1j
