@@ -51,20 +51,17 @@ def level_potential(state: KahlerState, k: float) -> Array:
     return A
 
 
-def halfform_potential(state: KahlerState) -> tuple[Array, float]:
+def halfform_potential(state: KahlerState) -> Array:
     r"""M-direction potential of the half-form frame :math:`(dw)^{1/2}`.
 
     Computes :math:`\nabla dw = \alpha\otimes dw + \beta\otimes d\bar w`
     with the Levi-Civita connection and returns :math:`\tfrac12\alpha`
-    together with the sup of the type leakage :math:`|\beta|` (zero for
-    an honest Kaehler member; reported as a diagnostic).
+    (the type leakage :math:`\beta` vanishes on an honest Kaehler member).
     """
     grid = state.grid
     ddw = np.stack([grid.deriv(state.dw, -2), grid.deriv(state.dw, -1)])
     ddw = ddw - np.einsum("cab...,c...->ab...", state.gamma, state.dw)
-    alpha = np.einsum("ab...,b...->a...", ddw, state.E)
-    beta = np.einsum("ab...,b...->a...", ddw, np.conj(state.E))
-    return 0.5 * alpha, max_norm(beta, grid.interior())
+    return 0.5 * np.einsum("ab...,b...->a...", ddw, state.E)
 
 
 @dataclass
@@ -76,7 +73,6 @@ class BundleData:
     A_L: Array  # level-k potential alone
     a_delta: Array  # half-form potential
     A: Array  # total: level + half-form
-    type_leakage: float
 
     @property
     def grid(self):
@@ -91,8 +87,8 @@ class BundleData:
 def bundle_data(family: Family, sigma: complex, k: float) -> BundleData:
     st = family.state(sigma)
     A_L = level_potential(st, k)
-    a_d, leak = halfform_potential(st)
-    return BundleData(state=st, k=k, A_L=A_L, a_delta=a_d, A=A_L + a_d, type_leakage=leak)
+    a_d = halfform_potential(st)
+    return BundleData(state=st, k=k, A_L=A_L, a_delta=a_d, A=A_L + a_d)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +209,7 @@ def curvature_tm(
     r"""Mixed curvature one-form :math:`R(V, e_a) = V[A_{M,a}] - \partial_a A_T(V)`."""
 
     def A_M(s: complex) -> Array:
-        st = family.state(s)
-        alpha, _ = halfform_potential(st)
-        return alpha  # the level part is parameter-independent
+        return halfform_potential(family.state(s))  # the level part is parameter-independent
 
     VA = dir_deriv(A_M, sigma, v, eps)
     aT_field = a_T(family, sigma, v, eps)

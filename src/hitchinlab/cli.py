@@ -18,11 +18,10 @@ basis
     Print basis diagnostics: multipliers, holomorphy defects, Gram data
     (torus) or solved-section defects (chart).
 
-Bad input (for example a level below 1, fewer than one step, a parameter
-with Im tau <= 0, eps <= 0, a chart grid with no interior, a torus grid
-below one point, a transport tolerance that is not positive and finite, a
-negative or non-finite loop radius or an eps pair of other than two
-values) is reported on one ``error:`` line with exit code 2.
+Run values come from ``--config`` with the flags on top, checked together
+(``config.load_config``).  Bad input, from a flag or from the file (the
+README's *CLI* section lists the cases), is reported on one ``error:`` line
+with exit code 2.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -45,7 +43,7 @@ from .catalog import (
     sweep_axis_ok,
     sweep_orders,
 )
-from .config import load_config
+from .config import FIELDS, csv, load_config
 from .operators import chart_sections, torus_sections
 from .reports import (
     CATALOG_COLUMNS,
@@ -57,51 +55,21 @@ from .reports import (
 )
 
 
-def _csv_ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in raw.split(",") if p.strip())
-
-
-def _csv_floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in raw.split(",") if p.strip())
-
-
-def _csv_complex(raw: str) -> tuple[complex, ...]:
-    return tuple(complex(p.strip()) for p in raw.split(",") if p.strip())
-
-
-def _csv_names(raw: str) -> tuple[str, ...]:
-    return tuple(p.strip() for p in raw.split(",") if p.strip())
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="INI file with a [run] section")
-    p.add_argument("--backend", choices=("torus", "chart", "both"))
-    p.add_argument("--grid", type=int, help="grid points per axis")
+    p.add_argument("--backend", type=FIELDS["backend"], help="torus, chart or both")
+    p.add_argument("--grid", type=FIELDS["grid"], help="grid points per axis")
     p.add_argument("--out", help="directory for report files")
 
 
 def _base_config(args: argparse.Namespace) -> RunConfig:
-    updates = {}
-    for name in ("backend", "grid"):
-        val = getattr(args, name, None)
-        if val is not None:
-            updates[name] = val
-    return load_config(getattr(args, "config", None), updates)
+    """The config file with every run-value flag that is set on top."""
+    flags = {k: v for k, v in vars(args).items() if k in FIELDS and v is not None}
+    return load_config(args.config, flags)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _base_config(args)
-    updates = {}
-    if args.identities:
-        updates["identities"] = _csv_names(args.identities)
-    if args.mutate:
-        updates["mutate"] = args.mutate
-    if args.jobs is not None:
-        updates["jobs"] = args.jobs
-    if args.eps is not None:
-        updates["eps"] = args.eps
-    if updates:
-        cfg = replace(cfg, **updates)
     rows = run_catalog(cfg)
     print(format_catalog(rows))
     if args.out:
@@ -112,11 +80,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _base_config(args)
-    identities = _csv_names(args.identities) if args.identities else SWEEPABLE
     rows = sweep_orders(
-        identities,
-        grids=_csv_ints(args.grids),
-        eps_pair=_csv_floats(args.eps_pair),
+        cfg.identities or SWEEPABLE,
+        grids=args.grids,
+        eps_pair=args.eps_pair,
         k=args.level,
         radius=cfg.radius,
         sigma=cfg.sigma,
@@ -136,18 +103,17 @@ def _cmd_transport(args: argparse.Namespace) -> int:
 
     cfg = _base_config(args)
     fam = TorusFamily(TorusGrid(cfg.grid))
-    path = _csv_complex(args.path)
     if args.k < 1:  # checked before np.eye(k) fails on a negative size
         raise ValueError(f"transport needs a positive level, got k = {args.k}")
     if not (args.tol > 0 and np.isfinite(args.tol)):
         raise ValueError(f"tol must be positive and finite, got {args.tol}")
     if not (args.loop_radius >= 0 and np.isfinite(args.loop_radius)):
         raise ValueError(f"loop-radius must be finite and not negative, got {args.loop_radius}")
-    res = transport(fam, args.k, path, np.eye(args.k), steps=args.steps)
+    res = transport(fam, args.k, args.path, np.eye(args.k), steps=cfg.steps)
     if args.loop_radius > 0:
-        off, _ = loop_offscalar(fam, args.k, path[0], args.loop_radius, steps=args.steps)
+        off, _ = loop_offscalar(fam, args.k, args.path[0], args.loop_radius, steps=cfg.steps)
     dev = float(np.max(np.abs(res.end - res.start)))
-    print(f"path {' -> '.join(str(p) for p in path)}  level {args.k}  steps {args.steps}")
+    print(f"path {' -> '.join(str(p) for p in args.path)}  level {args.k}  steps {cfg.steps}")
     print(f"endpoint deviation from oracle: {dev:.3e}")
     print(f"worst projection defect:        {res.max_defect:.3e}")
     print(f"Gram norm drift:                {res.norm_drift:.3e}")
@@ -160,8 +126,6 @@ def _cmd_transport(args: argparse.Namespace) -> int:
 
 def _cmd_basis(args: argparse.Namespace) -> int:
     cfg = _base_config(args)
-    if args.k is not None:
-        cfg = replace(cfg, levels=(args.k,))
     backend = cfg.backend if cfg.backend != "both" else "torus"
     worst = 0.0
     if backend == "torus":
@@ -171,8 +135,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 
         grid = TorusGrid(cfg.grid)
         fam = TorusFamily(grid)
-        taus = (complex(args.tau),) if args.tau else cfg.taus
-        for tau in taus:
+        for tau in cfg.taus:
             for k in cfg.levels:
                 ts = torus_sections(bundle_data(fam, tau, k))
                 G = gram(grid, k, tau, ts.values)
@@ -189,13 +152,11 @@ def _cmd_basis(args: argparse.Namespace) -> int:
                 worst = max(worst, gdev, mult, dbar, 0.0 if rank == k else 1.0)
         return 0 if worst <= 1e-8 else 1
     fam, report = chart_family(cfg.grid, cfg.radius)
-    sigma = complex(args.sigma) if args.sigma else cfg.sigma
     print(f"generated family: radius {cfg.radius}, report {report}")
     for k in cfg.levels:
-        bd = bundle_data(fam, sigma, k)
-        ts = chart_sections(bd)
+        ts = chart_sections(bundle_data(fam, cfg.sigma, k))
         defects = "  ".join(f"{d:.2e}" for d in ts.defects)
-        print(f"sigma={sigma} k={k}: section defects {defects}")
+        print(f"sigma={cfg.sigma} k={k}: section defects {defects}")
         worst = max(worst, max(ts.defects))
     return 0 if worst <= 1e-6 else 1
 
@@ -212,31 +173,35 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(p_verify)
     p_verify.add_argument(
         "--identities",
+        type=FIELDS["identities"],
         help="comma-separated subset; known: " + ", ".join(IDENTITY_NAMES),
     )
     p_verify.add_argument(
         "--mutate",
-        choices=sorted(MUTATIONS),
-        help="flip one term of one identity (the run must then fail)",
+        type=FIELDS["mutate"],
+        help="flip one term of a selected identity (the run must then fail): "
+        + ", ".join(sorted(MUTATIONS)),
     )
-    p_verify.add_argument("--jobs", type=int, help="worker threads")
-    p_verify.add_argument("--eps", type=float, help="parameter step")
+    p_verify.add_argument("--jobs", type=FIELDS["jobs"], help="worker threads")
+    p_verify.add_argument("--eps", type=FIELDS["eps"], help="parameter step")
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="measure convergence orders")
     _add_common(p_sweep)
-    p_sweep.add_argument("--identities", help="subset of: " + ", ".join(SWEEPABLE))
-    p_sweep.add_argument("--grids", default="64,128", help="grid list, e.g. 64,128")
-    p_sweep.add_argument("--eps-pair", default="0.1,0.05", help="two parameter steps")
+    p_sweep.add_argument(
+        "--identities", type=FIELDS["identities"], help="subset of: " + ", ".join(SWEEPABLE)
+    )
+    p_sweep.add_argument("--grids", type=csv(int), default="64,128", help="e.g. 64,128")
+    p_sweep.add_argument("--eps-pair", type=csv(float), default="0.1,0.05", help="two eps steps")
     p_sweep.add_argument("--level", type=int, default=1, help="section level k")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_tr = sub.add_parser("transport", help="parallel transport vs oracle")
     p_tr.add_argument("--config", help="INI file with a [run] section")
-    p_tr.add_argument("--grid", type=int, help="torus grid points per axis")
+    p_tr.add_argument("--grid", type=FIELDS["grid"], help="torus grid points per axis")
     p_tr.add_argument("--k", type=int, default=3, help="level")
-    p_tr.add_argument("--path", default="1j,1+1j", help="waypoints, e.g. 1j,1+1j")
-    p_tr.add_argument("--steps", type=int, default=1000)
+    p_tr.add_argument("--path", type=csv(complex), default="1j,1+1j", help="waypoints")
+    p_tr.add_argument("--steps", type=FIELDS["steps"], default=1000)
     p_tr.add_argument("--tol", type=float, default=1e-6)
     p_tr.add_argument(
         "--loop-radius",
@@ -248,15 +213,15 @@ def main(argv: list[str] | None = None) -> int:
 
     p_basis = sub.add_parser("basis", help="basis diagnostics")
     _add_common(p_basis)
-    p_basis.add_argument("--k", type=int, help="single level (default: config levels)")
-    p_basis.add_argument("--tau", help="torus parameter, e.g. 1+1j")
-    p_basis.add_argument("--sigma", help="chart parameter")
+    p_basis.add_argument("--k", dest="levels", type=FIELDS["levels"], metavar="K", help="level")
+    p_basis.add_argument("--tau", dest="taus", type=FIELDS["taus"], metavar="TAU", help="tau")
+    p_basis.add_argument("--sigma", type=FIELDS["sigma"], help="chart parameter")
     p_basis.set_defaults(fn=_cmd_basis)
 
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"hitchinlab {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,53 +10,63 @@ Example::
     eps = 1e-4
     jobs = 4
 
-Command-line flags override file values; unset keys keep the defaults of
-:class:`hitchinlab.catalog.RunConfig`.
+`FIELDS` parses the text of each RunConfig field, for the INI reader and for
+every command-line flag that sets a run value.  Flags override file values,
+unset keys keep the defaults of :class:`hitchinlab.catalog.RunConfig`, and
+the RunConfig they make together is checked once.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import fields
 
 from .catalog import RunConfig
 
 
-def _parse_value(name: str, raw: str):
-    raw = raw.strip()
-    if name in ("levels",):
-        return tuple(int(p) for p in raw.split(",") if p.strip())
-    if name in ("taus",):
-        return tuple(complex(p.strip()) for p in raw.split(",") if p.strip())
-    if name in ("identities",):
-        return tuple(p.strip() for p in raw.split(",") if p.strip())
-    if name in ("sigma",):
-        return complex(raw)
-    if name in ("grid", "steps", "jobs"):
-        return int(raw)
-    if name in ("eps", "radius"):
-        return float(raw)
-    if name in ("mutate", "backend"):
-        return raw
-    raise KeyError(name)
+def csv(item):
+    """Parser of a comma-separated list of values that ``item`` parses."""
+
+    def parse(raw: str) -> tuple:
+        return tuple(item(p.strip()) for p in raw.split(",") if p.strip())
+
+    parse.__name__ = f"{item.__name__} list"  # argparse names it in its errors
+    return parse
+
+
+FIELDS = {
+    "backend": str,
+    "grid": int,
+    "eps": float,
+    "levels": csv(int),
+    "taus": csv(complex),
+    "sigma": complex,
+    "radius": float,
+    "steps": int,
+    "mutate": str,
+    "identities": csv(str),
+    "jobs": int,
+}
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     """The file's values with ``overrides`` (command-line values) on top,
     checked once, as the one configuration they make together."""
-    overrides = overrides or {}
-    if not path:
-        return RunConfig(**overrides)
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise FileNotFoundError(path)
-    if not parser.has_section("run"):
-        raise ValueError(f"{path}: missing [run] section")
-    known = {f.name for f in fields(RunConfig)}
-    updates = {}
-    for key, raw in parser.items("run"):
-        if key not in known:
-            raise ValueError(f"{path}: unknown key {key!r} in [run]")
-        updates[key] = _parse_value(key, raw)
-    return RunConfig(**{**updates, **overrides})
+    values = {}
+    if path:
+        parser = configparser.ConfigParser()
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise ValueError(f"{path}: {str(exc).splitlines()[0]}") from None
+        if not read:
+            raise FileNotFoundError(f"config file not found: {path}")
+        if not parser.has_section("run"):
+            raise ValueError(f"{path}: missing [run] section")
+        for key, raw in parser.items("run"):
+            if key not in FIELDS:
+                raise ValueError(f"{path}: unknown key {key!r} in [run]")
+            try:
+                values[key] = FIELDS[key](raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}: bad value for {key!r}: {exc}") from None
+    return RunConfig(**{**values, **(overrides or {})})

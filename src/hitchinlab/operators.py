@@ -545,14 +545,12 @@ PotentialFn = Callable[[complex], Array]
 def potential_fn(family: Family, which: str) -> PotentialFn:
     """Reduction-potential families by name.
 
-    ``zero``      -- identically zero (the normalized torus convention);
-    ``ricci``     -- the state's Ricci potential field;
+    ``ricci``     -- the state's Ricci potential field (identically zero on
+                     the torus, where the state normalizes it);
     ``log-imtau`` -- ``(1/2) log Im sigma`` (constant over M), the
                      non-pluriharmonic repair that absorbs the
                      parameter-direction curvature on the torus.
     """
-    if which == "zero":
-        return lambda s: np.zeros(family.grid.shape, dtype=complex)
     if which == "ricci":
         return lambda s: family.state(s).F
     if which == "log-imtau":
@@ -653,7 +651,7 @@ def frame_comparison_residuals(
 
     lm = logm(sigma)
     dlm = np.stack([grid.deriv(lm, -2), grid.deriv(lm, -1)])
-    a_d, _ = halfform_potential(st)
+    a_d = halfform_potential(st)
     mask = grid.interior()
     res_m = max_norm(a_d + dlm - dF_holo(st, Ffn(sigma)), mask)
 

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from hitchinlab.catalog import IDENTITY_NAMES, MUTATIONS, RunConfig, select_entries
 from hitchinlab.cli import main
-from hitchinlab.config import load_config
+from hitchinlab.config import FIELDS, load_config
 
 FAST_TORUS = "basis_multiplier,gram_rank,heat_mode,basis_holomorphy"
 
@@ -32,6 +33,10 @@ def test_default_config_roundtrip(tmp_path):
     assert cfg.levels == (1, 2)
     assert cfg.taus == (1j, 1 + 1j)
     assert cfg.eps == 2e-4
+
+
+def test_config_has_one_parser_per_runconfig_field():
+    assert set(FIELDS) == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -233,6 +238,20 @@ def test_basis_subcommand_chart(capsys):
         (["verify", "--backend", "torus", "--grid", "0"], "torus grid 0"),
         (["transport", "--tol", "-1"], "tol must be positive and finite"),
         (["transport", "--tol", "nan"], "tol must be positive and finite"),
+        (["verify", "--backend", "bogus"], "backend must be one of torus, chart, both"),
+        (["verify", "--config", "{backend_ini}"], "backend must be one of torus, chart, both"),
+        (["verify", "--mutate", "bogus"], "unknown mutation 'bogus'"),
+        (["verify", "--backend", "torus", "--config", "{mutate_ini}"], "unknown mutation"),
+        (["verify", "--identities", "transport_oracle", "--backend", "chart"], "no catalog row"),
+        (
+            ["verify", "--backend", "torus", "--identities", "heat_mode"]
+            + ["--mutate", "transfer-rho"],
+            "flips holomorphy_transfer, which this run does not select",
+        ),
+        (["verify", "--config", "{missing_ini}"], "config file not found"),
+        (["basis", "--config", "{missing_ini}"], "config file not found"),
+        (["verify", "--config", "{grid_ini}"], "bad value for 'grid': invalid literal"),
+        (["verify", "--config", "{headless_ini}"], "no section headers"),
     ],
     ids=[
         "verify_lower_half_plane",
@@ -252,15 +271,57 @@ def test_basis_subcommand_chart(capsys):
         "verify_torus_grid0",
         "transport_tol_negative",
         "transport_tol_nan",
+        "verify_backend_bogus",
+        "verify_ini_backend_bogus",
+        "verify_mutate_bogus",
+        "verify_ini_mutate_bogus",
+        "verify_no_row",
+        "verify_mutation_target_unselected",
+        "verify_missing_config",
+        "basis_missing_config",
+        "verify_ini_grid_not_int",
+        "verify_ini_no_section_header",
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):
-    ini = tmp_path / "run.ini"
-    ini.write_text("[run]\ntaus = 1-1j\nidentities = heat_mode\n")
-    code = main([a.format(ini=ini) for a in argv])
+    files = {
+        "ini": "[run]\ntaus = 1-1j\nidentities = heat_mode\n",
+        "backend_ini": "[run]\nbackend = bogus\n",
+        "mutate_ini": "[run]\nmutate = bogus\nidentities = heat_mode\n",
+        "grid_ini": "[run]\ngrid = abc\n",
+        "headless_ini": "grid = 32\n",
+    }
+    paths = {"missing_ini": tmp_path / "missing.ini"}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.ini"
+        paths[name].write_text(text)
+    code = main([a.format(**paths) for a in argv])
     assert code == 2
     captured = capsys.readouterr()
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"hitchinlab {argv[0]}: error:")
     assert message in err[0]
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "ini, argv",
+    [
+        ("eps = 0", ["verify", "--eps", "1e-4"]),
+        ("levels = 0", ["basis", "--tau", "1j", "--k", "1"]),
+        ("taus = 1-1j", ["basis", "--k", "1", "--tau", "1j"]),
+        ("backend = bogus", ["verify", "--backend", "torus"]),
+        ("grid = 0", ["verify", "--grid", "16"]),
+        ("identities = no_such", ["verify", "--identities", "heat_mode"]),
+    ],
+    ids=["verify_eps", "basis_k", "basis_tau", "verify_backend", "verify_grid", "verify_ids"],
+)
+def test_flag_repairs_bad_file_value(tmp_path, ini, argv):
+    """File and flags are checked together: a flag replaces a file value
+    before the check, so a bad file value it overrides is no error."""
+    path = tmp_path / "run.ini"
+    path.write_text(f"[run]\n{ini}\n")
+    fast = ["--backend", "torus", "--grid", "32"]  # flags after these win
+    if argv[0] == "verify":
+        fast += ["--identities", "heat_mode"]
+    assert main(argv[:1] + fast + argv[1:] + ["--config", str(path)]) == 0

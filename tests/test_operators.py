@@ -120,7 +120,7 @@ def test_potential_oneform_mutations_visible(chart48):
 
 
 def test_comparison_multiplier_torus_closed_form(torus32):
-    m = comparison_multiplier(torus32, potential_fn(torus32, "zero"), TAU)
+    m = comparison_multiplier(torus32, potential_fn(torus32, "ricci"), TAU)
     assert max_norm(m - (np.pi / TAU.imag) ** 0.25) < 1e-12
 
 
@@ -129,7 +129,7 @@ def test_frame_comparison_direction_dependence(torus32):
     :math:`1/(4\operatorname{Im}\tau)` in the first coordinate direction,
     while the second direction cancels -- the sharp signature of the
     non-closed comparison one-form."""
-    zero = potential_fn(torus32, "zero")
+    zero = potential_fn(torus32, "ricci")
     _, rt1 = frame_comparison_residuals(torus32, zero, TAU, 1.0, EPS)
     _, rt2 = frame_comparison_residuals(torus32, zero, TAU, 1j, EPS)
     assert abs(rt1 - 1.0 / (4.0 * TAU.imag)) < 1e-6
@@ -146,7 +146,7 @@ def test_frame_comparison_repaired_potential(torus32):
 
 def test_pullback_identity_and_mutations(torus64, chart48):
     s = theta_basis(torus64.grid, 1, TAU)[0]
-    zero = potential_fn(torus64, "zero")
+    zero = potential_fn(torus64, "ricci")
     bd = bundle_data(torus64, TAU, 1)
     assert operator_pullback_residual(torus64, zero, bd, 1.0, s, EPS) < 1e-8
     fam, _ = chart48
@@ -161,7 +161,7 @@ def test_pullback_identity_and_mutations(torus64, chart48):
 
 def test_connection_agreement_obstruction_and_repair(torus32):
     s = theta_basis(torus32.grid, 1, TAU)[0]
-    zero = potential_fn(torus32, "zero")
+    zero = potential_fn(torus32, "ricci")
     fixed = potential_fn(torus32, "log-imtau")
     bd = bundle_data(torus32, TAU, 1)
     r_zero = connection_agreement_residual(torus32, zero, bd, 1.0, s, EPS)
