@@ -44,6 +44,8 @@ from .catalog import (
     sweep_orders,
 )
 from .config import FIELDS, csv, load_config
+from .families import TorusFamily
+from .fields import TorusGrid
 from .operators import chart_sections, torus_sections
 from .reports import (
     CATALOG_COLUMNS,
@@ -53,6 +55,7 @@ from .reports import (
     write_csv,
     write_jsonl,
 )
+from .theta import gram, gram_rank, loop_offscalar, multiplier_residual, transport
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -62,10 +65,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="directory for report files")
 
 
-def _base_config(args: argparse.Namespace) -> RunConfig:
-    """The config file with every run-value flag that is set on top."""
+class _Parser(argparse.ArgumentParser):
+    """Reports a flag that does not parse on one ``error:`` line, exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _base_config(args: argparse.Namespace, defaults: dict | None = None) -> RunConfig:
+    """The config file, with the run-value flags that are set on top and ``defaults`` below."""
     flags = {k: v for k, v in vars(args).items() if k in FIELDS and v is not None}
-    return load_config(args.config, flags)
+    return load_config(args.config, flags, defaults)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -97,11 +107,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_transport(args: argparse.Namespace) -> int:
-    from .families import TorusFamily
-    from .fields import TorusGrid
-    from .theta import loop_offscalar, transport
-
-    cfg = _base_config(args)
+    cfg = _base_config(args, {"steps": 1000})
     fam = TorusFamily(TorusGrid(cfg.grid))
     if args.k < 1:  # checked before np.eye(k) fails on a negative size
         raise ValueError(f"transport needs a positive level, got k = {args.k}")
@@ -129,10 +135,6 @@ def _cmd_basis(args: argparse.Namespace) -> int:
     backend = cfg.backend if cfg.backend != "both" else "torus"
     worst = 0.0
     if backend == "torus":
-        from .families import TorusFamily
-        from .fields import TorusGrid
-        from .theta import gram, gram_rank, multiplier_residual
-
         grid = TorusGrid(cfg.grid)
         fam = TorusFamily(grid)
         for tau in cfg.taus:
@@ -162,7 +164,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hitchinlab",
         description="Residual laboratory for a family of corrected connections "
         "on parameter-dependent spaces of holomorphic sections.",
@@ -201,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     p_tr.add_argument("--grid", type=FIELDS["grid"], help="torus grid points per axis")
     p_tr.add_argument("--k", type=int, default=3, help="level")
     p_tr.add_argument("--path", type=csv(complex), default="1j,1+1j", help="waypoints")
-    p_tr.add_argument("--steps", type=FIELDS["steps"], default=1000)
+    p_tr.add_argument("--steps", type=FIELDS["steps"], help="RK4 steps, else the file's, else 1000")
     p_tr.add_argument("--tol", type=float, default=1e-6)
     p_tr.add_argument(
         "--loop-radius",

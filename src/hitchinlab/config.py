@@ -12,8 +12,9 @@ Example::
 
 `FIELDS` parses the text of each RunConfig field, for the INI reader and for
 every command-line flag that sets a run value.  Flags override file values,
-unset keys keep the defaults of :class:`hitchinlab.catalog.RunConfig`, and
-the RunConfig they make together is checked once.
+which override a subcommand's defaults (``transport``'s 1000 steps); unset
+keys keep those of :class:`hitchinlab.catalog.RunConfig`, and the RunConfig
+they make together is checked once.
 """
 
 from __future__ import annotations
@@ -48,10 +49,12 @@ FIELDS = {
 }
 
 
-def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    """The file's values with ``overrides`` (command-line values) on top,
-    checked once, as the one configuration they make together."""
-    values = {}
+def load_config(
+    path: str | None, overrides: dict | None = None, defaults: dict | None = None
+) -> RunConfig:
+    """The file's values with ``overrides`` (command-line values) on top and a
+    subcommand's ``defaults`` below, checked once as one :class:`RunConfig`."""
+    values = dict(defaults or {})
     if path:
         parser = configparser.ConfigParser()
         try:

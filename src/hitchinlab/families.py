@@ -612,7 +612,7 @@ def variation(
     )
 
     # rigidity gate: (0,1) covariant derivative of G, pi^{0,1} on the new slot
-    nablaG = cov_deriv(st.grid, st.gamma, G.astype(complex), "uu")
+    nablaG = cov_deriv(st.grid, st.gamma, G, "uu")
     rig = max_norm(np.einsum("az...,abc...->zbc...", Q, nablaG), mask)
 
     return Variation(

@@ -4,10 +4,14 @@ Two backends share one calculus interface:
 
 * :class:`TorusGrid` -- uniform periodic grid on the unit square with
   spectral (FFT) differentiation; derivatives are exact to machine
-  precision for smooth periodic data.
+  precision for smooth periodic data, but a real field, which takes
+  ``rfft``, loses the derivative of its Nyquist mode.
 * :class:`ChartGrid` -- uniform closed box with 4th-order finite
   differences (central stencils in the interior, one-sided at the
   boundary); residual norms are evaluated on an interior mask.
+
+Both return a derivative of the dtype of their input: real fields stay
+float64, complex fields complex128.
 
 Tensor fields are plain component arrays with *real* frame indices, of
 shape ``(2,)*rank + (n, n)`` over the coordinate frame ``(d/dx, d/dy)`` or
@@ -60,12 +64,13 @@ class TorusGrid:
         return 2j * np.pi * np.fft.fftfreq(self.n, d=1.0 / self.n)
 
     def deriv(self, f: Array, axis: int) -> Array:
-        """Spectral partial derivative along grid ``axis`` (-2 for x, -1 for y)."""
-        fh = np.fft.fft(f, axis=axis)
-        shape = [1] * fh.ndim
-        shape[axis] = self.n
-        fh *= self._ik.reshape(shape)
-        return np.fft.ifft(fh, axis=axis)
+        """Spectral partial derivative along grid ``axis`` (-2 for x, -1 for y),
+        of the dtype of ``f``.  A real ``f`` takes ``rfft``/``irfft``, which
+        drops the derivative of the real Nyquist mode (even ``n``): it is 0."""
+        real = not np.iscomplexobj(f)
+        fh = np.fft.rfft(f, axis=axis) if real else np.fft.fft(f, axis=axis)
+        fh *= self._ik[: fh.shape[axis]].reshape((-1,) + (1,) * (fh.ndim - 1 - axis % fh.ndim))
+        return np.fft.irfft(fh, self.n, axis=axis) if real else np.fft.ifft(fh, axis=axis)
 
     def interior(self) -> Array:
         return np.ones(self.shape, dtype=bool)
@@ -113,18 +118,27 @@ class ChartGrid:
         return (self.n, self.n)
 
     def deriv(self, f: Array, axis: int) -> Array:
-        """4th-order finite-difference partial derivative along ``axis``."""
-        g = np.moveaxis(np.asarray(f, dtype=complex), axis, -1)
-        out = np.empty_like(g)
-        out[..., 2:-2] = (
-            -g[..., 4:] + 8.0 * g[..., 3:-1] - 8.0 * g[..., 1:-3] + g[..., :-4]
-        ) / 12.0
+        """4th-order finite-difference partial derivative along ``axis``, of
+        the dtype of ``f``.  Both dtypes scale by ``1/12`` and ``1/h`` as
+        multiplications, so a real ``f`` gives the real part of the complex
+        stencil of ``f`` bit for bit."""
+
+        def at(s) -> tuple:  # index ``s`` along ``axis``
+            return (slice(None),) * (axis % f.ndim) + (s,)
+
+        out = np.empty_like(f, dtype=np.result_type(f, 1.0))
+        mid = out[at(slice(2, -2))]
+        np.negative(f[at(slice(4, None))], out=mid)
+        mid += 8.0 * f[at(slice(3, -1))]
+        mid -= 8.0 * f[at(slice(1, -3))]
+        mid += f[at(slice(None, -4))]
+        mid *= 1.0 / 12.0
         for i, st in ((0, _EDGE0), (1, _EDGE1)):
             # one-sided stencil over the first five nodes, mirrored at the far edge
-            out[..., i] = sum(c * g[..., j] for j, c in enumerate(st))
-            out[..., -1 - i] = -sum(c * g[..., -1 - j] for j, c in enumerate(st))
-        out /= self.h
-        return np.moveaxis(out, -1, axis)
+            out[at(i)] = sum(c * f[at(j)] for j, c in enumerate(st))
+            out[at(-1 - i)] = -sum(c * f[at(-1 - j)] for j, c in enumerate(st))
+        out *= 1.0 / self.h
+        return out
 
     def interior(self) -> Array:
         m = self.margin

@@ -7,7 +7,8 @@ Throughout the lab the symplectic form is the fixed background
 and differential constructions downstream code needs:
 
 * compatible metric, inverse, Levi-Civita symbols, and the Ricci form
-  :math:`\rho(X, Y) = r(JX, Y)`, with the Ricci tensor contracted from the
+  :math:`\rho(X, Y) = r(JX, Y)`, all real (float64) for a real structure
+  :math:`J`, with the Ricci tensor contracted from the
   symbols and their first derivatives
   (:math:`r_{ab} = \partial_c\Gamma^c{}_{ab} - \partial_a\Gamma^c{}_{cb}
   + \Gamma^c{}_{ce}\Gamma^e{}_{ab} - \Gamma^c{}_{ae}\Gamma^e{}_{cb}`);

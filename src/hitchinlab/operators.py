@@ -95,13 +95,13 @@ def dF_holo(st: KahlerState, F: Array) -> Array:
 
 def trace_nabla(st: KahlerState, T: Array) -> Array:
     r"""Divergence :math:`(\operatorname{Tr}\tilde\nabla T)^b = \tilde\nabla_a T^{ab}`."""
-    nT = cov_deriv(st.grid, st.gamma, T.astype(complex), "uu")
+    nT = cov_deriv(st.grid, st.gamma, T, "uu")
     return np.einsum("aab...->b...", nT)
 
 
 def trace_nabla_endo(st: KahlerState, T: Array) -> Array:
     r"""One-form :math:`\tilde\nabla_a T^a{}_b` for an endomorphism-valued field."""
-    nT = cov_deriv(st.grid, st.gamma, T.astype(complex), "ud")
+    nT = cov_deriv(st.grid, st.gamma, T, "ud")
     return np.einsum("aab...->b...", nT)
 
 
@@ -450,7 +450,7 @@ def levicivita_variation_residual(family: Family, sigma: complex, v: complex, ep
     vgamma = dir_deriv(lambda s: family.state(s).gamma, sigma, v, eps)
     lhs = np.einsum("cd...,dab...->abc...", st.g, vgamma)
     vg = dir_deriv(lambda s: family.state(s).g, sigma, v, eps)
-    D = cov_deriv(st.grid, st.gamma, vg.astype(complex), "dd")
+    D = cov_deriv(st.grid, st.gamma, vg, "dd")
     rhs = 0.5 * (
         D
         + np.einsum("bac...->abc...", D)

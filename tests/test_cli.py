@@ -204,6 +204,18 @@ def test_transport_grid_is_a_torus_grid(tmp_path, capsys):
         main(["transport", "--backend", "torus"])
 
 
+def test_transport_takes_steps_from_the_config_file(tmp_path, capsys):
+    """The file's ``steps`` reaches transport when ``--steps`` is not given;
+    the flag still wins over it."""
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nsteps = 4\n")
+    base = ["transport", "--grid", "16", "--k", "1", "--config", str(ini)]
+    assert main(base) == 0
+    assert "steps 4" in capsys.readouterr().out
+    assert main(base + ["--steps", "6"]) == 0
+    assert "steps 6" in capsys.readouterr().out
+
+
 def test_basis_subcommand_torus(capsys):
     code = main(["basis", "--backend", "torus", "--k", "2", "--tau", "1j", "--grid", "64"])
     assert code == 0
@@ -252,6 +264,8 @@ def test_basis_subcommand_chart(capsys):
         (["basis", "--config", "{missing_ini}"], "config file not found"),
         (["verify", "--config", "{grid_ini}"], "bad value for 'grid': invalid literal"),
         (["verify", "--config", "{headless_ini}"], "no section headers"),
+        (["verify", "--grid", "abc"], "argument --grid: invalid int value: 'abc'"),
+        (["sweep", "--grids", "64,x"], "argument --grids: invalid int list value: '64,x'"),
     ],
     ids=[
         "verify_lower_half_plane",
@@ -281,6 +295,8 @@ def test_basis_subcommand_chart(capsys):
         "basis_missing_config",
         "verify_ini_grid_not_int",
         "verify_ini_no_section_header",
+        "verify_flag_grid_not_int",
+        "sweep_flag_grids_not_int",
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):
@@ -295,7 +311,10 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):
     for name, text in files.items():
         paths[name] = tmp_path / f"{name}.ini"
         paths[name].write_text(text)
-    code = main([a.format(**paths) for a in argv])
+    try:
+        code = main([a.format(**paths) for a in argv])
+    except SystemExit as exc:  # a flag that does not parse stops argparse
+        code = exc.code
     assert code == 2
     captured = capsys.readouterr()
     err = captured.err.strip().splitlines()

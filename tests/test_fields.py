@@ -48,6 +48,44 @@ def test_chart_derivative_fourth_order():
     assert order > 3.5
 
 
+def test_real_input_gives_float64_output():
+    for grid in (TorusGrid(16), ChartGrid(17)):
+        f = np.cos(2 * np.pi * grid.x) * np.sin(2 * np.pi * grid.y)
+        for axis in (-2, -1):
+            assert grid.deriv(f, axis).dtype == np.float64
+            assert grid.deriv(f.astype(complex), axis).dtype == np.complex128
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize(
+    "lead", [(), (2,), (2, 2), (2, 2, 2)], ids=["rank0", "rank1", "rank2", "rank3"]
+)
+@pytest.mark.parametrize("axis", [-2, -1])
+def test_chart_real_path_is_the_real_part_of_the_complex_path(n, lead, axis):
+    # both paths scale by 1/12 and 1/h as multiplications, so they agree bit for bit
+    grid = ChartGrid(n)
+    f = np.random.default_rng(n + len(lead)).standard_normal(lead + grid.shape)
+    assert np.array_equal(grid.deriv(f, axis), grid.deriv(f.astype(complex), axis).real)
+
+
+def test_torus_real_path_matches_the_complex_path():
+    grid = TorusGrid(32)
+    f = np.sin(2 * np.pi * grid.x) * np.cos(4 * np.pi * grid.y) + 0.3 * np.cos(
+        6 * np.pi * grid.x + 2 * np.pi * grid.y
+    )
+    for axis in (-2, -1):
+        ref = grid.deriv(f.astype(complex), axis)
+        assert max_norm(grid.deriv(f, axis) - ref) <= 1e-13 * max_norm(ref)
+        # a constant field's transform has no other mode: exact zeros
+        assert not np.any(grid.deriv(np.full((2,) + grid.shape, 3.7), axis))
+
+
+def test_torus_real_nyquist_mode_has_zero_derivative():
+    grid = TorusGrid(32)
+    for f, axis in ((np.cos(32 * np.pi * grid.x), -2), (np.cos(32 * np.pi * grid.y), -1)):
+        assert not np.any(grid.deriv(f, axis))
+
+
 def test_chart_grid_geometry():
     grid = ChartGrid(21)
     assert grid.x[0, 0] == pytest.approx(-0.5)

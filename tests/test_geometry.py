@@ -152,3 +152,18 @@ def test_ricci_form_is_the_riemann_contraction():
     ref = _ricci_form_of_riemann(chart.grid, st.gamma, st.J)
     assert max_norm(ref) > 1e-3  # a curved member, so the comparison has content
     assert max_norm(ricci_form(chart.grid, st.gamma, st.J) - ref) <= 1e-14
+
+
+def test_state_geometry_is_real():
+    """``g``, ``gamma`` and ``rho`` are float64 on both backends, and the
+    torus members, of constant coefficients, have exactly zero symbols and
+    Ricci form."""
+    fam = TorusFamily(TorusGrid(32))
+    cfg = RunConfig()
+    chart, _ = chart_family(cfg.grid, cfg.radius)
+    for st in (fam.state(1j), fam.state(0.5 + 0.8j), chart.state(cfg.sigma)):
+        for field in (st.g, st.gamma, st.rho):
+            assert field.dtype == np.float64
+    for tau in (1j, 0.5 + 0.8j):
+        st = fam.state(tau)
+        assert not np.any(st.gamma) and not np.any(st.rho)
