@@ -20,10 +20,10 @@ Budgets follow the two error models of the backends:
   difference quotients only in the parameter direction);
 * chart rows use ``C * (eps_eff**2 + h**4)`` with per-identity constants
   ``C`` calibrated at grid 64 and checked against the measured
-  convergence orders (``sweep_orders``); ``eps_eff = eps * (1 + |sigma|)``.
-  A row passes ``eps_eff`` as its step (``Case.eps``) and
-  ``families.dir_deriv`` scales it by ``(1 + |sigma|)`` again, so the step
-  actually taken is ``eps * (1 + |sigma|)**2``.
+  convergence orders (``sweep_orders``); ``eps_eff`` is the step
+  ``families.step_for(sigma, eps) = eps * (1 + |sigma|)`` that every
+  parameter difference quotient takes.  A row passes the run's plain
+  ``eps`` (``Case.eps``); ``step_for`` is the one place that scales it.
 
 Mutation hooks flip the sign of a single term inside a chosen identity
 (`MUTATIONS`); a healthy harness must then report a failure.
@@ -58,6 +58,7 @@ from .families import (
     nonholo_family,
     nonrigid_family,
     rigid_family,
+    step_for,
     variation,
     variation_tensors,
     vj_of,
@@ -205,9 +206,6 @@ class Env:
     def params(self, backend: str) -> tuple[complex, ...]:
         return self.cfg.taus if backend == "torus" else (self.cfg.sigma,)
 
-    def eps_at(self, sigma: complex) -> float:
-        return self.cfg.eps * (1.0 + abs(sigma))
-
     def sections(self, backend: str, sigma: complex, k: int) -> TestSections:
         """Test sections at ``(sigma, k)``, built once even when threads race."""
 
@@ -232,10 +230,15 @@ class Env:
 
 @dataclass(frozen=True)
 class Case:
-    """One point of a row's case axes; unused axes stay ``None`` (level 0)."""
+    """One point of a row's case axes; unused axes stay ``None`` (level 0).
+
+    ``eps`` is the run's plain parameter step (`families.step_for` scales it
+    at the parameter) and ``flip`` the mutation flip of the case's row."""
 
     env: Env
     backend: str
+    eps: float
+    flip: str | None
     p: complex | None = None  # parameter: a tau on the torus, sigma on the chart
     k: int = 0  # level
     v: complex | None = None  # direction
@@ -245,10 +248,6 @@ class Case:
     @property
     def fam(self) -> Family:
         return self.env.family(self.backend)
-
-    @property
-    def eps(self) -> float:
-        return self.env.eps_at(self.p)
 
     @property
     def mask(self) -> Array:
@@ -320,7 +319,7 @@ def _halfform_trace(c: Case) -> float:
 
 
 def _potential_constancy_corrected(c: Case) -> float:
-    ptt = pot_tt(c.fam, potential_fn(c.fam, "ricci"), c.p, c.eps)
+    ptt = pot_tt(potential_fn(c.fam, "ricci"), c.p, c.eps)
     return _spread(ptt + curvature_tt(c.fam, c.p, c.eps), c.mask)
 
 
@@ -329,7 +328,7 @@ def _reduction(c: Case, which: str) -> list[float]:
     st = c.fam.state(c.p)
     Ff = potential_fn(c.fam, which)
     # surface-surface block (relative: the target grows with the level)
-    pmm = pot_mm(c.fam, Ff, c.p, c.eps)
+    pmm = pot_mm(c.fam, Ff, c.p)
     out = [
         _rel(curvature_mm(bundle_data(c.fam, c.p, k)), -1j * k * st.omega[0, 1] - pmm, c.mask)
         for k in c.env.cfg.levels
@@ -340,7 +339,7 @@ def _reduction(c: Case, which: str) -> list[float]:
         out.append(max_norm(ctm + pot_mixed(c.fam, Ff, c.p, v, c.eps), c.mask))
     # parameter-parameter block (absolute)
     ctt = curvature_tt(c.fam, c.p, c.eps)
-    out.append(max_norm(ctt + pot_tt(c.fam, Ff, c.p, c.eps), c.mask))
+    out.append(max_norm(ctt + pot_tt(Ff, c.p, c.eps), c.mask))
     return out
 
 
@@ -358,7 +357,7 @@ def _connection_agreement(c: Case, which: str = "ricci") -> float:
 
 
 def _gram_rank(c: Case) -> list[float]:
-    G = gram(c.fam.grid, c.k, c.p, theta_basis(c.fam.grid, c.k, c.p))
+    G = gram(c.fam.grid, c.p, theta_basis(c.fam.grid, c.k, c.p))
     golden = np.sqrt(2.0 * np.pi / c.k)
     return [
         0.0 if gram_rank(G) == c.k else 1.0,
@@ -419,6 +418,7 @@ class Row:
     def cases(self, env: Env, backend: str) -> list[tuple[float, int]]:
         """Every case residual of this row on ``backend`` with its level."""
         ax = self.axes
+        eps, flip = env.cfg.eps, env.flip(self.identity)
         out: list[tuple[float, int]] = []
         for p in env.params(backend) if "p" in ax else (None,):
             for k in env.cfg.levels if "k" in ax else (0,):
@@ -428,7 +428,7 @@ class Row:
                     s = s[:1] if "f" in ax else s
                     bd = bundle_data(env.family(backend), p, k)
                 for v in DIRS if "v" in ax else (None,):
-                    r = self.residual(Case(env, backend, p, k, v, s, bd))
+                    r = self.residual(Case(env, backend, eps, flip, p, k, v, s, bd))
                     out += [(x, k) for x in np.ravel(r).tolist()]
         return out
 
@@ -513,13 +513,11 @@ ROWS: dict[str, Row] = {
         ),
         Row(
             "potential_oneform", {TORUS: 1e-8, CHART: 10.0}, "pv",
-            lambda c: potential_oneform_residual(
-                c.fam, c.p, c.v, c.eps, flip=c.env.flip("potential_oneform")
-            ),
+            lambda c: potential_oneform_residual(c.fam, c.p, c.v, c.eps, flip=c.flip),
         ),
         Row(
             "potential_constancy", {TORUS: 1e-8, CHART: 10.0}, "p",
-            lambda c: _spread(pot_tt(c.fam, potential_fn(c.fam, "ricci"), c.p, c.eps), c.mask),
+            lambda c: _spread(pot_tt(potential_fn(c.fam, "ricci"), c.p, c.eps), c.mask),
             fails=(CHART,),
             note=(
                 "the parameter-hessian of the potential family varies over the "
@@ -548,16 +546,12 @@ ROWS: dict[str, Row] = {
         ),
         Row(
             "defining_equation", {TORUS: 1e-8, CHART: 60.0}, "pkvs",
-            lambda c: eq_defining_residual(
-                c.fam, c.bd, c.v, c.s, c.eps, flip=c.env.flip("defining_equation")
-            ),
+            lambda c: eq_defining_residual(c.fam, c.bd, c.v, c.s, c.eps, flip=c.flip),
             k_cubic=True,
         ),
         Row(
             "holomorphy_transfer", {TORUS: 1e-8, CHART: 300.0}, "pkvs",
-            lambda c: eq_transfer_residual(
-                c.fam, c.bd, c.v, c.s, c.eps, flip=c.env.flip("holomorphy_transfer")
-            ),
+            lambda c: eq_transfer_residual(c.fam, c.bd, c.v, c.s, c.eps, flip=c.flip),
             k_cubic=True,
         ),
         Row(
@@ -580,8 +574,7 @@ ROWS: dict[str, Row] = {
         Row(
             "operator_pullback", {TORUS: 1e-8, CHART: 10.0}, "pkvf",
             lambda c: operator_pullback_residual(
-                c.fam, potential_fn(c.fam, "ricci"), c.bd, c.v, c.s, c.eps,
-                flip=c.env.flip("operator_pullback"),
+                c.fam, potential_fn(c.fam, "ricci"), c.bd, c.v, c.s, c.eps, flip=c.flip
             ),
         ),
         Row(
@@ -632,7 +625,7 @@ def budget_for(
     if backend == "torus":
         return b
     grid = env.family("chart").grid
-    eps_eff = env.eps_at(env.cfg.sigma)
+    eps_eff = step_for(env.cfg.sigma, env.cfg.eps)
     scale = eps_eff**2 + grid.h**4
     if row.k_cubic and k:
         return b * max(int(k), 1) ** 3 * scale
@@ -744,10 +737,10 @@ def sweep_orders(
 ) -> list[dict]:
     r"""Measured convergence orders on the chart backend.
 
-    Each grid gets one `Env` and one `Case`, shared by every identity and
-    by every configuration on that grid: the base step on every grid, then
-    each eps step of the pair on the finest grid, where only
-    ``Env.cfg.eps`` changes and the chart family and its states are kept.
+    Each grid gets one `Env` and one `Case`, shared by every identity: the
+    base step on every grid, then each eps step of the pair on the finest
+    grid, as a copy of its case with that ``eps``, so the chart family and
+    its states are kept.
     The grid sweep keeps one *frozen* section (polynomial coefficients
     built once on the coarsest grid, re-evaluated exactly on the finer
     ones) so that the h-order is not masked by the section constructor
@@ -774,7 +767,8 @@ def sweep_orders(
     e0, e1 = eps_pair
     base = RunConfig(backend="chart", eps=eps, sigma=sigma, radius=radius, levels=(k,))
     cfgs = [replace(base, grid=n) for n in grids]
-    eps_cfgs = [replace(cfgs[-1], eps=e) for e in eps_pair]
+    for e in eps_pair:  # an eps step the run configuration rejects raises here
+        replace(base, eps=e)
     coeff = None
     res = []  # per configuration: identity -> residual
     for cfg in cfgs:
@@ -782,11 +776,10 @@ def sweep_orders(
         if coeff is None:  # the frozen section, from the coarsest grid
             coeff = env.sections("chart", sigma, k).coeff[0]
         s = section_on(env.chart().grid, coeff)
-        case = Case(env, "chart", sigma, k, 1.0, s, bundle_data(env.chart(), sigma, k))
-        for step_cfg in [cfg] + (eps_cfgs if cfg is cfgs[-1] else []):
-            env.cfg = step_cfg  # the case reads its step from env.cfg
-            res.append({i: float(ROWS[i].residual(case)) for i in identities})
-        del env, s, case  # free this Env before the next one is built
+        case = Case(env, "chart", eps, None, sigma, k, 1.0, s, bundle_data(env.chart(), sigma, k))
+        cases = [case] + [replace(case, eps=e) for e in (eps_pair if cfg is cfgs[-1] else ())]
+        res += [{i: float(ROWS[i].residual(c)) for i in identities} for c in cases]
+        del env, s, case, cases  # free this Env before the next one is built
     rows: list[dict] = []
     for identity in identities:
         r = [at[identity] for at in res]

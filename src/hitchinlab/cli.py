@@ -66,10 +66,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a flag that does not parse on one ``error:`` line, exit 2."""
+    """Raises a flag that does not parse as a ``ValueError``, which `main`
+    reports as it reports every other bad input."""
 
     def error(self, message: str):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        raise ValueError(message)
 
 
 def _base_config(args: argparse.Namespace, defaults: dict | None = None) -> RunConfig:
@@ -140,7 +141,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
         for tau in cfg.taus:
             for k in cfg.levels:
                 ts = torus_sections(bundle_data(fam, tau, k))
-                G = gram(grid, k, tau, ts.values)
+                G = gram(grid, tau, ts.values)
                 golden = np.sqrt(2 * np.pi / k)
                 gdev = float(np.max(np.abs(G - golden * np.eye(k)))) / golden
                 mult = max(multiplier_residual(grid, k, tau, j) for j in range(k))
@@ -220,11 +221,16 @@ def main(argv: list[str] | None = None) -> int:
     p_basis.add_argument("--sigma", type=FIELDS["sigma"], help="chart parameter")
     p_basis.set_defaults(fn=_cmd_basis)
 
-    args = parser.parse_args(argv)
+    # the subcommand is set before its flags are parsed, so an error names it
+    args = argparse.Namespace(command=None)
     try:
+        _, extra = parser.parse_known_args(argv, args)
+        if extra:
+            raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
         return args.fn(args)
     except (ValueError, OSError) as exc:
-        print(f"hitchinlab {args.command}: error: {exc}", file=sys.stderr)
+        prog = " ".join(filter(None, (parser.prog, args.command)))
+        print(f"{prog}: error: {exc}", file=sys.stderr)
         return 2
 
 

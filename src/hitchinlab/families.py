@@ -197,7 +197,7 @@ class KahlerState:
         return proj_anti(self.J)
 
 
-def _holo_vector(dw: Array, J: Array) -> Array:
+def _holo_vector(dw: Array) -> Array:
     """(1,0) vector E with dw(E) = 1, conj(dw)(E) = 0, solved pointwise."""
     a, b = dw[0], dw[1]
     ab, bb = np.conj(a), np.conj(b)
@@ -213,7 +213,7 @@ def make_state(family: "Family", sigma: complex) -> KahlerState:
     gamma = christoffel(grid, g)
     rho = ricci_form(grid, gamma, J)
     dw = family.dw_at(sigma)
-    E = _holo_vector(dw, J)
+    E = _holo_vector(dw)
     h_w = 2.0 * np.einsum("ab...,a...,b...->...", g, E, np.conj(E))
     if family.normalized_potential:
         F = np.zeros(grid.shape, dtype=complex)

@@ -558,7 +558,7 @@ def potential_fn(family: Family, which: str) -> PotentialFn:
     raise ValueError(f"unknown potential family: {which}")
 
 
-def pot_tt(family: Family, Ffn: PotentialFn, sigma: complex, eps: float) -> Array:
+def pot_tt(Ffn: PotentialFn, sigma: complex, eps: float) -> Array:
     r"""Parameter-parameter component
     :math:`\hat\partial\hat{\bar\partial}F(\partial_1, \partial_2)
     = \partial_1[\partial_2''F] - \partial_2[\partial_1''F]` as a field on M."""
@@ -592,7 +592,7 @@ def pot_mixed(
     return t1 - t2
 
 
-def pot_mm(family: Family, Ffn: PotentialFn, sigma: complex, eps: float) -> Array:
+def pot_mm(family: Family, Ffn: PotentialFn, sigma: complex) -> Array:
     r"""Surface-surface (x, y) component of
     :math:`\hat\partial_M\hat{\bar\partial}_M F` for the member at ``sigma``."""
     st = family.state(sigma)

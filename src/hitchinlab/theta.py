@@ -160,7 +160,7 @@ def multiplier_residual(grid: TorusGrid, k: int, tau: complex, j: int = 0) -> fl
     return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
 
 
-def gram(grid: TorusGrid, k: int, tau: complex, basis: Array) -> Array:
+def gram(grid: TorusGrid, tau: complex, basis: Array) -> Array:
     r"""Inner products :math:`\langle s_i, s_j\rangle
     = 2\pi\sqrt{\operatorname{Im}\tau/\pi}\;\overline{\text{mean}}(s_i\bar s_j)`."""
     weight = 2.0 * np.pi * np.sqrt(tau.imag / np.pi)
@@ -210,7 +210,7 @@ def connection_matrix(fam: TorusFamily, tau: complex, k: int, v: complex) -> Pro
     basis = _lattice_sum(X, Y)
     Vs = v * _lattice_sum(X, 1j * np.pi * k * (nt + y) ** 2 * Y)
     nab = Vs + fam.a_t_exact(tau, v) * basis + u_apply(bd, fam.g_exact(tau, v), basis)
-    G = gram(grid, k, tau, basis)
+    G = gram(grid, tau, basis)
     # pairing P[l, j] = weight * mean(conj(s_l) * nabla s_j); with
     # nabla s_j = sum_i M[i, j] s_i this gives P = G^T M, so M solves
     # conj(G) M = P (G is Hermitian).
@@ -301,8 +301,8 @@ def transport_levels(
             k3 = -M2 @ (c + 0.5 * h * k2)
             k4 = -M4 @ (c + h * k3)
             c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        G0 = gram(grid, k, tau0, theta_basis(grid, k, tau0))
-        G1 = gram(grid, k, tau1, theta_basis(grid, k, tau1))
+        G0 = gram(grid, tau0, theta_basis(grid, k, tau0))
+        G1 = gram(grid, tau1, theta_basis(grid, k, tau1))
         c0m, cm = c0.reshape(c0.shape[0], -1), c.reshape(c.shape[0], -1)
         n0 = float(np.einsum("im,ij,jm->", np.conj(c0m), G0, c0m).real)
         n1 = float(np.einsum("im,ij,jm->", np.conj(cm), G1, cm).real)

@@ -135,12 +135,12 @@ def curvature_reds():
     The chart rows have no closed form; they are pinned to the second
     formula of the same curvature, the commutator trace
     ``(1/8) tr pi^{1,0}[d1 J, d2 J]``, on the catalog's chart family at the
-    configured sigma and eps_eff over the interior mask, within the row's
-    chart budget."""
+    configured sigma and the run's eps (the step the row passes) over the
+    interior mask, within the row's chart budget."""
     cfg = RunConfig()
     env = Env(cfg)
     fam = env.chart()
-    comm = param_commutator_curvature(fam, cfg.sigma, env.eps_at(cfg.sigma))
+    comm = param_commutator_curvature(fam, cfg.sigma, cfg.eps)
     comm = comm[fam.grid.interior()]
     tt = max(1.0 / (4.0 * t.imag**2) for t in cfg.taus)
     return {

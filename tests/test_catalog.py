@@ -247,6 +247,32 @@ def test_budget_model():
     assert budget_for("potential_oneform", "chart", env_fine) < f1
 
 
+@pytest.mark.parametrize("backend, p", [("torus", 1 + 1j), ("chart", RunConfig().sigma)])
+def test_parameter_step_is_scaled_once(monkeypatch, backend, p):
+    """A row hands its difference quotients the run's plain eps, and
+    `families.step_for` alone scales it: the step taken at the row's
+    parameter is eps * (1 + |p|), and the chart budget is written in it."""
+    cfg = RunConfig(backend=backend, grid=32, taus=(p,))
+    steps = []
+    step_for = families.step_for
+
+    def recording(sigma, eps):
+        steps.append((complex(sigma), step_for(sigma, eps)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(families, "step_for", recording)
+    env = Env(cfg)
+    entry = next(e for e in REGISTRY if (e.identity, e.backend) == ("metric_variation", backend))
+    assert _row(entry, env)["status"] == "ok"
+    outer = [e for sigma, e in steps if sigma == p]
+    assert outer and all(e == cfg.eps * (1 + abs(p)) for e in outer)
+    if backend == "chart":
+        h = env.chart().grid.h
+        C = ROWS["metric_variation"].budgets["chart"]
+        expected = C * (step_for(cfg.sigma, cfg.eps) ** 2 + h**4)
+        assert budget_for("metric_variation", "chart", env) == expected
+
+
 def test_sweep_axis_floor_waiver():
     assert sweep_axis_ok({"axis": "h", "fine": 1e-10, "order": 0.0})
     assert sweep_axis_ok({"axis": "h", "fine": 1e-6, "order": 3.7})

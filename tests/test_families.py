@@ -109,7 +109,7 @@ def test_chart_family_fields_match_direct_evaluation(monkeypatch, n):
     (mu_series, w_series), = built
     z = fam.grid.x + 1j * fam.grid.y
     sigma = 0.1 + 0.05j
-    e = step_for(sigma, step_for(sigma, EPS))  # the step of a catalog row
+    e = step_for(sigma, EPS)  # the step of a catalog row
     for s in (sigma, sigma + e, sigma - e, sigma + 1j * e, sigma - 1j * e, 0.35j):
         mu = _direct_sum(mu_series, s, z)
         wz = _direct_sum([families._pdz(p) for p in w_series], s, z)

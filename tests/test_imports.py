@@ -1,5 +1,6 @@
-"""Static checks: every name a module imports is used in that module, and
-every name a function binds is read in that function.
+"""Static checks: every name a module imports is used in that module,
+every name a function binds is read in that function, and every parameter
+of a program function is read in it.
 
 The checks walk each file's syntax tree, so they need no linter.  An
 imported name counts as used when it appears as a name anywhere in the
@@ -12,9 +13,8 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted((ROOT / "src" / "hitchinlab").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+SRC = sorted((ROOT / "src" / "hitchinlab").glob("*.py"))
+FILES = SRC + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -112,5 +112,61 @@ def test_no_unused_locals():
         str(path.relative_to(ROOT)): unused
         for path in FILES
         if (unused := unused_locals(path.read_text()))
+    }
+    assert found == {}
+
+
+def _only_raises(fn: ast.AST) -> bool:
+    """Whether ``fn``'s body, its docstring aside, is nothing but ``raise``."""
+    body = [
+        s for s in fn.body if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))
+    ]
+    return bool(body) and all(isinstance(s, ast.Raise) for s in body)
+
+
+def unread_params(source: str) -> list[str]:
+    """The parameters of the functions of ``source`` that are never read,
+    with their function and line.
+
+    A read anywhere in the function, nested functions included, counts.
+    ``self``, names starting with ``_`` and functions whose body only
+    raises (stubs that a subclass overrides) are exempt.
+    """
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or _only_raises(fn):
+            continue
+        read = {
+            n.id
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+        }
+        a = fn.args
+        for arg in a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]:
+            if arg.arg != "self" and not arg.arg.startswith("_") and arg.arg not in read:
+                found.add((fn.name, arg.arg, arg.lineno))
+    return [f"{fn}: {name} (line {line})" for fn, name, line in sorted(found)]
+
+
+def test_no_unread_parameters():
+    # the check itself sees an unread parameter, a read in a nested function,
+    # and the exempt self, _-names and raising stubs
+    assert unread_params("def f(a, b, *c, d, **e):\n    return b\n") == [
+        "f: a (line 1)",
+        "f: c (line 1)",
+        "f: d (line 1)",
+        "f: e (line 1)",
+    ]
+    nested = "def f(x):\n    def g():\n        return x\n    return g\n"
+    assert unread_params(nested) == []
+    exempt = (
+        "class A:\n    def m(self, _x):\n        return 1\n"
+        "    def stub(self, y):\n        \"\"\"Doc.\"\"\"\n        raise NotImplementedError\n"
+    )
+    assert unread_params(exempt) == []
+    found = {
+        str(path.relative_to(ROOT)): unread
+        for path in SRC
+        if (unread := unread_params(path.read_text()))
     }
     assert found == {}

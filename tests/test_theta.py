@@ -57,7 +57,7 @@ def test_gram_is_golden_multiple_of_identity(torus64):
     grid = torus64.grid
     for tau in TAUS:
         for k in range(1, 6):
-            G = gram(grid, k, tau, theta_basis(grid, k, tau))
+            G = gram(grid, tau, theta_basis(grid, k, tau))
             golden = np.sqrt(2.0 * np.pi / k)
             assert max_norm(G - golden * np.eye(k)) / golden < 1e-10
             assert gram_rank(G) == k
@@ -115,7 +115,7 @@ def _connection_matrix_fd(fam, tau, k, v):
     nab = Vs + a_T(fam, tau, v, eps) * basis + u_apply(bd, GV, basis)
     weight = 2.0 * np.pi * np.sqrt(tau.imag / np.pi)
     P = weight * np.einsum("lab,jab->lj", np.conj(basis), nab) / grid.n**2
-    return np.linalg.solve(np.conj(gram(grid, k, tau, basis)), P)
+    return np.linalg.solve(np.conj(gram(grid, tau, basis)), P)
 
 
 def test_connection_matrix_difference_quotient_agrees(torus32):
@@ -135,7 +135,7 @@ def _connection_matrix_two_sums(fam, tau, k, v):
     nab = Vs + fam.a_t_exact(tau, v) * basis + u_apply(bd, fam.g_exact(tau, v), basis)
     weight = 2.0 * np.pi * np.sqrt(tau.imag / np.pi)
     P = weight * np.einsum("lab,jab->lj", np.conj(basis), nab) / grid.n**2
-    M = np.linalg.solve(np.conj(gram(grid, k, tau, basis)), P)
+    M = np.linalg.solve(np.conj(gram(grid, tau, basis)), P)
     defect = max_norm(nab - np.einsum("ij,iab->jab", M, basis)) / max(max_norm(basis), 1e-300)
     return M, defect
 
