@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import Array, TorusGrid, max_norm
+from .fields import Array, TorusGrid, grad, max_norm
 from .families import Family, KahlerState, dir_deriv
 
 # ---------------------------------------------------------------------------
@@ -58,9 +58,7 @@ def halfform_potential(state: KahlerState) -> Array:
     with the Levi-Civita connection and returns :math:`\tfrac12\alpha`
     (the type leakage :math:`\beta` vanishes on an honest Kaehler member).
     """
-    grid = state.grid
-    ddw = np.stack([grid.deriv(state.dw, -2), grid.deriv(state.dw, -1)])
-    ddw = ddw - np.einsum("cab...,c...->ab...", state.gamma, state.dw)
+    ddw = grad(state.grid, state.dw) - np.einsum("cab...,c...->ab...", state.gamma, state.dw)
     return 0.5 * np.einsum("ab...,b...->a...", ddw, state.E)
 
 
@@ -134,8 +132,8 @@ def sec_grad(bd: BundleData, f: Array) -> Array:
 def a_T(
     family: Family,
     sigma: complex,
-    v: complex = 1.0,
-    eps: float = 1e-4,
+    v: complex,
+    eps: float,
     exact: bool = False,
 ) -> Array:
     r"""Half-form parameter coefficient :math:`A_T(V) = -\tfrac12 c(V)`.
@@ -188,7 +186,7 @@ def mm_commutator_residual(bd: BundleData, s: Array, target: Array) -> float:
     return max_norm(comm - target * s, mask) / max(max_norm(s, mask), 1e-300)
 
 
-def curvature_tt(family: Family, sigma: complex, eps: float = 1e-4) -> Array:
+def curvature_tt(family: Family, sigma: complex, eps: float) -> Array:
     r"""Parameter-parameter curvature scalar :math:`R(\partial_1, \partial_2)`.
 
     The level part of the connection has no parameter dependence in this
@@ -200,19 +198,11 @@ def curvature_tt(family: Family, sigma: complex, eps: float = 1e-4) -> Array:
     return d1 - d2
 
 
-def curvature_tm(
-    family: Family,
-    sigma: complex,
-    v: complex = 1.0,
-    eps: float = 1e-4,
-) -> Array:
+def curvature_tm(family: Family, sigma: complex, v: complex, eps: float) -> Array:
     r"""Mixed curvature one-form :math:`R(V, e_a) = V[A_{M,a}] - \partial_a A_T(V)`."""
 
     def A_M(s: complex) -> Array:
         return halfform_potential(family.state(s))  # the level part is parameter-independent
 
     VA = dir_deriv(A_M, sigma, v, eps)
-    aT_field = a_T(family, sigma, v, eps)
-    grid = family.grid
-    d_aT = np.stack([grid.deriv(aT_field, -2), grid.deriv(aT_field, -1)])
-    return VA - d_aT
+    return VA - grad(family.grid, a_T(family, sigma, v, eps))

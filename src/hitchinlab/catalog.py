@@ -52,7 +52,6 @@ from .bundle import (
 from .families import (
     ChartFamily,
     Family,
-    GeneratorReport,
     TorusFamily,
     build_once,
     nonholo_family,
@@ -108,14 +107,19 @@ DIRS = (1.0, 1j)
 CHART_COEFFS = {0: 0.1, 1: 0.15 + 0.1j}
 
 
-def chart_family(grid: int, radius: float) -> tuple[ChartFamily, GeneratorReport]:
-    """The catalog's chart family on a ``grid x grid`` chart, with the
-    generator report (``radius`` is the parameter radius it is sized for)."""
-    return rigid_family(ChartGrid(grid), CHART_COEFFS, order=8, radius=radius)
+def chart_family(grid: int) -> ChartFamily:
+    """The catalog's chart family on a ``grid x grid`` chart."""
+    return rigid_family(ChartGrid(grid), CHART_COEFFS, order=8)[0]
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One checked run configuration.
+
+    ``radius`` is accepted (INI key and field) and has no effect: the
+    benchmark's sweep workload still reads it, until a benchmark change
+    drops that read."""
+
     backend: str = "both"  # one of BACKENDS
     grid: int = 64
     eps: float = 1e-4
@@ -196,7 +200,7 @@ class Env:
                 if backend == "torus":
                     fam = TorusFamily(TorusGrid(self.cfg.grid))
                 else:
-                    fam, _ = chart_family(self.cfg.grid, self.cfg.radius)
+                    fam = chart_family(self.cfg.grid)
                 self._families[backend] = fam
             return fam
 
@@ -640,7 +644,7 @@ def budget_for(
 @dataclass(frozen=True)
 class Entry:
     """One row on one backend; ``runner(env, backend)`` returns its case
-    residuals, each bare or as a ``(residual, level)`` pair."""
+    residuals as ``(residual, level)`` pairs."""
 
     identity: str
     backend: str
@@ -655,10 +659,7 @@ def _row(entry: Entry, env: Env) -> dict:
     row = ROWS[entry.identity]
     pairs = [
         (r, budget_for(entry.identity, entry.backend, env, k))
-        for r, k in (
-            item if isinstance(item, tuple) else (item, None)
-            for item in entry.runner(env, entry.backend)
-        )
+        for r, k in entry.runner(env, entry.backend)
     ]
     nonfinite = [rb for rb in pairs if not math.isfinite(rb[0])]
     if not pairs:  # a row without cases measured nothing
@@ -752,7 +753,8 @@ def sweep_orders(
     The inputs are checked before any work: sweepable identities, two or
     more distinct grids, an eps pair of two distinct steps, and a run
     configuration (grid with an interior, positive eps, level >= 1) for
-    every point.
+    every point.  ``radius`` is accepted and has no effect, like
+    ``RunConfig.radius``.
     """
     identities = tuple(identities)
     for identity in identities:

@@ -14,9 +14,6 @@ transport
     torus backend and compare with the self-transport oracle; optionally run
     a loop-holonomy off-scalar check.  Its ``--grid`` is a torus grid, and
     it takes no ``--backend`` or ``--out``.
-basis
-    Print basis diagnostics: multipliers, holomorphy defects, Gram data
-    (torus) or solved-section defects (chart).
 
 Run values come from ``--config`` with the flags on top, checked together
 (``config.load_config``).  Bad input, from a flag or from the file (the
@@ -32,13 +29,11 @@ import sys
 
 import numpy as np
 
-from .bundle import bundle_data
 from .catalog import (
     IDENTITY_NAMES,
     MUTATIONS,
     RunConfig,
     SWEEPABLE,
-    chart_family,
     run_catalog,
     sweep_axis_ok,
     sweep_orders,
@@ -46,7 +41,6 @@ from .catalog import (
 from .config import FIELDS, csv, load_config
 from .families import TorusFamily
 from .fields import TorusGrid
-from .operators import chart_sections, torus_sections
 from .reports import (
     CATALOG_COLUMNS,
     SWEEP_COLUMNS,
@@ -55,7 +49,7 @@ from .reports import (
     write_csv,
     write_jsonl,
 )
-from .theta import gram, gram_rank, loop_offscalar, multiplier_residual, transport
+from .theta import loop_offscalar, transport
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -96,7 +90,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grids=args.grids,
         eps_pair=args.eps_pair,
         k=args.level,
-        radius=cfg.radius,
         sigma=cfg.sigma,
         eps=cfg.eps,
     )
@@ -129,39 +122,6 @@ def _cmd_transport(args: argparse.Namespace) -> int:
         print(f"loop off-scalar at r={args.loop_radius}:   {off:.3e}")
         ok = ok and off <= args.tol
     return 0 if ok else 1
-
-
-def _cmd_basis(args: argparse.Namespace) -> int:
-    cfg = _base_config(args)
-    backend = cfg.backend if cfg.backend != "both" else "torus"
-    worst = 0.0
-    if backend == "torus":
-        grid = TorusGrid(cfg.grid)
-        fam = TorusFamily(grid)
-        for tau in cfg.taus:
-            for k in cfg.levels:
-                ts = torus_sections(bundle_data(fam, tau, k))
-                G = gram(grid, tau, ts.values)
-                golden = np.sqrt(2 * np.pi / k)
-                gdev = float(np.max(np.abs(G - golden * np.eye(k)))) / golden
-                mult = max(multiplier_residual(grid, k, tau, j) for j in range(k))
-                dbar = max(ts.defects)
-                rank = gram_rank(G)
-                print(
-                    f"tau={tau} k={k}: rank {rank}/{k}  "
-                    f"gram diag {G[0, 0].real:.6f} (golden {golden:.6f}, dev {gdev:.2e})  "
-                    f"multiplier {mult:.2e}  dbar {dbar:.2e}"
-                )
-                worst = max(worst, gdev, mult, dbar, 0.0 if rank == k else 1.0)
-        return 0 if worst <= 1e-8 else 1
-    fam, report = chart_family(cfg.grid, cfg.radius)
-    print(f"generated family: radius {cfg.radius}, report {report}")
-    for k in cfg.levels:
-        ts = chart_sections(bundle_data(fam, cfg.sigma, k))
-        defects = "  ".join(f"{d:.2e}" for d in ts.defects)
-        print(f"sigma={cfg.sigma} k={k}: section defects {defects}")
-        worst = max(worst, max(ts.defects))
-    return 0 if worst <= 1e-6 else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -213,13 +173,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also transport around a circle of this radius at the first waypoint",
     )
     p_tr.set_defaults(fn=_cmd_transport, backend="torus")
-
-    p_basis = sub.add_parser("basis", help="basis diagnostics")
-    _add_common(p_basis)
-    p_basis.add_argument("--k", dest="levels", type=FIELDS["levels"], metavar="K", help="level")
-    p_basis.add_argument("--tau", dest="taus", type=FIELDS["taus"], metavar="TAU", help="tau")
-    p_basis.add_argument("--sigma", type=FIELDS["sigma"], help="chart parameter")
-    p_basis.set_defaults(fn=_cmd_basis)
 
     # the subcommand is set before its flags are parsed, so an error names it
     args = argparse.Namespace(command=None)

@@ -587,8 +587,8 @@ class Variation:
 def variation(
     family: Family,
     sigma: complex,
-    v: complex = 1.0,
-    eps: float = 1e-4,
+    v: complex,
+    eps: float,
     exact: bool = False,
 ) -> Variation:
     """The gates at ``(sigma, v)`` from :func:`vj_of` (``exact`` as there);

@@ -150,6 +150,11 @@ class ChartGrid:
 Grid = TorusGrid | ChartGrid
 
 
+def grad(grid: Grid, f: Array) -> Array:
+    """Gradient of ``f``: its x and y derivatives stacked on a new leading axis."""
+    return np.stack([grid.deriv(f, -2), grid.deriv(f, -1)])
+
+
 # ---------------------------------------------------------------------------
 # pointwise algebra
 # ---------------------------------------------------------------------------

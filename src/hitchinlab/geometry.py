@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Array, Grid
+from .fields import Array, Grid, grad
 
 # ---------------------------------------------------------------------------
 # pointwise algebra
@@ -69,7 +69,7 @@ def christoffel(grid: Grid, g: Array) -> Array:
     + \partial_c g_{db} - \partial_d g_{bc})`.
     """
     ginv = inv2(g)
-    dg = np.stack([grid.deriv(g, -2), grid.deriv(g, -1)])  # dg[p,a,b] = d_p g_ab
+    dg = grad(grid, g)  # dg[p,a,b] = d_p g_ab
     term = np.einsum("bdc...->dbc...", dg) + np.einsum("cdb...->dbc...", dg) - dg
     return 0.5 * np.einsum("ad...,dbc...->abc...", ginv, term)
 
@@ -90,7 +90,7 @@ def ricci_form(grid: Grid, gamma: Array, J: Array) -> Array:
     """
     tr = np.einsum("ccb...->b...", gamma)
     ric = grid.deriv(gamma[0], -2) + grid.deriv(gamma[1], -1)
-    ric -= np.stack([grid.deriv(tr, -2), grid.deriv(tr, -1)])
+    ric -= grad(grid, tr)
     ric += np.einsum("e...,eab...->ab...", tr, gamma)
     ric -= np.einsum("cae...,ecb...->ab...", gamma, gamma)
     return np.einsum("ca...,cb...->ab...", J, ric)
@@ -110,7 +110,7 @@ def cov_deriv(grid: Grid, gamma: Array, comps: Array, variance: str) -> Array:
     each down slot :math:`-\Gamma^e{}_{ab}t_{e}`.  The result has variance
     ``"d" + variance``.
     """
-    out = np.stack([grid.deriv(comps, -2), grid.deriv(comps, -1)])
+    out = grad(grid, comps)
     letters = "bcdefgh"[: len(variance)]
     for i, v in enumerate(variance):
         s = list(letters)

@@ -61,7 +61,7 @@ from .bundle import (
     sec_grad,
 )
 from .families import Family, KahlerState, d_holo, dir_deriv, v_parts, variation_tensors, vj_of
-from .fields import Array, ChartGrid, max_norm
+from .fields import Array, ChartGrid, grad, max_norm
 from .geometry import cov_deriv
 
 # ---------------------------------------------------------------------------
@@ -89,8 +89,7 @@ def form_holo(st: KahlerState, alpha: Array) -> Array:
 
 def dF_holo(st: KahlerState, F: Array) -> Array:
     """(1,0) part of dF for a potential field ``F`` on the state's surface."""
-    dF = np.stack([st.grid.deriv(F, -2), st.grid.deriv(F, -1)])
-    return form_holo(st, dF)
+    return form_holo(st, grad(st.grid, F))
 
 
 def trace_nabla(st: KahlerState, T: Array) -> Array:
@@ -394,8 +393,7 @@ def potential_variation_residual(family: Family, sigma: complex, v: complex, eps
     """
     st = family.state(sigma)
     vpf, _ = v_parts(lambda s: family.state(s).F, sigma, v, eps)  # V'[F] over M
-    dv = np.stack([st.grid.deriv(vpf, -2), st.grid.deriv(vpf, -1)])
-    lhs = form_anti(st, dv)
+    lhs = form_anti(st, grad(st.grid, vpf))
     G = G_of(family, sigma, v, eps)
     t1 = -0.25j * np.einsum("b...,ba...->a...", trace_nabla(st, G), st.omega)
     t2 = -0.5j * np.einsum("b...,bc...,ca...->a...", dF_holo(st, st.F), G, st.omega)
@@ -416,7 +414,7 @@ def potential_oneform_residual(
     st = family.state(sigma)
     G = G_of(family, sigma, v, eps)
     H = H_of(st, G, st.F, flip)
-    lhs = form_anti(st, np.stack([st.grid.deriv(H, -2), st.grid.deriv(H, -1)]))
+    lhs = form_anti(st, grad(st.grid, H))
     rhs = 0.5j * trace_nabla_endo(st, np.einsum("ac...,cb...->ab...", G, st.rho))
     mask = st.grid.interior()
     return max_norm(lhs - rhs, mask) / max(max_norm(G, mask), 1e-300)
@@ -581,25 +579,19 @@ def pot_mixed(
 
     def dbarF(s: complex) -> Array:
         st = family.state(s)
-        F = Ffn(s)
-        dF = np.stack([st.grid.deriv(F, -2), st.grid.deriv(F, -1)])
-        return form_anti(st, dF)
+        return form_anti(st, grad(st.grid, Ffn(s)))
 
     t1 = dir_deriv(dbarF, sigma, v, eps)
     _, vppF = v_parts(Ffn, sigma, v, eps)
-    grid = family.grid
-    t2 = np.stack([grid.deriv(vppF, -2), grid.deriv(vppF, -1)])
-    return t1 - t2
+    return t1 - grad(family.grid, vppF)
 
 
 def pot_mm(family: Family, Ffn: PotentialFn, sigma: complex) -> Array:
     r"""Surface-surface (x, y) component of
     :math:`\hat\partial_M\hat{\bar\partial}_M F` for the member at ``sigma``."""
     st = family.state(sigma)
-    F = Ffn(sigma)
     grid = st.grid
-    dF = np.stack([grid.deriv(F, -2), grid.deriv(F, -1)])
-    dbar = form_anti(st, dF)
+    dbar = form_anti(st, grad(grid, Ffn(sigma)))
     # d(dbar F) restricted to (x, y)
     return grid.deriv(dbar[1], -2) - grid.deriv(dbar[0], -1)
 
@@ -649,8 +641,7 @@ def frame_comparison_residuals(
         stt = family.state(s)
         return 0.5 * Ffn(s) + 0.25 * np.log(stt.h_w / 2.0)
 
-    lm = logm(sigma)
-    dlm = np.stack([grid.deriv(lm, -2), grid.deriv(lm, -1)])
+    dlm = grad(grid, logm(sigma))
     a_d = halfform_potential(st)
     mask = grid.interior()
     res_m = max_norm(a_d + dlm - dF_holo(st, Ffn(sigma)), mask)

@@ -25,7 +25,7 @@ def torus64() -> TorusFamily:
 
 @pytest.fixture(scope="session")
 def chart48():
-    return chart_family(48, radius=0.35)
+    return chart_family(48)
 
 
 def rel_dev(a: np.ndarray, b: np.ndarray) -> float:

@@ -26,7 +26,7 @@ def test_level_potential_gauges(torus32, chart48):
     A = level_potential(st, 3)
     assert max_norm(A[0] - 6j * np.pi * st.grid.y) == 0.0
     assert max_norm(A[1]) == 0.0
-    fam, _ = chart48
+    fam = chart48
     stc = fam.state(0.0)
     Ac = level_potential(stc, 2)
     # symmetric gauge: curl is the constant -i k omega0
@@ -53,7 +53,7 @@ def test_halfform_potential_vanishes_on_torus(torus32):
 
 
 def test_chart_type_leakage_small(chart48):
-    fam, _ = chart48
+    fam = chart48
     assert _type_leakage(fam.state(0.1 + 0.05j)) < 1e-7
 
 
@@ -94,7 +94,7 @@ def test_mixed_curvature_vanishes_on_torus(torus32):
 def test_surface_curvature_closed_form(torus32, chart48):
     bd = bundle_data(torus32, TAU, 2)
     assert max_norm(curvature_mm(bd) + 4j * np.pi) < 1e-12
-    fam, _ = chart48
+    fam = chart48
     bdc = bundle_data(fam, 0.0, 1)
     # undeformed member: flat metric, no half-form contribution
     st = bdc.state

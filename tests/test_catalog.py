@@ -72,7 +72,12 @@ def test_every_mutation_turns_its_row_unexpected():
 )
 @pytest.mark.parametrize(
     "cases",
-    [[0.0, float("nan")], [float("nan"), 0.0], [(1.0, 1), (float("inf"), 3)], []],
+    [
+        [(0.0, 0), (float("nan"), 0)],
+        [(float("nan"), 0), (0.0, 0)],
+        [(1.0, 1), (float("inf"), 3)],
+        [],
+    ],
     ids=["nan_last", "nan_first", "inf_with_level", "no_cases"],
 )
 def test_nonfinite_case_is_an_error(identity, backend, cases):
@@ -99,7 +104,7 @@ def test_bench_case_check_stays_active(monkeypatch):
     assert check.active
     entry = next(e for e in REGISTRY if (e.identity, e.backend) == ("gram_rank", "torus"))
     catalog._row(
-        dataclasses.replace(entry, runner=lambda e, b: [0.0, float("nan")]),
+        dataclasses.replace(entry, runner=lambda e, b: [(0.0, 0), (float("nan"), 0)]),
         Env(RunConfig()),
     )
     assert check.bad == ["gram_rank/torus"]

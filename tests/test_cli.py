@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from hitchinlab import cli
 from hitchinlab.catalog import IDENTITY_NAMES, MUTATIONS, RunConfig, select_entries
 from hitchinlab.cli import main
 from hitchinlab.config import FIELDS, load_config
@@ -216,18 +219,36 @@ def test_transport_takes_steps_from_the_config_file(tmp_path, capsys):
     assert "steps 6" in capsys.readouterr().out
 
 
-def test_basis_subcommand_torus(capsys):
-    code = main(["basis", "--backend", "torus", "--k", "2", "--tau", "1j", "--grid", "64"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "rank 2/2" in out
-    assert "golden" in out
+def test_verify_basis_rows(capsys):
+    """The basis diagnostics are catalog rows, judged by the catalog's budgets."""
+    torus = "basis_holomorphy,basis_multiplier,gram_rank"
+    for backend, grid, ids in (("torus", "64", torus), ("chart", "48", "basis_holomorphy")):
+        argv = ["verify", "--backend", backend, "--grid", grid, "--identities", ids]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for identity in ids.split(","):
+            assert any(line.split()[:3] == ["[PASS]", identity, backend] for line in lines)
 
 
-def test_basis_subcommand_chart(capsys):
-    code = main(["basis", "--backend", "chart", "--k", "1", "--grid", "48"])
-    assert code == 0
-    assert "section defects" in capsys.readouterr().out
+def test_subcommands_match_the_docs(capsys):
+    """The subcommands of the usage line are the ones the ``cli`` module
+    docstring describes and the README's *CLI* section runs."""
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    usage = capsys.readouterr().out.splitlines()[0]
+    commands = set(re.search(r"\{([\w,]+)\}", usage).group(1).split(","))
+    assert commands == {"verify", "sweep", "transport"}
+    doc = cli.__doc__.split("Subcommands\n-----------\n")[1].split("\n\n")[0]
+    assert set(re.findall(r"^(\w+)$", doc, re.M)) == commands
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    assert set(re.findall(r"^hitchinlab (\w+)", section, re.M)) == commands
+
+
+def test_basis_subcommand_is_gone(capsys):
+    assert main(["basis"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "invalid choice: 'basis'" in err[0]
 
 
 @pytest.mark.parametrize(
@@ -243,10 +264,6 @@ def test_basis_subcommand_chart(capsys):
         (["sweep", "--grids", "64"], "two or more distinct grids"),
         (["sweep", "--level", "0"], "levels must be at least 1"),
         (["sweep", "--eps-pair", "0.1,0.05,0.02"], "eps pair"),
-        (["basis", "--backend", "chart", "--grid", "12"], "no interior"),
-        (["basis", "--backend", "torus", "--grid", "16", "--tau", "1-1j"], "Im tau > 0"),
-        (["basis", "--backend", "torus", "--k", "0", "--grid", "32"], "levels must be at least 1"),
-        (["basis", "--backend", "torus", "--grid", "0"], "torus grid 0"),
         (["verify", "--backend", "torus", "--grid", "0"], "torus grid 0"),
         (["transport", "--tol", "-1"], "tol must be positive and finite"),
         (["transport", "--tol", "nan"], "tol must be positive and finite"),
@@ -261,7 +278,7 @@ def test_basis_subcommand_chart(capsys):
             "flips holomorphy_transfer, which this run does not select",
         ),
         (["verify", "--config", "{missing_ini}"], "config file not found"),
-        (["basis", "--config", "{missing_ini}"], "config file not found"),
+        (["verify", "--config", "{levels_ini}"], "levels must be at least 1"),
         (["verify", "--config", "{grid_ini}"], "bad value for 'grid': invalid literal"),
         (["verify", "--config", "{headless_ini}"], "no section headers"),
         (["verify", "--grid", "abc"], "argument --grid: invalid int value: 'abc'"),
@@ -278,10 +295,6 @@ def test_basis_subcommand_chart(capsys):
         "sweep_one_grid",
         "sweep_level0",
         "sweep_eps_three",
-        "basis_grid12",
-        "basis_lower_half_plane",
-        "basis_k0",
-        "basis_torus_grid0",
         "verify_torus_grid0",
         "transport_tol_negative",
         "transport_tol_nan",
@@ -292,7 +305,7 @@ def test_basis_subcommand_chart(capsys):
         "verify_no_row",
         "verify_mutation_target_unselected",
         "verify_missing_config",
-        "basis_missing_config",
+        "verify_ini_level0",
         "verify_ini_grid_not_int",
         "verify_ini_no_section_header",
         "verify_flag_grid_not_int",
@@ -306,6 +319,7 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):
         "mutate_ini": "[run]\nmutate = bogus\nidentities = heat_mode\n",
         "grid_ini": "[run]\ngrid = abc\n",
         "headless_ini": "grid = 32\n",
+        "levels_ini": "[run]\nlevels = 0\n",
     }
     paths = {"missing_ini": tmp_path / "missing.ini"}
     for name, text in files.items():
@@ -323,13 +337,11 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):
     "ini, argv",
     [
         ("eps = 0", ["verify", "--eps", "1e-4"]),
-        ("levels = 0", ["basis", "--tau", "1j", "--k", "1"]),
-        ("taus = 1-1j", ["basis", "--k", "1", "--tau", "1j"]),
         ("backend = bogus", ["verify", "--backend", "torus"]),
         ("grid = 0", ["verify", "--grid", "16"]),
         ("identities = no_such", ["verify", "--identities", "heat_mode"]),
     ],
-    ids=["verify_eps", "basis_k", "basis_tau", "verify_backend", "verify_grid", "verify_ids"],
+    ids=["verify_eps", "verify_backend", "verify_grid", "verify_ids"],
 )
 def test_flag_repairs_bad_file_value(tmp_path, ini, argv):
     """File and flags are checked together: a flag replaces a file value

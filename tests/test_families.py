@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hitchinlab import families
 from hitchinlab.bundle import a_T
-from hitchinlab.catalog import chart_family
+from hitchinlab.catalog import CHART_COEFFS, chart_family
 from hitchinlab.families import (
     d_holo,
     dir_deriv,
@@ -30,7 +30,7 @@ EPS = 1e-4
 
 def test_state_ricci_form_reuses_christoffel(torus32, chart48):
     """The state's Ricci form equals the one built from a fresh Christoffel pass."""
-    for fam, sigma in ((torus32, 0.5 + 0.8j), (chart48[0], 0.1 + 0.05j)):
+    for fam, sigma in ((torus32, 0.5 + 0.8j), (chart48, 0.1 + 0.05j)):
         st = make_state(fam, sigma)
         rho = ricci_form(fam.grid, christoffel(fam.grid, st.g), st.J)
         assert np.array_equal(st.rho, rho)
@@ -105,7 +105,7 @@ def test_chart_family_fields_match_direct_evaluation(monkeypatch, n):
     evaluates every coefficient polynomial on the grid at each sigma (128 is
     the first grid whose complex fields NumPy reuses as temporaries)."""
     built = _capture_series(monkeypatch)
-    fam, _ = chart_family(n, radius=0.35)
+    fam = chart_family(n)
     (mu_series, w_series), = built
     z = fam.grid.x + 1j * fam.grid.y
     sigma = 0.1 + 0.05j
@@ -131,7 +131,7 @@ def test_chart_family_evaluates_its_polynomials_once(monkeypatch):
         return peval(p, z)
 
     monkeypatch.setattr(families, "_peval", counting)
-    fam, _ = chart_family(32, radius=0.35)
+    fam = chart_family(32)
     (mu_series, w_series), = built
     polys = mu_series + [families._pdz(p) for p in w_series]
     polys += [families._pdzbar(p) for p in w_series]
@@ -143,8 +143,8 @@ def test_chart_family_evaluates_its_polynomials_once(monkeypatch):
     assert calls == []
 
 
-def test_rigid_family_gates(chart48):
-    fam, report = chart48
+def test_rigid_family_gates():
+    fam, report = rigid_family(ChartGrid(48), CHART_COEFFS, order=8, radius=0.35)
     assert report.order == 8
     assert report.mu_sup < 0.5  # still a genuine structure at the stated radius
     var = variation(fam, 0.1 + 0.05j, 1.0, EPS)

@@ -147,7 +147,7 @@ def test_ricci_form_is_the_riemann_contraction():
         ref = _ricci_form_of_riemann(fam.grid, st.gamma, st.J)
         assert np.array_equal(ricci_form(fam.grid, st.gamma, st.J), ref)
     cfg = RunConfig()
-    chart, _ = chart_family(cfg.grid, cfg.radius)
+    chart = chart_family(cfg.grid)
     st = chart.state(cfg.sigma)
     ref = _ricci_form_of_riemann(chart.grid, st.gamma, st.J)
     assert max_norm(ref) > 1e-3  # a curved member, so the comparison has content
@@ -160,7 +160,7 @@ def test_state_geometry_is_real():
     Ricci form."""
     fam = TorusFamily(TorusGrid(32))
     cfg = RunConfig()
-    chart, _ = chart_family(cfg.grid, cfg.radius)
+    chart = chart_family(cfg.grid)
     for st in (fam.state(1j), fam.state(0.5 + 0.8j), chart.state(cfg.sigma)):
         for field in (st.g, st.gamma, st.rho):
             assert field.dtype == np.float64

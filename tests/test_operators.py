@@ -78,7 +78,7 @@ def test_defining_identity_mutations_visible_on_chart(chart48):
     # every term of this identity vanishes individually on the flat torus
     # (the corrected derivative of a theta section is again holomorphic),
     # so sign flips are only observable on a deformed chart member
-    fam, _ = chart48
+    fam = chart48
     bd = bundle_data(fam, SIGMA, 1)
     s = chart_sections(bd).values[0]
     base = eq_defining_residual(fam, bd, 1.0, s, EPS)
@@ -97,7 +97,7 @@ def test_transfer_identity_torus(torus64):
 def test_transfer_mutations_visible_on_chart(chart48):
     # the rho-term vanishes identically on the torus, so its flip is only
     # observable on a deformed chart member
-    fam, _ = chart48
+    fam = chart48
     bd = bundle_data(fam, SIGMA, 1)
     s = chart_sections(bd).values[0]
     base = eq_transfer_residual(fam, bd, 1.0, s, EPS)
@@ -108,12 +108,12 @@ def test_transfer_mutations_visible_on_chart(chart48):
 
 def test_potential_variation_residuals(torus32, chart48):
     assert potential_variation_residual(torus32, TAU, 1.0, EPS) < 1e-8
-    fam, _ = chart48
+    fam = chart48
     assert potential_variation_residual(fam, SIGMA, 1.0, EPS) < 1e-5
 
 
 def test_potential_oneform_mutations_visible(chart48):
-    fam, _ = chart48
+    fam = chart48
     base = potential_oneform_residual(fam, SIGMA, 1.0, EPS)
     for flip in ("quad", "div"):
         assert potential_oneform_residual(fam, SIGMA, 1.0, EPS, flip=flip) > 100.0 * base
@@ -149,7 +149,7 @@ def test_pullback_identity_and_mutations(torus64, chart48):
     zero = potential_fn(torus64, "ricci")
     bd = bundle_data(torus64, TAU, 1)
     assert operator_pullback_residual(torus64, zero, bd, 1.0, s, EPS) < 1e-8
-    fam, _ = chart48
+    fam = chart48
     Ffn = potential_fn(fam, "ricci")
     bdc = bundle_data(fam, SIGMA, 1)
     sc = chart_sections(bdc).values[0]
@@ -195,7 +195,7 @@ def test_torus_sections_are_holomorphic(torus64):
 
 
 def test_chart_sections_solve_and_reevaluate(chart48):
-    fam, _ = chart48
+    fam = chart48
     bd = bundle_data(fam, SIGMA, 1)
     ts = chart_sections(bd)
     assert max(ts.defects) < 1e-6
@@ -248,7 +248,7 @@ def test_chart_sections_match_the_stacked_solve(chart48, monkeypatch, k):
     stacked with the anchors and moves the sections only at rounding.  The
     ``k = 0`` defects sit at the rounding floor (about 1e-12), so the
     relative defect check has an absolute floor of 1e-12."""
-    fam, _ = chart48
+    fam = chart48
     bd = bundle_data(fam, SIGMA, k)
     lstsq = np.linalg.lstsq
     ranks = []
@@ -285,7 +285,7 @@ def test_chart_design_compresses_the_two_row_design(chart48, monkeypatch, k):
     two-row design are pointwise proportional, ``c * l_0`` and ``c * l_1``
     with ``l = Q[0, :]``, and the one-row design, their component along
     ``conj(l)/|l|``, has the same Gram matrix."""
-    fam, _ = chart48
+    fam = chart48
     bd = bundle_data(fam, SIGMA, k)
     calls = _recorded_solves(monkeypatch)
     chart_sections(bd)
