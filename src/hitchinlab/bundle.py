@@ -28,6 +28,7 @@ closed-form targets.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -71,6 +72,7 @@ class BundleData:
     A_L: Array  # level-k potential alone
     a_delta: Array  # half-form potential
     A: Array  # total: level + half-form
+    gauge: Array | None  # exp(2 pi i k x y) for sec_deriv; None on the chart and at k = 0
 
     @property
     def grid(self):
@@ -82,11 +84,27 @@ class BundleData:
         return replace(self, A=self.A_L)
 
 
-def bundle_data(family: Family, sigma: complex, k: float) -> BundleData:
+def bundle_levels(
+    family: Family, sigma: complex, levels: Iterable[float]
+) -> Iterator[BundleData]:
+    """The bundle data of every level in ``levels`` at ``sigma``, one at a time.
+
+    The state and the half-form potential do not depend on the level: they
+    are built once, on the first level, and shared by the rest.
+    """
     st = family.state(sigma)
-    A_L = level_potential(st, k)
     a_d = halfform_potential(st)
-    return BundleData(state=st, k=k, A_L=A_L, a_delta=a_d, A=A_L + a_d)
+    grid = st.grid
+    for k in levels:
+        A_L = level_potential(st, k)
+        gauge = None
+        if isinstance(grid, TorusGrid) and k != 0:
+            gauge = np.exp(2j * np.pi * k * grid.x * grid.y)
+        yield BundleData(state=st, k=k, A_L=A_L, a_delta=a_d, A=A_L + a_d, gauge=gauge)
+
+
+def bundle_data(family: Family, sigma: complex, k: float) -> BundleData:
+    return next(bundle_levels(family, sigma, (k,)))
 
 
 # ---------------------------------------------------------------------------
@@ -94,18 +112,17 @@ def bundle_data(family: Family, sigma: complex, k: float) -> BundleData:
 # ---------------------------------------------------------------------------
 
 
-def sec_deriv(state: KahlerState, k: float, f: Array, axis: int) -> Array:
-    """Partial derivative of a section coefficient.
+def sec_deriv(bd: BundleData, f: Array, axis: int) -> Array:
+    """Partial derivative of a section coefficient of the bundle of ``bd``.
 
     On the torus the y-multiplier ``exp(-2 pi i k x)`` makes raw columns
-    non-periodic; conjugating by ``exp(2 pi i k x y)`` restores
-    periodicity, so the spectral derivative applies:
+    non-periodic; conjugating by the gauge factor ``exp(2 pi i k x y)``
+    (``bd.gauge``) restores periodicity, so the spectral derivative applies:
     ``d_y f = exp(-2 pi i k x y) d_y(exp(2 pi i k x y) f) - 2 pi i k x f``.
     """
-    grid = state.grid
-    if isinstance(grid, TorusGrid) and axis == -1 and k != 0:
-        phase = np.exp(2j * np.pi * k * grid.x * grid.y)
-        return (grid.deriv(f * phase, -1)) / phase - 2j * np.pi * k * grid.x * f
+    grid = bd.grid
+    if axis == -1 and bd.gauge is not None:
+        return (grid.deriv(f * bd.gauge, -1)) / bd.gauge - 2j * np.pi * bd.k * grid.x * f
     return grid.deriv(f, axis)
 
 
@@ -120,7 +137,7 @@ def sec_grad(bd: BundleData, f: Array) -> Array:
     ``f`` is one coefficient ``(n, n)`` or a batch ``(..., n, n)``; the
     result is ``(2, ..., n, n)``.
     """
-    df = np.stack([sec_deriv(bd.state, bd.k, f, -2), sec_deriv(bd.state, bd.k, f, -1)])
+    df = np.stack([sec_deriv(bd, f, -2), sec_deriv(bd, f, -1)])
     return df + _times_potential(bd.A, f)
 
 
@@ -179,8 +196,8 @@ def mm_commutator_residual(bd: BundleData, s: Array, target: Array) -> float:
     """
     st = bd.state
     g1 = sec_grad(bd, s)
-    ddx = sec_deriv(st, bd.k, g1[1], -2) + bd.A[0] * g1[1]
-    ddy = sec_deriv(st, bd.k, g1[0], -1) + bd.A[1] * g1[0]
+    ddx = sec_deriv(bd, g1[1], -2) + bd.A[0] * g1[1]
+    ddy = sec_deriv(bd, g1[0], -1) + bd.A[1] * g1[0]
     comm = ddx - ddy
     mask = st.grid.interior()
     return max_norm(comm - target * s, mask) / max(max_norm(s, mask), 1e-300)

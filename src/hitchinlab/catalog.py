@@ -42,6 +42,7 @@ import numpy as np
 from .bundle import (
     BundleData,
     bundle_data,
+    bundle_levels,
     curvature_mm,
     curvature_tm,
     curvature_tt,
@@ -247,7 +248,7 @@ class Case:
     k: int = 0  # level
     v: complex | None = None  # direction
     s: Array | None = None  # test sections at (p, k): a batch (m, n, n) or one (n, n)
-    bd: BundleData | None = None  # bundle data at (p, k), given with s
+    bd: BundleData | None = None  # bundle data at (p, k), given with k or s
 
     @property
     def fam(self) -> Family:
@@ -334,8 +335,8 @@ def _reduction(c: Case, which: str) -> list[float]:
     # surface-surface block (relative: the target grows with the level)
     pmm = pot_mm(c.fam, Ff, c.p)
     out = [
-        _rel(curvature_mm(bundle_data(c.fam, c.p, k)), -1j * k * st.omega[0, 1] - pmm, c.mask)
-        for k in c.env.cfg.levels
+        _rel(curvature_mm(bd), -1j * bd.k * st.omega[0, 1] - pmm, c.mask)
+        for bd in bundle_levels(c.fam, c.p, c.env.cfg.levels)
     ]
     # mixed block (absolute)
     for v in DIRS:
@@ -402,13 +403,13 @@ class Row:
     this order: ``p`` the parameter (``taus`` on the torus, ``sigma`` on
     the chart), ``k`` the level (the configured levels; level 0 without
     this axis), ``v`` the direction in `DIRS`, and ``s`` every test
-    section at ``(p, k)`` or ``f`` only the first one, passed as one batch
-    together with the bundle data at ``(p, k)``; without axes the row has
-    one case (the transport rows walk one path for every level).
-    ``residual(case)`` returns one residual or several (a list, or one per
-    section).  ``fails``
-    lists the backends on which the row is expected to fail; a
-    ``k_cubic`` row's chart budget grows with the cube of the level.
+    section at ``(p, k)`` or ``f`` only the first one, passed as one batch.
+    A case with a level or sections carries the bundle data at ``(p, k)``;
+    without axes the row has one case (the transport rows walk one path for
+    every level).  ``residual(case)`` returns one residual or several (a
+    list, or one per section).  ``fails`` lists the backends on which the
+    row is expected to fail; a ``k_cubic`` row's chart budget grows with the
+    cube of the level.
     """
 
     identity: str
@@ -430,6 +431,7 @@ class Row:
                 if "s" in ax or "f" in ax:
                     s = env.sections(backend, p, k).values
                     s = s[:1] if "f" in ax else s
+                if s is not None or "k" in ax:
                     bd = bundle_data(env.family(backend), p, k)
                 for v in DIRS if "v" in ax else (None,):
                     r = self.residual(Case(env, backend, eps, flip, p, k, v, s, bd))
@@ -480,7 +482,7 @@ ROWS: dict[str, Row] = {
         Row("prequantum_curvature", {CHART: 1.0}, "pk", _prequantum_curvature),
         Row(
             "curvature_base", {TORUS: 1e-8, CHART: 1.0}, "pk",
-            lambda c: _rel(curvature_mm(bundle_data(c.fam, c.p, c.k)), _base_target(c), c.mask),
+            lambda c: _rel(curvature_mm(c.bd), _base_target(c), c.mask),
         ),
         Row(
             "curvature_base_probe", {TORUS: 1e-8, CHART: 210.0}, "pkf",
@@ -612,7 +614,7 @@ ROWS: dict[str, Row] = {
         ),
         Row(
             "projection_defect", {TORUS: 1e-8}, "pkv",
-            lambda c: connection_matrix(c.fam, c.p, c.k, c.v).defect,
+            lambda c: connection_matrix(c.fam, c.bd, c.v).defect,
         ),
         # one case each: a single pass along the path covers every level
         Row("transport_oracle", {TORUS: 1e-6}, "", _transport_oracle),

@@ -23,7 +23,11 @@ Ricci potential ``F``:
     H(V) = -2n\,V'[F] - \partial F\, G(V)\,\partial F
            - \operatorname{Tr}\tilde\nabla(G(V)\,\partial F),
 
-with ``n = 0`` throughout this lab (torus and planar chart).
+with ``n = 0`` throughout this lab (torus and planar chart).  Every term
+then carries :math:`\partial F`.  On the torus the normalized potential is
+``F = 0``, so :math:`H(V) \equiv 0` there and :func:`H_of` returns it
+without a derivative: the ``quad`` and ``div`` terms, and the mutation
+flips of either, act on the chart only.
 
 Every identity of the catalog is implemented as a *residual*: both sides
 are assembled through independent code paths (difference quotients in
@@ -129,7 +133,7 @@ def delta_G(bd: BundleData, G: Array, f: Array) -> Array:
     st = bd.state
     t = np.einsum("ba...,a...->b...", G, sec_grad(bd, f))
     gt = np.einsum("aac...,c...->a...", st.gamma, t)
-    return sum(sec_deriv(st, bd.k, t[a], a - 2) + gt[a] + bd.A[a] * t[a] for a in range(2))
+    return sum(sec_deriv(bd, t[a], a - 2) + gt[a] + bd.A[a] * t[a] for a in range(2))
 
 
 def grad_along(bd: BundleData, X: Array, f: Array) -> Array:
@@ -142,7 +146,13 @@ def H_of(st: KahlerState, G: Array, F: Array, flip: str | None = None) -> Array:
     field ``F`` from the closed form above (``F = st.F`` in :math:`u(V)`;
     the operator-pullback identity passes the reduction potential);
     ``flip`` in {'quad', 'div'} negates one term.
+
+    With ``n = 0`` every term carries :math:`\partial F`, so a vanishing
+    ``F`` (the normalized torus potential) gives exact zeros without a
+    derivative; a NaN in ``F`` still takes the full formula.
     """
+    if not F.any():
+        return np.zeros(st.grid.shape, dtype=complex)
     pF = dF_holo(st, F)
     quad = np.einsum("a...,ab...,b...->...", pF, G, pF)
     GdF = np.einsum("ab...,b...->a...", G, pF)

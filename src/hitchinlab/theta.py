@@ -51,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bundle import bundle_data
+from .bundle import BundleData, bundle_levels
 from .families import TorusFamily
 from .fields import Array, TorusGrid, max_norm
 from .operators import u_apply
@@ -199,11 +199,12 @@ class ProjectionData:
     defect: float  # sup-norm residual of nabla_V s_j off the span, relative
 
 
-def connection_matrix(fam: TorusFamily, tau: complex, k: int, v: complex) -> ProjectionData:
-    r""":math:`\nabla_V` of the level-``k`` basis in that basis, from the torus
-    closed forms of ``V[s]``, ``A_T(V)`` and ``G(V)``."""
+def connection_matrix(fam: TorusFamily, bd: BundleData, v: complex) -> ProjectionData:
+    r""":math:`\nabla_V` of the basis at the level and parameter of the bundle
+    data ``bd`` in that basis, from the torus closed forms of ``V[s]``,
+    ``A_T(V)`` and ``G(V)``."""
     grid = fam.grid
-    bd = bundle_data(fam, tau, k)
+    tau, k = bd.state.sigma, int(bd.k)
     # theta_basis and theta_basis_dtau from one set of lattice factors
     x, y = _axes(grid)
     nt, X, Y = _lattice_factors(x, y, k, tau)
@@ -221,6 +222,17 @@ def connection_matrix(fam: TorusFamily, tau: complex, k: int, v: complex) -> Pro
     scale = max(max_norm(basis), 1e-300)
     defect = max_norm(nab - proj) / scale
     return ProjectionData(M=M, defect=defect)
+
+
+def _point_matrices(
+    fam: TorusFamily, tau: complex, v: complex, levels
+) -> list[ProjectionData]:
+    """The connection matrices of ``levels`` at ``tau`` in the direction ``v``.
+
+    The bundle data lives only inside this call, so no point's data is kept
+    while the next point's state is built.
+    """
+    return [connection_matrix(fam, bd, v) for bd in bundle_levels(fam, tau, levels)]
 
 
 @dataclass
@@ -264,10 +276,10 @@ def transport_levels(
     Coefficients may be a vector or a matrix of stacked columns.  The
     connection matrices take the closed-form torus variations.
 
-    The path is walked once: at each RK4 point the parameter and the
-    velocity are computed once and the levels' connection matrices are
-    built back to back, so they share the one state of the point
-    (``Family.state``).  Each level's result is bit for bit the one of a
+    The path is walked once: at each RK4 point the parameter, the
+    velocity, the state and the half-form potential are computed once
+    (``bundle.bundle_levels``) and the levels' connection matrices are
+    built back to back.  Each level's result is bit for bit the one of a
     pass with that level alone.
     """
     if steps < 1:
@@ -286,8 +298,8 @@ def transport_levels(
     for t in ts:
         t_hi, t_lo = min(t + dt, 1.0), max(t - dt, 0.0)
         tau, vel = path(t), (path(t_hi) - path(t_lo)) / (t_hi - t_lo)
-        for k in starts:
-            data[k].append(connection_matrix(fam, tau, k, vel))
+        for k, pd in zip(starts, _point_matrices(fam, tau, vel, starts)):
+            data[k].append(pd)
 
     tau0, tau1 = path(0.0), path(1.0)
     out = {}

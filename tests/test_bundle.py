@@ -114,9 +114,9 @@ def test_gauge_aware_derivative_matches_termwise_sums(torus32):
     k = 2
     b = theta_basis(torus32.grid, k, TAU)
     exact = theta_basis_dx(torus32.grid, k, TAU, 1)
-    st = torus32.state(TAU)
+    bd = bundle_data(torus32, TAU, k)
     for j in range(k):
-        num = sec_deriv(st, k, b[j], -2)
+        num = sec_deriv(bd, b[j], -2)
         assert max_norm(num - exact[j]) / max_norm(exact[j]) < 1e-11
 
 
@@ -128,8 +128,7 @@ def test_y_derivative_periodicity_conjugation(torus32):
     tau = 1j
     grid = torus32.grid
     b = theta_basis(grid, k, tau)[0]
-    st = torus32.state(tau)
-    num = sec_deriv(st, k, b, -1)
+    num = sec_deriv(bundle_data(torus32, tau, k), b, -1)
     # termwise: d_y summand = (2 pi i k n~ tau + 2 pi i k tau y) * summand
     d_dx = theta_basis_dx(grid, k, tau, 1)[0]
     exact = tau * d_dx + 2j * np.pi * k * tau * grid.y * b

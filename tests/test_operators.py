@@ -7,7 +7,8 @@ from numpy.polynomial import chebyshev as cheb
 from hitchinlab import operators
 from hitchinlab.bundle import bundle_data
 from hitchinlab.families import variation_tensors, vj_of
-from hitchinlab.fields import max_norm
+from hitchinlab.fields import TorusGrid, grad, max_norm
+from hitchinlab.geometry import cov_deriv
 from hitchinlab.operators import (
     G_of,
     H_of,
@@ -59,6 +60,45 @@ def test_second_order_principal_symbol(torus64):
 def test_divergence_potential_vanishes_on_torus(torus32):
     st = torus32.state(TAU)
     assert max_norm(H_of(st, G_of(torus32, TAU, 1.0, EPS), st.F)) == 0.0
+
+
+def test_H_of_takes_no_derivative_of_a_vanishing_potential(torus32, monkeypatch):
+    st = torus32.state(TAU)
+    G = G_of(torus32, TAU, 1.0, EPS)
+
+    def no_deriv(self, f, axis):
+        raise AssertionError("H_of differentiated the zero potential")
+
+    monkeypatch.setattr(TorusGrid, "deriv", no_deriv)
+    for flip in (None, "quad", "div"):
+        H = H_of(st, G, st.F, flip)
+        assert H.dtype == complex and H.shape == st.grid.shape
+        assert not H.any()
+
+
+def test_H_of_propagates_nan_in_the_potential(torus32):
+    st = torus32.state(TAU)
+    F = np.zeros(st.grid.shape, dtype=complex)
+    F[3, 5] = np.nan
+    assert np.isnan(H_of(st, G_of(torus32, TAU, 1.0, EPS), F)).all()
+
+
+def _H_full(st, G, F):
+    r""":math:`H(V) = -\partial F\,G\,\partial F - \operatorname{Tr}\tilde\nabla(G\,\partial F)`
+    written out with no shortcut for a vanishing ``F``: the reference for
+    :func:`H_of`."""
+    pF = np.einsum("a...,ab...->b...", grad(st.grid, F), st.P)
+    quad = np.einsum("a...,ab...,b...->...", pF, G, pF)
+    GdF = np.einsum("ab...,b...->a...", G, pF)
+    div = np.einsum("aa...->...", cov_deriv(st.grid, st.gamma, GdF, "u"))
+    return -quad - div
+
+
+def test_H_of_matches_the_full_formula_bit_for_bit(chart48):
+    st = chart48.state(SIGMA)
+    G = G_of(chart48, SIGMA, 1.0, EPS)
+    assert st.F.any()
+    assert np.array_equal(H_of(st, G, st.F), _H_full(st, G, st.F))
 
 
 def test_u_apply_rejects_level_zero(torus32):

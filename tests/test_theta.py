@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hitchinlab import families, theta
+from hitchinlab import bundle, families, fields, theta
 from hitchinlab.bundle import a_T, bundle_data
 from hitchinlab.families import TorusFamily
 from hitchinlab.fields import TorusGrid, max_norm
@@ -97,7 +97,7 @@ def test_connection_matrix_basis_is_parallel(torus32):
     """The lattice basis is its own parameter flow: the connection matrix in
     the moving basis vanishes and the projection leaves no defect."""
     for tau in (1j, 1 + 1j):
-        pd = connection_matrix(torus32, tau, 2, 1.0)
+        pd = connection_matrix(torus32, bundle_data(torus32, tau, 2), 1.0)
         assert max_norm(pd.M) < 1e-10
         assert pd.defect < 1e-10
 
@@ -119,7 +119,7 @@ def _connection_matrix_fd(fam, tau, k, v):
 
 
 def test_connection_matrix_difference_quotient_agrees(torus32):
-    pd_exact = connection_matrix(torus32, 1j, 1, 1.0)
+    pd_exact = connection_matrix(torus32, bundle_data(torus32, 1j, 1), 1.0)
     M_fd = _connection_matrix_fd(torus32, 1j, 1, 1.0)
     assert max_norm(pd_exact.M - M_fd) < 1e-6
 
@@ -142,7 +142,7 @@ def _connection_matrix_two_sums(fam, tau, k, v):
 
 @pytest.mark.parametrize("tau,k,v", [(1j, 1, 1.0), (1 + 1j, 3, 1j), (0.5 + 0.8j, 2, 0.6 - 0.8j)])
 def test_connection_matrix_matches_the_two_sums_bit_for_bit(torus32, tau, k, v):
-    pd = connection_matrix(torus32, tau, k, v)
+    pd = connection_matrix(torus32, bundle_data(torus32, tau, k), v)
     M, defect = _connection_matrix_two_sums(torus32, tau, k, v)
     assert np.array_equal(pd.M, M)
     assert pd.defect == defect
@@ -180,7 +180,7 @@ def test_transport_builds_each_connection_matrix_once(torus32, monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[1].state.sigma)
         return connection_matrix(*args, **kwargs)
 
     monkeypatch.setattr(theta, "connection_matrix", counted)
@@ -218,6 +218,42 @@ def test_levels_in_one_pass_build_one_state_per_point(monkeypatch):
     fam = TorusFamily(TorusGrid(32))
     transport_levels(fam, {1: np.eye(1), 3: np.eye(3)}, (1j, 1 + 1j), steps=steps)
     assert len(built) == len(set(built)) == 2 * steps + 1
+
+
+def test_levels_in_one_pass_build_one_halfform_potential_per_point(torus32, monkeypatch):
+    # the half-form potential does not depend on the level: levels 1 and 3
+    # share it at each of the 2 * steps + 1 points
+    steps = 4
+    built = []
+    halfform_potential = bundle.halfform_potential
+
+    def counted(state):
+        built.append(state.sigma)
+        return halfform_potential(state)
+
+    monkeypatch.setattr(bundle, "halfform_potential", counted)
+    transport_levels(torus32, {1: np.eye(1), 3: np.eye(3)}, (1j, 1 + 1j), steps=steps)
+    assert len(built) == len(set(built)) == 2 * steps + 1
+
+
+def test_connection_matrix_derivative_count(monkeypatch):
+    """Field derivatives of one connection matrix on a fresh torus state: 6
+    for the state (2 for the Christoffel symbols, 4 for the Ricci form), 2
+    for the gradient of the half-form frame and 4 for ``Delta_G(V)`` (the
+    section gradient and the divergence).  ``H(V)`` takes none: the
+    normalized torus potential ``F`` is zero.  A change that again
+    differentiates a field known to vanish raises the count."""
+    calls = []
+    deriv = fields.TorusGrid.deriv
+
+    def counted(self, f, axis):
+        calls.append(axis)
+        return deriv(self, f, axis)
+
+    monkeypatch.setattr(fields.TorusGrid, "deriv", counted)
+    fam = TorusFamily(TorusGrid(32))
+    connection_matrix(fam, bundle_data(fam, 1 + 1j, 2), 1.0)
+    assert len(calls) == 12
 
 
 def test_transport_levels_rejects_no_level(torus32):
