@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .fields import Array, TorusGrid, grad, max_norm
+from .fields import Array, TorusGrid, grad, is_constant, max_norm
 from .families import Family, KahlerState, dir_deriv
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,12 @@ def halfform_potential(state: KahlerState) -> Array:
     Computes :math:`\nabla dw = \alpha\otimes dw + \beta\otimes d\bar w`
     with the Levi-Civita connection and returns :math:`\tfrac12\alpha`
     (the type leakage :math:`\beta` vanishes on an honest Kaehler member).
+    A frame constant over the grid on a flat member (``gamma`` zero, as on
+    every torus member) is parallel: the potential is exact complex zeros,
+    taken without a derivative.
     """
+    if not state.gamma.any() and is_constant(state.dw):
+        return np.zeros(state.dw.shape, dtype=complex)
     ddw = grad(state.grid, state.dw) - np.einsum("cab...,c...->ab...", state.gamma, state.dw)
     return 0.5 * np.einsum("ab...,b...->a...", ddw, state.E)
 

@@ -49,7 +49,7 @@ from .reports import (
     write_csv,
     write_jsonl,
 )
-from .theta import loop_offscalar, transport
+from .theta import as_path, loop_offscalar, transport
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -109,9 +109,11 @@ def _cmd_transport(args: argparse.Namespace) -> int:
         raise ValueError(f"tol must be positive and finite, got {args.tol}")
     if not (args.loop_radius >= 0 and np.isfinite(args.loop_radius)):
         raise ValueError(f"loop-radius must be finite and not negative, got {args.loop_radius}")
-    res = transport(fam, args.k, args.path, np.eye(args.k), steps=cfg.steps)
+    # the waypoints and the loop circle are checked before either integration
+    path = as_path(args.path)
     if args.loop_radius > 0:
         off, _ = loop_offscalar(fam, args.k, args.path[0], args.loop_radius, steps=cfg.steps)
+    res = transport(fam, args.k, path, np.eye(args.k), steps=cfg.steps)
     dev = float(np.max(np.abs(res.end - res.start)))
     print(f"path {' -> '.join(str(p) for p in args.path)}  level {args.k}  steps {cfg.steps}")
     print(f"endpoint deviation from oracle: {dev:.3e}")

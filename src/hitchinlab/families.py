@@ -9,7 +9,9 @@ frame trivializes the canonical bundle.  Two constructions are provided:
 * :class:`TorusFamily` -- the unit torus with
   :math:`w_\tau = x + \tau y`, parameter :math:`\tau` in the upper half
   plane, constant-coefficient :math:`J_\tau`; everything has a closed
-  form, which the tests use as oracles.
+  form, which the tests use as oracles.  Its metric and frame are
+  constant, so its symbols, Ricci form and half-form potential are exact
+  zeros, taken without a derivative (:func:`make_state`).
 * :class:`ChartFamily` -- a planar chart where
   :math:`J_\sigma` is encoded by a Beltrami coefficient
   :math:`\mu(\sigma)` through :math:`\eta = dz + \mu\,d\bar z`,
@@ -52,6 +54,7 @@ from .fields import (
     ChartGrid,
     Grid,
     TorusGrid,
+    is_constant,
     mat_mul,
     max_norm,
     proj_anti,
@@ -206,12 +209,24 @@ def _holo_vector(dw: Array) -> Array:
 
 
 def make_state(family: "Family", sigma: complex) -> KahlerState:
+    """The Kaehler data of the member at ``sigma``.
+
+    A metric constant over the grid is flat: its Levi-Civita symbols and
+    Ricci form are exact float64 zeros, taken without a derivative (the
+    spectral formulas give the same zeros on an even torus grid and
+    rounding noise on an odd one).  Any other metric takes ``christoffel``
+    and ``ricci_form``.
+    """
     grid = family.grid
     J = family.J_at(sigma)
     omega = make_omega(grid, family.omega0)
     g = compatible_metric(omega, J)
-    gamma = christoffel(grid, g)
-    rho = ricci_form(grid, gamma, J)
+    if is_constant(g):
+        gamma = np.zeros((2,) + g.shape)
+        rho = np.zeros(g.shape)
+    else:
+        gamma = christoffel(grid, g)
+        rho = ricci_form(grid, gamma, J)
     dw = family.dw_at(sigma)
     E = _holo_vector(dw)
     h_w = 2.0 * np.einsum("ab...,a...,b...->...", g, E, np.conj(E))

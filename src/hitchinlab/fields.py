@@ -182,6 +182,12 @@ def proj_anti(J: Array) -> Array:
     return 0.5 * (identity_like(J) + 1j * J)
 
 
+def is_constant(f: Array) -> bool:
+    """Whether every component of the field ``f`` takes one value over the
+    grid (its last two axes); a NaN makes it non-constant."""
+    return bool((f == f[..., :1, :1]).all())
+
+
 def max_norm(f: Array, mask: Array | None = None) -> float:
     """Max absolute value, optionally restricted to a boolean grid mask."""
     a = np.abs(np.asarray(f))

@@ -16,6 +16,11 @@ and differential constructions downstream code needs:
   and a variance string (used for the divergence-type traces in the
   operator identities).
 
+``families.make_state`` calls :func:`christoffel` and :func:`ricci_form`
+only for a metric that varies over the grid: a constant metric (every
+flat-torus member) gets exact zeros without a derivative, so no torus row
+exercises the symbols or the curvature here.
+
 Curvature conventions: :math:`R(X,Y)Z = \nabla_X\nabla_Y Z
 - \nabla_Y\nabla_X Z - \nabla_{[X,Y]}Z` and
 :math:`r(X, Y) = \operatorname{tr}(Z \mapsto R(Z, X)Y)`, which on a

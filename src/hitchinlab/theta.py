@@ -243,13 +243,20 @@ class TransportResult:
     norm_drift: float  # relative drift of the Gram norm of the section
 
 
-def _as_path(path) -> Callable[[float], complex]:
-    """Normalize a waypoint sequence to a piecewise-linear path callable."""
+def as_path(path) -> Callable[[float], complex]:
+    """Normalize a waypoint sequence to a piecewise-linear path callable.
+
+    Every waypoint must lie in the upper half plane; the straight segments
+    between them then do too.
+    """
     if callable(path):
         return path
     pts = [complex(p) for p in path]
     if len(pts) < 2:
         raise ValueError("a path needs at least two waypoints")
+    for p in pts:
+        if not p.imag > 0:
+            raise ValueError(f"a path needs Im tau > 0 at every waypoint, got {p}")
     segs = len(pts) - 1
 
     def fn(t: float) -> complex:
@@ -286,7 +293,7 @@ def transport_levels(
         raise ValueError(f"transport needs at least one step, got steps = {steps}")
     if not starts:
         raise ValueError("transport needs at least one level")
-    path = _as_path(path)
+    path = as_path(path)
     grid = fam.grid
     h = 1.0 / steps
     dt = 1e-6
@@ -351,8 +358,14 @@ def loop_offscalar_levels(
     Returns, per level, the distance of the holonomy matrix from scalar
     multiples of the identity (relative operator norm) together with the
     matrix.  The circle is walked once for all levels
-    (:func:`transport_levels`).
+    (:func:`transport_levels`); it must lie in the upper half plane,
+    ``Im center > radius``.
     """
+    if not complex(center).imag > radius:
+        raise ValueError(
+            f"a loop needs Im tau > 0 on its circle: Im center = {complex(center).imag}"
+            f" must exceed the radius {radius}"
+        )
 
     def path(t: float) -> complex:
         return center + radius * np.exp(2j * np.pi * t)

@@ -267,6 +267,10 @@ def test_basis_subcommand_is_gone(capsys):
         (["verify", "--backend", "torus", "--grid", "0"], "torus grid 0"),
         (["transport", "--tol", "-1"], "tol must be positive and finite"),
         (["transport", "--tol", "nan"], "tol must be positive and finite"),
+        (["transport", "--path", "1j,-1j"], "Im tau > 0 at every waypoint"),
+        (["transport", "--path", "1j,1+0j"], "Im tau > 0 at every waypoint"),
+        (["transport", "--path", "0.005j,1j", "--loop-radius", "0.01"], "Im tau > 0 on its circle"),
+        (["transport", "--path", "1j,-1j", "--loop-radius", "0.01"], "Im tau > 0 at every waypoint"),
         (["verify", "--backend", "bogus"], "backend must be one of torus, chart, both"),
         (["verify", "--config", "{backend_ini}"], "backend must be one of torus, chart, both"),
         (["verify", "--mutate", "bogus"], "unknown mutation 'bogus'"),
@@ -298,6 +302,10 @@ def test_basis_subcommand_is_gone(capsys):
         "verify_torus_grid0",
         "transport_tol_negative",
         "transport_tol_nan",
+        "transport_path_lower_half_plane",
+        "transport_path_on_real_axis",
+        "transport_loop_leaves_half_plane",
+        "transport_path_checked_before_loop",
         "verify_backend_bogus",
         "verify_ini_backend_bogus",
         "verify_mutate_bogus",

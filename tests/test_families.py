@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hitchinlab import families
-from hitchinlab.bundle import a_T
+from hitchinlab.bundle import a_T, halfform_potential
 from hitchinlab.catalog import CHART_COEFFS, chart_family
 from hitchinlab.families import (
     d_holo,
@@ -22,18 +22,76 @@ from hitchinlab.families import (
     variation_tensors,
     vj_of,
 )
-from hitchinlab.fields import ChartGrid, identity_like, mat_mul, max_norm
+from hitchinlab.fields import ChartGrid, TorusGrid, grad, identity_like, mat_mul, max_norm
 from hitchinlab.geometry import christoffel, ricci_form
 
 EPS = 1e-4
+TAUS = (1j, 2j, 1 + 1j, 0.5 + 0.8j)
 
 
-def test_state_ricci_form_reuses_christoffel(torus32, chart48):
-    """The state's Ricci form equals the one built from a fresh Christoffel pass."""
-    for fam, sigma in ((torus32, 0.5 + 0.8j), (chart48, 0.1 + 0.05j)):
-        st = make_state(fam, sigma)
-        rho = ricci_form(fam.grid, christoffel(fam.grid, st.g), st.J)
-        assert np.array_equal(st.rho, rho)
+def _spectral_geometry(st):
+    """``(gamma, rho, half-form potential)`` of a state by the full formulas,
+    with no shortcut for a constant metric or frame: the reference for
+    :func:`make_state` and :func:`halfform_potential`."""
+    gamma = christoffel(st.grid, st.g)
+    rho = ricci_form(st.grid, gamma, st.J)
+    ddw = grad(st.grid, st.dw) - np.einsum("cab...,c...->ab...", gamma, st.dw)
+    return gamma, rho, 0.5 * np.einsum("ab...,b...->a...", ddw, st.E)
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_state_ricci_form_reuses_christoffel(chart48):
+    """A curved chart member's symbols, Ricci form and half-form potential
+    are those of the full formulas, bit for bit."""
+    st = make_state(chart48, 0.1 + 0.05j)
+    gamma, rho, a_d = _spectral_geometry(st)
+    assert st.gamma.any()
+    assert _same_bits(st.gamma, gamma) and _same_bits(st.rho, rho)
+    assert _same_bits(halfform_potential(st), a_d)
+
+
+def test_torus_state_takes_no_derivative(monkeypatch):
+    """A torus member, of constant metric and frame, gets exact zeros for its
+    symbols, Ricci form and half-form potential without a field derivative."""
+
+    def raising(self, f, axis):
+        raise AssertionError("a torus field was differentiated")
+
+    monkeypatch.setattr(TorusGrid, "deriv", raising)
+    fam = families.TorusFamily(TorusGrid(32))
+    for tau in TAUS:
+        st = make_state(fam, tau)
+        a_d = halfform_potential(st)
+        assert st.gamma.shape == (2, 2, 2, 32, 32) and st.gamma.dtype == np.float64
+        assert st.rho.shape == (2, 2, 32, 32) and st.rho.dtype == np.float64
+        assert a_d.shape == (2, 32, 32) and a_d.dtype == np.complex128
+        assert not st.gamma.any() and not st.rho.any() and not a_d.any()
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_torus_closed_form_equals_the_full_formulas(n):
+    """At even grids the spectral derivatives of the constant torus metric and
+    frame are exact zeros, so the closed form changes no bit."""
+    fam = families.TorusFamily(TorusGrid(n))
+    for tau in TAUS:
+        st = make_state(fam, tau)
+        gamma, rho, a_d = _spectral_geometry(st)
+        assert _same_bits(st.gamma, gamma) and _same_bits(st.rho, rho)
+        assert _same_bits(halfform_potential(st), a_d)
+
+
+def test_torus_closed_form_at_an_odd_grid():
+    """At an odd grid the FFT of a constant is not exact: the full formulas
+    leave rounding noise, which the closed form replaces by zeros."""
+    fam = families.TorusFamily(TorusGrid(33))
+    for tau in TAUS:
+        st = make_state(fam, tau)
+        gamma, rho, a_d = _spectral_geometry(st)
+        assert not st.gamma.any() and not st.rho.any() and not halfform_potential(st).any()
+        assert max(max_norm(gamma), max_norm(rho), max_norm(a_d)) <= 1e-10
 
 
 def test_torus_structure_squares_to_minus_one(torus32):

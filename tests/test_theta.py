@@ -9,7 +9,7 @@ from hitchinlab.families import TorusFamily
 from hitchinlab.fields import TorusGrid, max_norm
 from hitchinlab.operators import torus_sections, u_apply
 from hitchinlab.theta import (
-    _as_path,
+    as_path,
     connection_matrix,
     gram,
     gram_rank,
@@ -149,15 +149,31 @@ def test_connection_matrix_matches_the_two_sums_bit_for_bit(torus32, tau, k, v):
 
 
 def test_path_normalization():
-    path = _as_path((1j, 1 + 1j))
+    path = as_path((1j, 1 + 1j))
     assert path(0.0) == 1j
     assert path(1.0) == 1 + 1j
     assert path(0.5) == 0.5 + 1j
     assert path(-0.3) == 1j  # clamped
-    fn = _as_path(lambda t: 1j + t)
+    fn = as_path(lambda t: 1j + t)
     assert fn(0.25) == 0.25 + 1j
     with pytest.raises(ValueError):
-        _as_path((1j,))
+        as_path((1j,))
+
+
+def test_path_off_the_half_plane_fails_before_any_step(torus32, monkeypatch):
+    """A waypoint, or a loop circle, with ``Im tau <= 0`` is rejected before
+    any connection matrix is built."""
+
+    def no_work(*args):
+        raise AssertionError("a connection matrix was built")
+
+    monkeypatch.setattr(theta, "_point_matrices", no_work)
+    for path in ((1j, -1j), (1j, 1.0), (-0.5j, 1j), (1j, 1 + 1j, 2 + 0j)):
+        with pytest.raises(ValueError, match="Im tau > 0 at every waypoint"):
+            transport(torus32, 1, path, np.eye(1), steps=4)
+    for center, radius in ((0.005j, 0.01), (0.01j, 0.01), (1 - 1j, 0.01)):
+        with pytest.raises(ValueError, match="Im tau > 0 on its circle"):
+            loop_offscalar_levels(torus32, (1,), center, radius, steps=4)
 
 
 def test_transport_matches_oracle(torus32):
@@ -237,11 +253,11 @@ def test_levels_in_one_pass_build_one_halfform_potential_per_point(torus32, monk
 
 
 def test_connection_matrix_derivative_count(monkeypatch):
-    """Field derivatives of one connection matrix on a fresh torus state: 6
-    for the state (2 for the Christoffel symbols, 4 for the Ricci form), 2
-    for the gradient of the half-form frame and 4 for ``Delta_G(V)`` (the
-    section gradient and the divergence).  ``H(V)`` takes none: the
-    normalized torus potential ``F`` is zero.  A change that again
+    """Field derivatives of one connection matrix on a fresh torus state: the
+    4 of ``Delta_G(V)`` (the section gradient and the divergence), and no
+    other.  The state's symbols and Ricci form and the half-form potential
+    are closed-form zeros (constant metric and frame), and ``H(V)`` is zero
+    for the normalized torus potential ``F = 0``.  A change that again
     differentiates a field known to vanish raises the count."""
     calls = []
     deriv = fields.TorusGrid.deriv
@@ -253,7 +269,7 @@ def test_connection_matrix_derivative_count(monkeypatch):
     monkeypatch.setattr(fields.TorusGrid, "deriv", counted)
     fam = TorusFamily(TorusGrid(32))
     connection_matrix(fam, bundle_data(fam, 1 + 1j, 2), 1.0)
-    assert len(calls) == 12
+    assert len(calls) == 4
 
 
 def test_transport_levels_rejects_no_level(torus32):
