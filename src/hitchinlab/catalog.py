@@ -11,8 +11,10 @@ every verdict matches its expectation; a non-finite case residual is an
 ``error`` and never matches.
 
 The rows are data (`ROWS`): each gives its budgets, its case axes and the
-residual of one case, and one driver (`Row.cases`, `_row`) expands the
-axes and reduces the cases to the worst one.
+residual of one case, which returns the sup of its error and the sup of
+its scale (1.0 for an absolute residual).  One driver (`Row.cases`,
+`_row`) expands the axes, divides once (`case_ratio`, scale floored at
+1e-300) and reduces the cases to the worst one.
 
 Budgets follow the two error models of the backends:
 
@@ -259,8 +261,14 @@ class Case:
         return self.fam.grid.interior()
 
 
-def _rel(val: Array, target: Array, mask: Array) -> float:
-    return max_norm(val - target, mask) / max_norm(target, mask)
+def case_ratio(err, scale) -> Array:
+    """The one division of every case: ``err / scale`` with the scale floored
+    at 1e-300, so ``0/0`` reads 0 and a NaN on either side stays NaN."""
+    return err / np.maximum(scale, 1e-300)
+
+
+def _rel(val: Array, target: Array, mask: Array) -> tuple[float, float]:
+    return max_norm(val - target, mask), max_norm(target, mask)
 
 
 def _spread(vals: Array, mask: Array) -> float:
@@ -268,17 +276,17 @@ def _spread(vals: Array, mask: Array) -> float:
     return float(np.max(np.abs(vals - np.mean(vals))))
 
 
-def _family_gates(c: Case) -> list[float]:
+def _family_gates(c: Case) -> tuple[list[float], float]:
     var = variation(c.fam, c.p, c.v, c.eps)
     return [
         var.anticommute_residual,
         var.symmetry_residual,
         var.holomorphy_residual,
         var.rigidity_residual,
-    ]
+    ], 1.0
 
 
-def _prequantum_curvature(c: Case) -> float:
+def _prequantum_curvature(c: Case) -> tuple[float, float]:
     # chart-only: the gauge potential there is a smooth numeric field whose
     # finite-difference curl genuinely re-derives the curvature; on the torus
     # the potential is linear in the fibre coordinate (not FD-differentiable
@@ -294,41 +302,38 @@ def _base_target(c: Case) -> Array:
     return -1j * c.k * st.omega[0, 1] + 0.5j * st.rho[0, 1]
 
 
-def _curvature_mixed_trace(c: Case) -> float:
+def _curvature_mixed_trace(c: Case) -> tuple[float, float]:
     st = c.fam.state(c.p)
     ctm = curvature_tm(c.fam, c.p, c.v, c.eps)
     Gt, _ = variation_tensors(st, vj_of(c.fam, c.p, c.v, c.eps))
     rhs = 0.25j * np.einsum("b...,ba...->a...", trace_nabla(st, Gt), st.omega)
-    den = max(max_norm(rhs, c.mask), max_norm(ctm, c.mask), 1e-12)
-    return max_norm(ctm - rhs, c.mask) / den
+    return max_norm(ctm - rhs, c.mask), max(max_norm(rhs, c.mask), max_norm(ctm, c.mask))
 
 
-def _curvature_mixed_potential(c: Case) -> float:
+def _curvature_mixed_potential(c: Case) -> tuple[float, float]:
     ctm = curvature_tm(c.fam, c.p, c.v, c.eps)
     pm = pot_mixed(c.fam, potential_fn(c.fam, "ricci"), c.p, c.v, c.eps)
-    den = max(max_norm(ctm, c.mask), max_norm(pm, c.mask), 1e-12)
-    return max_norm(ctm + pm, c.mask) / den
+    return max_norm(ctm + pm, c.mask), max(max_norm(ctm, c.mask), max_norm(pm, c.mask))
 
 
-def _curvature_param_commutator(c: Case) -> float:
+def _curvature_param_commutator(c: Case) -> tuple[float, float]:
     ctt = curvature_tt(c.fam, c.p, c.eps)
     rhs = param_commutator_curvature(c.fam, c.p, c.eps)
-    return max_norm(ctt - rhs, c.mask) / max(max_norm(ctt, c.mask), 1e-12)
+    return max_norm(ctt - rhs, c.mask), max_norm(ctt, c.mask)
 
 
-def _halfform_trace(c: Case) -> float:
-    R, _ = frame_curvature_data(c.fam, c.p, c.eps)
-    tr = np.einsum("aa...->...", R)
+def _halfform_trace(c: Case) -> tuple[float, float]:
+    tr = np.einsum("aa...->...", frame_curvature_data(c.fam, c.p, c.eps)[0])
     ctt = curvature_tt(c.fam, c.p, c.eps)
-    return max_norm(-0.5 * tr - ctt, c.mask) / max(max_norm(ctt, c.mask), 1e-12)
+    return max_norm(-0.5 * tr - ctt, c.mask), max_norm(ctt, c.mask)
 
 
-def _potential_constancy_corrected(c: Case) -> float:
+def _potential_constancy_corrected(c: Case) -> tuple[float, float]:
     ptt = pot_tt(potential_fn(c.fam, "ricci"), c.p, c.eps)
-    return _spread(ptt + curvature_tt(c.fam, c.p, c.eps), c.mask)
+    return _spread(ptt + curvature_tt(c.fam, c.p, c.eps), c.mask), 1.0
 
 
-def _reduction(c: Case, which: str) -> list[float]:
+def _reduction(c: Case, which: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The three curvature blocks of the reduction at one parameter."""
     st = c.fam.state(c.p)
     Ff = potential_fn(c.fam, which)
@@ -341,36 +346,36 @@ def _reduction(c: Case, which: str) -> list[float]:
     # mixed block (absolute)
     for v in DIRS:
         ctm = curvature_tm(c.fam, c.p, v, c.eps)
-        out.append(max_norm(ctm + pot_mixed(c.fam, Ff, c.p, v, c.eps), c.mask))
+        out.append((max_norm(ctm + pot_mixed(c.fam, Ff, c.p, v, c.eps), c.mask), 1.0))
     # parameter-parameter block (absolute)
     ctt = curvature_tt(c.fam, c.p, c.eps)
-    out.append(max_norm(ctt + pot_tt(Ff, c.p, c.eps), c.mask))
-    return out
+    out.append((max_norm(ctt + pot_tt(Ff, c.p, c.eps), c.mask), 1.0))
+    return tuple(zip(*out))  # the errors and the scales
 
 
 # The comparison rows take the Ricci potential by default: the canonical one
 # solving the curvature equation, which on the torus is the flat potential
 # (the pluriharmonic representative), since `make_state` normalizes F to 0.
-def _frame_comparison(c: Case, which: str = "ricci") -> list[float]:
+def _frame_comparison(c: Case, which: str = "ricci") -> tuple[tuple[float, float], float]:
     Ff = potential_fn(c.fam, which)
-    return list(frame_comparison_residuals(c.fam, Ff, c.p, c.v, c.eps))
+    return frame_comparison_residuals(c.fam, Ff, c.p, c.v, c.eps), 1.0
 
 
-def _connection_agreement(c: Case, which: str = "ricci") -> float:
+def _connection_agreement(c: Case, which: str = "ricci") -> tuple[Array, Array]:
     Ff = potential_fn(c.fam, which)
     return connection_agreement_residual(c.fam, Ff, c.bd, c.v, c.s, c.eps)
 
 
-def _gram_rank(c: Case) -> list[float]:
+def _gram_rank(c: Case) -> tuple[list[float], list[float]]:
     G = gram(c.fam.grid, c.p, theta_basis(c.fam.grid, c.k, c.p))
     golden = np.sqrt(2.0 * np.pi / c.k)
     return [
         0.0 if gram_rank(G) == c.k else 1.0,
-        float(np.max(np.abs(G - golden * np.eye(c.k)))) / golden,
-    ]
+        float(np.max(np.abs(G - golden * np.eye(c.k)))),
+    ], [1.0, golden]
 
 
-def _transport_oracle(c: Case) -> list[float]:
+def _transport_oracle(c: Case) -> tuple[list[float], float]:
     # one pass along the path for every level; per level, the deviation from
     # the self-transport oracle and the norm drift
     levels = c.env.cfg.levels
@@ -379,13 +384,13 @@ def _transport_oracle(c: Case) -> list[float]:
     out = []
     for k in levels:
         out += [float(np.max(np.abs(res[k].end - res[k].start))), res[k].norm_drift]
-    return out
+    return out, 1.0
 
 
-def _loop_offscalar(c: Case) -> list[float]:
+def _loop_offscalar(c: Case) -> tuple[list[float], float]:
     levels = c.env.cfg.levels
     offs = loop_offscalar_levels(c.fam, levels, 1j, 0.01, steps=max(c.env.cfg.steps // 2, 50))
-    return [offs[k][0] for k in levels]
+    return [offs[k][0] for k in levels], 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -406,16 +411,16 @@ class Row:
     section at ``(p, k)`` or ``f`` only the first one, passed as one batch.
     A case with a level or sections carries the bundle data at ``(p, k)``;
     without axes the row has one case (the transport rows walk one path for
-    every level).  ``residual(case)`` returns one residual or several (a
-    list, or one per section).  ``fails`` lists the backends on which the
-    row is expected to fail; a ``k_cubic`` row's chart budget grows with the
-    cube of the level.
+    every level).  ``residual(case)`` returns ``(err, scale)``, the error and
+    scale sups of one residual or of several (lists, or one per section).
+    ``fails`` lists the backends on which the row is expected to fail; a
+    ``k_cubic`` row's chart budget grows with the cube of the level.
     """
 
     identity: str
     budgets: dict[str, float]
     axes: str
-    residual: Callable[[Case], float | list[float]]
+    residual: Callable[[Case], tuple]
     fails: tuple[str, ...] = ()
     note: str = ""
     k_cubic: bool = False
@@ -434,7 +439,7 @@ class Row:
                 if s is not None or "k" in ax:
                     bd = bundle_data(env.family(backend), p, k)
                 for v in DIRS if "v" in ax else (None,):
-                    r = self.residual(Case(env, backend, eps, flip, p, k, v, s, bd))
+                    r = case_ratio(*self.residual(Case(env, backend, eps, flip, p, k, v, s, bd)))
                     out += [(x, k) for x in np.ravel(r).tolist()]
         return out
 
@@ -455,16 +460,16 @@ ROWS: dict[str, Row] = {
         Row("family_gates", {TORUS: 1e-6, CHART: 30.0}, "pv", _family_gates),
         Row(
             "family_holomorphy_gate_adversarial", {CHART: 30.0}, "p",
-            lambda c: variation(
+            lambda c: (variation(
                 nonholo_family(ChartGrid(c.env.cfg.grid)), c.p, 1.0, c.eps
-            ).holomorphy_residual,
+            ).holomorphy_residual, 1.0),
             fails=(CHART,), note=ADVERSARIAL,
         ),
         Row(
             "family_rigidity_gate_adversarial", {CHART: 30.0}, "p",
-            lambda c: variation(
+            lambda c: (variation(
                 nonrigid_family(ChartGrid(c.env.cfg.grid)), c.p, 1.0, c.eps
-            ).rigidity_residual,
+            ).rigidity_residual, 1.0),
             fails=(CHART,), note=ADVERSARIAL,
         ),
         Row(
@@ -496,7 +501,7 @@ ROWS: dict[str, Row] = {
         ),
         Row(
             "curvature_param_vanishing", {TORUS: 1e-8, CHART: 10.0}, "p",
-            lambda c: max_norm(curvature_tt(c.fam, c.p, c.eps), c.mask),
+            lambda c: (max_norm(curvature_tt(c.fam, c.p, c.eps), c.mask), 1.0),
             fails=(TORUS, CHART),
             note=(
                 "parameter-parameter curvature is measurably nonzero "
@@ -510,7 +515,7 @@ ROWS: dict[str, Row] = {
         ),
         Row(
             "frame_curvature", {TORUS: 1e-6, CHART: 10.0}, "p",
-            lambda c: frame_curvature_data(c.fam, c.p, c.eps)[1],
+            lambda c: frame_curvature_data(c.fam, c.p, c.eps)[1:],
         ),
         Row("halfform_trace", {TORUS: 1e-6, CHART: 10.0}, "p", _halfform_trace),
         Row(
@@ -523,7 +528,7 @@ ROWS: dict[str, Row] = {
         ),
         Row(
             "potential_constancy", {TORUS: 1e-8, CHART: 10.0}, "p",
-            lambda c: _spread(pot_tt(potential_fn(c.fam, "ricci"), c.p, c.eps), c.mask),
+            lambda c: (_spread(pot_tt(potential_fn(c.fam, "ricci"), c.p, c.eps), c.mask), 1.0),
             fails=(CHART,),
             note=(
                 "the parameter-hessian of the potential family varies over the "
@@ -599,22 +604,22 @@ ROWS: dict[str, Row] = {
         ),
         Row(
             "basis_multiplier", {TORUS: 1e-8}, "pk",
-            lambda c: [multiplier_residual(c.fam.grid, c.k, c.p, j) for j in range(c.k)],
+            lambda c: ([multiplier_residual(c.fam.grid, c.k, c.p, j) for j in range(c.k)], 1.0),
         ),
         Row(
             # torus: one case per basis (its worst element); chart: one per section
             "basis_holomorphy", {TORUS: 1e-8, CHART: 10.0}, "pk",
-            lambda c: max(c.env.sections(c.backend, c.p, c.k).defects) if c.fam.closed_form
-            else list(c.env.sections(c.backend, c.p, c.k).defects),
+            lambda c: (max(c.env.sections(c.backend, c.p, c.k).defects) if c.fam.closed_form
+                       else c.env.sections(c.backend, c.p, c.k).defects, 1.0),
         ),
         Row("gram_rank", {TORUS: 1e-8}, "pk", _gram_rank),
         Row(
             "heat_mode", {TORUS: 1e-12}, "pk",
-            lambda c: [heat_mode_residual(c.k, c.p), heat_grid_residual(c.fam.grid, c.k, c.p)],
+            lambda c: ([heat_mode_residual(c.k, c.p), heat_grid_residual(c.fam.grid, c.k, c.p)], 1.0),
         ),
         Row(
             "projection_defect", {TORUS: 1e-8}, "pkv",
-            lambda c: connection_matrix(c.fam, c.bd, c.v).defect,
+            lambda c: (connection_matrix(c.fam, c.bd, c.v).defect, 1.0),
         ),
         # one case each: a single pass along the path covers every level
         Row("transport_oracle", {TORUS: 1e-6}, "", _transport_oracle),
@@ -782,7 +787,7 @@ def sweep_orders(
         s = section_on(env.chart().grid, coeff)
         case = Case(env, "chart", eps, None, sigma, k, 1.0, s, bundle_data(env.chart(), sigma, k))
         cases = [case] + [replace(case, eps=e) for e in (eps_pair if cfg is cfgs[-1] else ())]
-        res += [{i: float(ROWS[i].residual(c)) for i in identities} for c in cases]
+        res += [{i: float(case_ratio(*ROWS[i].residual(c))) for i in identities} for c in cases]
         del env, s, case, cases  # free this Env before the next one is built
     rows: list[dict] = []
     for identity in identities:

@@ -376,7 +376,7 @@ class ChartFamily(Family):
         grid: ChartGrid,
         mu_at: Callable[[complex], Array],
         w_at: Callable[[complex], tuple[Array, Array]],
-        label: str = "chart",
+        label: str,
     ):
         self.grid = grid
         self._mu_at = mu_at

@@ -31,11 +31,11 @@ flips of either, act on the chart only.
 
 Every identity of the catalog is implemented as a *residual*: both sides
 are assembled through independent code paths (difference quotients in
-the parameter, spectral/finite-difference calculus on the surface) and
-the sup-norm of the difference over ``grid.interior()``, normalized by
-the section scale, is reported.  ``flip`` arguments implement the
-mutation self-test: flipping the sign of any single term must push the
-residual above its budget.
+the parameter, spectral/finite-difference calculus on the surface), and
+it returns the sups over ``grid.interior()`` of the difference (the
+error) and of a scale; the catalog divides them once (``case_ratio``).
+``flip`` arguments implement the mutation self-test: flipping the sign of
+any single term must push the residual above its budget.
 
 Each ingredient of :math:`u(V)` has one derivation, built once per
 residual call and passed down: :func:`G_of` (the family's closed form,
@@ -45,7 +45,7 @@ from the state, ``G(V)`` and a potential field, and :func:`u_apply` from
 those.  The residuals take the closed forms of ``G(V)``, ``V[J]`` and
 ``A_T(V)`` whenever the family has them (``Family.closed_form``).
 Section arguments may be one coefficient ``(n, n)`` or a batch
-``(..., n, n)``; the residuals then return one value per section.
+``(..., n, n)``; the residuals then return one sup pair per section.
 """
 
 from __future__ import annotations
@@ -108,16 +108,16 @@ def trace_nabla_endo(st: KahlerState, T: Array) -> Array:
     return np.einsum("aab...->b...", nT)
 
 
-def _section_ratio(err: Array, scale: Array, s: Array, mask: Array) -> Array:
-    """Sup of ``err`` over ``mask`` relative to the sup of ``scale``, one value
-    per section of ``s`` (``(..., n, n)``); ``err`` and ``scale`` may carry
-    tensor axes before the section axes."""
+def _section_sups(err: Array, scale: Array, mask: Array, batch: tuple = ()) -> tuple[Array, Array]:
+    """Sups of ``err`` and of ``scale`` over ``mask``, one pair per section of
+    a batch of shape ``batch`` (``()``: one section or field); ``err`` and
+    ``scale`` may carry tensor axes before the batch axes."""
 
     def sups(x: Array) -> Array:
         a = np.abs(x)[..., mask]
-        return a.reshape((-1,) + s.shape[:-2] + a.shape[-1:]).max(axis=(0, -1))
+        return a.reshape((-1,) + batch + a.shape[-1:]).max(axis=(0, -1))
 
-    return sups(err) / np.maximum(sups(scale), 1e-300)
+    return sups(err), sups(scale)
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +341,9 @@ def eq_defining_residual(
     s: Array,
     eps: float,
     flip: str | None = None,
-) -> Array:
+) -> tuple[Array, Array]:
     r"""Defining identity of the second-order correction on holomorphic ``s``
-    (sections of the bundle of ``bd``):
+    (sections of the bundle of ``bd``; scale ``s``):
 
     .. math::
         \nabla^{0,1}\big(u(V)s\big) = \tfrac{i}{2} V[J]\,\nabla s
@@ -359,7 +359,7 @@ def eq_defining_residual(
         t1 = -t1
     if flip == "trace":
         t2 = -t2
-    return _section_ratio(lhs - t1 - t2, s, s, st.grid.interior())
+    return _section_sups(lhs - t1 - t2, s, st.grid.interior(), s.shape[:-2])
 
 
 def eq_transfer_residual(
@@ -369,9 +369,9 @@ def eq_transfer_residual(
     s: Array,
     eps: float,
     flip: str | None = None,
-) -> Array:
+) -> tuple[Array, Array]:
     r"""Holomorphy-transfer identity on holomorphic ``s`` at the level ``k``
-    of ``bd``:
+    of ``bd`` (scale ``s``):
 
     .. math::
         \nabla^{0,1}\Delta_{G(V)} s = -2ik\,\omega G(V)\nabla s
@@ -391,11 +391,11 @@ def eq_transfer_residual(
         t2 = -t2
     if flip == "rho":
         t3 = -t3
-    return _section_ratio(lhs - t1 - t2 - t3, s, s, st.grid.interior())
+    return _section_sups(lhs - t1 - t2 - t3, s, st.grid.interior(), s.shape[:-2])
 
 
-def potential_variation_residual(family: Family, sigma: complex, v: complex, eps: float) -> float:
-    r"""Variation of the Ricci potential:
+def potential_variation_residual(family: Family, sigma: complex, v: complex, eps: float) -> tuple[float, float]:
+    r"""Variation of the Ricci potential (scale ``G(V)``):
 
     .. math::
         \bar\partial_M V'[F] = -\tfrac{i}{4}\operatorname{Tr}
@@ -407,8 +407,7 @@ def potential_variation_residual(family: Family, sigma: complex, v: complex, eps
     G = G_of(family, sigma, v, eps)
     t1 = -0.25j * np.einsum("b...,ba...->a...", trace_nabla(st, G), st.omega)
     t2 = -0.5j * np.einsum("b...,bc...,ca...->a...", dF_holo(st, st.F), G, st.omega)
-    mask = st.grid.interior()
-    return max_norm(lhs - t1 - t2, mask) / max(max_norm(G, mask), 1e-300)
+    return _section_sups(lhs - t1 - t2, G, st.grid.interior())
 
 
 def potential_oneform_residual(
@@ -417,17 +416,16 @@ def potential_oneform_residual(
     v: complex,
     eps: float,
     flip: str | None = None,
-) -> float:
+) -> tuple[float, float]:
     r"""The closed-form potential satisfies
     :math:`\bar\partial_M H(V) = \tfrac{i}{2}\operatorname{Tr}
-    \tilde\nabla(G(V)\rho)`."""
+    \tilde\nabla(G(V)\rho)`; scale ``G(V)``."""
     st = family.state(sigma)
     G = G_of(family, sigma, v, eps)
     H = H_of(st, G, st.F, flip)
     lhs = form_anti(st, grad(st.grid, H))
     rhs = 0.5j * trace_nabla_endo(st, np.einsum("ac...,cb...->ab...", G, st.rho))
-    mask = st.grid.interior()
-    return max_norm(lhs - rhs, mask) / max(max_norm(G, mask), 1e-300)
+    return _section_sups(lhs - rhs, G, st.grid.interior())
 
 
 # ---------------------------------------------------------------------------
@@ -435,19 +433,19 @@ def potential_oneform_residual(
 # ---------------------------------------------------------------------------
 
 
-def metric_variation_residual(family: Family, sigma: complex, v: complex, eps: float) -> float:
+def metric_variation_residual(family: Family, sigma: complex, v: complex, eps: float) -> tuple[float, float]:
     r"""Compatibility of the metric and structure variations:
-    :math:`V[g] = \omega\,V[J]` (the symplectic form is parameter-fixed)."""
+    :math:`V[g] = \omega\,V[J]` (the symplectic form is parameter-fixed;
+    scale: the right side)."""
     st = family.state(sigma)
     vg = dir_deriv(lambda s: family.state(s).g, sigma, v, eps)
     VJ = vj_of(family, sigma, v, eps)
     rhs = np.einsum("ac...,cb...->ab...", st.omega, VJ)
-    mask = st.grid.interior()
-    return max_norm(vg - rhs, mask) / max(max_norm(rhs, mask), 1e-300)
+    return _section_sups(vg - rhs, rhs, st.grid.interior())
 
 
-def levicivita_variation_residual(family: Family, sigma: complex, v: complex, eps: float) -> float:
-    r"""Variation of the Levi-Civita connection:
+def levicivita_variation_residual(family: Family, sigma: complex, v: complex, eps: float) -> tuple[float, float]:
+    r"""Variation of the Levi-Civita connection (scale: the right side):
 
     .. math::
         g(V[\tilde\nabla]_X Y, Z) = \tfrac12\big(
@@ -464,13 +462,13 @@ def levicivita_variation_residual(family: Family, sigma: complex, v: complex, ep
         + np.einsum("bac...->abc...", D)
         - np.einsum("cab...->abc...", D)
     )
-    mask = st.grid.interior()
-    return max_norm(lhs - rhs, mask) / max(max_norm(rhs, mask), 1e-300)
+    return _section_sups(lhs - rhs, rhs, st.grid.interior())
 
 
-def projector_commutator_residual(family: Family, sigma: complex, v: complex, eps: float) -> float:
+def projector_commutator_residual(family: Family, sigma: complex, v: complex, eps: float) -> tuple[float, float]:
     r"""Variation of the type projection on a parameter-fixed vector field:
-    :math:`V[\pi^{0,1}X] = \tfrac{i}{2}V[J]\,X` for rigid families."""
+    :math:`V[\pi^{0,1}X] = \tfrac{i}{2}V[J]\,X` for rigid families (scale:
+    the right side)."""
     st = family.state(sigma)
     grid = st.grid
     # deterministic smooth test field; periodic so it works on both backends
@@ -485,11 +483,10 @@ def projector_commutator_residual(family: Family, sigma: complex, v: complex, ep
     lhs = dir_deriv(QX, sigma, v, eps)
     VJ = vj_of(family, sigma, v, eps)
     rhs = 0.5j * np.einsum("ab...,b...->a...", VJ, X)
-    mask = st.grid.interior()
-    return max_norm(lhs - rhs, mask) / max(max_norm(rhs, mask), 1e-300)
+    return _section_sups(lhs - rhs, rhs, st.grid.interior())
 
 
-def frame_curvature_data(family: Family, sigma: complex, eps: float) -> tuple[Array, float]:
+def frame_curvature_data(family: Family, sigma: complex, eps: float) -> tuple[Array, float, float]:
     r"""Parameter-direction curvature of the type-projected frame connection.
 
     The connection :math:`\hat\nabla^T_V Y = \pi^{1,0}V[Y]` on (1,0)
@@ -501,8 +498,8 @@ def frame_curvature_data(family: Family, sigma: complex, eps: float) -> tuple[Ar
 
     computed here by nested difference quotients (left) and from the
     structure derivatives (right); returns the left endomorphism
-    restricted to the (1,0) subspace and the sup-norm mismatch of the two
-    sides relative to the right.
+    restricted to the (1,0) subspace, the sup of the mismatch of the two
+    sides and the sup of the right side.
     """
     st = family.state(sigma)
 
@@ -526,8 +523,7 @@ def frame_curvature_data(family: Family, sigma: complex, eps: float) -> tuple[Ar
     d2J = vj_of(family, sigma, 1j, eps)
     commJ = np.einsum("ab...,bc...->ac...", d1J, d2J) - np.einsum("ab...,bc...->ac...", d2J, d1J)
     target = -0.25 * np.einsum("ab...,bc...,cd...->ad...", P0, commJ, P0)
-    mask = st.grid.interior()
-    return R, max_norm(R - target, mask) / max(max_norm(target, mask), 1e-300)
+    return (R, *_section_sups(R - target, target, st.grid.interior()))
 
 
 def param_commutator_curvature(family: Family, sigma: complex, eps: float) -> Array:
@@ -671,9 +667,9 @@ def operator_pullback_residual(
     s: Array,
     eps: float,
     flip: str | None = None,
-) -> Array:
+) -> tuple[Array, Array]:
     r"""Pullback of the second-order operator through the comparison map,
-    on sections ``s`` of the bundle of ``bd``:
+    on sections ``s`` of the bundle of ``bd`` (scale :math:`\Delta^L_{G(V)} s`):
 
     .. math::
         m^{-1}\Delta_{G(V)}(m\,s) = \Delta^{L}_{G(V)} s
@@ -693,7 +689,7 @@ def operator_pullback_residual(
         t2 = -t2
     if flip == "potential":
         t3 = -t3
-    return _section_ratio(lhs - t1 - t2 - t3, t1, s, st.grid.interior())
+    return _section_sups(lhs - t1 - t2 - t3, t1, st.grid.interior(), s.shape[:-2])
 
 
 def connection_agreement_residual(
@@ -703,7 +699,7 @@ def connection_agreement_residual(
     v: complex,
     s: Array,
     eps: float,
-) -> Array:
+) -> tuple[Array, Array]:
     r"""Full-connection agreement through the comparison map:
 
     .. math::
@@ -712,7 +708,7 @@ def connection_agreement_residual(
         + 2\nabla^{L}_{G(V)\partial_M\tilde F}\big) + V'[\tilde F]
 
     for a parameter-constant coefficient ``s`` of the bundle of ``bd``
-    (so ``V[s] = 0``).
+    (so ``V[s] = 0``); scale ``s``.
     """
     st, sigma, k = bd.state, bd.state.sigma, bd.k
     m = comparison_multiplier(family, Ffn, sigma)
@@ -725,4 +721,4 @@ def connection_agreement_residual(
     rhs = (delta_G(bd.plain, G, s) + 2.0 * grad_along(bd.plain, GdF, s)) / (
         4.0 * k
     ) + vpF * s
-    return _section_ratio(lhs - rhs, s, s, st.grid.interior())
+    return _section_sups(lhs - rhs, s, st.grid.interior(), s.shape[:-2])

@@ -7,6 +7,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,6 +90,31 @@ def test_nonfinite_case_is_an_error(identity, backend, cases):
     assert row["cases"] == len(cases)
     text = format_catalog([row])
     assert "[ERROR]" in text and "<-- unexpected" in text and "1 unexpected" in text
+
+
+@pytest.mark.parametrize(
+    "err, scale, verdict, residual",
+    [
+        (1e-3, float("nan"), "error", float("nan")),
+        (float("nan"), 1.0, "error", float("nan")),
+        (0.0, 0.0, "pass", 0.0),
+        (2e-9, 1e-9, "fail", 2.0),
+    ],
+    ids=["nan_scale", "nan_error", "zero_over_zero", "ratio"],
+)
+def test_driver_divides_each_case_once(err, scale, verdict, residual):
+    # a stub residual through Row.cases and _row: a NaN scale stays NaN under
+    # the floor (Python's max(nan, 1e-300) is nan but max(1e-300, nan) is
+    # 1e-300), 0/0 reads 0 for now, and the ratio is err / scale
+    key = ("curvature_param_commutator", "torus")
+    stub = dataclasses.replace(ROWS[key[0]], residual=lambda c: (err, scale))
+    env = Env(RunConfig(backend="torus"))
+    cases = stub.cases(env, "torus")
+    np.testing.assert_equal(cases, [(residual, 0)] * len(env.cfg.taus))
+    entry = next(e for e in REGISTRY if (e.identity, e.backend) == key)
+    row = _row(dataclasses.replace(entry, runner=stub.cases), env)
+    assert (row["verdict"], row["cases"]) == (verdict, len(env.cfg.taus))
+    np.testing.assert_equal(row["residual"], residual)
 
 
 def test_bench_case_check_stays_active(monkeypatch):

@@ -170,3 +170,51 @@ def test_no_unread_parameters():
         if (unread := unread_params(path.read_text()))
     }
     assert found == {}
+
+
+FLOORS = (1e-300, 1e-12)
+
+
+def floor_literals(source: str) -> list[str]:
+    """The top-level functions and classes of ``source`` that hold a literal
+    1e-300 or 1e-12, once per literal (``<module>`` outside them).
+
+    A value of a dict display is a budget (``Row.budgets``), not a floor,
+    and does not count.
+    """
+    tree = ast.parse(source)
+    budgets = {id(v) for d in ast.walk(tree) if isinstance(d, ast.Dict) for v in d.values}
+    owner = {}
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        owner.update((id(n), name) for n in ast.walk(top))
+    return sorted(
+        owner[id(n)]
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Constant)
+        and type(n.value) is float
+        and n.value in FLOORS
+        and id(n) not in budgets
+    )
+
+
+def test_one_floor_divides_the_residuals():
+    # the check itself sees a floor in a function, one at module level, and
+    # skips a budget and a docstring that names the floor
+    snippet = (
+        'def f(x):\n    """Floored at 1e-300."""\n    return x / max(x, 1e-300)\n'
+        "B = {'torus': 1e-12}\nC = max(1.0, 1e-12)\n"
+    )
+    assert floor_literals(snippet) == ["<module>", "f"]
+    # the catalog driver divides each case once; the section builders
+    # normalize their sections and keep their own floor
+    pkg = ROOT / "src" / "hitchinlab"
+    found = {
+        name: floor_literals((pkg / name).read_text())
+        for name in ("catalog.py", "bundle.py", "operators.py")
+    }
+    assert found == {
+        "catalog.py": ["case_ratio"],
+        "bundle.py": [],
+        "operators.py": ["chart_sections", "torus_sections"],
+    }
