@@ -34,6 +34,7 @@ import numpy as np
 
 from .fields import Array, TorusGrid, grad, is_constant, max_norm
 from .families import Family, KahlerState, dir_deriv
+from .geometry import symbol_contraction
 
 # ---------------------------------------------------------------------------
 # gauges
@@ -58,13 +59,18 @@ def halfform_potential(state: KahlerState) -> Array:
     Computes :math:`\nabla dw = \alpha\otimes dw + \beta\otimes d\bar w`
     with the Levi-Civita connection and returns :math:`\tfrac12\alpha`
     (the type leakage :math:`\beta` vanishes on an honest Kaehler member).
-    A frame constant over the grid on a flat member (``gamma`` zero, as on
-    every torus member) is parallel: the potential is exact complex zeros,
-    taken without a derivative.
+    A frame constant over the grid on a flat member (symbols of exact
+    zeros, :func:`~hitchinlab.geometry.symbol_contraction`, as on every
+    torus member) is parallel: the potential is exact complex zeros, taken
+    without a derivative and returned as a read-only zero-stride broadcast
+    of the grid shape, like the fields of a flat state.
     """
-    if not state.gamma.any() and is_constant(state.dw):
-        return np.zeros(state.dw.shape, dtype=complex)
-    ddw = grad(state.grid, state.dw) - np.einsum("cab...,c...->ab...", state.gamma, state.dw)
+    conn = symbol_contraction("cab...,c...->ab...", state.gamma, state.dw)
+    if conn is None and is_constant(state.dw):
+        return np.broadcast_to(np.zeros((), dtype=complex), state.dw.shape)
+    ddw = grad(state.grid, state.dw)
+    if conn is not None:
+        ddw -= conn
     return 0.5 * np.einsum("ab...,b...->a...", ddw, state.E)
 
 
@@ -127,7 +133,10 @@ def sec_deriv(bd: BundleData, f: Array, axis: int) -> Array:
     """
     grid = bd.grid
     if axis == -1 and bd.gauge is not None:
-        return (grid.deriv(f * bd.gauge, -1)) / bd.gauge - 2j * np.pi * bd.k * grid.x * f
+        df = grid.deriv(f * bd.gauge, -1)
+        df /= bd.gauge
+        df -= 2j * np.pi * bd.k * grid.x * f
+        return df
     return grid.deriv(f, axis)
 
 
@@ -142,8 +151,11 @@ def sec_grad(bd: BundleData, f: Array) -> Array:
     ``f`` is one coefficient ``(n, n)`` or a batch ``(..., n, n)``; the
     result is ``(2, ..., n, n)``.
     """
-    df = np.stack([sec_deriv(bd, f, -2), sec_deriv(bd, f, -1)])
-    return df + _times_potential(bd.A, f)
+    df = np.empty((2,) + f.shape, dtype=np.result_type(f, bd.A))
+    for a in range(2):
+        df[a] = sec_deriv(bd, f, a - 2)
+        df[a] += bd.A[a] * f
+    return df
 
 
 # ---------------------------------------------------------------------------

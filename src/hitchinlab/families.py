@@ -9,9 +9,10 @@ frame trivializes the canonical bundle.  Two constructions are provided:
 * :class:`TorusFamily` -- the unit torus with
   :math:`w_\tau = x + \tau y`, parameter :math:`\tau` in the upper half
   plane, constant-coefficient :math:`J_\tau`; everything has a closed
-  form, which the tests use as oracles.  Its metric and frame are
-  constant, so its symbols, Ricci form and half-form potential are exact
-  zeros, taken without a derivative (:func:`make_state`).
+  form, which the tests use as oracles.  Its structure and frame are
+  constant, so each member is held at one node of the grid, its symbols,
+  Ricci form and half-form potential being exact zeros taken without a
+  derivative (:func:`make_state`).
 * :class:`ChartFamily` -- a planar chart where
   :math:`J_\sigma` is encoded by a Beltrami coefficient
   :math:`\mu(\sigma)` through :math:`\eta = dz + \mu\,d\bar z`,
@@ -176,7 +177,12 @@ def frame_from_mu(mu: Array) -> tuple[Array, Array]:
 
 @dataclass
 class KahlerState:
-    """All pointwise geometric data of one family member."""
+    """All pointwise geometric data of one family member.
+
+    The fields of a flat member are read-only zero-stride broadcasts of
+    one node (:func:`make_state`): a caller that writes into a field must
+    copy it first.
+    """
 
     grid: Grid
     sigma: complex
@@ -208,46 +214,56 @@ def _holo_vector(dw: Array) -> Array:
     return np.stack([bb / det, -ab / det])
 
 
-def make_state(family: "Family", sigma: complex) -> KahlerState:
-    """The Kaehler data of the member at ``sigma``.
-
-    A metric constant over the grid is flat: its Levi-Civita symbols and
-    Ricci form are exact float64 zeros, taken without a derivative (the
-    spectral formulas give the same zeros on an even torus grid and
-    rounding noise on an odd one).  Any other metric takes ``christoffel``
-    and ``ricci_form``.
-    """
-    grid = family.grid
-    J = family.J_at(sigma)
-    omega = make_omega(grid, family.omega0)
+def _member_fields(
+    family: "Family", sigma: complex, J: Array, dw: Array | None
+) -> dict[str, Array]:
+    """The fields of :class:`KahlerState` of the structure ``J`` and the
+    coframe ``dw`` of the member at ``sigma``, over the last two axes of
+    both: the grid's, or one node.  Without ``dw`` the member's own is
+    built after the symbols, so that its arrays do not add to their peak
+    memory."""
+    omega = make_omega(J.shape[2:], family.omega0)
     g = compatible_metric(omega, J)
     if is_constant(g):
         gamma = np.zeros((2,) + g.shape)
         rho = np.zeros(g.shape)
     else:
-        gamma = christoffel(grid, g)
-        rho = ricci_form(grid, gamma, J)
-    dw = family.dw_at(sigma)
+        gamma = christoffel(family.grid, g)
+        rho = ricci_form(family.grid, gamma, J)
+    if dw is None:
+        dw = family.dw_at(sigma)
     E = _holo_vector(dw)
     h_w = 2.0 * np.einsum("ab...,a...,b...->...", g, E, np.conj(E))
     if family.normalized_potential:
-        F = np.zeros(grid.shape, dtype=complex)
+        F = np.zeros(J.shape[2:], dtype=complex)
     else:
         F = -0.5 * np.log(h_w)
-    return KahlerState(
-        grid=grid,
-        sigma=sigma,
-        omega0=family.omega0,
-        J=J,
-        omega=omega,
-        g=g,
-        gamma=gamma,
-        rho=rho,
-        dw=dw,
-        E=E,
-        h_w=h_w,
-        F=F,
-    )
+    return dict(J=J, omega=omega, g=g, gamma=gamma, rho=rho, dw=dw, E=E, h_w=h_w, F=F)
+
+
+def make_state(family: "Family", sigma: complex) -> KahlerState:
+    """The Kaehler data of the member at ``sigma``.
+
+    A member whose ``J`` and ``dw`` are constant over the grid (every
+    torus member, and the chart family of constant ``mu``) is flat: each
+    field is computed once, at one node, and held as a read-only
+    zero-stride broadcast of the grid shape (``np.broadcast_to``); the
+    values are those of the full formulas bit for bit.  A metric constant
+    over the grid has Levi-Civita symbols and a Ricci form of exact float64
+    zeros, taken without a derivative (the spectral formulas give the same
+    zeros on an even torus grid and rounding noise on an odd one).  Any
+    other metric takes ``christoffel`` and ``ricci_form`` over the grid.
+    """
+    grid = family.grid
+    J = family.J_at(sigma)
+    dw = family.dw_at(sigma) if is_constant(J) else None
+    if dw is not None and is_constant(dw):
+        # copies: a broadcast of a slice would keep the full arrays alive
+        node = _member_fields(family, sigma, J[..., :1, :1].copy(), dw[..., :1, :1].copy())
+        fields = {name: np.broadcast_to(a, a.shape[:-2] + grid.shape) for name, a in node.items()}
+    else:
+        fields = _member_fields(family, sigma, J, dw)
+    return KahlerState(grid=grid, sigma=sigma, omega0=family.omega0, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +362,7 @@ class TorusFamily(Family):
         d2 = -J0 / t2
         d2[0, 1] += -2.0
         dj = v.real * d1 + v.imag * d2
-        return np.broadcast_to(dj[:, :, None, None], (2, 2) + self.grid.shape).copy()
+        return np.broadcast_to(dj[:, :, None, None], (2, 2) + self.grid.shape)
 
     def g_exact(self, sigma: complex, v: complex) -> Array:
         r""":math:`G(V) = v\,\frac{i}{\pi}\,\partial_z\otimes\partial_z` for all
@@ -354,7 +370,7 @@ class TorusFamily(Family):
         t2 = sigma.imag
         dz = np.array([-np.conj(sigma), 1.0]) / (2j * t2)
         G = (1j / np.pi) * v * np.einsum("a,b->ab", dz, dz)
-        return np.broadcast_to(G[:, :, None, None], (2, 2) + self.grid.shape).copy()
+        return np.broadcast_to(G[:, :, None, None], (2, 2) + self.grid.shape)
 
     def a_t_exact(self, sigma: complex, v: complex) -> Array:
         r""":math:`A_T(V) = -v\,\tfrac{i}{4\operatorname{Im}\tau}`, constant over M."""

@@ -70,7 +70,7 @@ class TorusGrid:
         real = not np.iscomplexobj(f)
         fh = np.fft.rfft(f, axis=axis) if real else np.fft.fft(f, axis=axis)
         fh *= self._ik[: fh.shape[axis]].reshape((-1,) + (1,) * (fh.ndim - 1 - axis % fh.ndim))
-        return np.fft.irfft(fh, self.n, axis=axis) if real else np.fft.ifft(fh, axis=axis)
+        return np.fft.irfft(fh, self.n, axis=axis) if real else np.fft.ifft(fh, axis=axis, out=fh)
 
     def interior(self) -> Array:
         return np.ones(self.shape, dtype=bool)

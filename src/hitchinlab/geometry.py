@@ -38,9 +38,10 @@ from .fields import Array, Grid, grad
 # ---------------------------------------------------------------------------
 
 
-def make_omega(grid: Grid, omega0: float) -> Array:
-    r"""Components of :math:`\omega_0\,dx\wedge dy`: ``w[a,b]`` antisymmetric."""
-    w = np.zeros((2, 2) + grid.shape)
+def make_omega(shape: tuple[int, ...], omega0: float) -> Array:
+    r"""Components of :math:`\omega_0\,dx\wedge dy` over the grid axes
+    ``shape``: ``w[a,b]`` antisymmetric."""
+    w = np.zeros((2, 2) + shape)
     w[0, 1] = omega0
     w[1, 0] = -omega0
     return w
@@ -113,7 +114,8 @@ def cov_deriv(grid: Grid, gamma: Array, comps: Array, variance: str) -> Array:
     one character per slot, ``'u'`` (vector) or ``'d'`` (covector).  For
     each up slot ``(\nabla t)`` gains :math:`+\Gamma^b{}_{ae}t^{e}`, for
     each down slot :math:`-\Gamma^e{}_{ab}t_{e}`.  The result has variance
-    ``"d" + variance``.
+    ``"d" + variance``.  Symbols of exact zeros add nothing
+    (:func:`symbol_contraction`).
     """
     out = grad(grid, comps)
     letters = "bcdefgh"[: len(variance)]
@@ -122,8 +124,18 @@ def cov_deriv(grid: Grid, gamma: Array, comps: Array, variance: str) -> Array:
         s[i] = "z"
         src = "".join(s)
         if v == "u":
-            corr = np.einsum(f"{letters[i]}az...,{src}...->a{letters}...", gamma, comps)
+            corr = symbol_contraction(f"{letters[i]}az...,{src}...->a{letters}...", gamma, comps)
+            if corr is not None:
+                out = out + corr
         else:
-            corr = -np.einsum(f"za{letters[i]}...,{src}...->a{letters}...", gamma, comps)
-        out = out + corr
+            corr = symbol_contraction(f"za{letters[i]}...,{src}...->a{letters}...", gamma, comps)
+            if corr is not None:
+                out = out - corr
     return out
+
+
+def symbol_contraction(subscripts: str, gamma: Array, comps: Array) -> Array | None:
+    """``np.einsum(subscripts, gamma, comps)``, or None for symbols of exact
+    zeros (every flat member), whose contraction would add exact zeros; a
+    NaN in ``gamma`` still takes it."""
+    return np.einsum(subscripts, gamma, comps) if gamma.any() else None

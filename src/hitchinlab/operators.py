@@ -66,7 +66,7 @@ from .bundle import (
 )
 from .families import Family, KahlerState, d_holo, dir_deriv, v_parts, variation_tensors, vj_of
 from .fields import Array, ChartGrid, grad, max_norm
-from .geometry import cov_deriv
+from .geometry import cov_deriv, symbol_contraction
 
 # ---------------------------------------------------------------------------
 # the variation tensor and pointwise helpers
@@ -132,8 +132,16 @@ def delta_G(bd: BundleData, G: Array, f: Array) -> Array:
     """
     st = bd.state
     t = np.einsum("ba...,a...->b...", G, sec_grad(bd, f))
-    gt = np.einsum("aac...,c...->a...", st.gamma, t)
-    return sum(sec_deriv(bd, t[a], a - 2) + gt[a] + bd.A[a] * t[a] for a in range(2))
+    gt = symbol_contraction("aac...,c...->a...", st.gamma, t)
+    out = sec_deriv(bd, t[0], -2)
+    out1 = sec_deriv(bd, t[1], -1)
+    if gt is not None:
+        out += gt[0]
+        out1 += gt[1]
+    out += bd.A[0] * t[0]
+    out1 += bd.A[1] * t[1]
+    out += out1
+    return out
 
 
 def grad_along(bd: BundleData, X: Array, f: Array) -> Array:
@@ -170,7 +178,10 @@ def u_apply(bd: BundleData, G: Array, f: Array) -> Array:
     if bd.k == 0:
         raise ValueError("the second-order correction needs a positive level")
     H = H_of(bd.state, G, bd.state.F)
-    return (delta_G(bd, G, f) + H * f) / (4.0 * bd.k)
+    out = delta_G(bd, G, f)
+    out += H * f
+    out /= 4.0 * bd.k
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def theta_basis_dtau(grid: TorusGrid, k: int, tau: complex) -> Array:
     return _lattice_sum(X, 1j * np.pi * k * (nt + y) ** 2 * Y)
 
 
-def theta_basis_dx(grid: TorusGrid, k: int, tau: complex, order: int = 1) -> Array:
+def theta_basis_dx(grid: TorusGrid, k: int, tau: complex, order: int) -> Array:
     """Exact x-derivative of the basis, termwise ``(2 pi i k n~)**order``."""
     nt, X, Y = _lattice_factors(*_axes(grid), k, tau)
     return _lattice_sum((2j * np.pi * k * nt) ** order * X, Y)
@@ -147,8 +147,9 @@ def heat_grid_residual(grid: TorusGrid, k: int, tau: complex) -> float:
     return worst
 
 
-def multiplier_residual(grid: TorusGrid, k: int, tau: complex, j: int = 0) -> float:
-    """Defect of the y-translation multiplier, evaluated off-grid."""
+def multiplier_residual(grid: TorusGrid, k: int, tau: complex, j: int) -> float:
+    """Defect of the y-translation multiplier of the basis row ``j``,
+    evaluated off-grid."""
     x, y = _axes(grid)
 
     def val(yy: Array) -> Array:

@@ -23,7 +23,7 @@ from hitchinlab.families import (
     vj_of,
 )
 from hitchinlab.fields import ChartGrid, TorusGrid, grad, identity_like, mat_mul, max_norm
-from hitchinlab.geometry import christoffel, ricci_form
+from hitchinlab.geometry import christoffel, compatible_metric, make_omega, ricci_form
 
 EPS = 1e-4
 TAUS = (1j, 2j, 1 + 1j, 0.5 + 0.8j)
@@ -92,6 +92,71 @@ def test_torus_closed_form_at_an_odd_grid():
         gamma, rho, a_d = _spectral_geometry(st)
         assert not st.gamma.any() and not st.rho.any() and not halfform_potential(st).any()
         assert max(max_norm(gamma), max_norm(rho), max_norm(a_d)) <= 1e-10
+
+
+FIELDS = ("J", "omega", "g", "gamma", "rho", "dw", "E", "h_w", "F")
+
+
+def _full_grid_fields(fam, sigma) -> dict:
+    """Every field of the member at ``sigma`` by the full-grid formulas of a
+    constant metric, from the grid arrays of ``J_at`` and ``dw_at``: the
+    reference for the one-node fields of a flat member."""
+    J, dw = fam.J_at(sigma), fam.dw_at(sigma)
+    omega = make_omega(fam.grid.shape, fam.omega0)
+    g = compatible_metric(omega, J)
+    E = families._holo_vector(dw)
+    h_w = 2.0 * np.einsum("ab...,a...,b...->...", g, E, np.conj(E))
+    if fam.normalized_potential:
+        F = np.zeros(fam.grid.shape, dtype=complex)
+    else:
+        F = -0.5 * np.log(h_w)
+    gamma, rho = np.zeros((2,) + g.shape), np.zeros(g.shape)
+    return dict(J=J, omega=omega, g=g, gamma=gamma, rho=rho, dw=dw, E=E, h_w=h_w, F=F)
+
+
+@pytest.mark.parametrize("n", [32, 33, 64])
+@pytest.mark.parametrize("tau", [1j, 1 + 1j, 0.3 + 1.1j])
+def test_flat_state_equals_the_full_grid_formulas(n, tau):
+    """A torus member's fields, computed at one node and broadcast, equal
+    the full-grid formulas bit for bit, as does its half-form potential."""
+    fam = families.TorusFamily(TorusGrid(n))
+    st = make_state(fam, tau)
+    ref = _full_grid_fields(fam, tau)
+    for name in FIELDS:
+        assert _same_bits(getattr(st, name), ref[name]), name
+    assert _same_bits(halfform_potential(st), np.zeros((2, n, n), dtype=complex))
+
+
+def test_flat_chart_member_equals_the_full_grid_formulas():
+    """Only the data decide the flat branch: the adversarial chart family of
+    constant ``mu`` is flat too, and its Ricci potential ``F = -1/2 log h_w``,
+    taken at one node, equals the full-grid formula bit for bit."""
+    fam = nonholo_family(ChartGrid(24))
+    for sigma in (0.0, 0.1 + 0.05j, -0.07 + 0.2j):
+        st = make_state(fam, sigma)
+        assert st.F.strides[-2:] == (0, 0)
+        ref = _full_grid_fields(fam, sigma)
+        for name in FIELDS:
+            assert _same_bits(getattr(st, name), ref[name]), name
+
+
+def test_flat_state_fields_are_read_only_broadcasts():
+    fam = families.TorusFamily(TorusGrid(32))
+    st = make_state(fam, 1 + 1j)
+    for name in FIELDS:
+        a = getattr(st, name)
+        assert a.shape[-2:] == (32, 32) and a.strides[-2:] == (0, 0), name
+        assert not a.flags.writeable, name
+    a_d = halfform_potential(st)
+    assert a_d.strides[-2:] == (0, 0) and not a_d.flags.writeable
+
+
+def test_chart_state_keeps_full_writable_arrays(chart48):
+    st = make_state(chart48, 0.1 + 0.05j)
+    for name in FIELDS:
+        a = getattr(st, name)
+        assert a.shape[-2:] == (48, 48) and 0 not in a.strides[-2:], name
+        assert a.flags.writeable, name
 
 
 def test_torus_structure_squares_to_minus_one(torus32):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from hitchinlab.catalog import RunConfig, chart_family
 from hitchinlab.families import TorusFamily
-from hitchinlab.fields import Array, Grid, TorusGrid, max_norm
+from hitchinlab.fields import Array, Grid, TorusGrid, grad, max_norm
 from hitchinlab.geometry import (
     christoffel,
     compatible_metric,
@@ -64,7 +64,7 @@ def test_inv2_pointwise():
 
 def test_compatible_metric_symmetric_positive():
     grid = TorusGrid(8)
-    omega = make_omega(grid, 2 * np.pi)
+    omega = make_omega(grid.shape, 2 * np.pi)
     J = np.broadcast_to(_J_STD[:, :, None, None], (2, 2) + grid.shape)
     g = compatible_metric(omega, J)
     assert max_norm(g - np.einsum("ab...->ba...", g)) < 1e-14
@@ -105,6 +105,36 @@ def test_cov_deriv_leibniz():
     df = np.stack([grid.deriv(f, -2), grid.deriv(f, -1)])
     rhs = df[:, None] * X[None] + f * cov_deriv(grid, gamma, X, "u")
     assert max_norm(lhs - rhs) < 1e-9
+
+
+def _cov_deriv_full(grid: Grid, gamma: Array, comps: Array, variance: str) -> Array:
+    """The covariant derivative with every contraction taken, also for zero
+    symbols: the reference for :func:`cov_deriv`."""
+    out = grad(grid, comps)
+    letters = "bcdefgh"[: len(variance)]
+    for i, v in enumerate(variance):
+        src = letters[:i] + "z" + letters[i + 1 :]
+        if v == "u":
+            out = out + np.einsum(f"{letters[i]}az...,{src}...->a{letters}...", gamma, comps)
+        else:
+            out = out - np.einsum(f"za{letters[i]}...,{src}...->a{letters}...", gamma, comps)
+    return out
+
+
+def test_cov_deriv_of_zero_symbols_is_the_gradient():
+    """Symbols of exact zeros skip the contractions and change no value; a
+    NaN in the symbols still reaches the result."""
+    grid = TorusGrid(16)
+    rng = np.random.default_rng(3)
+    gamma = np.broadcast_to(np.zeros(()), (2, 2, 2) + grid.shape)
+    for variance in ("u", "d", "uu", "ud", "dd"):
+        shape = (2,) * len(variance) + grid.shape
+        T = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        full = _cov_deriv_full(grid, gamma, T, variance)
+        assert np.array_equal(cov_deriv(grid, gamma, T, variance), full)
+    nan_gamma = np.zeros((2, 2, 2) + grid.shape)
+    nan_gamma[0, 0, 0, 3, 5] = np.nan
+    assert np.isnan(cov_deriv(grid, nan_gamma, T, "dd")[..., 3, 5]).any()
 
 
 @given(

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
 
-from hitchinlab import operators
-from hitchinlab.bundle import bundle_data
+from hitchinlab import families, operators
+from hitchinlab.bundle import _times_potential, bundle_data, sec_deriv, sec_grad
 from hitchinlab.catalog import case_ratio
 from hitchinlab.families import variation_tensors, vj_of
-from hitchinlab.fields import TorusGrid, grad, max_norm
+from hitchinlab.fields import ChartGrid, TorusGrid, grad, max_norm
 from hitchinlab.geometry import cov_deriv
 from hitchinlab.operators import (
     G_of,
@@ -227,6 +227,77 @@ def test_u_apply_batch_matches_per_section(torus32, exact):
         single = np.stack([u_apply(bd, G, s) for s in basis])
         assert batched.shape == basis.shape
         assert np.array_equal(batched, single)
+
+
+# the out-of-place expressions that the in-place operators replaced: the
+# references for their bits
+
+
+def _deriv_ref(grid, f, axis):
+    if isinstance(grid, ChartGrid):
+        return grid.deriv(f, axis)
+    real = not np.iscomplexobj(f)
+    fh = np.fft.rfft(f, axis=axis) if real else np.fft.fft(f, axis=axis)
+    fh *= grid._ik[: fh.shape[axis]].reshape((-1,) + (1,) * (fh.ndim - 1 - axis % fh.ndim))
+    return np.fft.irfft(fh, grid.n, axis=axis) if real else np.fft.ifft(fh, axis=axis)
+
+
+def _sec_deriv_ref(bd, f, axis):
+    grid = bd.grid
+    if axis == -1 and bd.gauge is not None:
+        return (_deriv_ref(grid, f * bd.gauge, -1)) / bd.gauge - 2j * np.pi * bd.k * grid.x * f
+    return _deriv_ref(grid, f, axis)
+
+
+def _sec_grad_ref(bd, f):
+    df = np.stack([_sec_deriv_ref(bd, f, -2), _sec_deriv_ref(bd, f, -1)])
+    return df + _times_potential(bd.A, f)
+
+
+def _u_apply_ref(bd, G, f):
+    st = bd.state
+    t = np.einsum("ba...,a...->b...", G, _sec_grad_ref(bd, f))
+    gt = np.einsum("aac...,c...->a...", st.gamma, t)
+    dG = sum(_sec_deriv_ref(bd, t[a], a - 2) + gt[a] + bd.A[a] * t[a] for a in range(2))
+    return (dG + H_of(st, G, st.F) * f) / (4.0 * bd.k)
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [32, 33])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+def test_torus_deriv_in_place_keeps_the_bits(n, batch):
+    grid = TorusGrid(n)
+    rng = np.random.default_rng(n)
+    re = rng.standard_normal(batch + grid.shape)
+    for f in (re, re + 1j * rng.standard_normal(batch + grid.shape)):
+        for axis in (-2, -1):
+            assert _same_bits(grid.deriv(f, axis), _deriv_ref(grid, f, axis))
+
+
+@pytest.mark.parametrize("backend", ["torus", "torus-odd", "chart"])
+def test_section_operators_in_place_keep_the_bits(torus64, chart48, backend):
+    """``sec_deriv``, ``sec_grad`` and ``u_apply`` equal their out-of-place
+    expressions bit for bit, on a flat torus member (gauge, zero symbols and
+    ``H``) and on a curved chart member, for one section and a batch."""
+    fam, p = {
+        "torus": (torus64, TAU),
+        "torus-odd": (families.TorusFamily(TorusGrid(33)), TAU),
+        "chart": (chart48, SIGMA),
+    }[backend]
+    rng = np.random.default_rng(7)
+    shape = (3,) + fam.grid.shape
+    batch = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    G = G_of(fam, p, 1.0, EPS)
+    for k in (1, 3):
+        bd = bundle_data(fam, p, k)
+        for f in (batch[0], batch):
+            for axis in (-2, -1):
+                assert _same_bits(sec_deriv(bd, f, axis), _sec_deriv_ref(bd, f, axis))
+            assert _same_bits(sec_grad(bd, f), _sec_grad_ref(bd, f))
+            assert _same_bits(u_apply(bd, G, f), _u_apply_ref(bd, G, f))
 
 
 def test_torus_sections_are_holomorphic(torus64):

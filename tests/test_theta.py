@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,22 @@ def test_levels_in_one_pass_build_one_state_per_point(monkeypatch):
     fam = TorusFamily(TorusGrid(32))
     transport_levels(fam, {1: np.eye(1), 3: np.eye(3)}, (1j, 1 + 1j), steps=steps)
     assert len(built) == len(set(built)) == 2 * steps + 1
+
+
+def test_transport_holds_no_full_grid_state():
+    """A 25-step level-3 transport on a 64x64 torus peaks below 8 MiB of
+    traced allocations: the flat states that ``Family.state`` keeps (48 of
+    the 51 points) hold one node each.  With full-grid fields the cached
+    states alone hold about 54 MiB."""
+    fam = TorusFamily(TorusGrid(64))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        transport(fam, 3, (1j, 1 + 1j), np.eye(3, dtype=complex), steps=25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_levels_in_one_pass_build_one_halfform_potential_per_point(torus32, monkeypatch):
