@@ -84,6 +84,7 @@ class BundleData:
     a_delta: Array  # half-form potential
     A: Array  # total: level + half-form
     gauge: Array | None  # exp(2 pi i k x y) for sec_deriv; None on the chart and at k = 0
+    gauge_dy: Array | None  # 2 pi i k x, the y-derivative of log(gauge); None with gauge
 
     @property
     def grid(self):
@@ -96,22 +97,38 @@ class BundleData:
 
 
 def bundle_levels(
-    family: Family, sigma: complex, levels: Iterable[float]
+    family: Family,
+    sigma: complex,
+    levels: Iterable[float],
+    out: list[BundleData] | None = None,
 ) -> Iterator[BundleData]:
     """The bundle data of every level in ``levels`` at ``sigma``, one at a time.
 
     The state and the half-form potential do not depend on the level: they
-    are built once, on the first level, and shared by the rest.
+    are built once, on the first level, and shared by the rest.  ``out``,
+    when given, is the bundle data of ``levels`` at another member of
+    ``family`` (an earlier call's), and each is moved to ``sigma`` in place:
+    the level potential and the gauge depend only on the grid and the level
+    and are kept, and the total potential is written into its ``A``.
     """
     st = family.state(sigma)
     a_d = halfform_potential(st)
+    if out is not None:
+        for bd in out:
+            bd.state, bd.a_delta = st, a_d
+            np.add(bd.A_L, a_d, out=bd.A)
+            yield bd
+        return
     grid = st.grid
     for k in levels:
         A_L = level_potential(st, k)
-        gauge = None
+        gauge = gauge_dy = None
         if isinstance(grid, TorusGrid) and k != 0:
             gauge = np.exp(2j * np.pi * k * grid.x * grid.y)
-        yield BundleData(state=st, k=k, A_L=A_L, a_delta=a_d, A=A_L + a_d, gauge=gauge)
+            gauge_dy = 2j * np.pi * k * grid.x
+        yield BundleData(
+            state=st, k=k, A_L=A_L, a_delta=a_d, A=A_L + a_d, gauge=gauge, gauge_dy=gauge_dy
+        )
 
 
 def bundle_data(family: Family, sigma: complex, k: float) -> BundleData:
@@ -123,21 +140,26 @@ def bundle_data(family: Family, sigma: complex, k: float) -> BundleData:
 # ---------------------------------------------------------------------------
 
 
-def sec_deriv(bd: BundleData, f: Array, axis: int) -> Array:
+def sec_deriv(
+    bd: BundleData, f: Array, axis: int, out: Array | None = None, scratch: Array | None = None
+) -> Array:
     """Partial derivative of a section coefficient of the bundle of ``bd``.
 
     On the torus the y-multiplier ``exp(-2 pi i k x)`` makes raw columns
     non-periodic; conjugating by the gauge factor ``exp(2 pi i k x y)``
     (``bd.gauge``) restores periodicity, so the spectral derivative applies:
     ``d_y f = exp(-2 pi i k x y) d_y(exp(2 pi i k x y) f) - 2 pi i k x f``.
+
+    The result is written into ``out`` when given; ``scratch`` is a work
+    array for the gauge products, overwritten.  Both have the shape of
+    ``f``, must not overlap it or each other, and are allocated when None.
     """
-    grid = bd.grid
     if axis == -1 and bd.gauge is not None:
-        df = grid.deriv(f * bd.gauge, -1)
+        df = bd.grid.deriv(np.multiply(f, bd.gauge, out=scratch), -1, out=out)
         df /= bd.gauge
-        df -= 2j * np.pi * bd.k * grid.x * f
+        df -= np.multiply(bd.gauge_dy, f, out=scratch)
         return df
-    return grid.deriv(f, axis)
+    return bd.grid.deriv(f, axis, out=out)
 
 
 def _times_potential(A: Array, f: Array) -> Array:
@@ -145,16 +167,17 @@ def _times_potential(A: Array, f: Array) -> Array:
     return A.reshape(A.shape[:1] + (1,) * (f.ndim - 2) + A.shape[1:]) * f
 
 
-def sec_grad(bd: BundleData, f: Array) -> Array:
+def sec_grad(bd: BundleData, f: Array, out: Array | None = None, scratch: Array | None = None) -> Array:
     """Full covariant derivative ``(nabla_a f)`` on the level-k half-form bundle.
 
     ``f`` is one coefficient ``(n, n)`` or a batch ``(..., n, n)``; the
-    result is ``(2, ..., n, n)``.
+    result is ``(2, ..., n, n)``, written into ``out`` when given.
+    ``scratch`` is as for :func:`sec_deriv`.
     """
-    df = np.empty((2,) + f.shape, dtype=np.result_type(f, bd.A))
+    df = np.empty((2,) + f.shape, dtype=np.result_type(f, bd.A)) if out is None else out
     for a in range(2):
-        df[a] = sec_deriv(bd, f, a - 2)
-        df[a] += bd.A[a] * f
+        sec_deriv(bd, f, a - 2, out=df[a], scratch=scratch)
+        df[a] += np.multiply(bd.A[a], f, out=scratch)
     return df
 
 

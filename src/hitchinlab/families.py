@@ -55,6 +55,7 @@ from .fields import (
     ChartGrid,
     Grid,
     TorusGrid,
+    grid_node,
     is_constant,
     mat_mul,
     max_norm,
@@ -180,8 +181,9 @@ class KahlerState:
     """All pointwise geometric data of one family member.
 
     The fields of a flat member are read-only zero-stride broadcasts of
-    one node (:func:`make_state`): a caller that writes into a field must
-    copy it first.
+    one node (:func:`make_state`), and so are its projectors ``P`` and
+    ``Q``, built at that node: a caller that writes into a field must copy
+    it first.
     """
 
     grid: Grid
@@ -199,11 +201,22 @@ class KahlerState:
 
     @property
     def P(self) -> Array:
-        return proj_holo(self.J)
+        return _nodewise(proj_holo, self.J)
 
     @property
     def Q(self) -> Array:
-        return proj_anti(self.J)
+        return _nodewise(proj_anti, self.J)
+
+
+def _nodewise(fn: Callable[[Array], Array], f: Array) -> Array:
+    """``fn(f)`` for a pointwise map ``fn``; a zero-stride broadcast ``f``
+    (a flat member's field) is mapped at one node, and the result is a
+    read-only broadcast of the grid shape."""
+    node = grid_node(f)
+    if node is f:
+        return fn(f)
+    val = fn(node)
+    return np.broadcast_to(val, val.shape[:-2] + f.shape[-2:])
 
 
 def _holo_vector(dw: Array) -> Array:
@@ -373,8 +386,10 @@ class TorusFamily(Family):
         return np.broadcast_to(G[:, :, None, None], (2, 2) + self.grid.shape)
 
     def a_t_exact(self, sigma: complex, v: complex) -> Array:
-        r""":math:`A_T(V) = -v\,\tfrac{i}{4\operatorname{Im}\tau}`, constant over M."""
-        return np.full(self.grid.shape, -1j * v / (4.0 * sigma.imag), dtype=complex)
+        r""":math:`A_T(V) = -v\,\tfrac{i}{4\operatorname{Im}\tau}`, constant over M
+        (a read-only zero-stride broadcast, like ``vj_exact`` and ``g_exact``)."""
+        a_t = np.full((), -1j * v / (4.0 * sigma.imag), dtype=complex)
+        return np.broadcast_to(a_t, self.grid.shape)
 
 
 class ChartFamily(Family):

@@ -63,14 +63,16 @@ class TorusGrid:
         # 2*pi*i * integer wavenumbers, for unit period.
         return 2j * np.pi * np.fft.fftfreq(self.n, d=1.0 / self.n)
 
-    def deriv(self, f: Array, axis: int) -> Array:
+    def deriv(self, f: Array, axis: int, out: Array | None = None) -> Array:
         """Spectral partial derivative along grid ``axis`` (-2 for x, -1 for y),
-        of the dtype of ``f``.  A real ``f`` takes ``rfft``/``irfft``, which
-        drops the derivative of the real Nyquist mode (even ``n``): it is 0."""
+        of the dtype of ``f``, written into ``out`` when given (an array of
+        the shape and dtype of ``f``, not overlapping it).  A real ``f`` takes
+        ``rfft``/``irfft``, which drops the derivative of the real Nyquist
+        mode (even ``n``): it is 0."""
         real = not np.iscomplexobj(f)
-        fh = np.fft.rfft(f, axis=axis) if real else np.fft.fft(f, axis=axis)
+        fh = np.fft.rfft(f, axis=axis) if real else np.fft.fft(f, axis=axis, out=out)
         fh *= self._ik[: fh.shape[axis]].reshape((-1,) + (1,) * (fh.ndim - 1 - axis % fh.ndim))
-        return np.fft.irfft(fh, self.n, axis=axis) if real else np.fft.ifft(fh, axis=axis, out=fh)
+        return np.fft.irfft(fh, self.n, axis=axis, out=out) if real else np.fft.ifft(fh, axis=axis, out=fh)
 
     def interior(self) -> Array:
         return np.ones(self.shape, dtype=bool)
@@ -117,16 +119,18 @@ class ChartGrid:
     def shape(self) -> tuple[int, int]:
         return (self.n, self.n)
 
-    def deriv(self, f: Array, axis: int) -> Array:
+    def deriv(self, f: Array, axis: int, out: Array | None = None) -> Array:
         """4th-order finite-difference partial derivative along ``axis``, of
-        the dtype of ``f``.  Both dtypes scale by ``1/12`` and ``1/h`` as
-        multiplications, so a real ``f`` gives the real part of the complex
-        stencil of ``f`` bit for bit."""
+        the dtype of ``f``, written into ``out`` when given (as for
+        :meth:`TorusGrid.deriv`).  Both dtypes scale by ``1/12`` and ``1/h``
+        as multiplications, so a real ``f`` gives the real part of the
+        complex stencil of ``f`` bit for bit."""
 
         def at(s) -> tuple:  # index ``s`` along ``axis``
             return (slice(None),) * (axis % f.ndim) + (s,)
 
-        out = np.empty_like(f, dtype=np.result_type(f, 1.0))
+        if out is None:
+            out = np.empty_like(f, dtype=np.result_type(f, 1.0))
         mid = out[at(slice(2, -2))]
         np.negative(f[at(slice(4, None))], out=mid)
         mid += 8.0 * f[at(slice(3, -1))]
@@ -182,15 +186,24 @@ def proj_anti(J: Array) -> Array:
     return 0.5 * (identity_like(J) + 1j * J)
 
 
+def grid_node(f: Array) -> Array:
+    """``f`` at one node, ``f[..., :1, :1]``, when it is a zero-stride
+    broadcast over the grid (its last two axes), as the fields of a flat
+    member are; else ``f`` itself."""
+    return f[..., :1, :1] if f.strides[-2:] == (0, 0) else f
+
+
 def is_constant(f: Array) -> bool:
     """Whether every component of the field ``f`` takes one value over the
     grid (its last two axes); a NaN makes it non-constant."""
     return bool((f == f[..., :1, :1]).all())
 
 
-def max_norm(f: Array, mask: Array | None = None) -> float:
-    """Max absolute value, optionally restricted to a boolean grid mask."""
-    a = np.abs(np.asarray(f))
+def max_norm(f: Array, mask: Array | None = None, out: Array | None = None) -> float:
+    """Max absolute value, optionally restricted to a boolean grid mask; the
+    magnitudes are written into ``out`` when given (a float array of the
+    shape of ``f``)."""
+    a = np.abs(np.asarray(f), out=out)
     if mask is not None:
         # collapse leading tensor axes, mask the grid axes
         a = a.reshape((-1,) + a.shape[-2:])

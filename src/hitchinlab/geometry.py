@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Array, Grid, grad
+from .fields import Array, Grid, grad, grid_node
 
 # ---------------------------------------------------------------------------
 # pointwise algebra
@@ -137,5 +137,6 @@ def cov_deriv(grid: Grid, gamma: Array, comps: Array, variance: str) -> Array:
 def symbol_contraction(subscripts: str, gamma: Array, comps: Array) -> Array | None:
     """``np.einsum(subscripts, gamma, comps)``, or None for symbols of exact
     zeros (every flat member), whose contraction would add exact zeros; a
-    NaN in ``gamma`` still takes it."""
-    return np.einsum(subscripts, gamma, comps) if gamma.any() else None
+    NaN in ``gamma`` still takes it.  Symbols held as a zero-stride
+    broadcast (a flat member's) are tested at one node."""
+    return np.einsum(subscripts, gamma, comps) if grid_node(gamma).any() else None

@@ -65,7 +65,7 @@ from .bundle import (
     sec_grad,
 )
 from .families import Family, KahlerState, d_holo, dir_deriv, v_parts, variation_tensors, vj_of
-from .fields import Array, ChartGrid, grad, max_norm
+from .fields import Array, ChartGrid, grad, grid_node, max_norm
 from .geometry import cov_deriv, symbol_contraction
 
 # ---------------------------------------------------------------------------
@@ -125,21 +125,35 @@ def _section_sups(err: Array, scale: Array, mask: Array, batch: tuple = ()) -> t
 # ---------------------------------------------------------------------------
 
 
-def delta_G(bd: BundleData, G: Array, f: Array) -> Array:
+def _slot(scratch: Array | None, i: int | slice) -> Array | None:
+    """``scratch[i]``, or None, for which the operation allocates its result."""
+    return None if scratch is None else scratch[i]
+
+
+def delta_G(
+    bd: BundleData, G: Array, f: Array, out: Array | None = None, scratch: Array | None = None
+) -> Array:
     r"""Apply :math:`\Delta_G` to a section coefficient of the bundle of ``bd``
     (``bd.plain`` for the untwisted level-``k`` bundle).  ``f`` may carry
     leading batch axes, ``(..., n, n)``.
+
+    The result is written into ``out`` when given (the shape of ``f``);
+    ``scratch``, of shape ``(4,) + f.shape``, is overwritten.  Neither may
+    overlap ``f`` or the other.  Without them each step allocates its own
+    result.
     """
     st = bd.state
-    t = np.einsum("ba...,a...->b...", G, sec_grad(bd, f))
+    grad = sec_grad(bd, f, out=_slot(scratch, slice(2)), scratch=_slot(scratch, 2))
+    t = np.einsum("ba...,a...->b...", G, grad, out=_slot(scratch, slice(2, None)))
+    del grad  # spent: its slots take the y term and the products
     gt = symbol_contraction("aac...,c...->a...", st.gamma, t)
-    out = sec_deriv(bd, t[0], -2)
-    out1 = sec_deriv(bd, t[1], -1)
+    out = sec_deriv(bd, t[0], -2, out=out)
+    out1 = sec_deriv(bd, t[1], -1, out=_slot(scratch, 0), scratch=_slot(scratch, 1))
     if gt is not None:
         out += gt[0]
         out1 += gt[1]
-    out += bd.A[0] * t[0]
-    out1 += bd.A[1] * t[1]
+    out += np.multiply(bd.A[0], t[0], out=_slot(scratch, 1))
+    out1 += np.multiply(bd.A[1], t[1], out=_slot(scratch, 1))
     out += out1
     return out
 
@@ -157,10 +171,11 @@ def H_of(st: KahlerState, G: Array, F: Array, flip: str | None = None) -> Array:
 
     With ``n = 0`` every term carries :math:`\partial F`, so a vanishing
     ``F`` (the normalized torus potential) gives exact zeros without a
-    derivative; a NaN in ``F`` still takes the full formula.
+    derivative, as a read-only zero-stride broadcast; a NaN in ``F`` still
+    takes the full formula.
     """
-    if not F.any():
-        return np.zeros(st.grid.shape, dtype=complex)
+    if not grid_node(F).any():
+        return np.broadcast_to(np.zeros((), dtype=complex), st.grid.shape)
     pF = dF_holo(st, F)
     quad = np.einsum("a...,ab...,b...->...", pF, G, pF)
     GdF = np.einsum("ab...,b...->a...", G, pF)
@@ -170,16 +185,19 @@ def H_of(st: KahlerState, G: Array, F: Array, flip: str | None = None) -> Array:
     return s_quad * quad + s_div * div
 
 
-def u_apply(bd: BundleData, G: Array, f: Array) -> Array:
+def u_apply(
+    bd: BundleData, G: Array, f: Array, out: Array | None = None, scratch: Array | None = None
+) -> Array:
     r""":math:`u(V)f = \tfrac{1}{4k}(\Delta_{G(V)} + H(V))f` on the bundle of
     ``bd`` with ``G = G(V)``; ``H(V)`` is built from ``G`` and the state's
-    Ricci potential.  ``f`` may be a batch of sections ``(..., n, n)``.
+    Ricci potential.  ``f`` may be a batch of sections ``(..., n, n)``;
+    ``out`` and ``scratch`` are as for :func:`delta_G`.
     """
     if bd.k == 0:
         raise ValueError("the second-order correction needs a positive level")
     H = H_of(bd.state, G, bd.state.F)
-    out = delta_G(bd, G, f)
-    out += H * f
+    out = delta_G(bd, G, f, out=out, scratch=scratch)
+    out += np.multiply(H, f, out=_slot(scratch, 0))
     out /= 4.0 * bd.k
     return out
 

@@ -41,7 +41,11 @@ projection.  The projection defect measures how well the connection
 preserves the holomorphic subspace.  One pass along a path integrates
 every requested level (:func:`transport_levels`): the level enters only
 through the bundle data and the basis of the connection matrix, so the
-levels share the family state at each point.
+levels share the family state at each point.  Each walk holds one work set
+per level (:class:`Work`), in which every point's connection matrix is
+assembled, and frees it when the walk ends: past its first point a walk
+allocates no grid-sized array of its own (the FFTs keep NumPy's internal
+buffers).
 """
 
 from __future__ import annotations
@@ -86,12 +90,13 @@ def _lattice_factors(x: Array, y: Array, k: int, tau: complex) -> tuple[Array, A
     return nt, X, Y
 
 
-def _lattice_sum(X: Array, Y: Array) -> Array:
-    """Sum over modes of ``X[j, m, x] * Y[j, m, y]``, shape ``(k, len(x), len(y))``.
+def _lattice_sum(X: Array, Y: Array, out: Array | None = None) -> Array:
+    """Sum over modes of ``X[j, m, x] * Y[j, m, y]``, shape ``(k, len(x), len(y))``,
+    written into ``out`` when given.
 
     One batched ``(x, m) @ (m, y)`` product per characteristic ``j``.
     """
-    return np.swapaxes(X, -1, -2) @ Y
+    return np.matmul(np.swapaxes(X, -1, -2), Y, out=out)
 
 
 def _axes(grid: TorusGrid) -> tuple[Array, Array]:
@@ -161,11 +166,14 @@ def multiplier_residual(grid: TorusGrid, k: int, tau: complex, j: int) -> float:
     return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
 
 
-def gram(grid: TorusGrid, tau: complex, basis: Array) -> Array:
+def gram(grid: TorusGrid, tau: complex, basis: Array, conj: Array | None = None) -> Array:
     r"""Inner products :math:`\langle s_i, s_j\rangle
-    = 2\pi\sqrt{\operatorname{Im}\tau/\pi}\;\overline{\text{mean}}(s_i\bar s_j)`."""
+    = 2\pi\sqrt{\operatorname{Im}\tau/\pi}\;\overline{\text{mean}}(s_i\bar s_j)`;
+    ``conj`` is ``np.conj(basis)`` when the caller holds it."""
     weight = 2.0 * np.pi * np.sqrt(tau.imag / np.pi)
-    return weight * np.einsum("iab,jab->ij", basis, np.conj(basis)) / grid.n**2
+    if conj is None:
+        conj = np.conj(basis)
+    return weight * np.einsum("iab,jab->ij", basis, conj) / grid.n**2
 
 
 def gram_rank(G: Array) -> int:
@@ -200,40 +208,64 @@ class ProjectionData:
     defect: float  # sup-norm residual of nabla_V s_j off the span, relative
 
 
-def connection_matrix(fam: TorusFamily, bd: BundleData, v: complex) -> ProjectionData:
+@dataclass
+class Work:
+    """The work arrays of :func:`connection_matrix` at level ``k`` on a grid.
+
+    A transport walk holds one set per level and reuses it at every RK4
+    point.
+    """
+
+    basis: Array  # (k, n, n) the basis
+    nab: Array  # (k, n, n) nabla_V of the basis
+    u: Array  # (k, n, n) u(V) of the basis
+    scratch: Array  # (4, k, n, n) work array of u_apply, then of the pairings
+    mag: Array  # (k, n, n) float magnitudes for the sup norms
+
+    @classmethod
+    def empty(cls, grid: TorusGrid, k: int) -> "Work":
+        shape = (k,) + grid.shape
+        return cls(
+            basis=np.empty(shape, dtype=complex),
+            nab=np.empty(shape, dtype=complex),
+            u=np.empty(shape, dtype=complex),
+            scratch=np.empty((4,) + shape, dtype=complex),
+            mag=np.empty(shape),
+        )
+
+
+def connection_matrix(
+    fam: TorusFamily, bd: BundleData, v: complex, out: Work | None = None
+) -> ProjectionData:
     r""":math:`\nabla_V` of the basis at the level and parameter of the bundle
     data ``bd`` in that basis, from the torus closed forms of ``V[s]``,
-    ``A_T(V)`` and ``G(V)``."""
+    ``A_T(V)`` and ``G(V)``.  The grid-sized arrays are built in the work
+    set ``out``, of the level of ``bd``; a new one when None."""
     grid = fam.grid
     tau, k = bd.state.sigma, int(bd.k)
+    w = Work.empty(grid, k) if out is None else out
+    tmp = w.scratch[0]
     # theta_basis and theta_basis_dtau from one set of lattice factors
     x, y = _axes(grid)
     nt, X, Y = _lattice_factors(x, y, k, tau)
-    basis = _lattice_sum(X, Y)
-    Vs = v * _lattice_sum(X, 1j * np.pi * k * (nt + y) ** 2 * Y)
-    nab = Vs + fam.a_t_exact(tau, v) * basis + u_apply(bd, fam.g_exact(tau, v), basis)
-    G = gram(grid, tau, basis)
+    basis = _lattice_sum(X, Y, out=w.basis)
+    nab = _lattice_sum(X, 1j * np.pi * k * (nt + y) ** 2 * Y, out=w.nab)
+    np.multiply(v, nab, out=nab)  # V[s]
+    u = u_apply(bd, fam.g_exact(tau, v), basis, out=w.u, scratch=w.scratch)
+    nab += np.multiply(fam.a_t_exact(tau, v), basis, out=tmp)
+    nab += u
+    cb = np.conjugate(basis, out=tmp)
+    G = gram(grid, tau, basis, cb)
     # pairing P[l, j] = weight * mean(conj(s_l) * nabla s_j); with
     # nabla s_j = sum_i M[i, j] s_i this gives P = G^T M, so M solves
     # conj(G) M = P (G is Hermitian).
     weight = 2.0 * np.pi * np.sqrt(tau.imag / np.pi)
-    P = weight * np.einsum("lab,jab->lj", np.conj(basis), nab) / grid.n**2
+    P = weight * np.einsum("lab,jab->lj", cb, nab) / grid.n**2
     M = np.linalg.solve(np.conj(G), P)
-    proj = np.einsum("ij,iab->jab", M, basis)
-    scale = max(max_norm(basis), 1e-300)
-    defect = max_norm(nab - proj) / scale
+    proj = np.einsum("ij,iab->jab", M, basis, out=tmp)
+    scale = max(max_norm(basis, out=w.mag), 1e-300)
+    defect = max_norm(np.subtract(nab, proj, out=proj), out=w.mag) / scale
     return ProjectionData(M=M, defect=defect)
-
-
-def _point_matrices(
-    fam: TorusFamily, tau: complex, v: complex, levels
-) -> list[ProjectionData]:
-    """The connection matrices of ``levels`` at ``tau`` in the direction ``v``.
-
-    The bundle data lives only inside this call, so no point's data is kept
-    while the next point's state is built.
-    """
-    return [connection_matrix(fam, bd, v) for bd in bundle_levels(fam, tau, levels)]
 
 
 @dataclass
@@ -288,7 +320,10 @@ def transport_levels(
     velocity, the state and the half-form potential are computed once
     (``bundle.bundle_levels``) and the levels' connection matrices are
     built back to back.  Each level's result is bit for bit the one of a
-    pass with that level alone.
+    pass with that level alone.  The walk holds, per level, the bundle
+    data of its first point, whose level potential and gauge the later
+    points keep, and one :class:`Work` set, in which every point's
+    connection matrix is assembled; both are freed when the walk ends.
     """
     if steps < 1:
         raise ValueError(f"transport needs at least one step, got steps = {steps}")
@@ -303,11 +338,14 @@ def transport_levels(
     # next step's start, so entry 2*i is the start of step i
     ts = [0.0] + [t for i in range(steps) for t in (i * h + 0.5 * h, i * h + h)]
     data: dict[int, list[ProjectionData]] = {k: [] for k in starts}
+    works = [Work.empty(grid, k) for k in starts]
+    held = None
     for t in ts:
         t_hi, t_lo = min(t + dt, 1.0), max(t - dt, 0.0)
         tau, vel = path(t), (path(t_hi) - path(t_lo)) / (t_hi - t_lo)
-        for k, pd in zip(starts, _point_matrices(fam, tau, vel, starts)):
-            data[k].append(pd)
+        held = list(bundle_levels(fam, tau, starts, out=held))
+        for k, bd, w in zip(starts, held, works):
+            data[k].append(connection_matrix(fam, bd, vel, out=w))
 
     tau0, tau1 = path(0.0), path(1.0)
     out = {}

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from hitchinlab.bundle import (
     a_T,
     bundle_data,
+    bundle_levels,
     curvature_mm,
     curvature_tm,
     curvature_tt,
@@ -20,6 +22,23 @@ from hitchinlab.theta import theta_basis, theta_basis_dx
 
 EPS = 1e-4
 TAU = 1 + 2j
+
+
+@pytest.mark.parametrize("backend", ["torus", "chart"])
+def test_bundle_levels_moved_in_place_equal_fresh_ones(torus32, chart48, backend):
+    """Bundle data moved to another member (``out=``) is that member's bundle
+    data bit for bit, in the same objects; on the chart the half-form
+    potential, and so the total potential, differ between the members."""
+    fam, s1, s2 = {"torus": (torus32, 1j, 1 + 1j), "chart": (chart48, 0.1 + 0.05j, -0.07 + 0.2j)}[backend]
+    levels = (1, 3)
+    held = list(bundle_levels(fam, s1, levels))
+    moved = list(bundle_levels(fam, s2, levels, out=held))
+    fresh = list(bundle_levels(fam, s2, levels))
+    for h, m, f in zip(held, moved, fresh):
+        assert m is h and m.state is f.state and m.k == f.k
+        for name in ("A_L", "a_delta", "A", "gauge", "gauge_dy"):
+            a, b = getattr(m, name), getattr(f, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
 
 
 def test_level_potential_gauges(torus32, chart48):

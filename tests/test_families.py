@@ -22,7 +22,16 @@ from hitchinlab.families import (
     variation_tensors,
     vj_of,
 )
-from hitchinlab.fields import ChartGrid, TorusGrid, grad, identity_like, mat_mul, max_norm
+from hitchinlab.fields import (
+    ChartGrid,
+    TorusGrid,
+    grad,
+    identity_like,
+    mat_mul,
+    max_norm,
+    proj_anti,
+    proj_holo,
+)
 from hitchinlab.geometry import christoffel, compatible_metric, make_omega, ricci_form
 
 EPS = 1e-4
@@ -124,6 +133,7 @@ def test_flat_state_equals_the_full_grid_formulas(n, tau):
     ref = _full_grid_fields(fam, tau)
     for name in FIELDS:
         assert _same_bits(getattr(st, name), ref[name]), name
+    assert _same_bits(st.P, proj_holo(ref["J"])) and _same_bits(st.Q, proj_anti(ref["J"]))
     assert _same_bits(halfform_potential(st), np.zeros((2, n, n), dtype=complex))
 
 
@@ -143,7 +153,7 @@ def test_flat_chart_member_equals_the_full_grid_formulas():
 def test_flat_state_fields_are_read_only_broadcasts():
     fam = families.TorusFamily(TorusGrid(32))
     st = make_state(fam, 1 + 1j)
-    for name in FIELDS:
+    for name in FIELDS + ("P", "Q"):
         a = getattr(st, name)
         assert a.shape[-2:] == (32, 32) and a.strides[-2:] == (0, 0), name
         assert not a.flags.writeable, name
@@ -153,7 +163,7 @@ def test_flat_state_fields_are_read_only_broadcasts():
 
 def test_chart_state_keeps_full_writable_arrays(chart48):
     st = make_state(chart48, 0.1 + 0.05j)
-    for name in FIELDS:
+    for name in FIELDS + ("P", "Q"):
         a = getattr(st, name)
         assert a.shape[-2:] == (48, 48) and 0 not in a.strides[-2:], name
         assert a.flags.writeable, name

@@ -266,15 +266,27 @@ def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("n", [32, 33])
+def _stale(shape, dtype=complex):
+    """An ``out`` or scratch array full of NaN, so that a value read from it
+    before it is written shows."""
+    return np.full(shape, np.nan, dtype=dtype)
+
+
+@pytest.mark.parametrize("n", [32, 33, 64])
 @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
 def test_torus_deriv_in_place_keeps_the_bits(n, batch):
+    """The derivative equals its out-of-place expression bit for bit, and
+    written into ``out`` it equals the ``out=None`` call."""
     grid = TorusGrid(n)
     rng = np.random.default_rng(n)
     re = rng.standard_normal(batch + grid.shape)
     for f in (re, re + 1j * rng.standard_normal(batch + grid.shape)):
         for axis in (-2, -1):
-            assert _same_bits(grid.deriv(f, axis), _deriv_ref(grid, f, axis))
+            ref = _deriv_ref(grid, f, axis)
+            assert _same_bits(grid.deriv(f, axis), ref)
+            out = _stale(f.shape, f.dtype)
+            assert grid.deriv(f, axis, out=out) is out
+            assert _same_bits(out, ref)
 
 
 @pytest.mark.parametrize("backend", ["torus", "torus-odd", "chart"])
@@ -298,6 +310,39 @@ def test_section_operators_in_place_keep_the_bits(torus64, chart48, backend):
                 assert _same_bits(sec_deriv(bd, f, axis), _sec_deriv_ref(bd, f, axis))
             assert _same_bits(sec_grad(bd, f), _sec_grad_ref(bd, f))
             assert _same_bits(u_apply(bd, G, f), _u_apply_ref(bd, G, f))
+
+
+@pytest.mark.parametrize("backend", ["torus", "torus-odd", "chart"])
+def test_section_operators_write_into_out_bit_for_bit(torus64, chart48, backend):
+    """``sec_deriv``, ``sec_grad``, ``delta_G`` and ``u_apply`` given ``out``
+    and scratch arrays equal their ``out=None`` calls bit for bit.  The
+    arrays start as NaN and are reused over the levels, one section and a
+    batch, so a value read before it is written, or left from an earlier
+    call, shows."""
+    fam, p = {
+        "torus": (torus64, TAU),
+        "torus-odd": (families.TorusFamily(TorusGrid(33)), TAU),
+        "chart": (chart48, SIGMA),
+    }[backend]
+    rng = np.random.default_rng(11)
+    shape = (3,) + fam.grid.shape
+    batch = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    G = G_of(fam, p, 1.0, EPS)
+    outs = {f.ndim: (_stale((2,) + f.shape), _stale((4,) + f.shape)) for f in (batch[0], batch)}
+    for k in (1, 3):
+        bd = bundle_data(fam, p, k)
+        for f in (batch[0], batch):
+            two, four = outs[f.ndim]
+            out, scratch = two
+            for axis in (-2, -1):
+                got = sec_deriv(bd, f, axis, out=out, scratch=scratch)
+                assert got is out and _same_bits(got, sec_deriv(bd, f, axis))
+            got = sec_grad(bd, f, out=two, scratch=four[0])
+            assert got is two and _same_bits(got, sec_grad(bd, f))
+            got = delta_G(bd, G, f, out=out, scratch=four)
+            assert got is out and _same_bits(got, delta_G(bd, G, f))
+            got = u_apply(bd, G, f, out=out, scratch=four)
+            assert got is out and _same_bits(got, u_apply(bd, G, f))
 
 
 def test_torus_sections_are_holomorphic(torus64):

@@ -150,6 +150,46 @@ def test_connection_matrix_matches_the_two_sums_bit_for_bit(torus32, tau, k, v):
     assert pd.defect == defect
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_connection_matrix_in_one_work_set_keeps_the_bits(torus32, k):
+    """One work set and one level's bundle data, moved from point to point as
+    a transport walk moves them (``bundle_levels(..., out=)``), give at each
+    consecutive ``(tau, v)`` the matrix and defect of a fresh call and of
+    the two-sum reference bit for bit, so no value is read stale."""
+    w = theta.Work.empty(torus32.grid, k)
+    for a in vars(w).values():
+        a.fill(np.nan)
+    held = None
+    for tau, v in ((1j, 1.0), (1 + 1j, 1j), (0.5 + 0.8j, 0.6 - 0.8j), (1j, -0.3 + 0.2j)):
+        held = list(bundle.bundle_levels(torus32, tau, (k,), out=held))
+        fresh = bundle_data(torus32, tau, k)
+        assert np.array_equal(held[0].A, fresh.A)
+        pd = connection_matrix(torus32, held[0], v, out=w)
+        ref = connection_matrix(torus32, fresh, v)
+        M, defect = _connection_matrix_two_sums(torus32, tau, k, v)
+        assert np.array_equal(pd.M, ref.M) and np.array_equal(pd.M, M)
+        assert pd.defect == ref.defect == defect
+
+
+def test_connection_matrix_in_its_work_set_allocates_no_grid_array():
+    """A warm level-3 connection matrix on a 64x64 torus, built in its work
+    set, peaks below 512 KiB of traced allocations; one ``(3, 64, 64)``
+    complex array is 192 KiB, and with a temporary per operation the call
+    peaks at about 1.8 MiB."""
+    fam = TorusFamily(TorusGrid(64))
+    bd = bundle_data(fam, 1 + 1j, 3)
+    w = theta.Work.empty(fam.grid, 3)
+    connection_matrix(fam, bd, 0.5 + 0.2j, out=w)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        connection_matrix(fam, bd, 0.5 + 0.2j, out=w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 2**10
+
+
 def test_path_normalization():
     path = as_path((1j, 1 + 1j))
     assert path(0.0) == 1j
@@ -166,10 +206,10 @@ def test_path_off_the_half_plane_fails_before_any_step(torus32, monkeypatch):
     """A waypoint, or a loop circle, with ``Im tau <= 0`` is rejected before
     any connection matrix is built."""
 
-    def no_work(*args):
+    def no_work(*args, **kwargs):
         raise AssertionError("a connection matrix was built")
 
-    monkeypatch.setattr(theta, "_point_matrices", no_work)
+    monkeypatch.setattr(theta, "connection_matrix", no_work)
     for path in ((1j, -1j), (1j, 1.0), (-0.5j, 1j), (1j, 1 + 1j, 2 + 0j)):
         with pytest.raises(ValueError, match="Im tau > 0 at every waypoint"):
             transport(torus32, 1, path, np.eye(1), steps=4)
@@ -280,9 +320,9 @@ def test_connection_matrix_derivative_count(monkeypatch):
     calls = []
     deriv = fields.TorusGrid.deriv
 
-    def counted(self, f, axis):
+    def counted(self, f, axis, out=None):
         calls.append(axis)
-        return deriv(self, f, axis)
+        return deriv(self, f, axis, out)
 
     monkeypatch.setattr(fields.TorusGrid, "deriv", counted)
     fam = TorusFamily(TorusGrid(32))
