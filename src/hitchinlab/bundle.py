@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .fields import Array, TorusGrid, grad, is_constant, max_norm
+from .fields import Array, TorusGrid, grad, grid_node, max_norm
 from .families import Family, KahlerState, dir_deriv
 from .geometry import symbol_contraction
 
@@ -59,15 +59,14 @@ def halfform_potential(state: KahlerState) -> Array:
     Computes :math:`\nabla dw = \alpha\otimes dw + \beta\otimes d\bar w`
     with the Levi-Civita connection and returns :math:`\tfrac12\alpha`
     (the type leakage :math:`\beta` vanishes on an honest Kaehler member).
-    A frame constant over the grid on a flat member (symbols of exact
-    zeros, :func:`~hitchinlab.geometry.symbol_contraction`, as on every
-    torus member) is parallel: the potential is exact complex zeros, taken
-    without a derivative and returned as a read-only zero-stride broadcast
-    of the grid shape, like the fields of a flat state.
+    A frame held as a one-node broadcast (every torus member) is constant,
+    so its structure is too and the frame is parallel: the potential is
+    exact complex zeros, taken without a derivative, as a read-only
+    zero-stride broadcast of the grid shape like the fields of a flat state.
     """
-    conn = symbol_contraction("cab...,c...->ab...", state.gamma, state.dw)
-    if conn is None and is_constant(state.dw):
+    if grid_node(state.dw) is not state.dw:
         return np.broadcast_to(np.zeros((), dtype=complex), state.dw.shape)
+    conn = symbol_contraction("cab...,c...->ab...", state.gamma, state.dw)
     ddw = grad(state.grid, state.dw)
     if conn is not None:
         ddw -= conn

@@ -610,7 +610,7 @@ ROWS: dict[str, Row] = {
         Row(
             # torus: one case per basis (its worst element); chart: one per section
             "basis_holomorphy", {TORUS: 1e-8, CHART: 10.0}, "pk",
-            lambda c: (max(c.env.sections(c.backend, c.p, c.k).defects) if c.fam.closed_form
+            lambda c: (max(c.env.sections(c.backend, c.p, c.k).defects) if c.backend == TORUS
                        else c.env.sections(c.backend, c.p, c.k).defects, 1.0),
         ),
         Row("gram_rank", {TORUS: 1e-8}, "pk", _gram_rank),

@@ -10,9 +10,10 @@ frame trivializes the canonical bundle.  Two constructions are provided:
   :math:`w_\tau = x + \tau y`, parameter :math:`\tau` in the upper half
   plane, constant-coefficient :math:`J_\tau`; everything has a closed
   form, which the tests use as oracles.  Its structure and frame are
-  constant, so each member is held at one node of the grid, its symbols,
-  Ricci form and half-form potential being exact zeros taken without a
-  derivative (:func:`make_state`).
+  constant and handed back as read-only zero-stride broadcasts of one node;
+  that representation alone makes each member flat, held at one node, its
+  symbols, Ricci form and half-form potential being exact zeros taken
+  without a derivative (:func:`make_state`).
 * :class:`ChartFamily` -- a planar chart where
   :math:`J_\sigma` is encoded by a Beltrami coefficient
   :math:`\mu(\sigma)` through :math:`\eta = dz + \mu\,d\bar z`,
@@ -56,9 +57,9 @@ from .fields import (
     Grid,
     TorusGrid,
     grid_node,
-    is_constant,
     mat_mul,
     max_norm,
+    nodewise,
     proj_anti,
     proj_holo,
 )
@@ -201,22 +202,11 @@ class KahlerState:
 
     @property
     def P(self) -> Array:
-        return _nodewise(proj_holo, self.J)
+        return nodewise(proj_holo, self.J)
 
     @property
     def Q(self) -> Array:
-        return _nodewise(proj_anti, self.J)
-
-
-def _nodewise(fn: Callable[[Array], Array], f: Array) -> Array:
-    """``fn(f)`` for a pointwise map ``fn``; a zero-stride broadcast ``f``
-    (a flat member's field) is mapped at one node, and the result is a
-    read-only broadcast of the grid shape."""
-    node = grid_node(f)
-    if node is f:
-        return fn(f)
-    val = fn(node)
-    return np.broadcast_to(val, val.shape[:-2] + f.shape[-2:])
+        return nodewise(proj_anti, self.J)
 
 
 def _holo_vector(dw: Array) -> Array:
@@ -227,55 +217,41 @@ def _holo_vector(dw: Array) -> Array:
     return np.stack([bb / det, -ab / det])
 
 
-def _member_fields(
-    family: "Family", sigma: complex, J: Array, dw: Array | None
-) -> dict[str, Array]:
-    """The fields of :class:`KahlerState` of the structure ``J`` and the
-    coframe ``dw`` of the member at ``sigma``, over the last two axes of
-    both: the grid's, or one node.  Without ``dw`` the member's own is
-    built after the symbols, so that its arrays do not add to their peak
-    memory."""
-    omega = make_omega(J.shape[2:], family.omega0)
-    g = compatible_metric(omega, J)
-    if is_constant(g):
-        gamma = np.zeros((2,) + g.shape)
-        rho = np.zeros(g.shape)
-    else:
-        gamma = christoffel(family.grid, g)
-        rho = ricci_form(family.grid, gamma, J)
-    if dw is None:
-        dw = family.dw_at(sigma)
-    E = _holo_vector(dw)
-    h_w = 2.0 * np.einsum("ab...,a...,b...->...", g, E, np.conj(E))
-    if family.normalized_potential:
-        F = np.zeros(J.shape[2:], dtype=complex)
-    else:
-        F = -0.5 * np.log(h_w)
-    return dict(J=J, omega=omega, g=g, gamma=gamma, rho=rho, dw=dw, E=E, h_w=h_w, F=F)
-
-
 def make_state(family: "Family", sigma: complex) -> KahlerState:
     """The Kaehler data of the member at ``sigma``.
 
-    A member whose ``J`` and ``dw`` are constant over the grid (every
-    torus member, and the chart family of constant ``mu``) is flat: each
-    field is computed once, at one node, and held as a read-only
-    zero-stride broadcast of the grid shape (``np.broadcast_to``); the
-    values are those of the full formulas bit for bit.  A metric constant
-    over the grid has Levi-Civita symbols and a Ricci form of exact float64
-    zeros, taken without a derivative (the spectral formulas give the same
-    zeros on an even torus grid and rounding noise on an odd one).  Any
-    other metric takes ``christoffel`` and ``ricci_form`` over the grid.
+    The family's representation decides: a structure ``J`` handed back as a
+    one-node broadcast (every torus member, and the chart family of
+    constant ``mu``) is flat, with Levi-Civita symbols and a Ricci form of
+    exact float64 zeros taken without a derivative (the spectral formulas
+    give the same zeros on an even torus grid and rounding noise on an odd
+    one); each field is computed at that node, with the values of the full
+    formulas bit for bit, and held as a read-only zero-stride broadcast of
+    the grid shape.  Any other ``J`` takes ``christoffel`` and
+    ``ricci_form`` over the grid, and ``dw`` after them, so that it does not
+    add to their peak memory.
     """
     grid = family.grid
     J = family.J_at(sigma)
-    dw = family.dw_at(sigma) if is_constant(J) else None
-    if dw is not None and is_constant(dw):
-        # copies: a broadcast of a slice would keep the full arrays alive
-        node = _member_fields(family, sigma, J[..., :1, :1].copy(), dw[..., :1, :1].copy())
-        fields = {name: np.broadcast_to(a, a.shape[:-2] + grid.shape) for name, a in node.items()}
+    node = grid_node(J)
+    omega = make_omega(node.shape[2:], family.omega0)
+    g = compatible_metric(omega, node)
+    if node is J:
+        gamma = christoffel(grid, g)
+        rho = ricci_form(grid, gamma, J)
+        dw = family.dw_at(sigma)
     else:
-        fields = _member_fields(family, sigma, J, dw)
+        gamma, rho = np.zeros((2,) + g.shape), np.zeros(g.shape)
+        dw = grid_node(family.dw_at(sigma))
+    E = _holo_vector(dw)
+    h_w = 2.0 * np.einsum("ab...,a...,b...->...", g, E, np.conj(E))
+    if family.normalized_potential:
+        F = np.zeros(h_w.shape, dtype=complex)
+    else:
+        F = -0.5 * np.log(h_w)
+    fields = dict(J=node, omega=omega, g=g, gamma=gamma, rho=rho, dw=dw, E=E, h_w=h_w, F=F)
+    if node is not J:
+        fields = {name: np.broadcast_to(a, a.shape[:-2] + grid.shape) for name, a in fields.items()}
     return KahlerState(grid=grid, sigma=sigma, omega0=family.omega0, **fields)
 
 
@@ -307,7 +283,9 @@ def build_once(lock: threading.Lock, cache: dict, key, build: Callable, bound: i
 
 
 class Family:
-    """Base class: subclasses provide ``J_at`` and ``dw_at``."""
+    """Base class: subclasses provide ``J_at`` and ``dw_at``, a structure and
+    frame constant over the grid as read-only zero-stride broadcasts of one
+    node, which makes the member flat (:func:`make_state`)."""
 
     grid: Grid
     omega0: float = DEFAULT_OMEGA0
@@ -351,18 +329,12 @@ class TorusFamily(Family):
 
     def J_at(self, sigma: complex) -> Array:
         t1, t2 = sigma.real, sigma.imag
-        J = np.empty((2, 2) + self.grid.shape)
-        J[0, 0] = -t1 / t2
-        J[0, 1] = -(t1 * t1 + t2 * t2) / t2
-        J[1, 0] = 1.0 / t2
-        J[1, 1] = t1 / t2
-        return J
+        J = np.array([[-t1 / t2, -(t1 * t1 + t2 * t2) / t2], [1.0 / t2, t1 / t2]])
+        return np.broadcast_to(J[:, :, None, None], (2, 2) + self.grid.shape)
 
     def dw_at(self, sigma: complex) -> Array:
-        dw = np.empty((2,) + self.grid.shape, dtype=complex)
-        dw[0] = 1.0
-        dw[1] = sigma
-        return dw
+        dw = np.array([1.0, sigma], dtype=complex)
+        return np.broadcast_to(dw[:, None, None], (2,) + self.grid.shape)
 
     def vj_exact(self, sigma: complex, v: complex) -> Array:
         # directional derivative of J(tau) along the real direction v
@@ -371,8 +343,7 @@ class TorusFamily(Family):
         d1[0, 0] = -1.0 / t2
         d1[0, 1] = -2.0 * t1 / t2
         d1[1, 1] = 1.0 / t2
-        J0 = np.array([[-t1 / t2, -(t1 * t1 + t2 * t2) / t2], [1.0 / t2, t1 / t2]])
-        d2 = -J0 / t2
+        d2 = -self.J_at(sigma)[:, :, 0, 0] / t2
         d2[0, 1] += -2.0
         dj = v.real * d1 + v.imag * d2
         return np.broadcast_to(dj[:, :, None, None], (2, 2) + self.grid.shape)
@@ -419,11 +390,11 @@ class ChartFamily(Family):
         return self._mu_at(complex(sigma))
 
     def J_at(self, sigma: complex) -> Array:
-        return j_from_mu(self.mu(sigma))
+        return nodewise(j_from_mu, self.mu(sigma))
 
     def dw_at(self, sigma: complex) -> Array:
         wz, wzb = self._w_at(complex(sigma))
-        return np.stack([wz + wzb, 1j * (wz - wzb)])
+        return nodewise(lambda a, b: np.stack([a + b, 1j * (a - b)]), wz, wzb)
 
 
 # ---------------------------------------------------------------------------
@@ -550,14 +521,18 @@ def nonrigid_family(grid: ChartGrid) -> ChartFamily:
 
 
 def nonholo_family(grid: ChartGrid) -> ChartFamily:
-    """Adversarial family depending on Re(sigma) only: not holomorphic."""
-    z = grid.x + 1j * grid.y
+    """Adversarial family depending on Re(sigma) only: not holomorphic.  Its
+    ``mu`` is constant over the grid, so it is handed back as a read-only
+    zero-stride broadcast of one node, and every member is flat."""
+
+    def constant(c: float) -> Array:
+        return np.broadcast_to(c * np.ones((1, 1), dtype=complex), grid.shape)
 
     def mu_at(sigma: complex) -> Array:
-        return sigma.real * (DEFAULT_OMEGA0 / 4.0) * np.ones_like(z)
+        return constant(sigma.real * (DEFAULT_OMEGA0 / 4.0))
 
     def w_at(sigma: complex) -> tuple[Array, Array]:
-        return np.ones_like(z), sigma.real * (DEFAULT_OMEGA0 / 4.0) * np.ones_like(z)
+        return constant(1.0), constant(sigma.real * (DEFAULT_OMEGA0 / 4.0))
 
     return ChartFamily(grid, mu_at, w_at, label="chart-nonholo")
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -193,10 +193,15 @@ def grid_node(f: Array) -> Array:
     return f[..., :1, :1] if f.strides[-2:] == (0, 0) else f
 
 
-def is_constant(f: Array) -> bool:
-    """Whether every component of the field ``f`` takes one value over the
-    grid (its last two axes); a NaN makes it non-constant."""
-    return bool((f == f[..., :1, :1]).all())
+def nodewise(fn: Callable[..., Array], *fs: Array) -> Array:
+    """``fn(*fs)`` for a pointwise map ``fn``.  When every ``f`` is a
+    zero-stride broadcast (:func:`grid_node`), ``fn`` is applied at one node
+    and the result is a read-only broadcast of the grid shape."""
+    nodes = [grid_node(f) for f in fs]
+    if any(node is f for node, f in zip(nodes, fs)):
+        return fn(*fs)
+    val = fn(*nodes)
+    return np.broadcast_to(val, val.shape[:-2] + fs[0].shape[-2:])
 
 
 def max_norm(f: Array, mask: Array | None = None, out: Array | None = None) -> float:

@@ -17,7 +17,8 @@ and differential constructions downstream code needs:
   operator identities).
 
 ``families.make_state`` calls :func:`christoffel` and :func:`ricci_form`
-only for a metric that varies over the grid: a constant metric (every
+only for a structure held on the full grid: the family's representation
+decides, and a structure handed back as a one-node broadcast (every
 flat-torus member) gets exact zeros without a derivative, so no torus row
 exercises the symbols or the curvature here.
 

@@ -65,7 +65,7 @@ from .bundle import (
     sec_grad,
 )
 from .families import Family, KahlerState, d_holo, dir_deriv, v_parts, variation_tensors, vj_of
-from .fields import Array, ChartGrid, grad, grid_node, max_norm
+from .fields import Array, ChartGrid, grad, grid_node, mat_mul, max_norm, nodewise
 from .geometry import cov_deriv, symbol_contraction
 
 # ---------------------------------------------------------------------------
@@ -412,8 +412,7 @@ def eq_transfer_residual(
     lhs = form_anti(st, sec_grad(bd, delta_G(bd, G, s)))
     t1 = -2j * k * np.einsum("ab...,bc...,c...->a...", st.omega, G, sec_grad(bd, s))
     t2 = _times_potential(1j * k * np.einsum("b...,ba...->a...", trace_nabla(st, G), st.omega), s)
-    Grho = np.einsum("ac...,cb...->ab...", G, st.rho)
-    t3 = _times_potential(-0.5j * trace_nabla_endo(st, Grho), s)
+    t3 = _times_potential(-0.5j * trace_nabla_endo(st, nodewise(mat_mul, G, st.rho)), s)
     if flip == "omega":
         t1 = -t1
     if flip == "trace":
@@ -453,7 +452,7 @@ def potential_oneform_residual(
     G = G_of(family, sigma, v, eps)
     H = H_of(st, G, st.F, flip)
     lhs = form_anti(st, grad(st.grid, H))
-    rhs = 0.5j * trace_nabla_endo(st, np.einsum("ac...,cb...->ab...", G, st.rho))
+    rhs = 0.5j * trace_nabla_endo(st, nodewise(mat_mul, G, st.rho))
     return _section_sups(lhs - rhs, G, st.grid.interior())
 
 
@@ -560,11 +559,14 @@ def param_commutator_curvature(family: Family, sigma: complex, eps: float) -> Ar
     [\partial_1 J, \partial_2 J]\big)` of the parameter-direction
     curvature on the half-form factor (field over M), from the closed-form
     structure derivatives when the family has them."""
-    st = family.state(sigma)
+
+    def trace(P: Array, d1J: Array, d2J: Array) -> Array:
+        commJ = mat_mul(d1J, d2J) - mat_mul(d2J, d1J)
+        return 0.125 * np.einsum("ab...,ba...->...", P, commJ)
+
     d1J = vj_of(family, sigma, 1.0, eps, family.closed_form)
     d2J = vj_of(family, sigma, 1j, eps, family.closed_form)
-    commJ = np.einsum("ab...,bc...->ac...", d1J, d2J) - np.einsum("ab...,bc...->ac...", d2J, d1J)
-    return 0.125 * np.einsum("ab...,ba...->...", st.P, commJ)
+    return nodewise(trace, family.state(sigma).P, d1J, d2J)
 
 
 # ---------------------------------------------------------------------------

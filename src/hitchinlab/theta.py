@@ -169,7 +169,8 @@ def multiplier_residual(grid: TorusGrid, k: int, tau: complex, j: int) -> float:
 def gram(grid: TorusGrid, tau: complex, basis: Array, conj: Array | None = None) -> Array:
     r"""Inner products :math:`\langle s_i, s_j\rangle
     = 2\pi\sqrt{\operatorname{Im}\tau/\pi}\;\overline{\text{mean}}(s_i\bar s_j)`;
-    ``conj`` is ``np.conj(basis)`` when the caller holds it."""
+    ``conj``, the second factor of the mean, is ``np.conj(basis)`` when
+    None; any other stack ``t_j`` gives the weight times mean(s_i t_j)."""
     weight = 2.0 * np.pi * np.sqrt(tau.imag / np.pi)
     if conj is None:
         conj = np.conj(basis)
@@ -259,8 +260,7 @@ def connection_matrix(
     # pairing P[l, j] = weight * mean(conj(s_l) * nabla s_j); with
     # nabla s_j = sum_i M[i, j] s_i this gives P = G^T M, so M solves
     # conj(G) M = P (G is Hermitian).
-    weight = 2.0 * np.pi * np.sqrt(tau.imag / np.pi)
-    P = weight * np.einsum("lab,jab->lj", cb, nab) / grid.n**2
+    P = gram(grid, tau, cb, nab)
     M = np.linalg.solve(np.conj(G), P)
     proj = np.einsum("ij,iab->jab", M, basis, out=tmp)
     scale = max(max_norm(basis, out=w.mag), 1e-300)
@@ -304,7 +304,7 @@ def transport_levels(
     fam: TorusFamily,
     starts: dict[int, Array],
     path,
-    steps: int = 1000,
+    steps: int,
 ) -> dict[int, TransportResult]:
     r"""Fixed-step RK4 integration of :math:`\dot c = -M_k(t)\,c` for every
     level ``k`` of ``starts`` (level -> start coefficients) along one path.
@@ -378,7 +378,7 @@ def transport(
     k: int,
     path,
     c0: Array,
-    steps: int = 1000,
+    steps: int,
 ) -> TransportResult:
     """Transport of the level-``k`` coefficients ``c0`` along ``path``: the
     one-level pass of :func:`transport_levels`."""
@@ -390,7 +390,7 @@ def loop_offscalar_levels(
     levels: tuple[int, ...],
     center: complex,
     radius: float,
-    steps: int = 200,
+    steps: int,
 ) -> dict[int, tuple[float, Array]]:
     """Transport the full basis of every level around one parameter circle.
 
@@ -424,7 +424,7 @@ def loop_offscalar(
     k: int,
     center: complex,
     radius: float,
-    steps: int = 200,
+    steps: int,
 ) -> tuple[float, Array]:
     """Holonomy off-scalar distance and matrix of the level-``k`` basis
     around a parameter circle: the one-level pass of

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,9 +110,9 @@ FIELDS = ("J", "omega", "g", "gamma", "rho", "dw", "E", "h_w", "F")
 
 def _full_grid_fields(fam, sigma) -> dict:
     """Every field of the member at ``sigma`` by the full-grid formulas of a
-    constant metric, from the grid arrays of ``J_at`` and ``dw_at``: the
-    reference for the one-node fields of a flat member."""
-    J, dw = fam.J_at(sigma), fam.dw_at(sigma)
+    constant metric, from contiguous grid copies of ``J_at`` and ``dw_at``:
+    the reference for the one-node fields of a flat member."""
+    J, dw = np.array(fam.J_at(sigma)), np.array(fam.dw_at(sigma))
     omega = make_omega(fam.grid.shape, fam.omega0)
     g = compatible_metric(omega, J)
     E = families._holo_vector(dw)
@@ -138,9 +140,10 @@ def test_flat_state_equals_the_full_grid_formulas(n, tau):
 
 
 def test_flat_chart_member_equals_the_full_grid_formulas():
-    """Only the data decide the flat branch: the adversarial chart family of
-    constant ``mu`` is flat too, and its Ricci potential ``F = -1/2 log h_w``,
-    taken at one node, equals the full-grid formula bit for bit."""
+    """The family's representation decides the flat branch: the adversarial
+    chart family of constant ``mu`` hands back one-node broadcasts, so it is
+    flat too, and its Ricci potential ``F = -1/2 log h_w``, taken at one
+    node, equals the full-grid formula bit for bit."""
     fam = nonholo_family(ChartGrid(24))
     for sigma in (0.0, 0.1 + 0.05j, -0.07 + 0.2j):
         st = make_state(fam, sigma)
@@ -161,8 +164,29 @@ def test_flat_state_fields_are_read_only_broadcasts():
     assert a_d.strides[-2:] == (0, 0) and not a_d.flags.writeable
 
 
+def test_torus_family_hands_back_one_node():
+    """``J_at`` and ``dw_at`` of the torus are read-only zero-stride broadcasts
+    of one node, so a member is built without a grid-sized array: one state
+    at 256x256 peaks below 64 KiB of traced allocations (a full-grid ``J``
+    alone is 2 MiB)."""
+    fam = families.TorusFamily(TorusGrid(256))
+    for a in (fam.J_at(1 + 1j), fam.dw_at(1 + 1j)):
+        assert a.shape[-2:] == (256, 256) and a.strides[-2:] == (0, 0)
+        assert not a.flags.writeable
+    make_state(fam, 1j)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        make_state(fam, 0.5 + 0.8j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+
+
 def test_chart_state_keeps_full_writable_arrays(chart48):
     st = make_state(chart48, 0.1 + 0.05j)
+    assert st.gamma.any()
     for name in FIELDS + ("P", "Q"):
         a = getattr(st, name)
         assert a.shape[-2:] == (48, 48) and 0 not in a.strides[-2:], name
