@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .fields import Array, TorusGrid, grad, grid_node, max_norm
+from .fields import Array, TorusGrid, grad, grid_node, max_norm, nodewise
 from .families import Family, KahlerState, dir_deriv
 from .geometry import symbol_contraction
 
@@ -205,7 +205,7 @@ def a_T(
         return family.a_t_exact(sigma, v)
     st = family.state(sigma)
     VE = dir_deriv(lambda s: family.state(s).E, sigma, v, eps)
-    c = np.einsum("a...,ab...,b...->...", st.dw, st.P, VE)
+    c = nodewise(lambda dw, P, ve: np.einsum("a...,ab...,b...->...", dw, P, ve), st.dw, st.P, VE)
     return -0.5 * c
 
 

@@ -13,7 +13,7 @@ frame trivializes the canonical bundle.  Two constructions are provided:
   constant and handed back as read-only zero-stride broadcasts of one node;
   that representation alone makes each member flat, held at one node, its
   symbols, Ricci form and half-form potential being exact zeros taken
-  without a derivative (:func:`make_state`).
+  without a derivative (:class:`KahlerState`, :func:`make_state`).
 * :class:`ChartFamily` -- a planar chart where
   :math:`J_\sigma` is encoded by a Beltrami coefficient
   :math:`\mu(\sigma)` through :math:`\eta = dz + \mu\,d\bar z`,
@@ -47,6 +47,7 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -181,10 +182,15 @@ def frame_from_mu(mu: Array) -> tuple[Array, Array]:
 class KahlerState:
     """All pointwise geometric data of one family member.
 
-    The fields of a flat member are read-only zero-stride broadcasts of
-    one node (:func:`make_state`), and so are its projectors ``P`` and
-    ``Q``, built at that node: a caller that writes into a field must copy
-    it first.
+    The Levi-Civita symbols ``gamma`` and the Ricci form ``rho`` are built
+    on first read, once per state, from ``g`` and ``J``: the parameter
+    difference quotients read only ``J``, ``E``, ``h_w`` and ``F`` of the
+    neighbouring members, so most states never build them.  A full-grid
+    member takes ``christoffel`` and ``ricci_form``; a flat member, whose
+    fields are read-only zero-stride broadcasts of one node
+    (:func:`make_state`), gets exact zeros without a derivative, held the
+    same way.  Its projectors ``P`` and ``Q`` are built at that node too: a
+    caller that writes into a field must copy it first.
     """
 
     grid: Grid
@@ -193,12 +199,22 @@ class KahlerState:
     J: Array
     omega: Array
     g: Array
-    gamma: Array
-    rho: Array
     dw: Array  # coframe components of the tracked holomorphic coordinate
     E: Array  # frame vector dual to dw within (1,0) vectors
     h_w: Array  # 2 g(d/dw, conj d/dw): metric coefficient in the w frame
     F: Array  # Ricci potential candidate -1/2 log h_w (normalized on the torus)
+
+    @cached_property
+    def gamma(self) -> Array:
+        if grid_node(self.g) is self.g:
+            return christoffel(self.grid, self.g)
+        return np.broadcast_to(0.0, (2,) + self.g.shape)
+
+    @cached_property
+    def rho(self) -> Array:
+        if grid_node(self.g) is self.g:
+            return ricci_form(self.grid, self.gamma, self.J)
+        return np.broadcast_to(0.0, self.g.shape)
 
     @property
     def P(self) -> Array:
@@ -222,34 +238,25 @@ def make_state(family: "Family", sigma: complex) -> KahlerState:
 
     The family's representation decides: a structure ``J`` handed back as a
     one-node broadcast (every torus member, and the chart family of
-    constant ``mu``) is flat, with Levi-Civita symbols and a Ricci form of
-    exact float64 zeros taken without a derivative (the spectral formulas
-    give the same zeros on an even torus grid and rounding noise on an odd
-    one); each field is computed at that node, with the values of the full
-    formulas bit for bit, and held as a read-only zero-stride broadcast of
-    the grid shape.  Any other ``J`` takes ``christoffel`` and
-    ``ricci_form`` over the grid, and ``dw`` after them, so that it does not
-    add to their peak memory.
+    constant ``mu``) is flat, and each field is computed at that node, with
+    the values of the full formulas bit for bit, and held as a read-only
+    zero-stride broadcast of the grid shape.  Any other ``J`` keeps its
+    fields on the grid.  Either way the symbols and the Ricci form are left
+    to their first read (:class:`KahlerState`).
     """
     grid = family.grid
     J = family.J_at(sigma)
     node = grid_node(J)
     omega = make_omega(node.shape[2:], family.omega0)
     g = compatible_metric(omega, node)
-    if node is J:
-        gamma = christoffel(grid, g)
-        rho = ricci_form(grid, gamma, J)
-        dw = family.dw_at(sigma)
-    else:
-        gamma, rho = np.zeros((2,) + g.shape), np.zeros(g.shape)
-        dw = grid_node(family.dw_at(sigma))
+    dw = family.dw_at(sigma) if node is J else grid_node(family.dw_at(sigma))
     E = _holo_vector(dw)
     h_w = 2.0 * np.einsum("ab...,a...,b...->...", g, E, np.conj(E))
     if family.normalized_potential:
         F = np.zeros(h_w.shape, dtype=complex)
     else:
         F = -0.5 * np.log(h_w)
-    fields = dict(J=node, omega=omega, g=g, gamma=gamma, rho=rho, dw=dw, E=E, h_w=h_w, F=F)
+    fields = dict(J=node, omega=omega, g=g, dw=dw, E=E, h_w=h_w, F=F)
     if node is not J:
         fields = {name: np.broadcast_to(a, a.shape[:-2] + grid.shape) for name, a in fields.items()}
     return KahlerState(grid=grid, sigma=sigma, omega0=family.omega0, **fields)
@@ -547,9 +554,11 @@ def step_for(sigma: complex, eps: float) -> float:
 
 
 def dir_deriv(fieldfn: Callable[[complex], Array], sigma: complex, v: complex, eps: float) -> Array:
-    """Central difference along the real parameter direction ``v``."""
+    """Central difference along the real parameter direction ``v``.  Of two
+    one-node broadcasts (fields of flat members) it is taken at the node and
+    handed back as a read-only broadcast (:func:`nodewise`)."""
     e = step_for(sigma, eps)
-    return (fieldfn(sigma + e * v) - fieldfn(sigma - e * v)) / (2.0 * e)
+    return nodewise(lambda a, b: (a - b) / (2.0 * e), fieldfn(sigma + e * v), fieldfn(sigma - e * v))
 
 
 def v_parts(
@@ -619,7 +628,7 @@ def variation(
     Gt, G = variation_tensors(st, VJ)
     mask = st.grid.interior()
 
-    anti = max_norm(mat_mul(VJ, st.J) + mat_mul(st.J, VJ), mask)
+    anti = max_norm(nodewise(lambda a, J: mat_mul(a, J) + mat_mul(J, a), VJ, st.J), mask)
     sym = max_norm(Gt - np.einsum("ab...->ba...", Gt), mask)
 
     # holomorphy gate: the (1,0) parameter part of V[J] must map (0,1) to (1,0)

@@ -16,11 +16,12 @@ and differential constructions downstream code needs:
   and a variance string (used for the divergence-type traces in the
   operator identities).
 
-``families.make_state`` calls :func:`christoffel` and :func:`ricci_form`
-only for a structure held on the full grid: the family's representation
-decides, and a structure handed back as a one-node broadcast (every
-flat-torus member) gets exact zeros without a derivative, so no torus row
-exercises the symbols or the curvature here.
+A ``families.KahlerState`` calls :func:`christoffel` and :func:`ricci_form`
+when its ``gamma`` or ``rho`` is first read, and only for a structure held
+on the full grid: the family's representation decides, and a structure
+handed back as a one-node broadcast (every flat-torus member) gets exact
+zeros without a derivative, so no torus row exercises the symbols or the
+curvature here.
 
 Curvature conventions: :math:`R(X,Y)Z = \nabla_X\nabla_Y Z
 - \nabla_Y\nabla_X Z - \nabla_{[X,Y]}Z` and

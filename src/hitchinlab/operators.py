@@ -322,15 +322,15 @@ def chart_sections(bd: BundleData) -> TestSections:
     wx, wy = np.einsum("ab...,b...->a...", Q, np.conj(Q[0])) / l_norm
     # the larger coordinate component of c * l, relative to |c * l|
     comp = np.maximum(np.abs(Q[0, 0]), np.abs(Q[0, 1])) / l_norm
-    rows = []
     dVx = np.stack([_cheb.chebval(u1, _cheb.chebder(np.eye(deg + 1)[:, p])) for p in range(deg + 1)], 1) / grid.half
     dVy = np.stack([_cheb.chebval(v1, _cheb.chebder(np.eye(deg + 1)[:, q])) for q in range(deg + 1)], 1) / grid.half
-    for p, q in pairs:
+    # each column is written in place: no second copy of the design
+    D = np.empty((grid.n * grid.n, len(pairs)), dtype=complex)
+    for j, (p, q) in enumerate(pairs):
         s = np.outer(Vx[:, p], Vy[:, q])
         sx = np.outer(dVx[:, p], Vy[:, q]) + Ax * s
         sy = np.outer(Vx[:, p], dVy[:, q]) + Ay * s
-        rows.append((sx * wx + sy * wy).ravel())
-    D = np.stack(rows, axis=1)
+        D[:, j] = (sx * wx + sy * wy).ravel()
 
     def value_row(a: complex) -> Array:
         tu = _cheb.chebvander(np.array([(a.real - grid.center[0]) / grid.half]), deg)[0]
@@ -468,7 +468,7 @@ def metric_variation_residual(family: Family, sigma: complex, v: complex, eps: f
     st = family.state(sigma)
     vg = dir_deriv(lambda s: family.state(s).g, sigma, v, eps)
     VJ = vj_of(family, sigma, v, eps)
-    rhs = np.einsum("ac...,cb...->ab...", st.omega, VJ)
+    rhs = nodewise(mat_mul, st.omega, VJ)
     return _section_sups(vg - rhs, rhs, st.grid.interior())
 
 
@@ -482,7 +482,7 @@ def levicivita_variation_residual(family: Family, sigma: complex, v: complex, ep
     """
     st = family.state(sigma)
     vgamma = dir_deriv(lambda s: family.state(s).gamma, sigma, v, eps)
-    lhs = np.einsum("cd...,dab...->abc...", st.g, vgamma)
+    lhs = nodewise(lambda g, vG: np.einsum("cd...,dab...->abc...", g, vG), st.g, vgamma)
     vg = dir_deriv(lambda s: family.state(s).g, sigma, v, eps)
     D = cov_deriv(st.grid, st.gamma, vg, "dd")
     rhs = 0.5 * (
@@ -539,7 +539,7 @@ def frame_curvature_data(family: Family, sigma: complex, eps: float) -> tuple[Ar
         # endomorphism E(s) with nabla_d (P Y0) = E(s) Y0 for constant Y0
         P = family.state(s).P
         dP = dir_deriv(proj, s, d, eps)
-        return np.einsum("ab...,bc...->ac...", P, dP)
+        return nodewise(mat_mul, P, dP)
 
     P0 = st.P
     # nabla_1(nabla_2 (P Y0)) = P d1[A_2] Y0 for constant Y0, so
@@ -547,10 +547,12 @@ def frame_curvature_data(family: Family, sigma: complex, eps: float) -> tuple[Ar
     dA2 = dir_deriv(lambda s: covP(s, 1j), sigma, 1.0, eps)
     dA1 = dir_deriv(lambda s: covP(s, 1.0), sigma, 1j, eps)
     R = np.einsum("ab...,bc...,cd...->ad...", P0, dA2 - dA1, P0)
-    d1J = vj_of(family, sigma, 1.0, eps)
-    d2J = vj_of(family, sigma, 1j, eps)
-    commJ = np.einsum("ab...,bc...->ac...", d1J, d2J) - np.einsum("ab...,bc...->ac...", d2J, d1J)
-    target = -0.25 * np.einsum("ab...,bc...,cd...->ad...", P0, commJ, P0)
+
+    def target_of(P: Array, d1J: Array, d2J: Array) -> Array:
+        commJ = mat_mul(d1J, d2J) - mat_mul(d2J, d1J)
+        return -0.25 * np.einsum("ab...,bc...,cd...->ad...", P, commJ, P)
+
+    target = nodewise(target_of, P0, vj_of(family, sigma, 1.0, eps), vj_of(family, sigma, 1j, eps))
     return (R, *_section_sups(R - target, target, st.grid.interior()))
 
 

@@ -2,7 +2,11 @@
 
 Rows are plain dicts; writers emit them with sorted JSON keys and a fixed
 CSV column order, no timestamps or environment data, so repeated runs of
-the same configuration produce bit-identical files.
+the same configuration with the same number of BLAS threads produce
+bit-identical files.  The chart section solve rounds differently with
+another thread count (the last digits of the chart rows that take its
+sections, no verdict);
+``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1`` pins it.
 """
 
 from __future__ import annotations

@@ -201,6 +201,23 @@ def test_sweep_builds_each_configuration_once(monkeypatch):
     assert len(rows) == len(SWEEPABLE) * len(grids)  # one h and one eps order each
 
 
+def test_sweep_reads_two_christoffel_symbols(monkeypatch):
+    """A default sweep builds the Levi-Civita symbols of 2 states, the base
+    member of each grid: the parameter difference quotients read only the
+    structure, frame and potential of the neighbouring members.  A change
+    that builds the symbols of every state again raises the count (18)."""
+    calls = []
+    christoffel = families.christoffel
+
+    def counted(grid, g):
+        calls.append(grid.n)
+        return christoffel(grid, g)
+
+    monkeypatch.setattr(families, "christoffel", counted)
+    catalog.sweep_orders(SWEEPABLE)
+    assert sorted(calls) == [64, 128]
+
+
 _bad_im = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
 
 

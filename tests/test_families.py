@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -191,6 +192,97 @@ def test_chart_state_keeps_full_writable_arrays(chart48):
         a = getattr(st, name)
         assert a.shape[-2:] == (48, 48) and 0 not in a.strides[-2:], name
         assert a.flags.writeable, name
+
+
+def test_chart_state_builds_symbols_on_first_read(monkeypatch, chart48):
+    """A chart member builds its symbols and Ricci form when they are first
+    read, each once, and the Ricci form reuses the symbols.  (A flat member's
+    are zero broadcasts without a derivative: the torus tests above.)"""
+    calls = []
+    for name in ("christoffel", "ricci_form"):
+
+        def counted(*args, _fn=getattr(families, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(families, name, counted)
+    st = make_state(chart48, 0.1 + 0.05j)
+    assert st.F.any() and st.E.any() and st.P.any()  # what a quotient reads
+    assert calls == []
+    gamma = st.gamma
+    assert calls == ["christoffel"]
+    rho = st.rho
+    assert calls == ["christoffel", "ricci_form"]
+    assert st.gamma is gamma and st.rho is rho
+    assert calls == ["christoffel", "ricci_form"]
+    st = make_state(chart48, 0.1 + 0.05j)
+    st.rho  # reads the symbols it contracts
+    assert calls[2:] == ["christoffel", "ricci_form"]
+
+
+@pytest.mark.parametrize("n", [45, 64, 128])
+def test_lazy_symbols_equal_the_eager_formulas(n):
+    """The symbols and Ricci form built on first read are those of
+    ``christoffel`` and ``ricci_form`` on the state's metric, bit for bit."""
+    fam = chart_family(n)
+    sigma = 0.1 + 0.05j
+    for s in (sigma, sigma + step_for(sigma, EPS)):
+        st = make_state(fam, s)
+        gamma = christoffel(fam.grid, st.g)
+        assert _same_bits(st.gamma, gamma)
+        assert _same_bits(st.rho, ricci_form(fam.grid, gamma, st.J))
+
+
+def test_threads_reading_fresh_symbols_agree(chart48):
+    """Two threads that read the symbols of one fresh state together get
+    equal arrays, and later reads get the one kept."""
+    st = make_state(chart48, 0.1 + 0.05j)
+    start = threading.Barrier(2)
+    got = [None, None]
+
+    def read(i: int) -> None:
+        start.wait()
+        got[i] = st.gamma
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert _same_bits(got[0], got[1])
+    assert st.gamma is st.gamma and _same_bits(st.gamma, got[0])
+
+
+def test_chart_state_holds_no_symbols_until_read():
+    """A 128x128 chart member holds 3 MiB of fields until its symbols are
+    read (4.5 MiB with the symbols and the Ricci form)."""
+    fam = chart_family(128)
+    make_state(fam, 0.1 + 0.05j)
+    tracemalloc.start()
+    try:
+        st = make_state(fam, 0.12 + 0.05j)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert "gamma" not in vars(st)
+    assert held < 3.5 * 2**20
+
+
+def test_dir_deriv_of_flat_members_is_one_node():
+    """Between two flat members the difference quotient is taken at one node
+    and broadcast read-only; between chart members it is a full array.  Both
+    equal the full-grid quotient bit for bit."""
+    torus = families.TorusFamily(TorusGrid(32))
+    chart = chart_family(32)
+    for fam, sigma, flat in ((torus, 0.5 + 0.8j, True), (chart, 0.1 + 0.05j, False)):
+        for fieldfn in (fam.J_at, fam.dw_at, lambda s: fam.state(s).F):
+            for v in (1.0, 1j):
+                e = step_for(sigma, EPS)
+                ref = (np.array(fieldfn(sigma + e * v)) - np.array(fieldfn(sigma - e * v))) / (2.0 * e)
+                got = dir_deriv(fieldfn, sigma, v, EPS)
+                assert _same_bits(np.array(got), ref)
+                assert (got.strides[-2:] == (0, 0)) == flat
+                assert got.flags.writeable != flat
 
 
 def test_torus_structure_squares_to_minus_one(torus32):
