@@ -156,6 +156,8 @@ class RunConfig:
             raise ValueError(f"torus grid {self.grid} needs at least 1 point per axis")
         if self.steps < 1:
             raise ValueError(f"steps must be at least one step, got {self.steps}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1 worker thread, got {self.jobs}")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {', '.join(BACKENDS)}, got {self.backend!r}")
         if self.mutate is not None and self.mutate not in MUTATIONS:
@@ -748,8 +750,11 @@ def sweep_orders(
 
     Each grid gets one `Env` and one `Case`, shared by every identity: the
     base step on every grid, then each eps step of the pair on the finest
-    grid, as a copy of its case with that ``eps``, so the chart family and
-    its states are kept.
+    grid, as a copy of its case with that ``eps``, so the chart family is
+    kept.  Once a step's rows are evaluated the family forgets every state
+    but the centre member ``sigma`` (`Family.drop_states`): the neighbours
+    of a finished step are never read again, while the centre, whose
+    symbols every step reads, is built once per grid.
     The grid sweep keeps one *frozen* section (polynomial coefficients
     built once on the coarsest grid, re-evaluated exactly on the finer
     ones) so that the h-order is not masked by the section constructor
@@ -759,7 +764,8 @@ def sweep_orders(
     `Env` is alive at a time: keeping them all raises the peak memory.
 
     The inputs are checked before any work: sweepable identities, two or
-    more distinct grids, an eps pair of two distinct steps, and a run
+    more grids in strictly increasing order (the first is the coarsest, the
+    last the finest), an eps pair of two distinct steps, and a run
     configuration (grid with an interior, positive eps, level >= 1) for
     every point.  ``radius`` is accepted and has no effect, like
     ``RunConfig.radius``.
@@ -768,8 +774,11 @@ def sweep_orders(
     for identity in identities:
         if identity not in SWEEPABLE:
             raise ValueError(f"identity {identity!r} is not sweepable")
-    if len(grids) < 2 or len(set(grids)) < len(grids):
-        raise ValueError(f"an h order needs two or more distinct grids, got {grids}")
+    if len(grids) < 2 or any(a >= b for a, b in zip(grids, grids[1:])):
+        raise ValueError(
+            f"an h order needs two or more distinct grids, coarsest first "
+            f"(strictly increasing), got {tuple(grids)}"
+        )
     if len(eps_pair) != 2 or eps_pair[0] == eps_pair[1]:
         raise ValueError(
             f"an eps order needs an eps pair of two distinct eps steps, got {eps_pair}"
@@ -788,8 +797,10 @@ def sweep_orders(
         s = section_on(env.chart().grid, coeff)
         case = Case(env, "chart", eps, None, sigma, k, 1.0, s, bundle_data(env.chart(), sigma, k))
         cases = [case] + [replace(case, eps=e) for e in (eps_pair if cfg is cfgs[-1] else ())]
-        res += [{i: float(case_ratio(*ROWS[i].residual(c))) for i in identities} for c in cases]
-        del env, s, case, cases  # free this Env before the next one is built
+        for c in cases:
+            res.append({i: float(case_ratio(*ROWS[i].residual(c))) for i in identities})
+            env.chart().drop_states(keep=sigma)  # no later step reads this step's neighbours
+        del env, s, case, cases, c  # free this Env before the next one is built
     rows: list[dict] = []
     for identity in identities:
         r = [at[identity] for at in res]

@@ -307,11 +307,22 @@ class Family:
         raise NotImplementedError
 
     def state(self, sigma: complex) -> KahlerState:
-        """The member at ``sigma``; the 48 latest states are kept."""
+        """The member at ``sigma``; the 48 latest states are kept, unless
+        `drop_states` forgets them first (a sweep does after each parameter
+        step, keeping only its centre member)."""
         sigma = complex(sigma)
         lock = self.__dict__.setdefault("_state_lock", threading.Lock())
         cache = self.__dict__.setdefault("_states", OrderedDict())
         return build_once(lock, cache, sigma, lambda: make_state(self, sigma), bound=48)
+
+    def drop_states(self, keep: complex) -> None:
+        """Forget every kept state but the member at ``keep``, which stays
+        with the symbols it has built."""
+        keep = complex(keep)
+        with self.__dict__.setdefault("_state_lock", threading.Lock()):
+            cache = self.__dict__.get("_states", {})
+            for sigma in [s for s in cache if s != keep]:
+                del cache[sigma]
 
     # closed-form variations: only the torus has them
     def vj_exact(self, sigma: complex, v: complex) -> Array:

@@ -214,8 +214,48 @@ def test_sweep_reads_two_christoffel_symbols(monkeypatch):
         return christoffel(grid, g)
 
     monkeypatch.setattr(families, "christoffel", counted)
+    states = []
+    make_state = families.make_state
+
+    def built(fam, sigma):
+        states.append(sigma)
+        return make_state(fam, sigma)
+
+    monkeypatch.setattr(families, "make_state", built)
     catalog.sweep_orders(SWEEPABLE)
     assert sorted(calls) == [64, 128]
+    # 5 states at grid 64 and 13 at grid 128 (the base step and the eps
+    # pair): dropping finished steps rebuilds nothing
+    assert len(states) == 18
+
+
+def test_sweep_keeps_no_state_of_a_finished_step(monkeypatch):
+    """Whenever a case is evaluated on the finest grid, its family holds the
+    centre member and the neighbours of the current step only, all at one
+    distance from the centre: at most 5 states (13 when the neighbours of
+    finished steps are kept)."""
+    sigma = 0.1 + 0.05j  # the sweep's default centre
+    built, held = [], []
+    chart_family, case_ratio = catalog.chart_family, catalog.case_ratio
+
+    def building(grid):
+        built.append(chart_family(grid))
+        return built[-1]
+
+    def holding(*args):
+        if built[-1].grid.n == 32:
+            held.append(list(built[-1].__dict__["_states"]))
+        return case_ratio(*args)
+
+    monkeypatch.setattr(catalog, "chart_family", building)
+    monkeypatch.setattr(catalog, "case_ratio", holding)
+    catalog.sweep_orders(SWEEPABLE, grids=(24, 32))
+    assert len(held) == 3 * len(SWEEPABLE)  # the base step and the eps pair
+    for keys in held:
+        dist = [abs(p - sigma) for p in keys if p != sigma]
+        assert sigma in keys and len(keys) <= 5
+        assert not dist or max(dist) < 1.01 * min(dist)
+    assert len(held[-1]) == 5
 
 
 _bad_im = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)

@@ -262,6 +262,8 @@ def test_basis_subcommand_is_gone(capsys):
         (["sweep", "--eps-pair", "0,0.05"], "eps must be positive"),
         (["sweep", "--eps-pair", "0.1,0.1"], "two distinct eps steps"),
         (["sweep", "--grids", "64"], "two or more distinct grids"),
+        (["sweep", "--grids", "48,32"], "strictly increasing), got (48, 32)"),
+        (["sweep", "--grids", "64,64"], "strictly increasing), got (64, 64)"),
         (["sweep", "--level", "0"], "levels must be at least 1"),
         (["sweep", "--eps-pair", "0.1,0.05,0.02"], "eps pair"),
         (["verify", "--backend", "torus", "--grid", "0"], "torus grid 0"),
@@ -283,6 +285,8 @@ def test_basis_subcommand_is_gone(capsys):
         ),
         (["verify", "--config", "{missing_ini}"], "config file not found"),
         (["verify", "--config", "{levels_ini}"], "levels must be at least 1"),
+        (["verify", "--jobs", "0"], "jobs must be at least 1 worker thread, got 0"),
+        (["verify", "--config", "{jobs_ini}"], "jobs must be at least 1 worker thread, got -2"),
         (["verify", "--config", "{grid_ini}"], "bad value for 'grid': invalid literal"),
         (["verify", "--config", "{headless_ini}"], "no section headers"),
         (["verify", "--grid", "abc"], "argument --grid: invalid int value: 'abc'"),
@@ -297,6 +301,8 @@ def test_basis_subcommand_is_gone(capsys):
         "sweep_eps0",
         "sweep_eps_equal",
         "sweep_one_grid",
+        "sweep_grids_decreasing",
+        "sweep_grids_equal",
         "sweep_level0",
         "sweep_eps_three",
         "verify_torus_grid0",
@@ -314,6 +320,8 @@ def test_basis_subcommand_is_gone(capsys):
         "verify_mutation_target_unselected",
         "verify_missing_config",
         "verify_ini_level0",
+        "verify_jobs0",
+        "verify_ini_jobs_negative",
         "verify_ini_grid_not_int",
         "verify_ini_no_section_header",
         "verify_flag_grid_not_int",
@@ -328,6 +336,7 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):
         "grid_ini": "[run]\ngrid = abc\n",
         "headless_ini": "grid = 32\n",
         "levels_ini": "[run]\nlevels = 0\n",
+        "jobs_ini": "[run]\njobs = -2\n",
     }
     paths = {"missing_ini": tmp_path / "missing.ini"}
     for name, text in files.items():
