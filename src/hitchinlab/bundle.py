@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .fields import Array, TorusGrid, grad, grid_node, max_norm, nodewise
+from .fields import Array, TorusGrid, grad, max_norm
 from .families import Family, KahlerState, dir_deriv
 from .geometry import symbol_contraction
 
@@ -59,13 +59,13 @@ def halfform_potential(state: KahlerState) -> Array:
     Computes :math:`\nabla dw = \alpha\otimes dw + \beta\otimes d\bar w`
     with the Levi-Civita connection and returns :math:`\tfrac12\alpha`
     (the type leakage :math:`\beta` vanishes on an honest Kaehler member).
-    A frame held as a one-node broadcast (every torus member) is constant,
-    so its structure is too and the frame is parallel: the potential is
-    exact complex zeros, taken without a derivative, as a read-only
-    zero-stride broadcast of the grid shape like the fields of a flat state.
+    A frame held at one node (every torus member) is constant, so its
+    structure is too and the frame is parallel: the potential is exact
+    complex zeros, taken without a derivative and held at the node like the
+    fields of a flat state.
     """
-    if grid_node(state.dw) is not state.dw:
-        return np.broadcast_to(np.zeros((), dtype=complex), state.dw.shape)
+    if state.dw.shape[-2:] == (1, 1):
+        return np.zeros(state.dw.shape, dtype=complex)
     conn = symbol_contraction("cab...,c...->ab...", state.gamma, state.dw)
     ddw = grad(state.grid, state.dw)
     if conn is not None:
@@ -205,7 +205,7 @@ def a_T(
         return family.a_t_exact(sigma, v)
     st = family.state(sigma)
     VE = dir_deriv(lambda s: family.state(s).E, sigma, v, eps)
-    c = nodewise(lambda dw, P, ve: np.einsum("a...,ab...,b...->...", dw, P, ve), st.dw, st.P, VE)
+    c = np.einsum("a...,ab...,b...->...", st.dw, st.P, VE)
     return -0.5 * c
 
 

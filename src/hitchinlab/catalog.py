@@ -141,11 +141,13 @@ class RunConfig:
                 raise ValueError(f"{name} must not be empty")
         if min(self.levels) < 1:
             raise ValueError(f"levels must be at least 1, got {self.levels}")
-        bad = [t for t in self.taus if not complex(t).imag > 0]
+        bad = [t for t in self.taus if not (np.isfinite(t) and complex(t).imag > 0)]
         if bad:
-            raise ValueError(f"taus must have Im tau > 0, got {bad}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+            raise ValueError(f"taus must be finite with Im tau > 0, got {bad}")
+        if not np.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
+        if not (self.eps > 0 and np.isfinite(self.eps)):
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         margin = ChartGrid.margin
         if self.backend != "torus" and self.grid <= 2 * margin:
             raise ValueError(
@@ -275,7 +277,7 @@ def _rel(val: Array, target: Array, mask: Array) -> tuple[float, float]:
 
 
 def _spread(vals: Array, mask: Array) -> float:
-    vals = vals[mask]
+    vals = np.broadcast_to(vals, vals.shape[:-2] + mask.shape)[mask]
     return float(np.max(np.abs(vals - np.mean(vals))))
 
 

@@ -10,10 +10,10 @@ frame trivializes the canonical bundle.  Two constructions are provided:
   :math:`w_\tau = x + \tau y`, parameter :math:`\tau` in the upper half
   plane, constant-coefficient :math:`J_\tau`; everything has a closed
   form, which the tests use as oracles.  Its structure and frame are
-  constant and handed back as read-only zero-stride broadcasts of one node;
-  that representation alone makes each member flat, held at one node, its
-  symbols, Ricci form and half-form potential being exact zeros taken
-  without a derivative (:class:`KahlerState`, :func:`make_state`).
+  constant and handed back at one node, with grid axes ``(1, 1)``; that
+  representation alone makes each member flat, every field held at the
+  node, its symbols, Ricci form and half-form potential being exact zeros
+  taken without a derivative (:class:`KahlerState`, :func:`make_state`).
 * :class:`ChartFamily` -- a planar chart where
   :math:`J_\sigma` is encoded by a Beltrami coefficient
   :math:`\mu(\sigma)` through :math:`\eta = dz + \mu\,d\bar z`,
@@ -57,10 +57,8 @@ from .fields import (
     ChartGrid,
     Grid,
     TorusGrid,
-    grid_node,
     mat_mul,
     max_norm,
-    nodewise,
     proj_anti,
     proj_holo,
 )
@@ -187,10 +185,9 @@ class KahlerState:
     difference quotients read only ``J``, ``E``, ``h_w`` and ``F`` of the
     neighbouring members, so most states never build them.  A full-grid
     member takes ``christoffel`` and ``ricci_form``; a flat member, whose
-    fields are read-only zero-stride broadcasts of one node
-    (:func:`make_state`), gets exact zeros without a derivative, held the
-    same way.  Its projectors ``P`` and ``Q`` are built at that node too: a
-    caller that writes into a field must copy it first.
+    fields are held at one node with grid axes ``(1, 1)``
+    (:func:`make_state`), gets exact zeros without a derivative, held at
+    the node too, as are its projectors ``P`` and ``Q``.
     """
 
     grid: Grid
@@ -206,23 +203,23 @@ class KahlerState:
 
     @cached_property
     def gamma(self) -> Array:
-        if grid_node(self.g) is self.g:
-            return christoffel(self.grid, self.g)
-        return np.broadcast_to(0.0, (2,) + self.g.shape)
+        if self.g.shape[-2:] == (1, 1):
+            return np.zeros((2,) + self.g.shape)
+        return christoffel(self.grid, self.g)
 
     @cached_property
     def rho(self) -> Array:
-        if grid_node(self.g) is self.g:
-            return ricci_form(self.grid, self.gamma, self.J)
-        return np.broadcast_to(0.0, self.g.shape)
+        if self.g.shape[-2:] == (1, 1):
+            return np.zeros(self.g.shape)
+        return ricci_form(self.grid, self.gamma, self.J)
 
     @property
     def P(self) -> Array:
-        return nodewise(proj_holo, self.J)
+        return proj_holo(self.J)
 
     @property
     def Q(self) -> Array:
-        return nodewise(proj_anti, self.J)
+        return proj_anti(self.J)
 
 
 def _holo_vector(dw: Array) -> Array:
@@ -236,30 +233,27 @@ def _holo_vector(dw: Array) -> Array:
 def make_state(family: "Family", sigma: complex) -> KahlerState:
     """The Kaehler data of the member at ``sigma``.
 
-    The family's representation decides: a structure ``J`` handed back as a
-    one-node broadcast (every torus member, and the chart family of
-    constant ``mu``) is flat, and each field is computed at that node, with
-    the values of the full formulas bit for bit, and held as a read-only
-    zero-stride broadcast of the grid shape.  Any other ``J`` keeps its
-    fields on the grid.  Either way the symbols and the Ricci form are left
-    to their first read (:class:`KahlerState`).
+    The family's representation decides: a structure ``J`` and frame ``dw``
+    handed back at one node, with grid axes ``(1, 1)`` (every torus member,
+    and the chart family of constant ``mu``), make a flat member, and each
+    field is computed and held at that node, with the values of the full
+    formulas bit for bit.  Fields on the full grid stay there.  Either way
+    the symbols and the Ricci form are left to their first read
+    (:class:`KahlerState`).
     """
-    grid = family.grid
     J = family.J_at(sigma)
-    node = grid_node(J)
-    omega = make_omega(node.shape[2:], family.omega0)
-    g = compatible_metric(omega, node)
-    dw = family.dw_at(sigma) if node is J else grid_node(family.dw_at(sigma))
+    omega = make_omega(J.shape[2:], family.omega0)
+    g = compatible_metric(omega, J)
+    dw = family.dw_at(sigma)
     E = _holo_vector(dw)
     h_w = 2.0 * np.einsum("ab...,a...,b...->...", g, E, np.conj(E))
     if family.normalized_potential:
         F = np.zeros(h_w.shape, dtype=complex)
     else:
         F = -0.5 * np.log(h_w)
-    fields = dict(J=node, omega=omega, g=g, dw=dw, E=E, h_w=h_w, F=F)
-    if node is not J:
-        fields = {name: np.broadcast_to(a, a.shape[:-2] + grid.shape) for name, a in fields.items()}
-    return KahlerState(grid=grid, sigma=sigma, omega0=family.omega0, **fields)
+    return KahlerState(
+        grid=family.grid, sigma=sigma, omega0=family.omega0, J=J, omega=omega, g=g, dw=dw, E=E, h_w=h_w, F=F
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +284,9 @@ def build_once(lock: threading.Lock, cache: dict, key, build: Callable, bound: i
 
 
 class Family:
-    """Base class: subclasses provide ``J_at`` and ``dw_at``, a structure and
-    frame constant over the grid as read-only zero-stride broadcasts of one
-    node, which makes the member flat (:func:`make_state`)."""
+    """Base class: subclasses provide ``J_at`` and ``dw_at`` on the grid or,
+    for a structure and frame constant over it, at one node with grid axes
+    ``(1, 1)``, which makes the member flat (:func:`make_state`)."""
 
     grid: Grid
     omega0: float = DEFAULT_OMEGA0
@@ -348,11 +342,10 @@ class TorusFamily(Family):
     def J_at(self, sigma: complex) -> Array:
         t1, t2 = sigma.real, sigma.imag
         J = np.array([[-t1 / t2, -(t1 * t1 + t2 * t2) / t2], [1.0 / t2, t1 / t2]])
-        return np.broadcast_to(J[:, :, None, None], (2, 2) + self.grid.shape)
+        return J[:, :, None, None]
 
     def dw_at(self, sigma: complex) -> Array:
-        dw = np.array([1.0, sigma], dtype=complex)
-        return np.broadcast_to(dw[:, None, None], (2,) + self.grid.shape)
+        return np.array([1.0, sigma], dtype=complex)[:, None, None]
 
     def vj_exact(self, sigma: complex, v: complex) -> Array:
         # directional derivative of J(tau) along the real direction v
@@ -364,7 +357,7 @@ class TorusFamily(Family):
         d2 = -self.J_at(sigma)[:, :, 0, 0] / t2
         d2[0, 1] += -2.0
         dj = v.real * d1 + v.imag * d2
-        return np.broadcast_to(dj[:, :, None, None], (2, 2) + self.grid.shape)
+        return dj[:, :, None, None]
 
     def g_exact(self, sigma: complex, v: complex) -> Array:
         r""":math:`G(V) = v\,\frac{i}{\pi}\,\partial_z\otimes\partial_z` for all
@@ -372,13 +365,12 @@ class TorusFamily(Family):
         t2 = sigma.imag
         dz = np.array([-np.conj(sigma), 1.0]) / (2j * t2)
         G = (1j / np.pi) * v * np.einsum("a,b->ab", dz, dz)
-        return np.broadcast_to(G[:, :, None, None], (2, 2) + self.grid.shape)
+        return G[:, :, None, None]
 
     def a_t_exact(self, sigma: complex, v: complex) -> Array:
         r""":math:`A_T(V) = -v\,\tfrac{i}{4\operatorname{Im}\tau}`, constant over M
-        (a read-only zero-stride broadcast, like ``vj_exact`` and ``g_exact``)."""
-        a_t = np.full((), -1j * v / (4.0 * sigma.imag), dtype=complex)
-        return np.broadcast_to(a_t, self.grid.shape)
+        (held at one node, like ``vj_exact`` and ``g_exact``)."""
+        return np.full((1, 1), -1j * v / (4.0 * sigma.imag), dtype=complex)
 
 
 class ChartFamily(Family):
@@ -408,11 +400,11 @@ class ChartFamily(Family):
         return self._mu_at(complex(sigma))
 
     def J_at(self, sigma: complex) -> Array:
-        return nodewise(j_from_mu, self.mu(sigma))
+        return j_from_mu(self.mu(sigma))
 
     def dw_at(self, sigma: complex) -> Array:
         wz, wzb = self._w_at(complex(sigma))
-        return nodewise(lambda a, b: np.stack([a + b, 1j * (a - b)]), wz, wzb)
+        return np.stack([wz + wzb, 1j * (wz - wzb)])
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +532,11 @@ def nonrigid_family(grid: ChartGrid) -> ChartFamily:
 
 def nonholo_family(grid: ChartGrid) -> ChartFamily:
     """Adversarial family depending on Re(sigma) only: not holomorphic.  Its
-    ``mu`` is constant over the grid, so it is handed back as a read-only
-    zero-stride broadcast of one node, and every member is flat."""
+    ``mu`` is constant over the grid, so it is handed back at one node, with
+    grid axes ``(1, 1)``, and every member is flat."""
 
     def constant(c: float) -> Array:
-        return np.broadcast_to(c * np.ones((1, 1), dtype=complex), grid.shape)
+        return c * np.ones((1, 1), dtype=complex)
 
     def mu_at(sigma: complex) -> Array:
         return constant(sigma.real * (DEFAULT_OMEGA0 / 4.0))
@@ -565,11 +557,10 @@ def step_for(sigma: complex, eps: float) -> float:
 
 
 def dir_deriv(fieldfn: Callable[[complex], Array], sigma: complex, v: complex, eps: float) -> Array:
-    """Central difference along the real parameter direction ``v``.  Of two
-    one-node broadcasts (fields of flat members) it is taken at the node and
-    handed back as a read-only broadcast (:func:`nodewise`)."""
+    """Central difference along the real parameter direction ``v``; of two
+    one-node fields (those of flat members) it is one node too."""
     e = step_for(sigma, eps)
-    return nodewise(lambda a, b: (a - b) / (2.0 * e), fieldfn(sigma + e * v), fieldfn(sigma - e * v))
+    return (fieldfn(sigma + e * v) - fieldfn(sigma - e * v)) / (2.0 * e)
 
 
 def v_parts(
@@ -639,7 +630,7 @@ def variation(
     Gt, G = variation_tensors(st, VJ)
     mask = st.grid.interior()
 
-    anti = max_norm(nodewise(lambda a, J: mat_mul(a, J) + mat_mul(J, a), VJ, st.J), mask)
+    anti = max_norm(mat_mul(VJ, st.J) + mat_mul(st.J, VJ), mask)
     sym = max_norm(Gt - np.einsum("ab...->ba...", Gt), mask)
 
     # holomorphy gate: the (1,0) parameter part of V[J] must map (0,1) to (1,0)

@@ -20,13 +20,20 @@ the one routine that needs it, ``geometry.cov_deriv``, takes it as an
 argument.  Complex structures, projectors, metrics and two-forms are
 rank-2 fields of this kind; all contractions are plain ``einsum`` calls
 over the leading index axes.
+
+A field constant over the grid (every field of a flat member) is held at
+one node, with grid axes ``(1, 1)``, and pointwise algebra broadcasts it
+against full fields.  The derivatives, :func:`max_norm` over a mask and the
+masked sups downstream broadcast it to the grid first: they differentiate
+it as its full-grid copy, with the same bits (the derivative of a constant
+is rounding noise, not zero, at an odd torus grid and on the chart).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -68,7 +75,8 @@ class TorusGrid:
         of the dtype of ``f``, written into ``out`` when given (an array of
         the shape and dtype of ``f``, not overlapping it).  A real ``f`` takes
         ``rfft``/``irfft``, which drops the derivative of the real Nyquist
-        mode (even ``n``): it is 0."""
+        mode (even ``n``): it is 0.  A one-node ``f`` is broadcast to the grid."""
+        f = np.broadcast_to(f, f.shape[:-2] + self.shape)
         real = not np.iscomplexobj(f)
         fh = np.fft.rfft(f, axis=axis) if real else np.fft.fft(f, axis=axis, out=out)
         fh *= self._ik[: fh.shape[axis]].reshape((-1,) + (1,) * (fh.ndim - 1 - axis % fh.ndim))
@@ -124,7 +132,9 @@ class ChartGrid:
         the dtype of ``f``, written into ``out`` when given (as for
         :meth:`TorusGrid.deriv`).  Both dtypes scale by ``1/12`` and ``1/h``
         as multiplications, so a real ``f`` gives the real part of the
-        complex stencil of ``f`` bit for bit."""
+        complex stencil of ``f`` bit for bit.  A one-node ``f`` is broadcast
+        to the grid."""
+        f = np.broadcast_to(f, f.shape[:-2] + self.shape)
 
         def at(s) -> tuple:  # index ``s`` along ``axis``
             return (slice(None),) * (axis % f.ndim) + (s,)
@@ -186,31 +196,13 @@ def proj_anti(J: Array) -> Array:
     return 0.5 * (identity_like(J) + 1j * J)
 
 
-def grid_node(f: Array) -> Array:
-    """``f`` at one node, ``f[..., :1, :1]``, when it is a zero-stride
-    broadcast over the grid (its last two axes), as the fields of a flat
-    member are; else ``f`` itself."""
-    return f[..., :1, :1] if f.strides[-2:] == (0, 0) else f
-
-
-def nodewise(fn: Callable[..., Array], *fs: Array) -> Array:
-    """``fn(*fs)`` for a pointwise map ``fn``.  When every ``f`` is a
-    zero-stride broadcast (:func:`grid_node`), ``fn`` is applied at one node
-    and the result is a read-only broadcast of the grid shape."""
-    nodes = [grid_node(f) for f in fs]
-    if any(node is f for node, f in zip(nodes, fs)):
-        return fn(*fs)
-    val = fn(*nodes)
-    return np.broadcast_to(val, val.shape[:-2] + fs[0].shape[-2:])
-
-
 def max_norm(f: Array, mask: Array | None = None, out: Array | None = None) -> float:
-    """Max absolute value, optionally restricted to a boolean grid mask; the
-    magnitudes are written into ``out`` when given (a float array of the
-    shape of ``f``)."""
+    """Max absolute value, optionally restricted to a boolean grid mask (a
+    one-node ``f`` is broadcast to its shape); the magnitudes are written
+    into ``out`` when given (a float array of the shape of ``f``)."""
     a = np.abs(np.asarray(f), out=out)
     if mask is not None:
         # collapse leading tensor axes, mask the grid axes
-        a = a.reshape((-1,) + a.shape[-2:])
+        a = np.broadcast_to(a, a.shape[:-2] + mask.shape).reshape((-1,) + mask.shape)
         return float(np.max(a[:, mask])) if a.size else 0.0
     return float(np.max(a))

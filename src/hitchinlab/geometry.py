@@ -19,9 +19,9 @@ and differential constructions downstream code needs:
 A ``families.KahlerState`` calls :func:`christoffel` and :func:`ricci_form`
 when its ``gamma`` or ``rho`` is first read, and only for a structure held
 on the full grid: the family's representation decides, and a structure
-handed back as a one-node broadcast (every flat-torus member) gets exact
-zeros without a derivative, so no torus row exercises the symbols or the
-curvature here.
+handed back at one node, of grid axes ``(1, 1)`` (every flat-torus member),
+gets exact zeros without a derivative, so no torus row exercises the
+symbols or the curvature here.
 
 Curvature conventions: :math:`R(X,Y)Z = \nabla_X\nabla_Y Z
 - \nabla_Y\nabla_X Z - \nabla_{[X,Y]}Z` and
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Array, Grid, grad, grid_node
+from .fields import Array, Grid, grad
 
 # ---------------------------------------------------------------------------
 # pointwise algebra
@@ -138,7 +138,6 @@ def cov_deriv(grid: Grid, gamma: Array, comps: Array, variance: str) -> Array:
 
 def symbol_contraction(subscripts: str, gamma: Array, comps: Array) -> Array | None:
     """``np.einsum(subscripts, gamma, comps)``, or None for symbols of exact
-    zeros (every flat member), whose contraction would add exact zeros; a
-    NaN in ``gamma`` still takes it.  Symbols held as a zero-stride
-    broadcast (a flat member's) are tested at one node."""
-    return np.einsum(subscripts, gamma, comps) if grid_node(gamma).any() else None
+    zeros (every flat member's, held at one node), whose contraction would
+    add exact zeros; a NaN in ``gamma`` still takes it."""
+    return np.einsum(subscripts, gamma, comps) if gamma.any() else None

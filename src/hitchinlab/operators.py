@@ -65,7 +65,7 @@ from .bundle import (
     sec_grad,
 )
 from .families import Family, KahlerState, d_holo, dir_deriv, v_parts, variation_tensors, vj_of
-from .fields import Array, ChartGrid, grad, grid_node, mat_mul, max_norm, nodewise
+from .fields import Array, ChartGrid, grad, mat_mul, max_norm
 from .geometry import cov_deriv, symbol_contraction
 
 # ---------------------------------------------------------------------------
@@ -111,10 +111,11 @@ def trace_nabla_endo(st: KahlerState, T: Array) -> Array:
 def _section_sups(err: Array, scale: Array, mask: Array, batch: tuple = ()) -> tuple[Array, Array]:
     """Sups of ``err`` and of ``scale`` over ``mask``, one pair per section of
     a batch of shape ``batch`` (``()``: one section or field); ``err`` and
-    ``scale`` may carry tensor axes before the batch axes."""
+    ``scale`` may carry tensor axes before the batch axes, and a one-node
+    field is broadcast to the grid."""
 
     def sups(x: Array) -> Array:
-        a = np.abs(x)[..., mask]
+        a = np.broadcast_to(np.abs(x), x.shape[:-2] + mask.shape)[..., mask]
         return a.reshape((-1,) + batch + a.shape[-1:]).max(axis=(0, -1))
 
     return sups(err), sups(scale)
@@ -171,11 +172,11 @@ def H_of(st: KahlerState, G: Array, F: Array, flip: str | None = None) -> Array:
 
     With ``n = 0`` every term carries :math:`\partial F`, so a vanishing
     ``F`` (the normalized torus potential) gives exact zeros without a
-    derivative, as a read-only zero-stride broadcast; a NaN in ``F`` still
-    takes the full formula.
+    derivative, held at one node; a NaN in ``F`` still takes the full
+    formula.
     """
-    if not grid_node(F).any():
-        return np.broadcast_to(np.zeros((), dtype=complex), st.grid.shape)
+    if not F.any():
+        return np.zeros((1, 1), dtype=complex)
     pF = dF_holo(st, F)
     quad = np.einsum("a...,ab...,b...->...", pF, G, pF)
     GdF = np.einsum("ab...,b...->a...", G, pF)
@@ -412,7 +413,7 @@ def eq_transfer_residual(
     lhs = form_anti(st, sec_grad(bd, delta_G(bd, G, s)))
     t1 = -2j * k * np.einsum("ab...,bc...,c...->a...", st.omega, G, sec_grad(bd, s))
     t2 = _times_potential(1j * k * np.einsum("b...,ba...->a...", trace_nabla(st, G), st.omega), s)
-    t3 = _times_potential(-0.5j * trace_nabla_endo(st, nodewise(mat_mul, G, st.rho)), s)
+    t3 = _times_potential(-0.5j * trace_nabla_endo(st, mat_mul(G, st.rho)), s)
     if flip == "omega":
         t1 = -t1
     if flip == "trace":
@@ -452,7 +453,7 @@ def potential_oneform_residual(
     G = G_of(family, sigma, v, eps)
     H = H_of(st, G, st.F, flip)
     lhs = form_anti(st, grad(st.grid, H))
-    rhs = 0.5j * trace_nabla_endo(st, nodewise(mat_mul, G, st.rho))
+    rhs = 0.5j * trace_nabla_endo(st, mat_mul(G, st.rho))
     return _section_sups(lhs - rhs, G, st.grid.interior())
 
 
@@ -468,7 +469,7 @@ def metric_variation_residual(family: Family, sigma: complex, v: complex, eps: f
     st = family.state(sigma)
     vg = dir_deriv(lambda s: family.state(s).g, sigma, v, eps)
     VJ = vj_of(family, sigma, v, eps)
-    rhs = nodewise(mat_mul, st.omega, VJ)
+    rhs = mat_mul(st.omega, VJ)
     return _section_sups(vg - rhs, rhs, st.grid.interior())
 
 
@@ -482,7 +483,7 @@ def levicivita_variation_residual(family: Family, sigma: complex, v: complex, ep
     """
     st = family.state(sigma)
     vgamma = dir_deriv(lambda s: family.state(s).gamma, sigma, v, eps)
-    lhs = nodewise(lambda g, vG: np.einsum("cd...,dab...->abc...", g, vG), st.g, vgamma)
+    lhs = np.einsum("cd...,dab...->abc...", st.g, vgamma)
     vg = dir_deriv(lambda s: family.state(s).g, sigma, v, eps)
     D = cov_deriv(st.grid, st.gamma, vg, "dd")
     rhs = 0.5 * (
@@ -539,7 +540,7 @@ def frame_curvature_data(family: Family, sigma: complex, eps: float) -> tuple[Ar
         # endomorphism E(s) with nabla_d (P Y0) = E(s) Y0 for constant Y0
         P = family.state(s).P
         dP = dir_deriv(proj, s, d, eps)
-        return nodewise(mat_mul, P, dP)
+        return mat_mul(P, dP)
 
     P0 = st.P
     # nabla_1(nabla_2 (P Y0)) = P d1[A_2] Y0 for constant Y0, so
@@ -548,11 +549,9 @@ def frame_curvature_data(family: Family, sigma: complex, eps: float) -> tuple[Ar
     dA1 = dir_deriv(lambda s: covP(s, 1.0), sigma, 1j, eps)
     R = np.einsum("ab...,bc...,cd...->ad...", P0, dA2 - dA1, P0)
 
-    def target_of(P: Array, d1J: Array, d2J: Array) -> Array:
-        commJ = mat_mul(d1J, d2J) - mat_mul(d2J, d1J)
-        return -0.25 * np.einsum("ab...,bc...,cd...->ad...", P, commJ, P)
-
-    target = nodewise(target_of, P0, vj_of(family, sigma, 1.0, eps), vj_of(family, sigma, 1j, eps))
+    d1J, d2J = vj_of(family, sigma, 1.0, eps), vj_of(family, sigma, 1j, eps)
+    commJ = mat_mul(d1J, d2J) - mat_mul(d2J, d1J)
+    target = -0.25 * np.einsum("ab...,bc...,cd...->ad...", P0, commJ, P0)
     return (R, *_section_sups(R - target, target, st.grid.interior()))
 
 
@@ -562,13 +561,10 @@ def param_commutator_curvature(family: Family, sigma: complex, eps: float) -> Ar
     curvature on the half-form factor (field over M), from the closed-form
     structure derivatives when the family has them."""
 
-    def trace(P: Array, d1J: Array, d2J: Array) -> Array:
-        commJ = mat_mul(d1J, d2J) - mat_mul(d2J, d1J)
-        return 0.125 * np.einsum("ab...,ba...->...", P, commJ)
-
     d1J = vj_of(family, sigma, 1.0, eps, family.closed_form)
     d2J = vj_of(family, sigma, 1j, eps, family.closed_form)
-    return nodewise(trace, family.state(sigma).P, d1J, d2J)
+    commJ = mat_mul(d1J, d2J) - mat_mul(d2J, d1J)
+    return 0.125 * np.einsum("ab...,ba...->...", family.state(sigma).P, commJ)
 
 
 # ---------------------------------------------------------------------------

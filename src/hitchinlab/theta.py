@@ -279,8 +279,8 @@ class TransportResult:
 def as_path(path) -> Callable[[float], complex]:
     """Normalize a waypoint sequence to a piecewise-linear path callable.
 
-    Every waypoint must lie in the upper half plane; the straight segments
-    between them then do too.
+    Every waypoint must be finite and lie in the upper half plane; the
+    straight segments between them then do too.
     """
     if callable(path):
         return path
@@ -288,8 +288,8 @@ def as_path(path) -> Callable[[float], complex]:
     if len(pts) < 2:
         raise ValueError("a path needs at least two waypoints")
     for p in pts:
-        if not p.imag > 0:
-            raise ValueError(f"a path needs Im tau > 0 at every waypoint, got {p}")
+        if not (np.isfinite(p) and p.imag > 0):
+            raise ValueError(f"a path needs a finite tau with Im tau > 0 at every waypoint, got {p}")
     segs = len(pts) - 1
 
     def fn(t: float) -> complex:

@@ -291,6 +291,16 @@ def test_basis_subcommand_is_gone(capsys):
         (["verify", "--config", "{headless_ini}"], "no section headers"),
         (["verify", "--grid", "abc"], "argument --grid: invalid int value: 'abc'"),
         (["sweep", "--grids", "64,x"], "argument --grids: invalid int list value: '64,x'"),
+        (["verify", "--config", "{eps_inf_ini}"], "eps must be positive and finite, got inf"),
+        (["sweep", "--eps-pair", "inf,0.05"], "eps must be positive and finite, got inf"),
+        (["verify", "--config", "{taus_nan_ini}"], "taus must be finite with Im tau > 0, got [(nan+1j)]"),
+        (["verify", "--config", "{taus_inf_ini}"], "taus must be finite with Im tau > 0, got [(inf+1j)]"),
+        (["verify", "--config", "{sigma_nan_ini}"], "sigma must be finite, got (nan+0j)"),
+        (["transport", "--path", "nan+1j,1+1j"], "a finite tau with Im tau > 0 at every waypoint"),
+        (
+            ["transport", "--path", "nan+1j,1+1j", "--loop-radius", "0.5"],
+            "a finite tau with Im tau > 0 at every waypoint",
+        ),
     ],
     ids=[
         "verify_lower_half_plane",
@@ -326,6 +336,13 @@ def test_basis_subcommand_is_gone(capsys):
         "verify_ini_no_section_header",
         "verify_flag_grid_not_int",
         "sweep_flag_grids_not_int",
+        "verify_ini_eps_inf",
+        "sweep_eps_inf",
+        "verify_ini_taus_nan",
+        "verify_ini_taus_inf",
+        "verify_ini_sigma_nan",
+        "transport_path_nan",
+        "transport_path_nan_with_loop",
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):
@@ -337,6 +354,10 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):
         "headless_ini": "grid = 32\n",
         "levels_ini": "[run]\nlevels = 0\n",
         "jobs_ini": "[run]\njobs = -2\n",
+        "eps_inf_ini": "[run]\neps = inf\n",
+        "taus_nan_ini": "[run]\ntaus = nan+1j\n",
+        "taus_inf_ini": "[run]\ntaus = inf+1j\n",
+        "sigma_nan_ini": "[run]\nsigma = nan+0j\n",
     }
     paths = {"missing_ini": tmp_path / "missing.ini"}
     for name, text in files.items():

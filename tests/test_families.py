@@ -55,6 +55,17 @@ def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _one_node_as(a, full) -> bool:
+    """``a`` is held at one node, and broadcast to the grid it is ``full``
+    bit for bit."""
+    return a.shape[-2:] == (1, 1) and _same_bits(np.broadcast_to(a, full.shape), full)
+
+
+def _grid_copy(a, grid):
+    """A contiguous full-grid copy of the one-node field ``a``."""
+    return np.array(np.broadcast_to(a, a.shape[:-2] + grid.shape))
+
+
 def test_state_ricci_form_reuses_christoffel(chart48):
     """A curved chart member's symbols, Ricci form and half-form potential
     are those of the full formulas, bit for bit."""
@@ -77,22 +88,24 @@ def test_torus_state_takes_no_derivative(monkeypatch):
     for tau in TAUS:
         st = make_state(fam, tau)
         a_d = halfform_potential(st)
-        assert st.gamma.shape == (2, 2, 2, 32, 32) and st.gamma.dtype == np.float64
-        assert st.rho.shape == (2, 2, 32, 32) and st.rho.dtype == np.float64
-        assert a_d.shape == (2, 32, 32) and a_d.dtype == np.complex128
+        assert st.gamma.shape == (2, 2, 2, 1, 1) and st.gamma.dtype == np.float64
+        assert st.rho.shape == (2, 2, 1, 1) and st.rho.dtype == np.float64
+        assert a_d.shape == (2, 1, 1) and a_d.dtype == np.complex128
         assert not st.gamma.any() and not st.rho.any() and not a_d.any()
 
 
 @pytest.mark.parametrize("n", [32, 64])
 def test_torus_closed_form_equals_the_full_formulas(n):
     """At even grids the spectral derivatives of the constant torus metric and
-    frame are exact zeros, so the closed form changes no bit."""
+    frame are exact zeros, so the closed form, held at one node, changes no
+    bit of the full-grid formulas."""
     fam = families.TorusFamily(TorusGrid(n))
     for tau in TAUS:
         st = make_state(fam, tau)
         gamma, rho, a_d = _spectral_geometry(st)
-        assert _same_bits(st.gamma, gamma) and _same_bits(st.rho, rho)
-        assert _same_bits(halfform_potential(st), a_d)
+        assert gamma.shape[-2:] == (n, n)
+        assert _one_node_as(st.gamma, gamma) and _one_node_as(st.rho, rho)
+        assert _one_node_as(halfform_potential(st), a_d)
 
 
 def test_torus_closed_form_at_an_odd_grid():
@@ -113,7 +126,7 @@ def _full_grid_fields(fam, sigma) -> dict:
     """Every field of the member at ``sigma`` by the full-grid formulas of a
     constant metric, from contiguous grid copies of ``J_at`` and ``dw_at``:
     the reference for the one-node fields of a flat member."""
-    J, dw = np.array(fam.J_at(sigma)), np.array(fam.dw_at(sigma))
+    J, dw = _grid_copy(fam.J_at(sigma), fam.grid), _grid_copy(fam.dw_at(sigma), fam.grid)
     omega = make_omega(fam.grid.shape, fam.omega0)
     g = compatible_metric(omega, J)
     E = families._holo_vector(dw)
@@ -135,45 +148,44 @@ def test_flat_state_equals_the_full_grid_formulas(n, tau):
     st = make_state(fam, tau)
     ref = _full_grid_fields(fam, tau)
     for name in FIELDS:
-        assert _same_bits(getattr(st, name), ref[name]), name
-    assert _same_bits(st.P, proj_holo(ref["J"])) and _same_bits(st.Q, proj_anti(ref["J"]))
-    assert _same_bits(halfform_potential(st), np.zeros((2, n, n), dtype=complex))
+        assert _one_node_as(getattr(st, name), ref[name]), name
+    assert _one_node_as(st.P, proj_holo(ref["J"])) and _one_node_as(st.Q, proj_anti(ref["J"]))
+    assert _one_node_as(halfform_potential(st), np.zeros((2, n, n), dtype=complex))
 
 
 def test_flat_chart_member_equals_the_full_grid_formulas():
     """The family's representation decides the flat branch: the adversarial
-    chart family of constant ``mu`` hands back one-node broadcasts, so it is
+    chart family of constant ``mu`` hands back one-node fields, so it is
     flat too, and its Ricci potential ``F = -1/2 log h_w``, taken at one
     node, equals the full-grid formula bit for bit."""
     fam = nonholo_family(ChartGrid(24))
     for sigma in (0.0, 0.1 + 0.05j, -0.07 + 0.2j):
         st = make_state(fam, sigma)
-        assert st.F.strides[-2:] == (0, 0)
+        assert st.F.shape[-2:] == (1, 1)
         ref = _full_grid_fields(fam, sigma)
         for name in FIELDS:
-            assert _same_bits(getattr(st, name), ref[name]), name
+            assert _one_node_as(getattr(st, name), ref[name]), name
 
 
 def test_flat_state_fields_are_read_only_broadcasts():
+    """A flat member holds every field, its projectors and its half-form
+    potential at one node, with grid axes ``(1, 1)``."""
     fam = families.TorusFamily(TorusGrid(32))
     st = make_state(fam, 1 + 1j)
     for name in FIELDS + ("P", "Q"):
         a = getattr(st, name)
-        assert a.shape[-2:] == (32, 32) and a.strides[-2:] == (0, 0), name
-        assert not a.flags.writeable, name
+        assert a.shape[-2:] == (1, 1), name
     a_d = halfform_potential(st)
-    assert a_d.strides[-2:] == (0, 0) and not a_d.flags.writeable
+    assert a_d.shape[-2:] == (1, 1)
 
 
 def test_torus_family_hands_back_one_node():
-    """``J_at`` and ``dw_at`` of the torus are read-only zero-stride broadcasts
-    of one node, so a member is built without a grid-sized array: one state
-    at 256x256 peaks below 64 KiB of traced allocations (a full-grid ``J``
-    alone is 2 MiB)."""
+    """``J_at`` and ``dw_at`` of the torus are held at one node, so a member
+    is built without a grid-sized array: one state at 256x256 peaks below
+    64 KiB of traced allocations (a full-grid ``J`` alone is 2 MiB)."""
     fam = families.TorusFamily(TorusGrid(256))
     for a in (fam.J_at(1 + 1j), fam.dw_at(1 + 1j)):
-        assert a.shape[-2:] == (256, 256) and a.strides[-2:] == (0, 0)
-        assert not a.flags.writeable
+        assert a.shape[-2:] == (1, 1)
     make_state(fam, 1j)
     tracemalloc.start()
     try:
@@ -197,7 +209,7 @@ def test_chart_state_keeps_full_writable_arrays(chart48):
 def test_chart_state_builds_symbols_on_first_read(monkeypatch, chart48):
     """A chart member builds its symbols and Ricci form when they are first
     read, each once, and the Ricci form reuses the symbols.  (A flat member's
-    are zero broadcasts without a derivative: the torus tests above.)"""
+    are zeros held at one node, without a derivative: the torus tests above.)"""
     calls = []
     for name in ("christoffel", "ricci_form"):
 
@@ -270,19 +282,19 @@ def test_chart_state_holds_no_symbols_until_read():
 
 def test_dir_deriv_of_flat_members_is_one_node():
     """Between two flat members the difference quotient is taken at one node
-    and broadcast read-only; between chart members it is a full array.  Both
-    equal the full-grid quotient bit for bit."""
+    and held there; between chart members it is a full array.  Both equal
+    the full-grid quotient bit for bit."""
     torus = families.TorusFamily(TorusGrid(32))
     chart = chart_family(32)
     for fam, sigma, flat in ((torus, 0.5 + 0.8j, True), (chart, 0.1 + 0.05j, False)):
         for fieldfn in (fam.J_at, fam.dw_at, lambda s: fam.state(s).F):
             for v in (1.0, 1j):
                 e = step_for(sigma, EPS)
-                ref = (np.array(fieldfn(sigma + e * v)) - np.array(fieldfn(sigma - e * v))) / (2.0 * e)
+                plus, minus = (_grid_copy(fieldfn(sigma + d * v), fam.grid) for d in (e, -e))
+                ref = (plus - minus) / (2.0 * e)
                 got = dir_deriv(fieldfn, sigma, v, EPS)
-                assert _same_bits(np.array(got), ref)
-                assert (got.strides[-2:] == (0, 0)) == flat
-                assert got.flags.writeable != flat
+                assert _same_bits(np.broadcast_to(got, ref.shape), ref)
+                assert (got.shape[-2:] == (1, 1)) == flat
 
 
 def test_torus_structure_squares_to_minus_one(torus32):

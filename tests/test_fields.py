@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hitchinlab.catalog import _spread
 from hitchinlab.families import j_from_mu
 from hitchinlab.fields import (
     ChartGrid,
     TorusGrid,
+    grad,
     identity_like,
     mat_mul,
     max_norm,
     proj_anti,
     proj_holo,
 )
+from hitchinlab.operators import _section_sups
 
 
 def test_torus_spectral_derivative_exact():
@@ -103,6 +106,35 @@ def test_max_norm_mask():
     mask[0, 0] = False
     assert max_norm(a) == 5.0
     assert max_norm(a, mask) == 0.0
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(32), TorusGrid(33), ChartGrid(24)], ids=repr)
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_grid_entry_points_broadcast_a_one_node_field(grid, dtype):
+    """A one-node field, grid axes ``(1, 1)``, gives at each entry point that
+    needs the grid the bits of its full-grid copy: the derivatives
+    differentiate the broadcast (at an odd torus grid and on the chart the
+    derivative of a constant is rounding noise, not zero), and the masked
+    sups and the spread see every node."""
+    rng = np.random.default_rng(7)
+    node = rng.standard_normal((2, 2, 1, 1)) + 0.5
+    if dtype is complex:
+        node = node + 1j * rng.standard_normal(node.shape)
+    full = np.array(np.broadcast_to(node, (2, 2) + grid.shape))
+    mask = grid.interior()
+    for axis in (-2, -1):
+        assert _same_bits(grid.deriv(node, axis), grid.deriv(full, axis))
+        out = np.empty(full.shape, dtype=full.dtype)
+        assert _same_bits(grid.deriv(node, axis, out=out), grid.deriv(full, axis))
+    assert _same_bits(grad(grid, node), grad(grid, full))
+    assert max_norm(node, mask) == max_norm(full, mask)
+    for a, b in zip(_section_sups(node, 2 * node, mask), _section_sups(full, 2 * full, mask)):
+        assert _same_bits(a, b)
+    assert _spread(node[0, 1], mask) == _spread(full[0, 1], mask)
 
 
 @st.composite

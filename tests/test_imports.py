@@ -1,6 +1,7 @@
 """Static checks: every name a module imports is used in that module,
-every name a function binds is read in that function, and every parameter
-of a program function is read in it.
+every name a function binds is read in that function, every parameter
+of a program function is read in it, and every top-level function and
+class of the program is referenced by the program.
 
 The checks walk each file's syntax tree, so they need no linter.  An
 imported name counts as used when it appears as a name anywhere in the
@@ -218,3 +219,48 @@ def test_one_floor_divides_the_residuals():
         "bundle.py": [],
         "operators.py": ["chart_sections", "torus_sections"],
     }
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """The top-level functions and classes of the modules ``sources`` (name to
+    text) that no code of the modules references, with their module.
+
+    A reference is a name, an attribute or an imported name equal to the
+    definition's, outside the definition itself; a docstring mention is not
+    one.  Names are matched across modules, as the program imports them.
+    """
+    defined: list[tuple[str, str]] = []
+    refs: dict[str, set[tuple[str, str]]] = {}
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = (module, getattr(top, "name", "<module>"))
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(owner)
+            for n in ast.walk(top):
+                if isinstance(n, ast.Name):
+                    names = [n.id]
+                elif isinstance(n, ast.Attribute):
+                    names = [n.attr]
+                elif isinstance(n, ast.ImportFrom):
+                    names = [alias.name for alias in n.names]
+                else:
+                    continue
+                for name in names:
+                    refs.setdefault(name, set()).add(owner)
+    return [
+        f"{module}: {name}"
+        for module, name in defined
+        if not refs.get(name, set()) - {(module, name)}
+    ]
+
+
+def test_every_definition_is_referenced():
+    # the check itself sees a recursive function nothing else calls, a class
+    # named only in a docstring, and references by name, attribute and import
+    snippet = {
+        "a": 'def f(n):\n    return f(n - 1)\n\nclass C:\n    """Not D."""\n\nclass D:\n    pass\n',
+        "b": "from a import C\nimport a\n\ndef g():\n    return a.D, C\n\nh = g\n",
+    }
+    assert unreferenced_definitions(snippet) == ["a: f"]
+    found = unreferenced_definitions({path.stem: path.read_text() for path in SRC})
+    assert found == []

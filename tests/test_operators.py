@@ -73,7 +73,7 @@ def test_H_of_takes_no_derivative_of_a_vanishing_potential(torus32, monkeypatch)
     monkeypatch.setattr(TorusGrid, "deriv", no_deriv)
     for flip in (None, "quad", "div"):
         H = H_of(st, G, st.F, flip)
-        assert H.dtype == complex and H.shape == st.grid.shape
+        assert H.dtype == complex and H.shape[-2:] == (1, 1)
         assert not H.any()
 
 
