@@ -37,6 +37,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -67,6 +68,7 @@ from .families import (
 )
 from .fields import Array, ChartGrid, TorusGrid, max_norm
 from .operators import (
+    Point,
     TestSections,
     chart_sections,
     connection_agreement_residual,
@@ -245,7 +247,11 @@ class Case:
     """One point of a row's case axes; unused axes stay ``None`` (level 0).
 
     ``eps`` is the run's plain parameter step (`families.step_for` scales it
-    at the parameter) and ``flip`` the mutation flip of the case's row."""
+    at the parameter) and ``flip`` the mutation flip of the case's row.
+    ``point`` holds the ingredients of u(V) at the case (`operators.Point`),
+    built on first read and shared by every identity evaluated on this
+    case: a catalog row evaluates one, a sweep step all four of its
+    identities.  It has no key and lives and dies with the case."""
 
     env: Env
     backend: str
@@ -264,6 +270,10 @@ class Case:
     @property
     def mask(self) -> Array:
         return self.fam.grid.interior()
+
+    @cached_property
+    def point(self) -> Point:
+        return Point(self.fam, self.p, self.v, self.eps, self.bd, self.s)
 
 
 def case_ratio(err, scale) -> Array:
@@ -364,11 +374,6 @@ def _reduction(c: Case, which: str) -> tuple[tuple[float, ...], tuple[float, ...
 def _frame_comparison(c: Case, which: str = "ricci") -> tuple[tuple[float, float], float]:
     Ff = potential_fn(c.fam, which)
     return frame_comparison_residuals(c.fam, Ff, c.p, c.v, c.eps), 1.0
-
-
-def _connection_agreement(c: Case, which: str = "ricci") -> tuple[Array, Array]:
-    Ff = potential_fn(c.fam, which)
-    return connection_agreement_residual(c.fam, Ff, c.bd, c.v, c.s, c.eps)
 
 
 def _gram_rank(c: Case) -> tuple[list[float], list[float]]:
@@ -525,11 +530,11 @@ ROWS: dict[str, Row] = {
         Row("halfform_trace", {TORUS: 1e-6, CHART: 10.0}, "p", _halfform_trace),
         Row(
             "potential_variation", {TORUS: 1e-8, CHART: 1.0}, "pv",
-            lambda c: potential_variation_residual(c.fam, c.p, c.v, c.eps),
+            lambda c: potential_variation_residual(c.point),
         ),
         Row(
             "potential_oneform", {TORUS: 1e-8, CHART: 10.0}, "pv",
-            lambda c: potential_oneform_residual(c.fam, c.p, c.v, c.eps, flip=c.flip),
+            lambda c: potential_oneform_residual(c.point, flip=c.flip),
         ),
         Row(
             "potential_constancy", {TORUS: 1e-8, CHART: 10.0}, "p",
@@ -562,17 +567,17 @@ ROWS: dict[str, Row] = {
         ),
         Row(
             "defining_equation", {TORUS: 1e-8, CHART: 60.0}, "pkvs",
-            lambda c: eq_defining_residual(c.fam, c.bd, c.v, c.s, c.eps, flip=c.flip),
+            lambda c: eq_defining_residual(c.point, flip=c.flip),
             k_cubic=True,
         ),
         Row(
             "holomorphy_transfer", {TORUS: 1e-8, CHART: 300.0}, "pkvs",
-            lambda c: eq_transfer_residual(c.fam, c.bd, c.v, c.s, c.eps, flip=c.flip),
+            lambda c: eq_transfer_residual(c.point, flip=c.flip),
             k_cubic=True,
         ),
         Row(
             "divergence_closedness", {TORUS: 1e-8, CHART: 8000.0}, "pvs",
-            lambda c: eq_transfer_residual(c.fam, c.bd, c.v, c.s, c.eps),
+            lambda c: eq_transfer_residual(c.point),
         ),
         Row(
             "frame_comparison", {TORUS: 1e-8, CHART: 1.0}, "pv", _frame_comparison,
@@ -589,13 +594,11 @@ ROWS: dict[str, Row] = {
         ),
         Row(
             "operator_pullback", {TORUS: 1e-8, CHART: 10.0}, "pkvf",
-            lambda c: operator_pullback_residual(
-                c.fam, potential_fn(c.fam, "ricci"), c.bd, c.v, c.s, c.eps, flip=c.flip
-            ),
+            lambda c: operator_pullback_residual(c.point, flip=c.flip),
         ),
         Row(
             "connection_agreement", {TORUS: 1e-8, CHART: 10.0}, "pkvf",
-            _connection_agreement,
+            lambda c: connection_agreement_residual(c.point),
             fails=(TORUS,),
             note=(
                 "same obstruction as frame_comparison: with the flat potential the "
@@ -605,7 +608,7 @@ ROWS: dict[str, Row] = {
         ),
         Row(
             "connection_agreement_corrected", {TORUS: 5e-7}, "pkvf",
-            lambda c: _connection_agreement(c, "log-imtau"),
+            lambda c: connection_agreement_residual(c.point, "log-imtau"),
         ),
         Row(
             "basis_multiplier", {TORUS: 1e-8}, "pk",
@@ -750,13 +753,18 @@ def sweep_orders(
 ) -> list[dict]:
     r"""Measured convergence orders on the chart backend.
 
-    Each grid gets one `Env` and one `Case`, shared by every identity: the
-    base step on every grid, then each eps step of the pair on the finest
-    grid, as a copy of its case with that ``eps``, so the chart family is
-    kept.  Once a step's rows are evaluated the family forgets every state
-    but the centre member ``sigma`` (`Family.drop_states`): the neighbours
-    of a finished step are never read again, while the centre, whose
-    symbols every step reads, is built once per grid.
+    Each grid gets one `Env`, and each parameter step one `Case`, shared
+    by every identity: the base step on every grid, then each eps step of
+    the pair on the finest grid, on the same family, section and bundle
+    data.  The identities of a step therefore read one `Case.point`, whose
+    ``G(V)``, ``H(V)``, divergences, :math:`\nabla s`, plain
+    :math:`\Delta_{G(V)} s` and comparison multiplier are built once per
+    step (`operators.Point`); the point is freed with its case before the
+    next step builds its own.  Once a step's rows are evaluated the family
+    forgets every state but the centre member ``sigma``
+    (`Family.drop_states`): the neighbours of a finished step are never
+    read again, while the centre, whose symbols every step reads, is built
+    once per grid.
     The grid sweep keeps one *frozen* section (polynomial coefficients
     built once on the coarsest grid, re-evaluated exactly on the finer
     ones) so that the h-order is not masked by the section constructor
@@ -797,12 +805,14 @@ def sweep_orders(
         if coeff is None:  # the frozen section, from the coarsest grid
             coeff = env.sections("chart", sigma, k).coeff[0]
         s = section_on(env.chart().grid, coeff)
-        case = Case(env, "chart", eps, None, sigma, k, 1.0, s, bundle_data(env.chart(), sigma, k))
-        cases = [case] + [replace(case, eps=e) for e in (eps_pair if cfg is cfgs[-1] else ())]
-        for c in cases:
+        bd = bundle_data(env.chart(), sigma, k)
+        for e in (eps,) + (tuple(eps_pair) if cfg is cfgs[-1] else ()):
+            # one case per step, so one point: the identities share its
+            # ingredients, and rebinding ``c`` frees the last step's point
+            c = Case(env, "chart", e, None, sigma, k, 1.0, s, bd)
             res.append({i: float(case_ratio(*ROWS[i].residual(c))) for i in identities})
             env.chart().drop_states(keep=sigma)  # no later step reads this step's neighbours
-        del env, s, case, cases, c  # free this Env before the next one is built
+        del env, s, bd, c  # free this Env before the next one is built
     rows: list[dict] = []
     for identity in identities:
         r = [at[identity] for at in res]

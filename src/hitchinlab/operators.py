@@ -24,10 +24,11 @@ Ricci potential ``F``:
            - \operatorname{Tr}\tilde\nabla(G(V)\,\partial F),
 
 with ``n = 0`` throughout this lab (torus and planar chart).  Every term
-then carries :math:`\partial F`.  On the torus the normalized potential is
-``F = 0``, so :math:`H(V) \equiv 0` there and :func:`H_of` returns it
-without a derivative: the ``quad`` and ``div`` terms, and the mutation
-flips of either, act on the chart only.
+then carries :math:`\partial F`, and :func:`H_of` takes it in place of
+``F``.  On the torus the normalized potential is ``F = 0``, so
+:func:`dF_holo` and :func:`H_of` return :math:`\partial F = 0` and
+:math:`H(V) \equiv 0` there without a derivative: the ``quad`` and ``div``
+terms, and the mutation flips of either, act on the chart only.
 
 Every identity of the catalog is implemented as a *residual*: both sides
 are assembled through independent code paths (difference quotients in
@@ -37,20 +38,26 @@ error) and of a scale; the catalog divides them once (``case_ratio``).
 ``flip`` arguments implement the mutation self-test: flipping the sign of
 any single term must push the residual above its budget.
 
-Each ingredient of :math:`u(V)` has one derivation, built once per
-residual call and passed down: :func:`G_of` (the family's closed form,
-or the variation tensors of ``hitchinlab.families``), the bundle data of
-``(sigma, k)`` (``bundle.bundle_data``, built by the caller), :func:`H_of`
-from the state, ``G(V)`` and a potential field, and :func:`u_apply` from
-those.  The residuals take the closed forms of ``G(V)``, ``V[J]`` and
-``A_T(V)`` whenever the family has them (``Family.closed_form``).
-Section arguments may be one coefficient ``(n, n)`` or a batch
-``(..., n, n)``; the residuals then return one sup pair per section.
+Each ingredient of :math:`u(V)` has one derivation and is built once per
+case point: a :class:`Point` (member, direction, step, and for the
+section identities the bundle data of ``(sigma, k)`` and the test
+sections) builds ``V[J]``, :func:`G_of` (the family's closed form, or the
+variation tensors of ``hitchinlab.families``), :math:`\partial F`,
+:func:`H_of`, the divergences :math:`\operatorname{Tr}\tilde\nabla G(V)`
+and :math:`\operatorname{Tr}\tilde\nabla(G(V)\rho)`, :math:`\nabla s`,
+the plain :math:`\Delta_{G(V)} s` and the comparison multiplier on first
+read, and every identity evaluated at that point reads the same ones.
+:func:`u_apply` takes ``G(V)`` and ``H(V)`` from its caller.  The
+residuals take the closed forms of ``G(V)``, ``V[J]`` and ``A_T(V)``
+whenever the family has them (``Family.closed_form``).  Section arguments
+may be one coefficient ``(n, n)`` or a batch ``(..., n, n)``; the
+residuals then return one sup pair per section.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -73,13 +80,13 @@ from .geometry import cov_deriv, symbol_contraction
 # ---------------------------------------------------------------------------
 
 
-def G_of(family: Family, sigma: complex, v: complex, eps: float) -> Array:
-    """(2,0) variation tensor G(V) for the real parameter direction ``v``:
-    the family's closed form when it has one, else from the central
-    difference of ``J``."""
-    if family.closed_form:
-        return family.g_exact(sigma, v)
-    return variation_tensors(family.state(sigma), vj_of(family, sigma, v, eps))[1]
+def G_of(pt: Point) -> Array:
+    """(2,0) variation tensor G(V) at the point ``pt`` (read it as
+    ``pt.G``, built once): the family's closed form when it has one, else
+    the (2,0) part of the point's central difference of ``J``."""
+    if pt.family.closed_form:
+        return pt.family.g_exact(pt.sigma, pt.v)
+    return variation_tensors(pt.st, pt.VJ)[1]
 
 
 def form_anti(st: KahlerState, alpha: Array) -> Array:
@@ -92,7 +99,14 @@ def form_holo(st: KahlerState, alpha: Array) -> Array:
 
 
 def dF_holo(st: KahlerState, F: Array) -> Array:
-    """(1,0) part of dF for a potential field ``F`` on the state's surface."""
+    """(1,0) part of dF for a potential field ``F`` on the state's surface.
+
+    A vanishing ``F`` (the normalized torus potential) gives exact zeros
+    without a derivative, held at one node; a NaN in ``F`` still takes the
+    derivative.
+    """
+    if not F.any():
+        return np.zeros((2, 1, 1), dtype=complex)
     return form_holo(st, grad(st.grid, F))
 
 
@@ -164,20 +178,19 @@ def grad_along(bd: BundleData, X: Array, f: Array) -> Array:
     return np.einsum("a...,a...->...", X, sec_grad(bd, f))
 
 
-def H_of(st: KahlerState, G: Array, F: Array, flip: str | None = None) -> Array:
-    r"""Divergence potential :math:`H(V)` of ``G = G(V)`` and the potential
-    field ``F`` from the closed form above (``F = st.F`` in :math:`u(V)`;
-    the operator-pullback identity passes the reduction potential);
-    ``flip`` in {'quad', 'div'} negates one term.
+def H_of(st: KahlerState, G: Array, pF: Array, flip: str | None = None) -> Array:
+    r"""Divergence potential :math:`H(V)` of ``G = G(V)`` and
+    ``pF = dF_holo(st, F)``, the (1,0) part of the differential of the
+    potential ``F`` (the state's ``F`` in :math:`u(V)`), from the closed form
+    above; ``flip`` in {'quad', 'div'} negates one term.
 
     With ``n = 0`` every term carries :math:`\partial F`, so a vanishing
-    ``F`` (the normalized torus potential) gives exact zeros without a
-    derivative, held at one node; a NaN in ``F`` still takes the full
-    formula.
+    ``pF`` (that of the normalized torus potential) gives exact zeros
+    without a derivative, held at one node; a NaN in ``pF`` still takes the
+    full formula.
     """
-    if not F.any():
+    if not pF.any():
         return np.zeros((1, 1), dtype=complex)
-    pF = dF_holo(st, F)
     quad = np.einsum("a...,ab...,b...->...", pF, G, pF)
     GdF = np.einsum("ab...,b...->a...", G, pF)
     div = np.einsum("aa...->...", cov_deriv(st.grid, st.gamma, GdF, "u"))
@@ -187,20 +200,113 @@ def H_of(st: KahlerState, G: Array, F: Array, flip: str | None = None) -> Array:
 
 
 def u_apply(
-    bd: BundleData, G: Array, f: Array, out: Array | None = None, scratch: Array | None = None
+    bd: BundleData,
+    G: Array,
+    H: Array,
+    f: Array,
+    out: Array | None = None,
+    scratch: Array | None = None,
 ) -> Array:
     r""":math:`u(V)f = \tfrac{1}{4k}(\Delta_{G(V)} + H(V))f` on the bundle of
-    ``bd`` with ``G = G(V)``; ``H(V)`` is built from ``G`` and the state's
-    Ricci potential.  ``f`` may be a batch of sections ``(..., n, n)``;
-    ``out`` and ``scratch`` are as for :func:`delta_G`.
+    ``bd`` with ``G = G(V)`` and ``H = H(V)`` (:func:`H_of` of ``G`` and the
+    state's Ricci potential; a :class:`Point` holds both).  ``f`` may be a
+    batch of sections ``(..., n, n)``; ``out`` and ``scratch`` are as for
+    :func:`delta_G`.
     """
     if bd.k == 0:
         raise ValueError("the second-order correction needs a positive level")
-    H = H_of(bd.state, G, bd.state.F)
     out = delta_G(bd, G, f, out=out, scratch=scratch)
     out += np.multiply(H, f, out=_slot(scratch, 0))
     out /= 4.0 * bd.k
     return out
+
+
+# ---------------------------------------------------------------------------
+# the ingredients of u(V) at one case point
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Point:
+    r"""The ingredients of :math:`u(V)` at one case point, each built on
+    first read and kept (``functools.cached_property``).
+
+    A point is the member at ``sigma`` of ``family``, the real direction
+    ``v`` and the plain step ``eps`` of its difference quotients; the
+    section identities add the bundle data ``bd`` at ``(sigma, k)`` and the
+    test sections ``s`` (one coefficient or a batch).  Every identity
+    evaluated at the point reads the same ``V[J]``, ``G(V)``,
+    :math:`\partial F`, ``H(V)``, divergences, :math:`\nabla s`, plain
+    :math:`\Delta_{G(V)} s` and comparison multiplier, so each is built
+    once per point instead of once per identity.  The ingredients belong to
+    the state's Ricci potential ``F``; a residual that flips a term or
+    ``H(V)`` (the mutation self-test) builds the flipped one on its own and
+    never stores it, and no residual writes into an ingredient.
+
+    Like the symbols of a ``KahlerState``, the ingredients have no key and
+    no bound: they live and die with the point, which lives and dies with
+    its catalog case (``catalog.Case.point``).
+    """
+
+    family: Family
+    sigma: complex
+    v: complex
+    eps: float
+    bd: BundleData | None = None
+    s: Array | None = None
+
+    @cached_property
+    def st(self) -> KahlerState:
+        """The member: that of the bundle data when given."""
+        return self.family.state(self.sigma) if self.bd is None else self.bd.state
+
+    @cached_property
+    def VJ(self) -> Array:
+        """:math:`V[J]`: the closed form when the family has one."""
+        return vj_of(self.family, self.sigma, self.v, self.eps, self.family.closed_form)
+
+    @cached_property
+    def G(self) -> Array:
+        return G_of(self)
+
+    @cached_property
+    def dF(self) -> Array:
+        r""":math:`\partial F` of the state's Ricci potential."""
+        return dF_holo(self.st, self.st.F)
+
+    @cached_property
+    def H(self) -> Array:
+        return H_of(self.st, self.G, self.dF)
+
+    def H_flipped(self, flip: str) -> Array:
+        """``H(V)`` with the term ``flip`` negated (see :func:`H_of`), built
+        at each call and never stored."""
+        return H_of(self.st, self.G, self.dF, flip)
+
+    @cached_property
+    def trace_G(self) -> Array:
+        r""":math:`\operatorname{Tr}\tilde\nabla G(V)`."""
+        return trace_nabla(self.st, self.G)
+
+    @cached_property
+    def trace_G_rho(self) -> Array:
+        r""":math:`\operatorname{Tr}\tilde\nabla(G(V)\rho)`."""
+        return trace_nabla_endo(self.st, mat_mul(self.G, self.st.rho))
+
+    @cached_property
+    def grad_s(self) -> Array:
+        r""":math:`\nabla s` on the bundle of ``bd``."""
+        return sec_grad(self.bd, self.s)
+
+    @cached_property
+    def delta_plain(self) -> Array:
+        r""":math:`\Delta_{G(V)} s` on the untwisted level-k bundle."""
+        return delta_G(self.bd.plain, self.G, self.s)
+
+    @cached_property
+    def m(self) -> Array:
+        """The comparison multiplier of the Ricci potential."""
+        return comparison_multiplier(self.family, potential_fn(self.family, "ricci"), self.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -364,27 +470,19 @@ def chart_sections(bd: BundleData) -> TestSections:
 # ---------------------------------------------------------------------------
 
 
-def eq_defining_residual(
-    family: Family,
-    bd: BundleData,
-    v: complex,
-    s: Array,
-    eps: float,
-    flip: str | None = None,
-) -> tuple[Array, Array]:
-    r"""Defining identity of the second-order correction on holomorphic ``s``
-    (sections of the bundle of ``bd``; scale ``s``):
+def eq_defining_residual(pt: Point, flip: str | None = None) -> tuple[Array, Array]:
+    r"""Defining identity of the second-order correction on the holomorphic
+    sections ``s`` of the point (sections of the bundle of its ``bd``;
+    scale ``s``):
 
     .. math::
         \nabla^{0,1}\big(u(V)s\big) = \tfrac{i}{2} V[J]\,\nabla s
         + \tfrac{i}{4}\operatorname{Tr}\tilde\nabla(G(V))\,\omega\; s .
     """
-    st = bd.state
-    G = G_of(family, st.sigma, v, eps)
-    lhs = form_anti(st, sec_grad(bd, u_apply(bd, G, s)))
-    VJ = vj_of(family, st.sigma, v, eps, family.closed_form)
-    t1 = 0.5j * np.einsum("ba...,b...->a...", VJ, sec_grad(bd, s))
-    t2 = _times_potential(0.25j * np.einsum("b...,ba...->a...", trace_nabla(st, G), st.omega), s)
+    st, bd, s = pt.st, pt.bd, pt.s
+    lhs = form_anti(st, sec_grad(bd, u_apply(bd, pt.G, pt.H, s)))
+    t1 = 0.5j * np.einsum("ba...,b...->a...", pt.VJ, pt.grad_s)
+    t2 = _times_potential(0.25j * np.einsum("b...,ba...->a...", pt.trace_G, st.omega), s)
     if flip == "vj":
         t1 = -t1
     if flip == "trace":
@@ -392,28 +490,21 @@ def eq_defining_residual(
     return _section_sups(lhs - t1 - t2, s, st.grid.interior(), s.shape[:-2])
 
 
-def eq_transfer_residual(
-    family: Family,
-    bd: BundleData,
-    v: complex,
-    s: Array,
-    eps: float,
-    flip: str | None = None,
-) -> tuple[Array, Array]:
-    r"""Holomorphy-transfer identity on holomorphic ``s`` at the level ``k``
-    of ``bd`` (scale ``s``):
+def eq_transfer_residual(pt: Point, flip: str | None = None) -> tuple[Array, Array]:
+    r"""Holomorphy-transfer identity on the holomorphic sections ``s`` of the
+    point at the level ``k`` of its ``bd`` (scale ``s``):
 
     .. math::
         \nabla^{0,1}\Delta_{G(V)} s = -2ik\,\omega G(V)\nabla s
         + ik\operatorname{Tr}\tilde\nabla(G(V))\,\omega\,s
         - \tfrac{i}{2}\operatorname{Tr}\tilde\nabla(G(V)\rho)\,s .
     """
-    st, k = bd.state, bd.k
-    G = G_of(family, st.sigma, v, eps)
+    st, bd, s, G = pt.st, pt.bd, pt.s, pt.G
+    k = bd.k
     lhs = form_anti(st, sec_grad(bd, delta_G(bd, G, s)))
-    t1 = -2j * k * np.einsum("ab...,bc...,c...->a...", st.omega, G, sec_grad(bd, s))
-    t2 = _times_potential(1j * k * np.einsum("b...,ba...->a...", trace_nabla(st, G), st.omega), s)
-    t3 = _times_potential(-0.5j * trace_nabla_endo(st, mat_mul(G, st.rho)), s)
+    t1 = -2j * k * np.einsum("ab...,bc...,c...->a...", st.omega, G, pt.grad_s)
+    t2 = _times_potential(1j * k * np.einsum("b...,ba...->a...", pt.trace_G, st.omega), s)
+    t3 = _times_potential(-0.5j * pt.trace_G_rho, s)
     if flip == "omega":
         t1 = -t1
     if flip == "trace":
@@ -423,37 +514,29 @@ def eq_transfer_residual(
     return _section_sups(lhs - t1 - t2 - t3, s, st.grid.interior(), s.shape[:-2])
 
 
-def potential_variation_residual(family: Family, sigma: complex, v: complex, eps: float) -> tuple[float, float]:
-    r"""Variation of the Ricci potential (scale ``G(V)``):
+def potential_variation_residual(pt: Point) -> tuple[float, float]:
+    r"""Variation of the Ricci potential at the point (scale ``G(V)``):
 
     .. math::
         \bar\partial_M V'[F] = -\tfrac{i}{4}\operatorname{Tr}
         \tilde\nabla(G(V))\,\omega - \tfrac{i}{2}\,\partial_M F\,G(V)\,\omega .
     """
-    st = family.state(sigma)
-    vpf, _ = v_parts(lambda s: family.state(s).F, sigma, v, eps)  # V'[F] over M
+    family, st, G = pt.family, pt.st, pt.G
+    vpf, _ = v_parts(lambda s: family.state(s).F, pt.sigma, pt.v, pt.eps)  # V'[F] over M
     lhs = form_anti(st, grad(st.grid, vpf))
-    G = G_of(family, sigma, v, eps)
-    t1 = -0.25j * np.einsum("b...,ba...->a...", trace_nabla(st, G), st.omega)
-    t2 = -0.5j * np.einsum("b...,bc...,ca...->a...", dF_holo(st, st.F), G, st.omega)
+    t1 = -0.25j * np.einsum("b...,ba...->a...", pt.trace_G, st.omega)
+    t2 = -0.5j * np.einsum("b...,bc...,ca...->a...", pt.dF, G, st.omega)
     return _section_sups(lhs - t1 - t2, G, st.grid.interior())
 
 
-def potential_oneform_residual(
-    family: Family,
-    sigma: complex,
-    v: complex,
-    eps: float,
-    flip: str | None = None,
-) -> tuple[float, float]:
+def potential_oneform_residual(pt: Point, flip: str | None = None) -> tuple[float, float]:
     r"""The closed-form potential satisfies
     :math:`\bar\partial_M H(V) = \tfrac{i}{2}\operatorname{Tr}
-    \tilde\nabla(G(V)\rho)`; scale ``G(V)``."""
-    st = family.state(sigma)
-    G = G_of(family, sigma, v, eps)
-    H = H_of(st, G, st.F, flip)
+    \tilde\nabla(G(V)\rho)` at the point; scale ``G(V)``."""
+    st, G = pt.st, pt.G
+    H = pt.H if flip is None else pt.H_flipped(flip)
     lhs = form_anti(st, grad(st.grid, H))
-    rhs = 0.5j * trace_nabla_endo(st, mat_mul(G, st.rho))
+    rhs = 0.5j * pt.trace_G_rho
     return _section_sups(lhs - rhs, G, st.grid.interior())
 
 
@@ -580,14 +663,15 @@ def potential_fn(family: Family, which: str) -> PotentialFn:
 
     ``ricci``     -- the state's Ricci potential field (identically zero on
                      the torus, where the state normalizes it);
-    ``log-imtau`` -- ``(1/2) log Im sigma`` (constant over M), the
-                     non-pluriharmonic repair that absorbs the
-                     parameter-direction curvature on the torus.
+    ``log-imtau`` -- ``(1/2) log Im sigma`` (constant over M, so held at one
+                     node, grid axes ``(1, 1)``), the non-pluriharmonic
+                     repair that absorbs the parameter-direction curvature
+                     on the torus.
     """
     if which == "ricci":
         return lambda s: family.state(s).F
     if which == "log-imtau":
-        return lambda s: np.full(family.grid.shape, 0.5 * np.log(s.imag), dtype=complex)
+        return lambda s: np.full((1, 1), 0.5 * np.log(s.imag), dtype=complex)
     raise ValueError(f"unknown potential family: {which}")
 
 
@@ -688,32 +772,22 @@ def frame_comparison_residuals(
     return res_m, res_t
 
 
-def operator_pullback_residual(
-    family: Family,
-    Ffn: PotentialFn,
-    bd: BundleData,
-    v: complex,
-    s: Array,
-    eps: float,
-    flip: str | None = None,
-) -> tuple[Array, Array]:
-    r"""Pullback of the second-order operator through the comparison map,
-    on sections ``s`` of the bundle of ``bd`` (scale :math:`\Delta^L_{G(V)} s`):
+def operator_pullback_residual(pt: Point, flip: str | None = None) -> tuple[Array, Array]:
+    r"""Pullback of the second-order operator through the comparison map of
+    the Ricci potential :math:`\tilde F = F`, on the sections ``s`` of the
+    point (of the bundle of its ``bd``; scale :math:`\Delta^L_{G(V)} s`):
 
     .. math::
         m^{-1}\Delta_{G(V)}(m\,s) = \Delta^{L}_{G(V)} s
         + 2\nabla^{L}_{G(V)\partial_M\tilde F}\,s - H(V)\,s
         - 2n\,V'[\tilde F]\,s \qquad (n = 0).
     """
-    st = bd.state
-    G = G_of(family, st.sigma, v, eps)
-    m = comparison_multiplier(family, Ffn, st.sigma)
+    st, bd, s, G, m = pt.st, pt.bd, pt.s, pt.G, pt.m
     lhs = delta_G(bd, G, m * s) / m
-    F = Ffn(st.sigma)
-    GdF = np.einsum("ab...,b...->a...", G, dF_holo(st, F))
-    t1 = delta_G(bd.plain, G, s)
+    GdF = np.einsum("ab...,b...->a...", G, pt.dF)
+    t1 = pt.delta_plain
     t2 = 2.0 * grad_along(bd.plain, GdF, s)
-    t3 = -H_of(st, G, F) * s
+    t3 = -pt.H * s
     if flip == "gradient":
         t2 = -t2
     if flip == "potential":
@@ -721,33 +795,31 @@ def operator_pullback_residual(
     return _section_sups(lhs - t1 - t2 - t3, t1, st.grid.interior(), s.shape[:-2])
 
 
-def connection_agreement_residual(
-    family: Family,
-    Ffn: PotentialFn,
-    bd: BundleData,
-    v: complex,
-    s: Array,
-    eps: float,
-) -> tuple[Array, Array]:
-    r"""Full-connection agreement through the comparison map:
+def connection_agreement_residual(pt: Point, which: str = "ricci") -> tuple[Array, Array]:
+    r"""Full-connection agreement through the comparison map of the
+    reduction potential :math:`\tilde F` named ``which`` (see
+    :func:`potential_fn`):
 
     .. math::
         m^{-1}\nabla_V(m\,s) = V[s] + \tilde u(V)s, \qquad
         \tilde u(V) = \tfrac1{4k}\big(\Delta^{L}_{G(V)}
         + 2\nabla^{L}_{G(V)\partial_M\tilde F}\big) + V'[\tilde F]
 
-    for a parameter-constant coefficient ``s`` of the bundle of ``bd``
-    (so ``V[s] = 0``); scale ``s``.
+    for the parameter-constant coefficients ``s`` of the point (of the
+    bundle of its ``bd``, so ``V[s] = 0``); scale ``s``.  The multiplier and
+    :math:`\partial\tilde F` of the Ricci potential are the point's.
     """
-    st, sigma, k = bd.state, bd.state.sigma, bd.k
-    m = comparison_multiplier(family, Ffn, sigma)
+    family, st, bd, s, G = pt.family, pt.st, pt.bd, pt.s, pt.G
+    sigma, v, eps, k = pt.sigma, pt.v, pt.eps, bd.k
+    Ffn = potential_fn(family, which)
+    if which == "ricci":
+        m, dF = pt.m, pt.dF
+    else:
+        m, dF = comparison_multiplier(family, Ffn, sigma), dF_holo(st, Ffn(sigma))
     vm = dir_deriv(lambda t: comparison_multiplier(family, Ffn, t), sigma, v, eps)
     aT = a_T(family, sigma, v, eps, family.closed_form)
-    G = G_of(family, sigma, v, eps)
-    lhs = (vm * s + aT * m * s + u_apply(bd, G, m * s)) / m
-    GdF = np.einsum("ab...,b...->a...", G, dF_holo(st, Ffn(sigma)))
+    lhs = (vm * s + aT * m * s + u_apply(bd, G, pt.H, m * s)) / m
+    GdF = np.einsum("ab...,b...->a...", G, dF)
     vpF, _ = v_parts(Ffn, sigma, v, eps)
-    rhs = (delta_G(bd.plain, G, s) + 2.0 * grad_along(bd.plain, GdF, s)) / (
-        4.0 * k
-    ) + vpF * s
+    rhs = (pt.delta_plain + 2.0 * grad_along(bd.plain, GdF, s)) / (4.0 * k) + vpF * s
     return _section_sups(lhs - rhs, s, st.grid.interior(), s.shape[:-2])

@@ -58,7 +58,7 @@ import numpy as np
 from .bundle import BundleData, bundle_levels
 from .families import TorusFamily
 from .fields import Array, TorusGrid, max_norm
-from .operators import u_apply
+from .operators import H_of, dF_holo, u_apply
 
 # ---------------------------------------------------------------------------
 # basis
@@ -252,7 +252,8 @@ def connection_matrix(
     basis = _lattice_sum(X, Y, out=w.basis)
     nab = _lattice_sum(X, 1j * np.pi * k * (nt + y) ** 2 * Y, out=w.nab)
     np.multiply(v, nab, out=nab)  # V[s]
-    u = u_apply(bd, fam.g_exact(tau, v), basis, out=w.u, scratch=w.scratch)
+    st, GV = bd.state, fam.g_exact(tau, v)
+    u = u_apply(bd, GV, H_of(st, GV, dF_holo(st, st.F)), basis, out=w.u, scratch=w.scratch)
     nab += np.multiply(fam.a_t_exact(tau, v), basis, out=tmp)
     nab += u
     cb = np.conjugate(basis, out=tmp)

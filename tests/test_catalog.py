@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hitchinlab import catalog, families
+from hitchinlab import catalog, families, operators
 from hitchinlab.catalog import (
     IDENTITY_NAMES,
     MUTATIONS,
@@ -20,6 +20,7 @@ from hitchinlab.catalog import (
     ROWS,
     RunConfig,
     SWEEPABLE,
+    Case,
     Env,
     _row,
     budget_for,
@@ -199,6 +200,59 @@ def test_sweep_builds_each_configuration_once(monkeypatch):
     # eps steps on the finest grid share
     assert calls == {"sections": 1, "families": len(grids)}
     assert len(rows) == len(SWEEPABLE) * len(grids)  # one h and one eps order each
+
+
+def test_sweep_builds_one_set_of_ingredients_per_point(monkeypatch):
+    """The four sweepable identities of a sweep step read one `Case.point`,
+    so a 2-grid sweep (4 steps: the base eps on each grid, the eps pair on
+    the finest) builds one ``G(V)`` and one ``H(V)`` per step: 4 each (16
+    and 12 when every identity builds its own)."""
+    calls = {"G_of": 0, "H_of": 0}
+
+    def counted(name):
+        fn = getattr(operators, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(operators, name, counted(name))
+    catalog.sweep_orders(SWEEPABLE, grids=(24, 32))
+    assert calls == {"G_of": 4, "H_of": 4}
+
+
+@pytest.mark.parametrize("mutated", [False, True])
+def test_shared_point_gives_the_bits_of_a_fresh_point(mutated):
+    """Each sweepable residual read through a point that the others have
+    already read equals, byte for byte, the same residual on a fresh point;
+    so it does after every mutation's flipped residual has read the shared
+    point (``mutated``): a flipped term or ``H(V)`` is never stored."""
+    env = Env(RunConfig(backend="chart", grid=24, levels=(1,)))
+    sigma, k = env.cfg.sigma, 1
+    s = env.sections("chart", sigma, k).values[:1]
+    bd = catalog.bundle_data(env.chart(), sigma, k)
+
+    def case():
+        return Case(env, "chart", env.cfg.eps, None, sigma, k, 1.0, s, bd)
+
+    shared = case()
+    if mutated:
+        flipped = {
+            "defining_equation": operators.eq_defining_residual,
+            "holomorphy_transfer": operators.eq_transfer_residual,
+            "potential_oneform": operators.potential_oneform_residual,
+            "operator_pullback": operators.operator_pullback_residual,
+        }
+        for identity, flip in MUTATIONS.values():
+            flipped[identity](shared.point, flip=flip)
+    got = {i: ROWS[i].residual(shared) for i in SWEEPABLE}
+    for i in SWEEPABLE:
+        fresh = ROWS[i].residual(case())
+        for a, b in zip(got[i], fresh):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), i
 
 
 def test_sweep_reads_two_christoffel_symbols(monkeypatch):

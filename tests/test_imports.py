@@ -264,3 +264,71 @@ def test_every_definition_is_referenced():
     assert unreferenced_definitions(snippet) == ["a: f"]
     found = unreferenced_definitions({path.stem: path.read_text() for path in SRC})
     assert found == []
+
+
+POINT_BUILDERS = ("G_of", "H_of", "vj_of", "trace_nabla", "trace_nabla_endo")
+
+
+def _is_residual(name: str) -> bool:
+    return name.startswith("eq_") or name.endswith(("_residual", "_residuals"))
+
+
+def builder_calls(source: str) -> dict[str, list[str]]:
+    """Per residual function of ``source`` (``eq_*``, ``*_residual``,
+    ``*_residuals``), the builders of `POINT_BUILDERS` it calls itself, by
+    name or attribute; a residual whose first parameter is ``pt`` reads
+    them from the point.  The residuals without a point may call ``vj_of``:
+    ``metric_variation_residual`` and ``projector_commutator_residual``
+    take the difference quotient of ``J`` on every backend, the torus
+    included, where the point holds the closed form."""
+    found = {}
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, ast.FunctionDef) or not _is_residual(fn.name):
+            continue
+        takes_point = bool(fn.args.args) and fn.args.args[0].arg == "pt"
+        barred = POINT_BUILDERS if takes_point else tuple(b for b in POINT_BUILDERS if b != "vj_of")
+        called = set()
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Call):
+                f = n.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in barred:
+                    called.add(name)
+        found[fn.name] = sorted(called)
+    return found
+
+
+def test_residuals_read_the_ingredients_from_the_point():
+    # the check itself sees a direct call, an attribute call and a builder
+    # that a point residual reads from its point
+    snippet = (
+        "def eq_a(pt):\n    return G_of(pt), pt.H\n"
+        "def b_residual(fam, s):\n    return ops.trace_nabla(s, 1), vj_of(fam)\n"
+        "def c_residuals(pt):\n    return pt.G, pt.trace_G\n"
+        "def helper(pt):\n    return H_of(pt)\n"
+    )
+    assert builder_calls(snippet) == {
+        "eq_a": ["G_of"],
+        "b_residual": ["trace_nabla"],
+        "c_residuals": [],
+    }
+    source = (ROOT / "src" / "hitchinlab" / "operators.py").read_text()
+    found = builder_calls(source)
+    assert {name: called for name, called in found.items() if called} == {}
+    # the six residuals that build G(V) take the point
+    point_residuals = {
+        fn.name
+        for fn in ast.parse(source).body
+        if isinstance(fn, ast.FunctionDef)
+        and _is_residual(fn.name)
+        and fn.args.args
+        and fn.args.args[0].arg == "pt"
+    }
+    assert point_residuals == {
+        "eq_defining_residual",
+        "eq_transfer_residual",
+        "operator_pullback_residual",
+        "connection_agreement_residual",
+        "potential_variation_residual",
+        "potential_oneform_residual",
+    }

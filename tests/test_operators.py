@@ -11,11 +11,12 @@ from hitchinlab.families import variation_tensors, vj_of
 from hitchinlab.fields import ChartGrid, TorusGrid, grad, max_norm
 from hitchinlab.geometry import cov_deriv
 from hitchinlab.operators import (
-    G_of,
     H_of,
+    Point,
     chart_sections,
     comparison_multiplier,
     connection_agreement_residual,
+    dF_holo,
     delta_G,
     eq_defining_residual,
     eq_transfer_residual,
@@ -60,19 +61,21 @@ def test_second_order_principal_symbol(torus64):
 
 def test_divergence_potential_vanishes_on_torus(torus32):
     st = torus32.state(TAU)
-    assert max_norm(H_of(st, G_of(torus32, TAU, 1.0, EPS), st.F)) == 0.0
+    assert max_norm(H_of(st, Point(torus32, TAU, 1.0, EPS).G, dF_holo(st, st.F))) == 0.0
 
 
 def test_H_of_takes_no_derivative_of_a_vanishing_potential(torus32, monkeypatch):
     st = torus32.state(TAU)
-    G = G_of(torus32, TAU, 1.0, EPS)
+    G = Point(torus32, TAU, 1.0, EPS).G
 
     def no_deriv(self, f, axis):
         raise AssertionError("H_of differentiated the zero potential")
 
     monkeypatch.setattr(TorusGrid, "deriv", no_deriv)
+    pF = dF_holo(st, st.F)
+    assert pF.dtype == complex and pF.shape == (2, 1, 1) and not pF.any()
     for flip in (None, "quad", "div"):
-        H = H_of(st, G, st.F, flip)
+        H = H_of(st, G, pF, flip)
         assert H.dtype == complex and H.shape[-2:] == (1, 1)
         assert not H.any()
 
@@ -81,7 +84,7 @@ def test_H_of_propagates_nan_in_the_potential(torus32):
     st = torus32.state(TAU)
     F = np.zeros(st.grid.shape, dtype=complex)
     F[3, 5] = np.nan
-    assert np.isnan(H_of(st, G_of(torus32, TAU, 1.0, EPS), F)).all()
+    assert np.isnan(H_of(st, Point(torus32, TAU, 1.0, EPS).G, dF_holo(st, F))).all()
 
 
 def _H_full(st, G, F):
@@ -97,21 +100,22 @@ def _H_full(st, G, F):
 
 def test_H_of_matches_the_full_formula_bit_for_bit(chart48):
     st = chart48.state(SIGMA)
-    G = G_of(chart48, SIGMA, 1.0, EPS)
+    G = Point(chart48, SIGMA, 1.0, EPS).G
     assert st.F.any()
-    assert np.array_equal(H_of(st, G, st.F), _H_full(st, G, st.F))
+    assert np.array_equal(H_of(st, G, dF_holo(st, st.F)), _H_full(st, G, st.F))
 
 
 def test_u_apply_rejects_level_zero(torus32):
-    G = G_of(torus32, TAU, 1.0, EPS)
+    pt = Point(torus32, TAU, 1.0, EPS)
     with pytest.raises(ValueError):
-        u_apply(bundle_data(torus32, TAU, 0), G, np.ones(torus32.grid.shape))
+        u_apply(bundle_data(torus32, TAU, 0), pt.G, pt.H, np.ones(torus32.grid.shape))
 
 
 def test_defining_identity_torus(torus64):
     for k in (1, 2):
         s = theta_basis(torus64.grid, k, TAU)[0]
-        r = case_ratio(*eq_defining_residual(torus64, bundle_data(torus64, TAU, k), 1.0, s, EPS))
+        pt = Point(torus64, TAU, 1.0, EPS, bundle_data(torus64, TAU, k), s)
+        r = case_ratio(*eq_defining_residual(pt))
         assert r < 1e-9
 
 
@@ -122,9 +126,10 @@ def test_defining_identity_mutations_visible_on_chart(chart48):
     fam = chart48
     bd = bundle_data(fam, SIGMA, 1)
     s = chart_sections(bd).values[0]
-    base = case_ratio(*eq_defining_residual(fam, bd, 1.0, s, EPS))
+    pt = Point(fam, SIGMA, 1.0, EPS, bd, s)
+    base = case_ratio(*eq_defining_residual(pt))
     for flip in ("vj", "trace"):
-        r = case_ratio(*eq_defining_residual(fam, bd, 1.0, s, EPS, flip=flip))
+        r = case_ratio(*eq_defining_residual(pt, flip=flip))
         assert r > 1e4 * base
 
 
@@ -132,7 +137,7 @@ def test_transfer_identity_torus(torus64):
     for k in (1, 3):
         s = theta_basis(torus64.grid, k, TAU)[0]
         bd = bundle_data(torus64, TAU, k)
-        assert case_ratio(*eq_transfer_residual(torus64, bd, 1.0, s, EPS)) < 1e-8
+        assert case_ratio(*eq_transfer_residual(Point(torus64, TAU, 1.0, EPS, bd, s))) < 1e-8
 
 
 def test_transfer_mutations_visible_on_chart(chart48):
@@ -141,23 +146,25 @@ def test_transfer_mutations_visible_on_chart(chart48):
     fam = chart48
     bd = bundle_data(fam, SIGMA, 1)
     s = chart_sections(bd).values[0]
-    base = case_ratio(*eq_transfer_residual(fam, bd, 1.0, s, EPS))
+    pt = Point(fam, SIGMA, 1.0, EPS, bd, s)
+    base = case_ratio(*eq_transfer_residual(pt))
     for flip, factor in (("omega", 1e4), ("trace", 1e4), ("rho", 50.0)):
-        r = case_ratio(*eq_transfer_residual(fam, bd, 1.0, s, EPS, flip=flip))
+        r = case_ratio(*eq_transfer_residual(pt, flip=flip))
         assert r > factor * base
 
 
 def test_potential_variation_residuals(torus32, chart48):
-    assert case_ratio(*potential_variation_residual(torus32, TAU, 1.0, EPS)) < 1e-8
+    assert case_ratio(*potential_variation_residual(Point(torus32, TAU, 1.0, EPS))) < 1e-8
     fam = chart48
-    assert case_ratio(*potential_variation_residual(fam, SIGMA, 1.0, EPS)) < 1e-5
+    assert case_ratio(*potential_variation_residual(Point(fam, SIGMA, 1.0, EPS))) < 1e-5
 
 
 def test_potential_oneform_mutations_visible(chart48):
     fam = chart48
-    base = case_ratio(*potential_oneform_residual(fam, SIGMA, 1.0, EPS))
+    pt = Point(fam, SIGMA, 1.0, EPS)
+    base = case_ratio(*potential_oneform_residual(pt))
     for flip in ("quad", "div"):
-        r = case_ratio(*potential_oneform_residual(fam, SIGMA, 1.0, EPS, flip=flip))
+        r = case_ratio(*potential_oneform_residual(pt, flip=flip))
         assert r > 100.0 * base
 
 
@@ -188,26 +195,23 @@ def test_frame_comparison_repaired_potential(torus32):
 
 def test_pullback_identity_and_mutations(torus64, chart48):
     s = theta_basis(torus64.grid, 1, TAU)[0]
-    zero = potential_fn(torus64, "ricci")
     bd = bundle_data(torus64, TAU, 1)
-    assert case_ratio(*operator_pullback_residual(torus64, zero, bd, 1.0, s, EPS)) < 1e-8
+    assert case_ratio(*operator_pullback_residual(Point(torus64, TAU, 1.0, EPS, bd, s))) < 1e-8
     fam = chart48
-    Ffn = potential_fn(fam, "ricci")
     bdc = bundle_data(fam, SIGMA, 1)
     sc = chart_sections(bdc).values[0]
-    base = case_ratio(*operator_pullback_residual(fam, Ffn, bdc, 1.0, sc, EPS))
+    pt = Point(fam, SIGMA, 1.0, EPS, bdc, sc)
+    base = case_ratio(*operator_pullback_residual(pt))
     for flip in ("gradient", "potential"):
-        r = case_ratio(*operator_pullback_residual(fam, Ffn, bdc, 1.0, sc, EPS, flip=flip))
+        r = case_ratio(*operator_pullback_residual(pt, flip=flip))
         assert r > max(100.0 * base, 1e-3)
 
 
 def test_connection_agreement_obstruction_and_repair(torus32):
     s = theta_basis(torus32.grid, 1, TAU)[0]
-    zero = potential_fn(torus32, "ricci")
-    fixed = potential_fn(torus32, "log-imtau")
-    bd = bundle_data(torus32, TAU, 1)
-    r_zero = case_ratio(*connection_agreement_residual(torus32, zero, bd, 1.0, s, EPS))
-    r_fix = case_ratio(*connection_agreement_residual(torus32, fixed, bd, 1.0, s, EPS))
+    pt = Point(torus32, TAU, 1.0, EPS, bundle_data(torus32, TAU, 1), s)
+    r_zero = case_ratio(*connection_agreement_residual(pt, "ricci"))
+    r_fix = case_ratio(*connection_agreement_residual(pt, "log-imtau"))
     assert abs(r_zero - 1.0 / (4.0 * TAU.imag)) < 1e-10
     assert r_fix < 1e-6
 
@@ -220,11 +224,12 @@ def test_u_apply_batch_matches_per_section(torus32, exact):
     bd = bundle_data(torus32, tau, k)
     for v in (1.0, 1j):
         if exact:
-            G = G_of(torus32, tau, v, EPS)
+            G = Point(torus32, tau, v, EPS).G
         else:
             G = variation_tensors(torus32.state(tau), vj_of(torus32, tau, v, EPS))[1]
-        batched = u_apply(bd, G, basis)
-        single = np.stack([u_apply(bd, G, s) for s in basis])
+        H = _H(bd, G)
+        batched = u_apply(bd, G, H, basis)
+        single = np.stack([u_apply(bd, G, H, s) for s in basis])
         assert batched.shape == basis.shape
         assert np.array_equal(batched, single)
 
@@ -254,12 +259,18 @@ def _sec_grad_ref(bd, f):
     return df + _times_potential(bd.A, f)
 
 
+def _H(bd, G):
+    """``H(V)`` of ``G`` and the Ricci potential of the state of ``bd``."""
+    st = bd.state
+    return H_of(st, G, dF_holo(st, st.F))
+
+
 def _u_apply_ref(bd, G, f):
     st = bd.state
     t = np.einsum("ba...,a...->b...", G, _sec_grad_ref(bd, f))
     gt = np.einsum("aac...,c...->a...", st.gamma, t)
     dG = sum(_sec_deriv_ref(bd, t[a], a - 2) + gt[a] + bd.A[a] * t[a] for a in range(2))
-    return (dG + H_of(st, G, st.F) * f) / (4.0 * bd.k)
+    return (dG + _H(bd, G) * f) / (4.0 * bd.k)
 
 
 def _same_bits(a, b) -> bool:
@@ -302,14 +313,15 @@ def test_section_operators_in_place_keep_the_bits(torus64, chart48, backend):
     rng = np.random.default_rng(7)
     shape = (3,) + fam.grid.shape
     batch = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    G = G_of(fam, p, 1.0, EPS)
+    G = Point(fam, p, 1.0, EPS).G
     for k in (1, 3):
         bd = bundle_data(fam, p, k)
+        H = _H(bd, G)
         for f in (batch[0], batch):
             for axis in (-2, -1):
                 assert _same_bits(sec_deriv(bd, f, axis), _sec_deriv_ref(bd, f, axis))
             assert _same_bits(sec_grad(bd, f), _sec_grad_ref(bd, f))
-            assert _same_bits(u_apply(bd, G, f), _u_apply_ref(bd, G, f))
+            assert _same_bits(u_apply(bd, G, H, f), _u_apply_ref(bd, G, f))
 
 
 @pytest.mark.parametrize("backend", ["torus", "torus-odd", "chart"])
@@ -327,10 +339,11 @@ def test_section_operators_write_into_out_bit_for_bit(torus64, chart48, backend)
     rng = np.random.default_rng(11)
     shape = (3,) + fam.grid.shape
     batch = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    G = G_of(fam, p, 1.0, EPS)
+    G = Point(fam, p, 1.0, EPS).G
     outs = {f.ndim: (_stale((2,) + f.shape), _stale((4,) + f.shape)) for f in (batch[0], batch)}
     for k in (1, 3):
         bd = bundle_data(fam, p, k)
+        H = _H(bd, G)
         for f in (batch[0], batch):
             two, four = outs[f.ndim]
             out, scratch = two
@@ -341,8 +354,8 @@ def test_section_operators_write_into_out_bit_for_bit(torus64, chart48, backend)
             assert got is two and _same_bits(got, sec_grad(bd, f))
             got = delta_G(bd, G, f, out=out, scratch=four)
             assert got is out and _same_bits(got, delta_G(bd, G, f))
-            got = u_apply(bd, G, f, out=out, scratch=four)
-            assert got is out and _same_bits(got, u_apply(bd, G, f))
+            got = u_apply(bd, G, H, f, out=out, scratch=four)
+            assert got is out and _same_bits(got, u_apply(bd, G, H, f))
 
 
 def test_torus_sections_are_holomorphic(torus64):

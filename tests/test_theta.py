@@ -9,7 +9,7 @@ from hitchinlab import bundle, families, fields, theta
 from hitchinlab.bundle import a_T, bundle_data
 from hitchinlab.families import TorusFamily
 from hitchinlab.fields import TorusGrid, max_norm
-from hitchinlab.operators import torus_sections, u_apply
+from hitchinlab.operators import H_of, dF_holo, torus_sections, u_apply
 from hitchinlab.theta import (
     as_path,
     connection_matrix,
@@ -114,7 +114,8 @@ def _connection_matrix_fd(fam, tau, k, v):
     basis = theta_basis(grid, k, tau)
     Vs = families.dir_deriv(lambda s: theta_basis(grid, k, s), tau, v, eps)
     GV = families.variation_tensors(bd.state, families.vj_of(fam, tau, v, eps))[1]
-    nab = Vs + a_T(fam, tau, v, eps) * basis + u_apply(bd, GV, basis)
+    H = H_of(bd.state, GV, dF_holo(bd.state, bd.state.F))
+    nab = Vs + a_T(fam, tau, v, eps) * basis + u_apply(bd, GV, H, basis)
     weight = 2.0 * np.pi * np.sqrt(tau.imag / np.pi)
     P = weight * np.einsum("lab,jab->lj", np.conj(basis), nab) / grid.n**2
     return np.linalg.solve(np.conj(gram(grid, tau, basis)), P)
@@ -134,7 +135,9 @@ def _connection_matrix_two_sums(fam, tau, k, v):
     bd = bundle_data(fam, tau, k)
     basis = theta_basis(grid, k, tau)
     Vs = v * theta_basis_dtau(grid, k, tau)
-    nab = Vs + fam.a_t_exact(tau, v) * basis + u_apply(bd, fam.g_exact(tau, v), basis)
+    GV = fam.g_exact(tau, v)
+    H = H_of(bd.state, GV, dF_holo(bd.state, bd.state.F))
+    nab = Vs + fam.a_t_exact(tau, v) * basis + u_apply(bd, GV, H, basis)
     weight = 2.0 * np.pi * np.sqrt(tau.imag / np.pi)
     P = weight * np.einsum("lab,jab->lj", np.conj(basis), nab) / grid.n**2
     M = np.linalg.solve(np.conj(gram(grid, tau, basis)), P)
