@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -188,13 +189,22 @@ MUTATIONS = {
 
 
 class Env:
-    """Families and test sections shared by the catalog rows of one run.
+    """Families, test sections and case points shared by the catalog rows
+    of one run.
 
     Test sections are kept for the whole run: a catalog pass builds 3 chart
-    sections (0.10, 0.13 and 0.2 s at k = 0, 1 and 3 on grid 64, threads
+    sections (0.11, 0.14 and 0.21 s at k = 0, 1 and 3 on grid 64, threads
     pinned to one) and looks them up 13 times, so the cache saves 10 builds
-    per pass.  The family states have their own bounded
-    cache (``Family.state``).
+    per pass.  The case points (`point`) are keyed with no bound: the 74
+    cases of the eight point rows of a default pass look up 36 points (6
+    member-direction points and 30 section points), so the store saves 38
+    points, and with them 68 of the 74 builds of ``G(V)``, 44 of the 50 of
+    ``H(V)`` and 44 of the 94 applications of ``Delta_{G(V)}``.  The store
+    lets each point go once the selected rows have made their last lookup
+    of it: kept to the end of the run, the 36 points held 10.3 MiB of
+    ingredients at grid 64 and raised the traced peak of a one-thread pass
+    from 38.4 to 47.0 MiB.  The family states have their own bounded cache
+    (``Family.state``).
     """
 
     def __init__(self, cfg: RunConfig):
@@ -202,6 +212,8 @@ class Env:
         self._lock = threading.Lock()
         self._families: dict[str, Family] = {}
         self._sections: dict = {}
+        self._points: dict = {}
+        self._reads: Counter = Counter()
 
     def family(self, backend: str) -> Family:
         with self._lock:
@@ -229,6 +241,65 @@ class Env:
 
         return build_once(self._lock, self._sections, (backend, complex(sigma), int(k)), build)
 
+    def point(
+        self,
+        backend: str,
+        sigma: complex,
+        v: complex,
+        k: int = 0,
+        axis: str | None = None,
+        bd: BundleData | None = None,
+        s: Array | None = None,
+    ) -> Point:
+        """The `operators.Point` at ``(backend, sigma, v)`` and the run's eps,
+        built once even when threads race.
+
+        Without ``axis`` it is the member-direction point.  With a section
+        ``axis`` (``'s'``: every test section at ``(sigma, k)``, ``'f'``: the
+        first) it is the section point, keyed by ``k`` and ``axis`` too, which
+        holds ``bd`` and ``s`` (the bundle data and those sections, read on
+        its first lookup) and reads its member-direction ingredients from
+        the member-direction point."""
+        fam, eps = self.family(backend), self.cfg.eps
+        key = (backend, complex(sigma), complex(v), eps)
+        shared = self._lookup(key, (backend, None, None), lambda: Point(fam, sigma, v, eps))
+        if axis is None:
+            return shared
+        return self._lookup(
+            key + (int(k), axis),
+            (backend, int(k), axis),
+            lambda: Point(fam, sigma, v, eps, bd, s, shared),
+        )
+
+    def _lookup(self, key: tuple, kind: tuple, build: Callable[[], Point]) -> Point:
+        """The point of ``key``, built once; the store lets it go at the
+        last lookup that the selected rows make of a point of its ``kind``
+        (`_readers`), and its last reader holds it from there."""
+        pt = build_once(self._lock, self._points, key, build)
+        with self._lock:
+            self._reads[key] += 1
+            if self._reads[key] == self._readers[kind]:
+                del self._points[key]
+        return pt
+
+    @cached_property
+    def _readers(self) -> Counter:
+        """How many times the selected rows look up each point of a kind:
+        ``(backend, k, section axis)`` for a section point, ``(backend,
+        None, None)`` for a member-direction point.  A point row looks up,
+        per level (level 0 without a level axis), the member-direction point
+        and, with a section axis, one section point."""
+        readers: Counter = Counter()
+        for e in select_entries(self.cfg):
+            row = ROWS[e.identity]
+            if not row.point:
+                continue
+            for k in self.cfg.levels if "k" in row.axes else (0,):
+                readers[e.backend, None, None] += 1
+                if row.section_axis:
+                    readers[e.backend, k, row.section_axis] += 1
+        return readers
+
     def flip(self, identity: str) -> str | None:
         m = self.cfg.mutate
         if m is None:
@@ -248,10 +319,12 @@ class Case:
 
     ``eps`` is the run's plain parameter step (`families.step_for` scales it
     at the parameter) and ``flip`` the mutation flip of the case's row.
-    ``point`` holds the ingredients of u(V) at the case (`operators.Point`),
-    built on first read and shared by every identity evaluated on this
-    case: a catalog row evaluates one, a sweep step all four of its
-    identities.  It has no key and lives and dies with the case."""
+    ``point`` holds the ingredients of u(V) at the case (`operators.Point`)
+    for the rows that read them: the row driver takes it from the run's
+    keyed store (`Env.point`), which every catalog row evaluated at the
+    same case coordinates reads, while a sweep step makes its own, which
+    the four identities of the step share and which is dropped with the
+    step."""
 
     env: Env
     backend: str
@@ -262,6 +335,7 @@ class Case:
     v: complex | None = None  # direction
     s: Array | None = None  # test sections at (p, k): a batch (m, n, n) or one (n, n)
     bd: BundleData | None = None  # bundle data at (p, k), given with k or s
+    point: Point | None = None  # the ingredients of u(V), for the point rows
 
     @property
     def fam(self) -> Family:
@@ -270,10 +344,6 @@ class Case:
     @property
     def mask(self) -> Array:
         return self.fam.grid.interior()
-
-    @cached_property
-    def point(self) -> Point:
-        return Point(self.fam, self.p, self.v, self.eps, self.bd, self.s)
 
 
 def case_ratio(err, scale) -> Array:
@@ -424,7 +494,10 @@ class Row:
     every level).  ``residual(case)`` returns ``(err, scale)``, the error and
     scale sups of one residual or of several (lists, or one per section).
     ``fails`` lists the backends on which the row is expected to fail; a
-    ``k_cubic`` row's chart budget grows with the cube of the level.
+    ``k_cubic`` row's chart budget grows with the cube of the level.  A
+    ``point`` row reads the case's `operators.Point`, which the driver takes
+    from the run's keyed store (`Env.point`), so the point rows evaluated
+    at one ``(p, k, v)`` and section axis share its ingredients.
     """
 
     identity: str
@@ -434,22 +507,30 @@ class Row:
     fails: tuple[str, ...] = ()
     note: str = ""
     k_cubic: bool = False
+    point: bool = False
+
+    @property
+    def section_axis(self) -> str | None:
+        """``'s'`` (every test section), ``'f'`` (the first) or None."""
+        return "s" if "s" in self.axes else "f" if "f" in self.axes else None
 
     def cases(self, env: Env, backend: str) -> list[tuple[float, int]]:
         """Every case residual of this row on ``backend`` with its level."""
-        ax = self.axes
+        ax, axis = self.axes, self.section_axis
         eps, flip = env.cfg.eps, env.flip(self.identity)
         out: list[tuple[float, int]] = []
         for p in env.params(backend) if "p" in ax else (None,):
             for k in env.cfg.levels if "k" in ax else (0,):
-                s = bd = None
-                if "s" in ax or "f" in ax:
+                s = bd = pt = None
+                if axis:
                     s = env.sections(backend, p, k).values
-                    s = s[:1] if "f" in ax else s
+                    s = s[:1] if axis == "f" else s
                 if s is not None or "k" in ax:
                     bd = bundle_data(env.family(backend), p, k)
                 for v in DIRS if "v" in ax else (None,):
-                    r = case_ratio(*self.residual(Case(env, backend, eps, flip, p, k, v, s, bd)))
+                    if self.point:
+                        pt = env.point(backend, p, v, k, axis, bd, s)
+                    r = case_ratio(*self.residual(Case(env, backend, eps, flip, p, k, v, s, bd, pt)))
                     out += [(x, k) for x in np.ravel(r).tolist()]
         return out
 
@@ -530,11 +611,11 @@ ROWS: dict[str, Row] = {
         Row("halfform_trace", {TORUS: 1e-6, CHART: 10.0}, "p", _halfform_trace),
         Row(
             "potential_variation", {TORUS: 1e-8, CHART: 1.0}, "pv",
-            lambda c: potential_variation_residual(c.point),
+            lambda c: potential_variation_residual(c.point), point=True,
         ),
         Row(
             "potential_oneform", {TORUS: 1e-8, CHART: 10.0}, "pv",
-            lambda c: potential_oneform_residual(c.point, flip=c.flip),
+            lambda c: potential_oneform_residual(c.point, flip=c.flip), point=True,
         ),
         Row(
             "potential_constancy", {TORUS: 1e-8, CHART: 10.0}, "p",
@@ -568,16 +649,16 @@ ROWS: dict[str, Row] = {
         Row(
             "defining_equation", {TORUS: 1e-8, CHART: 60.0}, "pkvs",
             lambda c: eq_defining_residual(c.point, flip=c.flip),
-            k_cubic=True,
+            k_cubic=True, point=True,
         ),
         Row(
             "holomorphy_transfer", {TORUS: 1e-8, CHART: 300.0}, "pkvs",
             lambda c: eq_transfer_residual(c.point, flip=c.flip),
-            k_cubic=True,
+            k_cubic=True, point=True,
         ),
         Row(
             "divergence_closedness", {TORUS: 1e-8, CHART: 8000.0}, "pvs",
-            lambda c: eq_transfer_residual(c.point),
+            lambda c: eq_transfer_residual(c.point), point=True,
         ),
         Row(
             "frame_comparison", {TORUS: 1e-8, CHART: 1.0}, "pv", _frame_comparison,
@@ -594,11 +675,11 @@ ROWS: dict[str, Row] = {
         ),
         Row(
             "operator_pullback", {TORUS: 1e-8, CHART: 10.0}, "pkvf",
-            lambda c: operator_pullback_residual(c.point, flip=c.flip),
+            lambda c: operator_pullback_residual(c.point, flip=c.flip), point=True,
         ),
         Row(
             "connection_agreement", {TORUS: 1e-8, CHART: 10.0}, "pkvf",
-            lambda c: connection_agreement_residual(c.point),
+            lambda c: connection_agreement_residual(c.point), point=True,
             fails=(TORUS,),
             note=(
                 "same obstruction as frame_comparison: with the flat potential the "
@@ -608,7 +689,7 @@ ROWS: dict[str, Row] = {
         ),
         Row(
             "connection_agreement_corrected", {TORUS: 5e-7}, "pkvf",
-            lambda c: connection_agreement_residual(c.point, "log-imtau"),
+            lambda c: connection_agreement_residual(c.point, "log-imtau"), point=True,
         ),
         Row(
             "basis_multiplier", {TORUS: 1e-8}, "pk",
@@ -756,11 +837,14 @@ def sweep_orders(
     Each grid gets one `Env`, and each parameter step one `Case`, shared
     by every identity: the base step on every grid, then each eps step of
     the pair on the finest grid, on the same family, section and bundle
-    data.  The identities of a step therefore read one `Case.point`, whose
-    ``G(V)``, ``H(V)``, divergences, :math:`\nabla s`, plain
-    :math:`\Delta_{G(V)} s` and comparison multiplier are built once per
-    step (`operators.Point`); the point is freed with its case before the
-    next step builds its own.  Once a step's rows are evaluated the family
+    data.  Each step makes its own `operators.Point` and passes it with its
+    case, so the identities of the step read one set of ingredients
+    (``G(V)``, ``H(V)``, divergences, :math:`\nabla s`,
+    :math:`\Delta_{G(V)} s`, :math:`\Delta_{G(V)}(m s)`, ...), built once
+    per step; the point is freed with its case before the next step builds
+    its own.  The sweep does not use the run's keyed store (`Env.point`):
+    that would keep the points of finished steps alive, and the steps
+    differ in eps.  Once a step's rows are evaluated the family
     forgets every state but the centre member ``sigma``
     (`Family.drop_states`): the neighbours of a finished step are never
     read again, while the centre, whose symbols every step reads, is built
@@ -809,10 +893,11 @@ def sweep_orders(
         for e in (eps,) + (tuple(eps_pair) if cfg is cfgs[-1] else ()):
             # one case per step, so one point: the identities share its
             # ingredients, and rebinding ``c`` frees the last step's point
-            c = Case(env, "chart", e, None, sigma, k, 1.0, s, bd)
+            pt = Point(env.chart(), sigma, 1.0, e, bd, s)
+            c = Case(env, "chart", e, None, sigma, k, 1.0, s, bd, pt)
             res.append({i: float(case_ratio(*ROWS[i].residual(c))) for i in identities})
             env.chart().drop_states(keep=sigma)  # no later step reads this step's neighbours
-        del env, s, bd, c  # free this Env before the next one is built
+        del env, s, bd, c, pt  # free this Env before the next one is built
     rows: list[dict] = []
     for identity in identities:
         r = [at[identity] for at in res]

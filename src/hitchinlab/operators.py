@@ -44,10 +44,18 @@ section identities the bundle data of ``(sigma, k)`` and the test
 sections) builds ``V[J]``, :func:`G_of` (the family's closed form, or the
 variation tensors of ``hitchinlab.families``), :math:`\partial F`,
 :func:`H_of`, the divergences :math:`\operatorname{Tr}\tilde\nabla G(V)`
-and :math:`\operatorname{Tr}\tilde\nabla(G(V)\rho)`, :math:`\nabla s`,
-the plain :math:`\Delta_{G(V)} s` and the comparison multiplier on first
-read, and every identity evaluated at that point reads the same ones.
-:func:`u_apply` takes ``G(V)`` and ``H(V)`` from its caller.  The
+and :math:`\operatorname{Tr}\tilde\nabla(G(V)\rho)` and the comparison
+multiplier ``m`` (the member-direction ingredients), and :math:`\nabla s`,
+the plain :math:`\Delta_{G(V)} s`, :math:`\Delta_{G(V)} s` and
+:math:`\Delta_{G(V)}(m s)` (the section ingredients) on first read, and
+every identity evaluated at that point reads the same ones.  A section
+point may read the member-direction ingredients from the point without
+sections at the same member and direction, so the catalog shares them
+across levels and section sets (``catalog.Env.point``).  The residuals
+apply neither :func:`delta_G` nor :func:`u_apply` to the point's sections
+themselves: ``u(V)s`` is ``(Delta_{G(V)} s + H(V)s)/4k`` with the point's
+``Delta_{G(V)} s``, the bits of :func:`u_apply`.  :func:`u_apply` takes
+``G(V)`` and ``H(V)`` from its caller.  The
 residuals take the closed forms of ``G(V)``, ``V[J]`` and ``A_T(V)``
 whenever the family has them (``Family.closed_form``).  Section arguments
 may be one coefficient ``(n, n)`` or a batch ``(..., n, n)``; the
@@ -234,18 +242,31 @@ class Point:
     A point is the member at ``sigma`` of ``family``, the real direction
     ``v`` and the plain step ``eps`` of its difference quotients; the
     section identities add the bundle data ``bd`` at ``(sigma, k)`` and the
-    test sections ``s`` (one coefficient or a batch).  Every identity
-    evaluated at the point reads the same ``V[J]``, ``G(V)``,
-    :math:`\partial F`, ``H(V)``, divergences, :math:`\nabla s`, plain
-    :math:`\Delta_{G(V)} s` and comparison multiplier, so each is built
-    once per point instead of once per identity.  The ingredients belong to
-    the state's Ricci potential ``F``; a residual that flips a term or
+    test sections ``s`` (one coefficient or a batch).  The ingredients come
+    in two levels:
+
+    * member-direction ingredients, which depend on ``(family, sigma, v,
+      eps)`` only: ``V[J]``, ``G(V)``, :math:`\partial F`, ``H(V)``, the
+      divergences :math:`\operatorname{Tr}\tilde\nabla G(V)` and
+      :math:`\operatorname{Tr}\tilde\nabla(G(V)\rho)` and the comparison
+      multiplier ``m``;
+    * section ingredients on the bundle of ``bd``: :math:`\nabla s`, the
+      plain :math:`\Delta_{G(V)} s`, :math:`\Delta_{G(V)} s` and
+      :math:`\Delta_{G(V)}(m s)`.
+
+    A point given ``shared``, the point without sections at the same
+    ``(family, sigma, v, eps)``, reads the member-direction ingredients
+    there, so every level and section set at one member and direction
+    shares them; without it the point builds its own.  Every identity
+    evaluated at the point reads the same ingredients, so each is built
+    once per point instead of once per identity.  The ingredients belong
+    to the state's Ricci potential ``F``; a residual that flips a term or
     ``H(V)`` (the mutation self-test) builds the flipped one on its own and
     never stores it, and no residual writes into an ingredient.
 
-    Like the symbols of a ``KahlerState``, the ingredients have no key and
-    no bound: they live and die with the point, which lives and dies with
-    its catalog case (``catalog.Case.point``).
+    A point has no key and no bound: it lives as long as its holder, the
+    run's keyed store of the catalog rows (``catalog.Env.point``) or one
+    step of a sweep (``catalog.sweep_orders``).
     """
 
     family: Family
@@ -254,6 +275,7 @@ class Point:
     eps: float
     bd: BundleData | None = None
     s: Array | None = None
+    shared: Point | None = None
 
     @cached_property
     def st(self) -> KahlerState:
@@ -263,20 +285,22 @@ class Point:
     @cached_property
     def VJ(self) -> Array:
         """:math:`V[J]`: the closed form when the family has one."""
+        if self.shared is not None:
+            return self.shared.VJ
         return vj_of(self.family, self.sigma, self.v, self.eps, self.family.closed_form)
 
     @cached_property
     def G(self) -> Array:
-        return G_of(self)
+        return G_of(self) if self.shared is None else self.shared.G
 
     @cached_property
     def dF(self) -> Array:
         r""":math:`\partial F` of the state's Ricci potential."""
-        return dF_holo(self.st, self.st.F)
+        return dF_holo(self.st, self.st.F) if self.shared is None else self.shared.dF
 
     @cached_property
     def H(self) -> Array:
-        return H_of(self.st, self.G, self.dF)
+        return H_of(self.st, self.G, self.dF) if self.shared is None else self.shared.H
 
     def H_flipped(self, flip: str) -> Array:
         """``H(V)`` with the term ``flip`` negated (see :func:`H_of`), built
@@ -286,12 +310,21 @@ class Point:
     @cached_property
     def trace_G(self) -> Array:
         r""":math:`\operatorname{Tr}\tilde\nabla G(V)`."""
-        return trace_nabla(self.st, self.G)
+        return trace_nabla(self.st, self.G) if self.shared is None else self.shared.trace_G
 
     @cached_property
     def trace_G_rho(self) -> Array:
         r""":math:`\operatorname{Tr}\tilde\nabla(G(V)\rho)`."""
+        if self.shared is not None:
+            return self.shared.trace_G_rho
         return trace_nabla_endo(self.st, mat_mul(self.G, self.st.rho))
+
+    @cached_property
+    def m(self) -> Array:
+        """The comparison multiplier of the Ricci potential."""
+        if self.shared is not None:
+            return self.shared.m
+        return comparison_multiplier(self.family, potential_fn(self.family, "ricci"), self.sigma)
 
     @cached_property
     def grad_s(self) -> Array:
@@ -304,9 +337,15 @@ class Point:
         return delta_G(self.bd.plain, self.G, self.s)
 
     @cached_property
-    def m(self) -> Array:
-        """The comparison multiplier of the Ricci potential."""
-        return comparison_multiplier(self.family, potential_fn(self.family, "ricci"), self.sigma)
+    def delta_s(self) -> Array:
+        r""":math:`\Delta_{G(V)} s` on the bundle of ``bd``."""
+        return delta_G(self.bd, self.G, self.s)
+
+    @cached_property
+    def delta_ms(self) -> Array:
+        r""":math:`\Delta_{G(V)}(m s)` on the bundle of ``bd``, ``m`` the
+        comparison multiplier of the Ricci potential."""
+        return delta_G(self.bd, self.G, self.m * self.s)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +519,8 @@ def eq_defining_residual(pt: Point, flip: str | None = None) -> tuple[Array, Arr
         + \tfrac{i}{4}\operatorname{Tr}\tilde\nabla(G(V))\,\omega\; s .
     """
     st, bd, s = pt.st, pt.bd, pt.s
-    lhs = form_anti(st, sec_grad(bd, u_apply(bd, pt.G, pt.H, s)))
+    us = (pt.delta_s + pt.H * s) / (4.0 * bd.k)  # u(V)s, the bits of u_apply
+    lhs = form_anti(st, sec_grad(bd, us))
     t1 = 0.5j * np.einsum("ba...,b...->a...", pt.VJ, pt.grad_s)
     t2 = _times_potential(0.25j * np.einsum("b...,ba...->a...", pt.trace_G, st.omega), s)
     if flip == "vj":
@@ -501,7 +541,7 @@ def eq_transfer_residual(pt: Point, flip: str | None = None) -> tuple[Array, Arr
     """
     st, bd, s, G = pt.st, pt.bd, pt.s, pt.G
     k = bd.k
-    lhs = form_anti(st, sec_grad(bd, delta_G(bd, G, s)))
+    lhs = form_anti(st, sec_grad(bd, pt.delta_s))
     t1 = -2j * k * np.einsum("ab...,bc...,c...->a...", st.omega, G, pt.grad_s)
     t2 = _times_potential(1j * k * np.einsum("b...,ba...->a...", pt.trace_G, st.omega), s)
     t3 = _times_potential(-0.5j * pt.trace_G_rho, s)
@@ -782,9 +822,9 @@ def operator_pullback_residual(pt: Point, flip: str | None = None) -> tuple[Arra
         + 2\nabla^{L}_{G(V)\partial_M\tilde F}\,s - H(V)\,s
         - 2n\,V'[\tilde F]\,s \qquad (n = 0).
     """
-    st, bd, s, G, m = pt.st, pt.bd, pt.s, pt.G, pt.m
-    lhs = delta_G(bd, G, m * s) / m
-    GdF = np.einsum("ab...,b...->a...", G, pt.dF)
+    st, bd, s = pt.st, pt.bd, pt.s
+    lhs = pt.delta_ms / pt.m
+    GdF = np.einsum("ab...,b...->a...", pt.G, pt.dF)
     t1 = pt.delta_plain
     t2 = 2.0 * grad_along(bd.plain, GdF, s)
     t3 = -pt.H * s
@@ -806,19 +846,23 @@ def connection_agreement_residual(pt: Point, which: str = "ricci") -> tuple[Arra
         + 2\nabla^{L}_{G(V)\partial_M\tilde F}\big) + V'[\tilde F]
 
     for the parameter-constant coefficients ``s`` of the point (of the
-    bundle of its ``bd``, so ``V[s] = 0``); scale ``s``.  The multiplier and
-    :math:`\partial\tilde F` of the Ricci potential are the point's.
+    bundle of its ``bd``, so ``V[s] = 0``); scale ``s``.  The multiplier,
+    :math:`\partial\tilde F` and :math:`\Delta_{G(V)}(m s)` of the Ricci
+    potential are the point's; any other potential has its own multiplier,
+    so it applies :math:`u(V)` to its own ``m s``.
     """
     family, st, bd, s, G = pt.family, pt.st, pt.bd, pt.s, pt.G
     sigma, v, eps, k = pt.sigma, pt.v, pt.eps, bd.k
     Ffn = potential_fn(family, which)
     if which == "ricci":
         m, dF = pt.m, pt.dF
+        ums = (pt.delta_ms + pt.H * (m * s)) / (4.0 * k)  # the bits of u_apply
     else:
         m, dF = comparison_multiplier(family, Ffn, sigma), dF_holo(st, Ffn(sigma))
+        ums = u_apply(bd, G, pt.H, m * s)
     vm = dir_deriv(lambda t: comparison_multiplier(family, Ffn, t), sigma, v, eps)
     aT = a_T(family, sigma, v, eps, family.closed_form)
-    lhs = (vm * s + aT * m * s + u_apply(bd, G, pt.H, m * s)) / m
+    lhs = (vm * s + aT * m * s + ums) / m
     GdF = np.einsum("ab...,b...->a...", G, dF)
     vpF, _ = v_parts(Ffn, sigma, v, eps)
     rhs = (pt.delta_plain + 2.0 * grad_along(bd.plain, GdF, s)) / (4.0 * k) + vpF * s

@@ -208,51 +208,164 @@ def test_sweep_builds_one_set_of_ingredients_per_point(monkeypatch):
     the finest) builds one ``G(V)`` and one ``H(V)`` per step: 4 each (16
     and 12 when every identity builds its own)."""
     calls = {"G_of": 0, "H_of": 0}
-
-    def counted(name):
-        fn = getattr(operators, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(operators, name, counted(name))
+    _counted(calls, operators, monkeypatch)
     catalog.sweep_orders(SWEEPABLE, grids=(24, 32))
     assert calls == {"G_of": 4, "H_of": 4}
+
+
+INGREDIENTS = (
+    "VJ", "G", "dF", "H", "trace_G", "trace_G_rho", "m",
+    "grad_s", "delta_plain", "delta_s", "delta_ms",
+)
 
 
 @pytest.mark.parametrize("mutated", [False, True])
 def test_shared_point_gives_the_bits_of_a_fresh_point(mutated):
     """Each sweepable residual read through a point that the others have
-    already read equals, byte for byte, the same residual on a fresh point;
-    so it does after every mutation's flipped residual has read the shared
-    point (``mutated``): a flipped term or ``H(V)`` is never stored."""
+    already read equals, byte for byte, the same residual on a fresh point,
+    and so does every ingredient of the point, ``Delta_{G(V)} s`` and
+    ``Delta_{G(V)}(m s)`` among them; whether the shared point builds
+    its member-direction ingredients or reads them from a shared one;
+    and after every mutation's flipped residual has read the shared point
+    (``mutated``): a flipped term or ``H(V)`` is never stored."""
     env = Env(RunConfig(backend="chart", grid=24, levels=(1,)))
-    sigma, k = env.cfg.sigma, 1
+    sigma, k, eps, fam = env.cfg.sigma, 1, env.cfg.eps, env.chart()
     s = env.sections("chart", sigma, k).values[:1]
-    bd = catalog.bundle_data(env.chart(), sigma, k)
+    bd = catalog.bundle_data(fam, sigma, k)
 
-    def case():
-        return Case(env, "chart", env.cfg.eps, None, sigma, k, 1.0, s, bd)
+    def case(shared=None):
+        return Case(env, "chart", eps, None, sigma, k, 1.0, s, bd,
+                    operators.Point(fam, sigma, 1.0, eps, bd, s, shared))
 
-    shared = case()
-    if mutated:
-        flipped = {
-            "defining_equation": operators.eq_defining_residual,
-            "holomorphy_transfer": operators.eq_transfer_residual,
-            "potential_oneform": operators.potential_oneform_residual,
-            "operator_pullback": operators.operator_pullback_residual,
-        }
-        for identity, flip in MUTATIONS.values():
-            flipped[identity](shared.point, flip=flip)
-    got = {i: ROWS[i].residual(shared) for i in SWEEPABLE}
-    for i in SWEEPABLE:
-        fresh = ROWS[i].residual(case())
-        for a, b in zip(got[i], fresh):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), i
+    flipped = {
+        "defining_equation": operators.eq_defining_residual,
+        "holomorphy_transfer": operators.eq_transfer_residual,
+        "potential_oneform": operators.potential_oneform_residual,
+        "operator_pullback": operators.operator_pullback_residual,
+    }
+    for shared in (case(), case(operators.Point(fam, sigma, 1.0, eps))):
+        if mutated:
+            for identity, flip in MUTATIONS.values():
+                flipped[identity](shared.point, flip=flip)
+        got = {i: ROWS[i].residual(shared) for i in SWEEPABLE}
+        for i in SWEEPABLE:
+            for a, b in zip(got[i], ROWS[i].residual(case())):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), i
+        fresh = case().point
+        for name in INGREDIENTS:
+            a, b = getattr(shared.point, name), getattr(fresh, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+POINT_ROWS = tuple(i for i, row in ROWS.items() if row.point)
+
+
+class FreshPoints(Env):
+    """An `Env` that hands every case a point of its own: the reference
+    for the run's keyed store of points."""
+
+    def point(self, backend, sigma, v, k=0, axis=None, bd=None, s=None):
+        return operators.Point(self.family(backend), sigma, v, self.cfg.eps, bd, s)
+
+
+def test_the_point_rows_are_the_rows_that_read_a_point():
+    assert POINT_ROWS == (
+        "potential_variation",
+        "potential_oneform",
+        "defining_equation",
+        "holomorphy_transfer",
+        "divergence_closedness",
+        "operator_pullback",
+        "connection_agreement",
+        "connection_agreement_corrected",
+    )
+    for identity in POINT_ROWS:
+        assert ROWS[identity].point and "v" in ROWS[identity].axes
+
+
+KEYED_CFG = RunConfig(grid=24, levels=(1, 2))
+
+
+@pytest.fixture(scope="module")
+def fresh_runs() -> dict:
+    """The runner output of every point row on each backend without a
+    mutation, every case on a point of its own."""
+    fresh = FreshPoints(KEYED_CFG)
+    return {(e.identity, e.backend): e.runner(fresh, e.backend) for e in REGISTRY if e.identity in POINT_ROWS}
+
+
+@pytest.mark.parametrize("mutate", [None, *MUTATIONS])
+def test_keyed_points_give_the_bits_of_fresh_points(mutate, fresh_runs):
+    """Every case of the eight point rows, on both backends, the first
+    section rows (``'f'``) included, reads the same bits from the run's
+    keyed points as from a point of its own; with a mutation, its row runs
+    first, so every later row that shares its point would read a stored
+    flip (the mutated row's reference is run with the mutation)."""
+    cfg = dataclasses.replace(KEYED_CFG, mutate=mutate)
+    target = mutate and MUTATIONS[mutate][0]
+    entries = sorted(
+        (e for e in REGISTRY if e.identity in POINT_ROWS), key=lambda e: e.identity != target
+    )
+    keyed, fresh = Env(cfg), FreshPoints(cfg)
+    for e in entries:
+        got = e.runner(keyed, e.backend)
+        want = e.runner(fresh, e.backend) if e.identity == target else fresh_runs[e.identity, e.backend]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (e.identity, e.backend)
+    assert keyed._points == {}  # each point let go after its last lookup
+
+
+def _counted(calls: dict, module, monkeypatch) -> None:
+    for name in calls:
+        fn = getattr(module, name)
+
+        def wrapper(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+
+def test_catalog_builds_one_set_of_ingredients_per_member_and_direction(monkeypatch):
+    """A catalog pass over the point rows at the default taus and levels
+    builds ``G(V)`` and ``H(V)`` once per ``(backend, sigma, v)``: 6 each
+    (74 and 50 when every row builds its own).  ``Delta_{G(V)}`` is applied
+    50 times: to ``s`` at each of the 18 ``'s'`` section points, to ``s`` on
+    the plain bundle and to ``m s`` at each of the 12 ``'f'`` ones, and at
+    each of the 8 cases of the corrected agreement row, whose multiplier is
+    its own (94 when every row applies its own)."""
+    calls = {"G_of": 0, "H_of": 0, "delta_G": 0}
+    _counted(calls, operators, monkeypatch)
+    run_catalog(RunConfig(grid=24, identities=POINT_ROWS, jobs=1))
+    assert calls == {"G_of": 6, "H_of": 6, "delta_G": 50}
+
+
+def test_points_are_built_once_under_threads(monkeypatch):
+    """The keyed points hold under a thread pool with more workers than
+    cores and a short switch interval: every point is built once, though
+    each build is slowed to let the threads race, and the rows read the
+    bits of a one-thread run.  A pass at the default taus and levels builds
+    36 points: per ``(backend, p, v)`` one member-direction point and 5
+    section points (``'s'`` at levels 0, 1 and 3, ``'f'`` at 1 and 3)."""
+    built = []
+    point = catalog.Point
+
+    def counted(*args):
+        built.append(args[:4])
+        time.sleep(0.01)
+        return point(*args)
+
+    monkeypatch.setattr(catalog, "Point", counted)
+    cfg = RunConfig(grid=24, identities=POINT_ROWS, jobs=1)
+    want = run_catalog(cfg)
+    n = len(built)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_catalog(dataclasses.replace(cfg, jobs=4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert n == 36 and len(built) == 2 * n
 
 
 def test_sweep_reads_two_christoffel_symbols(monkeypatch):

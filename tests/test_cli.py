@@ -93,6 +93,18 @@ def test_verify_reports_are_deterministic(tmp_path, capsys):
     assert "[PASS]" in text
 
 
+def test_verify_reports_the_same_bytes_at_one_and_two_jobs(tmp_path):
+    """The worker threads share the run's families, sections and case
+    points; the report does not depend on how many there are."""
+    ids = ",".join(i for i in IDENTITY_NAMES if i not in ("transport_oracle", "loop_offscalar"))
+    codes = [
+        main(["verify", "--grid", "24", "--identities", ids, "--jobs", jobs, "--out", str(tmp_path / jobs)])
+        for jobs in ("1", "2")
+    ]
+    assert codes[0] == codes[1]
+    assert _read(tmp_path / "1" / "report.jsonl") == _read(tmp_path / "2" / "report.jsonl")
+
+
 def test_verify_config_file_applies(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text(f"[run]\nbackend = torus\nidentities = {FAST_TORUS}\nlevels = 1,2\n")

@@ -267,17 +267,41 @@ def test_every_definition_is_referenced():
 
 
 POINT_BUILDERS = ("G_of", "H_of", "vj_of", "trace_nabla", "trace_nabla_endo")
+# a point residual reads Delta_{G(V)} s and Delta_{G(V)}(m s) from the point
+POINT_OPERATORS = ("delta_G", "u_apply")
+# the one exception: a reduction potential other than the Ricci one has a
+# multiplier m of its own, so its Delta_{G(V)}(m s) is not the point's
+OWN_MULTIPLIER = ("connection_agreement_residual", "u_apply")
+# the point's Delta_{G(V)} s and Delta_{G(V)}(m s) that each residual reads
+POINT_DELTAS = {
+    "eq_defining_residual": {"delta_s"},
+    "eq_transfer_residual": {"delta_s"},
+    "operator_pullback_residual": {"delta_ms"},
+    "connection_agreement_residual": {"delta_ms"},
+}
 
 
 def _is_residual(name: str) -> bool:
     return name.startswith("eq_") or name.endswith(("_residual", "_residuals"))
 
 
+def _other_potential_branch(fn: ast.FunctionDef) -> set[int]:
+    """The nodes of ``fn`` (by ``id``) in the ``else`` of an
+    ``if which == "ricci":``, the branch of another reduction potential."""
+    nodes = set()
+    for n in ast.walk(fn):
+        if isinstance(n, ast.If) and ast.unparse(n.test) == "which == 'ricci'":
+            nodes |= {id(x) for stmt in n.orelse for x in ast.walk(stmt)}
+    return nodes
+
+
 def builder_calls(source: str) -> dict[str, list[str]]:
     """Per residual function of ``source`` (``eq_*``, ``*_residual``,
     ``*_residuals``), the builders of `POINT_BUILDERS` it calls itself, by
     name or attribute; a residual whose first parameter is ``pt`` reads
-    them from the point.  The residuals without a point may call ``vj_of``:
+    them from the point, and applies none of `POINT_OPERATORS` either, but
+    for the `OWN_MULTIPLIER` call in the branch of another reduction
+    potential.  The residuals without a point may call ``vj_of``:
     ``metric_variation_residual`` and ``projector_commutator_residual``
     take the difference quotient of ``J`` on every backend, the torus
     included, where the point holds the closed form."""
@@ -286,35 +310,68 @@ def builder_calls(source: str) -> dict[str, list[str]]:
         if not isinstance(fn, ast.FunctionDef) or not _is_residual(fn.name):
             continue
         takes_point = bool(fn.args.args) and fn.args.args[0].arg == "pt"
-        barred = POINT_BUILDERS if takes_point else tuple(b for b in POINT_BUILDERS if b != "vj_of")
+        if takes_point:
+            barred = POINT_BUILDERS + POINT_OPERATORS
+        else:
+            barred = tuple(b for b in POINT_BUILDERS if b != "vj_of")
+        exempt = _other_potential_branch(fn) if fn.name == OWN_MULTIPLIER[0] else set()
         called = set()
         for n in ast.walk(fn):
             if isinstance(n, ast.Call):
                 f = n.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name in barred:
+                if name in barred and not (name == OWN_MULTIPLIER[1] and id(n) in exempt):
                     called.add(name)
         found[fn.name] = sorted(called)
     return found
 
 
+def point_reads(source: str) -> dict[str, set[str]]:
+    """Per function of ``source``, the attributes it reads from ``pt``."""
+    return {
+        fn.name: {
+            n.attr
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "pt"
+        }
+        for fn in ast.parse(source).body
+        if isinstance(fn, ast.FunctionDef)
+    }
+
+
 def test_residuals_read_the_ingredients_from_the_point():
     # the check itself sees a direct call, an attribute call and a builder
-    # that a point residual reads from its point
+    # that a point residual reads from its point; an operator that a point
+    # residual applies itself, in the Ricci branch too, and the exempt one
     snippet = (
         "def eq_a(pt):\n    return G_of(pt), pt.H\n"
         "def b_residual(fam, s):\n    return ops.trace_nabla(s, 1), vj_of(fam)\n"
         "def c_residuals(pt):\n    return pt.G, pt.trace_G\n"
         "def helper(pt):\n    return H_of(pt)\n"
+        "def d_residual(pt, s):\n    return delta_G(pt.bd, pt.G, s)\n"
+        "def connection_agreement_residual(pt, which):\n"
+        "    if which == 'ricci':\n        u = u_apply(pt.bd, pt.G, pt.H, pt.s)\n"
+        "    else:\n        u = u_apply(pt.bd, pt.G, pt.H, 2 * pt.s)\n"
+        "    return u\n"
+        "def e_residual(pt, which):\n"
+        "    if which == 'ricci':\n        return pt.delta_s\n"
+        "    return u_apply(pt.bd, pt.G, pt.H, pt.s)\n"
     )
     assert builder_calls(snippet) == {
         "eq_a": ["G_of"],
         "b_residual": ["trace_nabla"],
         "c_residuals": [],
+        "d_residual": ["delta_G"],
+        "connection_agreement_residual": ["u_apply"],
+        "e_residual": ["u_apply"],
     }
+    assert point_reads(snippet)["e_residual"] == {"delta_s", "bd", "G", "H", "s"}
     source = (ROOT / "src" / "hitchinlab" / "operators.py").read_text()
     found = builder_calls(source)
     assert {name: called for name, called in found.items() if called} == {}
+    reads = point_reads(source)
+    for name, deltas in POINT_DELTAS.items():
+        assert deltas <= reads[name], name
     # the six residuals that build G(V) take the point
     point_residuals = {
         fn.name

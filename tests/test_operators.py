@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
@@ -472,6 +478,61 @@ def test_chart_design_compresses_the_two_row_design(chart48, monkeypatch, k):
     assert max_norm(cross) <= 1e-14 * max_norm(D) * l_norm.max()
     gram_gap = np.linalg.norm(D1.conj().T @ D1 - D.conj().T @ D, 2)
     assert gram_gap <= 1e-13 * np.linalg.norm(D, 2) ** 2
+
+
+# Records every lstsq solve of the chart sections at grid 64 and the default
+# sigma, k = 0, 1 and 3, with its rank and singular-value margins.
+RANK_PROBE = """
+import json
+import numpy as np
+from hitchinlab.bundle import bundle_data
+from hitchinlab.catalog import RunConfig, chart_family
+from hitchinlab.operators import chart_sections
+
+solves = []
+lstsq = np.linalg.lstsq
+
+def recorded(a, b, rcond=None):
+    out = lstsq(a, b, rcond=rcond)
+    rank, sv = int(out[2]), out[3]
+    cutoff = rcond * sv[0]
+    solves.append({
+        "rank": rank,
+        "kept": float(sv[rank - 1] / cutoff),
+        "dropped": float(sv[rank] / cutoff) if rank < len(sv) else None,
+    })
+    return out
+
+np.linalg.lstsq = recorded
+fam = chart_family(64)
+for k in (0, 1, 3):
+    chart_sections(bundle_data(fam, RunConfig().sigma, k))
+print(json.dumps(solves))
+"""
+
+
+def test_chart_section_ranks_at_grid_64():
+    """The six ranks of the anchored chart-section solves (k = 0, 1, 3;
+    one and two anchors) at grid 64 and the default sigma, BLAS threads
+    pinned to one.  Singular values within a factor of a few of the rank
+    cutoff are kept or dropped, so another factorization, BLAS build or
+    thread count can flip a rank and move the sections by far more than
+    rounding (0.36 sup at k = 1); this test names the flip, with the
+    margins of every solve (docs/identities.md, *Chart test sections*)."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", RANK_PROBE], env=env, capture_output=True, text=True, timeout=300, check=True
+    )
+    solves = json.loads(out.stdout.splitlines()[-1])
+    labels = [(k, anchors) for k in (0, 1, 3) for anchors in (1, 2)]
+    margins = "\n".join(
+        f"k = {k}, {anchors} anchor(s): rank {s['rank']}, smallest kept / cutoff "
+        f"{s['kept']:.2f}, largest dropped / cutoff "
+        + ("none" if s["dropped"] is None else f"{s['dropped']:.2f}")
+        for (k, anchors), s in zip(labels, solves)
+    )
+    assert [s["rank"] for s in solves] == [111, 112, 150, 151, 230, 231], margins
 
 
 def test_unknown_potential_family_is_rejected(torus32):
