@@ -12,9 +12,9 @@ every verdict matches its expectation; a non-finite case residual is an
 
 The rows are data (`ROWS`): each gives its budgets, its case axes and the
 residual of one case, which returns the sup of its error and the sup of
-its scale (1.0 for an absolute residual).  One driver (`Row.cases`,
-`_row`) expands the axes, divides once (`case_ratio`, scale floored at
-1e-300) and reduces the cases to the worst one.
+its scale (1.0 for an absolute residual).  One walk (`walk`) expands the
+axes and divides once (`case_ratio`, scale floored at 1e-300), and `_row`
+reduces the cases to the worst one.
 
 Budgets follow the two error models of the backends:
 
@@ -35,10 +35,8 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -189,22 +187,14 @@ MUTATIONS = {
 
 
 class Env:
-    """Families, test sections and case points shared by the catalog rows
-    of one run.
+    """Families and test sections shared by the catalog rows of one run.
 
     Test sections are kept for the whole run: a catalog pass builds 3 chart
     sections (0.11, 0.14 and 0.21 s at k = 0, 1 and 3 on grid 64, threads
     pinned to one) and looks them up 13 times, so the cache saves 10 builds
-    per pass.  The case points (`point`) are keyed with no bound: the 74
-    cases of the eight point rows of a default pass look up 36 points (6
-    member-direction points and 30 section points), so the store saves 38
-    points, and with them 68 of the 74 builds of ``G(V)``, 44 of the 50 of
-    ``H(V)`` and 44 of the 94 applications of ``Delta_{G(V)}``.  The store
-    lets each point go once the selected rows have made their last lookup
-    of it: kept to the end of the run, the 36 points held 10.3 MiB of
-    ingredients at grid 64 and raised the traced peak of a one-thread pass
-    from 38.4 to 47.0 MiB.  The family states have their own bounded cache
-    (``Family.state``).
+    per pass.  The family states have their own bounded cache
+    (``Family.state``).  Case points are not kept here: a `walk` makes them
+    and drops them at each ``(p, v)``.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -212,8 +202,6 @@ class Env:
         self._lock = threading.Lock()
         self._families: dict[str, Family] = {}
         self._sections: dict = {}
-        self._points: dict = {}
-        self._reads: Counter = Counter()
 
     def family(self, backend: str) -> Family:
         with self._lock:
@@ -241,65 +229,6 @@ class Env:
 
         return build_once(self._lock, self._sections, (backend, complex(sigma), int(k)), build)
 
-    def point(
-        self,
-        backend: str,
-        sigma: complex,
-        v: complex,
-        k: int = 0,
-        axis: str | None = None,
-        bd: BundleData | None = None,
-        s: Array | None = None,
-    ) -> Point:
-        """The `operators.Point` at ``(backend, sigma, v)`` and the run's eps,
-        built once even when threads race.
-
-        Without ``axis`` it is the member-direction point.  With a section
-        ``axis`` (``'s'``: every test section at ``(sigma, k)``, ``'f'``: the
-        first) it is the section point, keyed by ``k`` and ``axis`` too, which
-        holds ``bd`` and ``s`` (the bundle data and those sections, read on
-        its first lookup) and reads its member-direction ingredients from
-        the member-direction point."""
-        fam, eps = self.family(backend), self.cfg.eps
-        key = (backend, complex(sigma), complex(v), eps)
-        shared = self._lookup(key, (backend, None, None), lambda: Point(fam, sigma, v, eps))
-        if axis is None:
-            return shared
-        return self._lookup(
-            key + (int(k), axis),
-            (backend, int(k), axis),
-            lambda: Point(fam, sigma, v, eps, bd, s, shared),
-        )
-
-    def _lookup(self, key: tuple, kind: tuple, build: Callable[[], Point]) -> Point:
-        """The point of ``key``, built once; the store lets it go at the
-        last lookup that the selected rows make of a point of its ``kind``
-        (`_readers`), and its last reader holds it from there."""
-        pt = build_once(self._lock, self._points, key, build)
-        with self._lock:
-            self._reads[key] += 1
-            if self._reads[key] == self._readers[kind]:
-                del self._points[key]
-        return pt
-
-    @cached_property
-    def _readers(self) -> Counter:
-        """How many times the selected rows look up each point of a kind:
-        ``(backend, k, section axis)`` for a section point, ``(backend,
-        None, None)`` for a member-direction point.  A point row looks up,
-        per level (level 0 without a level axis), the member-direction point
-        and, with a section axis, one section point."""
-        readers: Counter = Counter()
-        for e in select_entries(self.cfg):
-            row = ROWS[e.identity]
-            if not row.point:
-                continue
-            for k in self.cfg.levels if "k" in row.axes else (0,):
-                readers[e.backend, None, None] += 1
-                if row.section_axis:
-                    readers[e.backend, k, row.section_axis] += 1
-        return readers
-
     def flip(self, identity: str) -> str | None:
         m = self.cfg.mutate
         if m is None:
@@ -320,11 +249,10 @@ class Case:
     ``eps`` is the run's plain parameter step (`families.step_for` scales it
     at the parameter) and ``flip`` the mutation flip of the case's row.
     ``point`` holds the ingredients of u(V) at the case (`operators.Point`)
-    for the rows that read them: the row driver takes it from the run's
-    keyed store (`Env.point`), which every catalog row evaluated at the
-    same case coordinates reads, while a sweep step makes its own, which
-    the four identities of the step share and which is dropped with the
-    step."""
+    for the rows that read them.  Whoever makes the case makes the point
+    and drops it when it moves on: a `walk` at each ``(p, v)``, which every
+    point row of the walk reads there, and a sweep step at each step, which
+    the four identities of the step read."""
 
     env: Env
     backend: str
@@ -495,9 +423,9 @@ class Row:
     scale sups of one residual or of several (lists, or one per section).
     ``fails`` lists the backends on which the row is expected to fail; a
     ``k_cubic`` row's chart budget grows with the cube of the level.  A
-    ``point`` row reads the case's `operators.Point`, which the driver takes
-    from the run's keyed store (`Env.point`), so the point rows evaluated
-    at one ``(p, k, v)`` and section axis share its ingredients.
+    ``point`` row reads the case's `operators.Point`; the point rows of one
+    `walk` read one point per ``(p, k, v)`` and section axis, so they share
+    its ingredients.
     """
 
     identity: str
@@ -516,23 +444,56 @@ class Row:
 
     def cases(self, env: Env, backend: str) -> list[tuple[float, int]]:
         """Every case residual of this row on ``backend`` with its level."""
-        ax, axis = self.axes, self.section_axis
-        eps, flip = env.cfg.eps, env.flip(self.identity)
-        out: list[tuple[float, int]] = []
-        for p in env.params(backend) if "p" in ax else (None,):
-            for k in env.cfg.levels if "k" in ax else (0,):
-                s = bd = pt = None
-                if axis:
-                    s = env.sections(backend, p, k).values
-                    s = s[:1] if axis == "f" else s
-                if s is not None or "k" in ax:
-                    bd = bundle_data(env.family(backend), p, k)
-                for v in DIRS if "v" in ax else (None,):
-                    if self.point:
-                        pt = env.point(backend, p, v, k, axis, bd, s)
-                    r = case_ratio(*self.residual(Case(env, backend, eps, flip, p, k, v, s, bd, pt)))
-                    out += [(x, k) for x in np.ravel(r).tolist()]
-        return out
+        return walk(env, backend, (self,))[self.identity]
+
+
+def _kept(store: dict, key, build: Callable):
+    """``store[key]``, built on its first use."""
+    if key not in store:
+        store[key] = build()
+    return store[key]
+
+
+def walk(env: Env, backend: str, rows: Iterable[Row]) -> dict[str, list[tuple[float, int]]]:
+    """Every case residual of ``rows`` on ``backend`` with its level, per
+    identity, in each row's own ``(p, k, v)`` order: the one expansion of
+    the case axes.
+
+    Per parameter ``p`` the walk builds the bundle data of each level once.
+    Per ``(p, v)`` it makes one member-direction `operators.Point` and one
+    section point per ``(k, section axis)`` that reads it (``shared``), as
+    the point rows first ask for them; every point row reads these points,
+    and they are dropped when the walk moves on.  A row without a ``p`` or
+    ``v`` axis is evaluated at the first ``p`` or ``v`` only.
+    """
+    rows = tuple(rows)
+    fam, eps, levels = env.family(backend), env.cfg.eps, env.cfg.levels
+    found: dict[str, list] = {row.identity: [] for row in rows}  # (order, residuals, k)
+    for ip, p in enumerate(env.params(backend)):
+        bds: dict[int, BundleData] = {}
+        for iv, v in enumerate(DIRS):
+            points: dict = {}  # None: the member-direction point; (k, axis): a section point
+            for row in rows:
+                ax, axis = row.axes, row.section_axis
+                if ("p" not in ax and ip) or ("v" not in ax and iv):
+                    continue
+                for ik, k in enumerate(levels) if "k" in ax else ((0, 0),):
+                    s = bd = pt = None
+                    if axis:
+                        s = env.sections(backend, p, k).values
+                        s = s[:1] if axis == "f" else s
+                    if axis or "k" in ax:
+                        bd = _kept(bds, k, lambda: bundle_data(fam, p, k))
+                    if row.point:
+                        pt = _kept(points, None, lambda: Point(fam, p, v, eps))
+                        if axis:
+                            pt = _kept(points, (k, axis), lambda m=pt: Point(fam, p, v, eps, bd, s, m))
+                    r = row.residual(Case(
+                        env, backend, eps, env.flip(row.identity),
+                        p if "p" in ax else None, k, v if "v" in ax else None, s, bd, pt,
+                    ))
+                    found[row.identity].append(((ip, ik, iv), np.ravel(case_ratio(*r)).tolist(), k))
+    return {i: [(x, k) for _, r, k in sorted(cases) for x in r] for i, cases in found.items()}
 
 
 TORUS, CHART = "torus", "chart"
@@ -797,18 +758,33 @@ def select_entries(cfg: RunConfig) -> list[Entry]:
     return chosen
 
 
+def _job(entries: list[Entry], env: Env) -> list[dict]:
+    """The rows of ``entries``, all on one backend: one entry's cases come
+    from its runner, several entries' from one `walk`."""
+    if len(entries) == 1:
+        return [_row(entries[0], env)]
+    cases = walk(env, entries[0].backend, [ROWS[e.identity] for e in entries])
+    return [_row(replace(e, runner=lambda *_, c=cases[e.identity]: c), env) for e in entries]
+
+
 def run_catalog(cfg: RunConfig) -> list[dict]:
-    """Evaluate the selected catalog rows; deterministic, sorted output."""
+    """Evaluate the selected catalog rows; deterministic, sorted output.
+
+    Each selected entry is one job, except that the point rows of a backend
+    form one job, which walks their cases together so that they read one
+    point per case coordinate.  The jobs keep the registry's order, a
+    group at the place of its first row.
+    """
     env = Env(cfg)
-    entries = select_entries(cfg)
-    rows: list[dict] = []
+    jobs: dict = {}  # the point rows by backend, every other entry by itself
+    for e in select_entries(cfg):
+        jobs.setdefault(e.backend if ROWS[e.identity].point else e, []).append(e)
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as ex:
-            rows = list(ex.map(lambda e: _row(e, env), entries))
+            done = list(ex.map(lambda job: _job(job, env), jobs.values()))
     else:
-        rows = [_row(e, env) for e in entries]
-    rows.sort(key=lambda r: (r["identity"], r["backend"]))
-    return rows
+        done = [_job(job, env) for job in jobs.values()]
+    return sorted((row for job in done for row in job), key=lambda r: (r["identity"], r["backend"]))
 
 
 # ---------------------------------------------------------------------------
@@ -842,13 +818,11 @@ def sweep_orders(
     (``G(V)``, ``H(V)``, divergences, :math:`\nabla s`,
     :math:`\Delta_{G(V)} s`, :math:`\Delta_{G(V)}(m s)`, ...), built once
     per step; the point is freed with its case before the next step builds
-    its own.  The sweep does not use the run's keyed store (`Env.point`):
-    that would keep the points of finished steps alive, and the steps
-    differ in eps.  Once a step's rows are evaluated the family
-    forgets every state but the centre member ``sigma``
-    (`Family.drop_states`): the neighbours of a finished step are never
-    read again, while the centre, whose symbols every step reads, is built
-    once per grid.
+    its own, as a catalog `walk` frees its points.  Once a step's rows are
+    evaluated the family forgets every state but the centre member
+    ``sigma`` (`Family.drop_states`): the neighbours of a finished step are
+    never read again, while the centre, whose symbols every step reads, is
+    built once per grid.
     The grid sweep keeps one *frozen* section (polynomial coefficients
     built once on the coarsest grid, re-evaluated exactly on the finer
     ones) so that the h-order is not masked by the section constructor

@@ -9,6 +9,8 @@ sweep
     Measure chart-backend convergence orders (grid and parameter-step axes)
     for the sweepable identities; exit 0 only when each axis meets its order
     threshold (h >= 3.5, eps >= 1.9) or is already resolved below the floor.
+    Its grids are ``--grids``, on the chart, and it takes no ``--backend``
+    or ``--grid``.
 transport
     Parallel-transport the full level-k basis along a parameter path on the
     torus backend and compare with the self-transport oracle; optionally run
@@ -54,14 +56,16 @@ from .theta import as_path, loop_offscalar, transport
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="INI file with a [run] section")
-    p.add_argument("--backend", type=FIELDS["backend"], help="torus, chart or both")
-    p.add_argument("--grid", type=FIELDS["grid"], help="grid points per axis")
     p.add_argument("--out", help="directory for report files")
 
 
 class _Parser(argparse.ArgumentParser):
     """Raises a flag that does not parse as a ``ValueError``, which `main`
-    reports as it reports every other bad input."""
+    reports as it reports every other bad input.  A flag is never read as
+    an abbreviation of a longer one (``sweep --grid`` is not ``--grids``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise ValueError(message)
@@ -136,6 +140,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_verify = sub.add_parser("verify", help="run the identity catalog")
     _add_common(p_verify)
+    p_verify.add_argument("--backend", type=FIELDS["backend"], help="torus, chart or both")
+    p_verify.add_argument("--grid", type=FIELDS["grid"], help="grid points per axis")
     p_verify.add_argument(
         "--identities",
         type=FIELDS["identities"],

@@ -51,7 +51,7 @@ the plain :math:`\Delta_{G(V)} s`, :math:`\Delta_{G(V)} s` and
 every identity evaluated at that point reads the same ones.  A section
 point may read the member-direction ingredients from the point without
 sections at the same member and direction, so the catalog shares them
-across levels and section sets (``catalog.Env.point``).  The residuals
+across levels and section sets (``catalog.walk``).  The residuals
 apply neither :func:`delta_G` nor :func:`u_apply` to the point's sections
 themselves: ``u(V)s`` is ``(Delta_{G(V)} s + H(V)s)/4k`` with the point's
 ``Delta_{G(V)} s``, the bits of :func:`u_apply`.  :func:`u_apply` takes
@@ -264,9 +264,9 @@ class Point:
     ``H(V)`` (the mutation self-test) builds the flipped one on its own and
     never stores it, and no residual writes into an ingredient.
 
-    A point has no key and no bound: it lives as long as its holder, the
-    run's keyed store of the catalog rows (``catalog.Env.point``) or one
-    step of a sweep (``catalog.sweep_orders``).
+    A point has no key and no bound: it lives as long as its holder, one
+    ``(sigma, v)`` of a catalog walk (``catalog.walk``) or one step of a
+    sweep (``catalog.sweep_orders``).
     """
 
     family: Family

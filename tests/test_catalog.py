@@ -5,6 +5,7 @@ import importlib.util
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -260,14 +261,6 @@ def test_shared_point_gives_the_bits_of_a_fresh_point(mutated):
 POINT_ROWS = tuple(i for i, row in ROWS.items() if row.point)
 
 
-class FreshPoints(Env):
-    """An `Env` that hands every case a point of its own: the reference
-    for the run's keyed store of points."""
-
-    def point(self, backend, sigma, v, k=0, axis=None, bd=None, s=None):
-        return operators.Point(self.family(backend), sigma, v, self.cfg.eps, bd, s)
-
-
 def test_the_point_rows_are_the_rows_that_read_a_point():
     assert POINT_ROWS == (
         "potential_variation",
@@ -283,35 +276,78 @@ def test_the_point_rows_are_the_rows_that_read_a_point():
         assert ROWS[identity].point and "v" in ROWS[identity].axes
 
 
-KEYED_CFG = RunConfig(grid=24, levels=(1, 2))
+WALK_CFG = RunConfig(grid=24, levels=(1, 2))
+
+
+def on_fresh_point(row):
+    """``row`` with every case on a point of its own, built from the case's
+    coordinates alone."""
+
+    def residual(c):
+        pt = operators.Point(c.fam, c.p, c.v, c.eps, c.bd, c.s)
+        return row.residual(dataclasses.replace(c, point=pt))
+
+    return dataclasses.replace(row, residual=residual)
+
+
+def walked_alone(cfg: RunConfig, identities=POINT_ROWS) -> dict:
+    """The cases of each row of ``identities`` on each backend, the row
+    walked alone and every case on a point of its own."""
+    env = Env(cfg)
+    return {
+        (i, backend): catalog.walk(env, backend, (on_fresh_point(ROWS[i]),))[i]
+        for i in identities
+        for backend in ROWS[i].budgets
+    }
 
 
 @pytest.fixture(scope="module")
-def fresh_runs() -> dict:
-    """The runner output of every point row on each backend without a
-    mutation, every case on a point of its own."""
-    fresh = FreshPoints(KEYED_CFG)
-    return {(e.identity, e.backend): e.runner(fresh, e.backend) for e in REGISTRY if e.identity in POINT_ROWS}
+def alone_runs() -> dict:
+    """`walked_alone` for every point row without a mutation."""
+    return walked_alone(WALK_CFG)
 
 
 @pytest.mark.parametrize("mutate", [None, *MUTATIONS])
-def test_keyed_points_give_the_bits_of_fresh_points(mutate, fresh_runs):
+def test_keyed_points_give_the_bits_of_fresh_points(mutate, alone_runs, monkeypatch):
     """Every case of the eight point rows, on both backends, the first
-    section rows (``'f'``) included, reads the same bits from the run's
-    keyed points as from a point of its own; with a mutation, its row runs
-    first, so every later row that shares its point would read a stored
-    flip (the mutated row's reference is run with the mutation)."""
-    cfg = dataclasses.replace(KEYED_CFG, mutate=mutate)
+    section rows (``'f'``) included, reads the same bits in the walk of a
+    backend's point rows together, from the walk's points (keyed by ``(k,
+    section axis)`` at each ``(p, v)``), as in its row walked alone on
+    points of its own; with a mutation, its row walks first, so every later
+    row that shares its point would read a stored flip (the mutated row's
+    reference is walked with the mutation).  While a case is evaluated, the
+    walk holds one member-direction point and at most 5 section points,
+    which read it; once the walk is done it holds none."""
+    cfg = dataclasses.replace(WALK_CFG, mutate=mutate)
     target = mutate and MUTATIONS[mutate][0]
-    entries = sorted(
-        (e for e in REGISTRY if e.identity in POINT_ROWS), key=lambda e: e.identity != target
-    )
-    keyed, fresh = Env(cfg), FreshPoints(cfg)
-    for e in entries:
-        got = e.runner(keyed, e.backend)
-        want = e.runner(fresh, e.backend) if e.identity == target else fresh_runs[e.identity, e.backend]
-        assert np.array(got).tobytes() == np.array(want).tobytes(), (e.identity, e.backend)
-    assert keyed._points == {}  # each point let go after its last lookup
+    want = {**alone_runs, **(walked_alone(cfg, (target,)) if target else {})}
+    built, point = [], catalog.Point
+
+    def tracked(*args):
+        pt = point(*args)
+        built.append(weakref.ref(pt))
+        return pt
+
+    def checked(residual):
+        def run(c):
+            alive = [pt for pt in (ref() for ref in built) if pt is not None]
+            members = [pt for pt in alive if pt.shared is None]
+            assert len(members) == 1 and len(alive) - 1 <= 5
+            assert all(pt.shared is members[0] for pt in alive if pt is not members[0])
+            return residual(c)
+
+        return run
+
+    monkeypatch.setattr(catalog, "Point", tracked)
+    env = Env(cfg)
+    rows = sorted((ROWS[i] for i in POINT_ROWS), key=lambda r: r.identity != target)
+    for backend in ("torus", "chart"):
+        walked = [dataclasses.replace(r, residual=checked(r.residual)) for r in rows if backend in r.budgets]
+        got = catalog.walk(env, backend, walked)
+        for r in walked:
+            key = (r.identity, backend)
+            assert np.array(got[r.identity]).tobytes() == np.array(want[key]).tobytes(), key
+    assert built and all(ref() is None for ref in built)  # each point let go after the walk
 
 
 def _counted(calls: dict, module, monkeypatch) -> None:
@@ -339,8 +375,22 @@ def test_catalog_builds_one_set_of_ingredients_per_member_and_direction(monkeypa
     assert calls == {"G_of": 6, "H_of": 6, "delta_G": 50}
 
 
+def test_catalog_builds_bundle_data_once_per_walk_position(monkeypatch):
+    """A catalog pass without the transport rows, at the default taus and
+    levels, builds 54 bundle data (76 when each point row builds its own):
+    9 for the test sections (``Env.sections``, one per ``(backend, p, k)``
+    at k = 0, 1, 3), 36 for the other rows with a level or section axis,
+    each row its own, and 9 for the walk of the point rows of both
+    backends, one per ``(p, k)``."""
+    calls = {"bundle_data": 0}
+    _counted(calls, catalog, monkeypatch)
+    ids = tuple(i for i in IDENTITY_NAMES if i not in ("transport_oracle", "loop_offscalar"))
+    run_catalog(RunConfig(grid=24, identities=ids, jobs=1))
+    assert calls == {"bundle_data": 54}
+
+
 def test_points_are_built_once_under_threads(monkeypatch):
-    """The keyed points hold under a thread pool with more workers than
+    """The walked points hold under a thread pool with more workers than
     cores and a short switch interval: every point is built once, though
     each build is slowed to let the threads race, and the rows read the
     bits of a one-thread run.  A pass at the default taus and levels builds

@@ -94,8 +94,8 @@ def test_verify_reports_are_deterministic(tmp_path, capsys):
 
 
 def test_verify_reports_the_same_bytes_at_one_and_two_jobs(tmp_path):
-    """The worker threads share the run's families, sections and case
-    points; the report does not depend on how many there are."""
+    """The worker threads share the run's families and sections; the
+    report does not depend on how many there are."""
     ids = ",".join(i for i in IDENTITY_NAMES if i not in ("transport_oracle", "loop_offscalar"))
     codes = [
         main(["verify", "--grid", "24", "--identities", ids, "--jobs", jobs, "--out", str(tmp_path / jobs)])
@@ -313,6 +313,11 @@ def test_basis_subcommand_is_gone(capsys):
             ["transport", "--path", "nan+1j,1+1j", "--loop-radius", "0.5"],
             "a finite tau with Im tau > 0 at every waypoint",
         ),
+        (
+            ["sweep", "--backend", "torus", "--grid", "24", "--grids", "24,32"],
+            "unrecognized arguments: --backend torus --grid 24",
+        ),
+        (["sweep", "--grid", "12", "--grids", "24,32"], "unrecognized arguments: --grid 12"),
     ],
     ids=[
         "verify_lower_half_plane",
@@ -355,6 +360,8 @@ def test_basis_subcommand_is_gone(capsys):
         "verify_ini_sigma_nan",
         "transport_path_nan",
         "transport_path_nan_with_loop",
+        "sweep_backend_and_grid_flags",
+        "sweep_grid_flag",
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):
