@@ -56,7 +56,6 @@ from .families import (
     ChartFamily,
     Family,
     TorusFamily,
-    build_once,
     nonholo_family,
     nonrigid_family,
     rigid_family,
@@ -187,21 +186,17 @@ MUTATIONS = {
 
 
 class Env:
-    """Families and test sections shared by the catalog rows of one run.
+    """The families shared by the catalog rows of one run.
 
-    Test sections are kept for the whole run: a catalog pass builds 3 chart
-    sections (0.11, 0.14 and 0.21 s at k = 0, 1 and 3 on grid 64, threads
-    pinned to one) and looks them up 13 times, so the cache saves 10 builds
-    per pass.  The family states have their own bounded cache
-    (``Family.state``).  Case points are not kept here: a `walk` makes them
-    and drops them at each ``(p, v)``.
+    The family states have their own bounded cache (``Family.state``).
+    Bundle data, test sections and case points are not kept here: a `walk`
+    makes them and drops them as it moves on.
     """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self._lock = threading.Lock()
         self._families: dict[str, Family] = {}
-        self._sections: dict = {}
 
     def family(self, backend: str) -> Family:
         with self._lock:
@@ -219,15 +214,6 @@ class Env:
 
     def params(self, backend: str) -> tuple[complex, ...]:
         return self.cfg.taus if backend == "torus" else (self.cfg.sigma,)
-
-    def sections(self, backend: str, sigma: complex, k: int) -> TestSections:
-        """Test sections at ``(sigma, k)``, built once even when threads race."""
-
-        def build() -> TestSections:
-            bd = bundle_data(self.family(backend), sigma, k)
-            return torus_sections(bd) if backend == "torus" else chart_sections(bd)
-
-        return build_once(self._lock, self._sections, (backend, complex(sigma), int(k)), build)
 
     def flip(self, identity: str) -> str | None:
         m = self.cfg.mutate
@@ -264,6 +250,7 @@ class Case:
     s: Array | None = None  # test sections at (p, k): a batch (m, n, n) or one (n, n)
     bd: BundleData | None = None  # bundle data at (p, k), given with k or s
     point: Point | None = None  # the ingredients of u(V), for the point rows
+    defects: tuple[float, ...] = ()  # holomorphy defects of s, given with s by a walk
 
     @property
     def fam(self) -> Family:
@@ -416,7 +403,8 @@ class Row:
     this order: ``p`` the parameter (``taus`` on the torus, ``sigma`` on
     the chart), ``k`` the level (the configured levels; level 0 without
     this axis), ``v`` the direction in `DIRS`, and ``s`` every test
-    section at ``(p, k)`` or ``f`` only the first one, passed as one batch.
+    section at ``(p, k)`` or ``f`` only the first one, passed as one batch
+    with their holomorphy defects.
     A case with a level or sections carries the bundle data at ``(p, k)``;
     without axes the row has one case (the transport rows walk one path for
     every level).  ``residual(case)`` returns ``(err, scale)``, the error and
@@ -459,18 +447,21 @@ def walk(env: Env, backend: str, rows: Iterable[Row]) -> dict[str, list[tuple[fl
     identity, in each row's own ``(p, k, v)`` order: the one expansion of
     the case axes.
 
-    Per parameter ``p`` the walk builds the bundle data of each level once.
-    Per ``(p, v)`` it makes one member-direction `operators.Point` and one
+    Per parameter ``p`` the walk builds the bundle data and the test
+    sections of each level once, as the rows first ask for them.  Per
+    ``(p, v)`` it makes one member-direction `operators.Point` and one
     section point per ``(k, section axis)`` that reads it (``shared``), as
-    the point rows first ask for them; every point row reads these points,
-    and they are dropped when the walk moves on.  A row without a ``p`` or
-    ``v`` axis is evaluated at the first ``p`` or ``v`` only.
+    the point rows first ask for them; every point row reads these points.
+    Each is dropped when the walk moves on.  A row without a ``p`` or ``v``
+    axis is evaluated at the first ``p`` or ``v`` only.
     """
     rows = tuple(rows)
     fam, eps, levels = env.family(backend), env.cfg.eps, env.cfg.levels
+    solve = torus_sections if backend == "torus" else chart_sections
     found: dict[str, list] = {row.identity: [] for row in rows}  # (order, residuals, k)
     for ip, p in enumerate(env.params(backend)):
         bds: dict[int, BundleData] = {}
+        secs: dict[int, TestSections] = {}
         for iv, v in enumerate(DIRS):
             points: dict = {}  # None: the member-direction point; (k, axis): a section point
             for row in rows:
@@ -479,18 +470,20 @@ def walk(env: Env, backend: str, rows: Iterable[Row]) -> dict[str, list[tuple[fl
                     continue
                 for ik, k in enumerate(levels) if "k" in ax else ((0, 0),):
                     s = bd = pt = None
-                    if axis:
-                        s = env.sections(backend, p, k).values
-                        s = s[:1] if axis == "f" else s
+                    defects = ()
                     if axis or "k" in ax:
                         bd = _kept(bds, k, lambda: bundle_data(fam, p, k))
+                    if axis:
+                        sec = _kept(secs, k, lambda: solve(bd))
+                        n = 1 if axis == "f" else None
+                        s, defects = sec.values[:n], sec.defects[:n]
                     if row.point:
                         pt = _kept(points, None, lambda: Point(fam, p, v, eps))
                         if axis:
                             pt = _kept(points, (k, axis), lambda m=pt: Point(fam, p, v, eps, bd, s, m))
                     r = row.residual(Case(
                         env, backend, eps, env.flip(row.identity),
-                        p if "p" in ax else None, k, v if "v" in ax else None, s, bd, pt,
+                        p if "p" in ax else None, k, v if "v" in ax else None, s, bd, pt, defects,
                     ))
                     found[row.identity].append(((ip, ik, iv), np.ravel(case_ratio(*r)).tolist(), k))
     return {i: [(x, k) for _, r, k in sorted(cases) for x in r] for i, cases in found.items()}
@@ -658,9 +651,8 @@ ROWS: dict[str, Row] = {
         ),
         Row(
             # torus: one case per basis (its worst element); chart: one per section
-            "basis_holomorphy", {TORUS: 1e-8, CHART: 10.0}, "pk",
-            lambda c: (max(c.env.sections(c.backend, c.p, c.k).defects) if c.backend == TORUS
-                       else c.env.sections(c.backend, c.p, c.k).defects, 1.0),
+            "basis_holomorphy", {TORUS: 1e-8, CHART: 10.0}, "pks",
+            lambda c: (max(c.defects) if c.backend == TORUS else c.defects, 1.0),
         ),
         Row("gram_rank", {TORUS: 1e-8}, "pk", _gram_rank),
         Row(
@@ -759,10 +751,8 @@ def select_entries(cfg: RunConfig) -> list[Entry]:
 
 
 def _job(entries: list[Entry], env: Env) -> list[dict]:
-    """The rows of ``entries``, all on one backend: one entry's cases come
-    from its runner, several entries' from one `walk`."""
-    if len(entries) == 1:
-        return [_row(entries[0], env)]
+    """The rows of ``entries``, all on one backend, from one `walk`: each
+    entry's walked cases go to `_row` as its runner's."""
     cases = walk(env, entries[0].backend, [ROWS[e.identity] for e in entries])
     return [_row(replace(e, runner=lambda *_, c=cases[e.identity]: c), env) for e in entries]
 
@@ -770,15 +760,17 @@ def _job(entries: list[Entry], env: Env) -> list[dict]:
 def run_catalog(cfg: RunConfig) -> list[dict]:
     """Evaluate the selected catalog rows; deterministic, sorted output.
 
-    Each selected entry is one job, except that the point rows of a backend
-    form one job, which walks their cases together so that they read one
-    point per case coordinate.  The jobs keep the registry's order, a
-    group at the place of its first row.
+    The rows with case axes of a backend form one job, which walks their
+    cases together, so that they read one set of bundle data and test
+    sections per ``(p, k)`` and one point per case coordinate; each row
+    without axes (the transport rows) is a job of its own.  The jobs keep
+    the registry's order, a group at the place of its first row: a default
+    run has 4.
     """
     env = Env(cfg)
-    jobs: dict = {}  # the point rows by backend, every other entry by itself
+    jobs: dict = {}  # the rows with axes by backend, every other entry by itself
     for e in select_entries(cfg):
-        jobs.setdefault(e.backend if ROWS[e.identity].point else e, []).append(e)
+        jobs.setdefault(e.backend if ROWS[e.identity].axes else e, []).append(e)
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as ex:
             done = list(ex.map(lambda job: _job(job, env), jobs.values()))
@@ -861,7 +853,7 @@ def sweep_orders(
     for cfg in cfgs:
         env = Env(cfg)
         if coeff is None:  # the frozen section, from the coarsest grid
-            coeff = env.sections("chart", sigma, k).coeff[0]
+            coeff = chart_sections(bundle_data(env.chart(), sigma, k)).coeff[0]
         s = section_on(env.chart().grid, coeff)
         bd = bundle_data(env.chart(), sigma, k)
         for e in (eps,) + (tuple(eps_pair) if cfg is cfgs[-1] else ()):

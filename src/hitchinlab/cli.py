@@ -10,7 +10,7 @@ sweep
     for the sweepable identities; exit 0 only when each axis meets its order
     threshold (h >= 3.5, eps >= 1.9) or is already resolved below the floor.
     Its grids are ``--grids``, on the chart, and it takes no ``--backend``
-    or ``--grid``.
+    or ``--grid``; a config file's ``backend`` and ``grid`` do not apply.
 transport
     Parallel-transport the full level-k basis along a parameter path on the
     torus backend and compare with the self-transport oracle; optionally run
@@ -88,6 +88,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # the sweep's chart grids are --grids, whatever the file's backend and grid
+    args.grid = max(args.grids, default=None)
     cfg = _base_config(args)
     rows = sweep_orders(
         cfg.identities or SWEEPABLE,
@@ -153,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         help="flip one term of a selected identity (the run must then fail): "
         + ", ".join(sorted(MUTATIONS)),
     )
-    p_verify.add_argument("--jobs", type=FIELDS["jobs"], help="worker threads")
+    p_verify.add_argument("--jobs", type=FIELDS["jobs"], help="worker threads; a default run has 4 jobs")
     p_verify.add_argument("--eps", type=FIELDS["eps"], help="parameter step")
     p_verify.set_defaults(fn=_cmd_verify)
 
@@ -165,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--grids", type=csv(int), default="64,128", help="e.g. 64,128")
     p_sweep.add_argument("--eps-pair", type=csv(float), default="0.1,0.05", help="two eps steps")
     p_sweep.add_argument("--level", type=int, default=1, help="section level k")
-    p_sweep.set_defaults(fn=_cmd_sweep)
+    p_sweep.set_defaults(fn=_cmd_sweep, backend="chart")
 
     p_tr = sub.add_parser("transport", help="parallel transport vs oracle")
     p_tr.add_argument("--config", help="INI file with a [run] section")

@@ -261,19 +261,19 @@ def make_state(family: "Family", sigma: complex) -> KahlerState:
 # ---------------------------------------------------------------------------
 
 
-def build_once(lock: threading.Lock, cache: dict, key, build: Callable, bound: int | None = None):
+def build_once(lock: threading.Lock, cache: OrderedDict, key, build: Callable, bound: int):
     """``cache[key]``, made by ``build()`` once even when threads race.
 
     The first caller stores a pending result under ``lock`` and builds it;
-    later callers wait for that result.  With ``bound``, ``cache`` is an
-    ``OrderedDict`` that drops its oldest entries beyond ``bound``.
+    later callers wait for that result.  ``cache`` drops its oldest entries
+    beyond ``bound``.
     """
     with lock:
         pending = cache.get(key)
         owner = pending is None
         if owner:
             pending = cache[key] = Future()
-            while bound is not None and len(cache) > bound:
+            while len(cache) > bound:
                 cache.popitem(last=False)
     if owner:
         try:

@@ -60,7 +60,7 @@ def test_registry_is_consistent():
 
 def test_every_mutation_turns_its_row_unexpected():
     # the chart is the backend on which every flipped term shows; the chart
-    # family and its sections are shared, only the mutation changes
+    # family is shared, only the mutation changes
     env = Env(RunConfig(backend="chart", levels=(1,)))
     entries = {e.identity: e for e in REGISTRY if e.backend == "chart"}
     assert _row(entries["defining_equation"], env)["status"] == "ok"
@@ -138,27 +138,62 @@ def test_bench_case_check_stays_active(monkeypatch):
     assert check.bad == ["gram_rank/torus"]
 
 
-def test_sections_are_built_once_under_threads(monkeypatch):
-    built = []
+def _bench_workloads(monkeypatch):
+    """``bench/workloads.py`` as a module; ``catalog._row`` is restored after the test."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses resolve
+    spec.loader.exec_module(workloads)
+    monkeypatch.setattr(catalog, "_row", catalog._row)
+    return workloads
 
-    def slow_sections(bd):
-        built.append(bd.k)
-        time.sleep(0.2)
-        return object()
 
-    monkeypatch.setattr(catalog, "torus_sections", slow_sections)
-    env = Env(RunConfig(backend="torus", grid=16))
-    got = []
-    threads = [
-        threading.Thread(target=lambda: got.append(env.sections("torus", 1j, 1)))
-        for _ in range(2)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(built) == 1
-    assert len(got) == 2 and got[0] is got[1]
+def test_bench_case_check_sees_every_walked_case(monkeypatch):
+    """A run hands every case of a row that walks with its backend to the
+    benchmark's `CaseCheck`: a NaN planted in ``gram_rank``, walked with
+    the other torus rows, is recorded, and the row is an error."""
+    check = _bench_workloads(monkeypatch).CaseCheck(catalog)
+    nan = dataclasses.replace(ROWS["gram_rank"], residual=lambda c: ([0.0, float("nan")], 1.0))
+    monkeypatch.setitem(ROWS, "gram_rank", nan)
+    ids = ("gram_rank", "heat_mode", "basis_holomorphy")
+    rows = run_catalog(RunConfig(backend="torus", grid=16, identities=ids, jobs=1))
+    assert check.active and set(check.bad) == {"gram_rank/torus"}
+    assert [r["verdict"] for r in rows if r["identity"] == "gram_rank"] == ["error"]
+
+
+CATALOG_IDS = tuple(i for i in IDENTITY_NAMES if i not in ("transport_oracle", "loop_offscalar"))
+
+
+def test_a_pass_walks_each_backend_once(monkeypatch):
+    """A catalog pass without the transport rows, at the default taus and
+    levels, walks each backend once, with every selected row of it, and
+    builds 3 chart and 6 torus test sections, one per ``(backend, p, k)`` at
+    k = 0, 1 and 3; at one worker thread and at four, which give the same
+    rows."""
+    walked, built = [], []
+    walk = catalog.walk
+
+    def counted_walk(env, backend, rows):
+        rows = tuple(rows)
+        walked.append((backend, sorted(r.identity for r in rows)))
+        return walk(env, backend, rows)
+
+    monkeypatch.setattr(catalog, "walk", counted_walk)
+    for name in ("chart_sections", "torus_sections"):
+        solve = getattr(catalog, name)
+        monkeypatch.setattr(catalog, name, lambda bd, _f=solve, _n=name: built.append(_n) or _f(bd))
+    got = {}
+    for jobs in (1, 4):
+        walked.clear()
+        built.clear()
+        cfg = RunConfig(grid=24, identities=CATALOG_IDS, jobs=jobs)
+        got[jobs] = run_catalog(cfg)
+        entries = select_entries(cfg)
+        want = [(b, sorted(e.identity for e in entries if e.backend == b)) for b in ("chart", "torus")]
+        assert sorted(walked) == want
+        assert sorted(built) == ["chart_sections"] * 3 + ["torus_sections"] * 6
+    assert got[1] == got[4]
 
 
 def test_states_are_built_once_under_threads(monkeypatch):
@@ -231,8 +266,8 @@ def test_shared_point_gives_the_bits_of_a_fresh_point(mutated):
     (``mutated``): a flipped term or ``H(V)`` is never stored."""
     env = Env(RunConfig(backend="chart", grid=24, levels=(1,)))
     sigma, k, eps, fam = env.cfg.sigma, 1, env.cfg.eps, env.chart()
-    s = env.sections("chart", sigma, k).values[:1]
     bd = catalog.bundle_data(fam, sigma, k)
+    s = operators.chart_sections(bd).values[:1]
 
     def case(shared=None):
         return Case(env, "chart", eps, None, sigma, k, 1.0, s, bd,
@@ -377,16 +412,14 @@ def test_catalog_builds_one_set_of_ingredients_per_member_and_direction(monkeypa
 
 def test_catalog_builds_bundle_data_once_per_walk_position(monkeypatch):
     """A catalog pass without the transport rows, at the default taus and
-    levels, builds 54 bundle data (76 when each point row builds its own):
-    9 for the test sections (``Env.sections``, one per ``(backend, p, k)``
-    at k = 0, 1, 3), 36 for the other rows with a level or section axis,
-    each row its own, and 9 for the walk of the point rows of both
-    backends, one per ``(p, k)``."""
+    levels, builds 9 bundle data, one per ``(backend, p, k)`` at k = 0, 1
+    and 3, which every row of the backend's walk and its test sections read
+    (54 when the point rows walk together and every other row and the test
+    sections build their own)."""
     calls = {"bundle_data": 0}
     _counted(calls, catalog, monkeypatch)
-    ids = tuple(i for i in IDENTITY_NAMES if i not in ("transport_oracle", "loop_offscalar"))
-    run_catalog(RunConfig(grid=24, identities=ids, jobs=1))
-    assert calls == {"bundle_data": 54}
+    run_catalog(RunConfig(grid=24, identities=CATALOG_IDS, jobs=1))
+    assert calls == {"bundle_data": 9}
 
 
 def test_points_are_built_once_under_threads(monkeypatch):

@@ -94,8 +94,8 @@ def test_verify_reports_are_deterministic(tmp_path, capsys):
 
 
 def test_verify_reports_the_same_bytes_at_one_and_two_jobs(tmp_path):
-    """The worker threads share the run's families and sections; the
-    report does not depend on how many there are."""
+    """The worker threads share the run's families; the report does not
+    depend on how many there are."""
     ids = ",".join(i for i in IDENTITY_NAMES if i not in ("transport_oracle", "loop_offscalar"))
     codes = [
         main(["verify", "--grid", "24", "--identities", ids, "--jobs", jobs, "--out", str(tmp_path / jobs)])
@@ -150,6 +150,19 @@ def test_sweep_subcommand(tmp_path):
     axes = {r["axis"] for r in rows}
     assert axes == {"h", "eps"}
     assert (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_takes_no_grid_from_the_config_file(tmp_path, capsys):
+    """``sweep`` runs on the chart at its ``--grids``: a config file's grid,
+    even one that leaves a chart no interior, changes no order line."""
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\ngrid = 12\n")
+    argv = ["sweep", "--identities", "defining_equation", "--grids", "24,32"]
+    out = []
+    for extra in ([], ["--config", str(ini)]):
+        assert main(argv + extra) == 0
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[1] and "defining_equation" in out[0]
 
 
 def test_transport_subcommand(capsys):
