@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
@@ -119,9 +118,10 @@ def chart_family(grid: int) -> ChartFamily:
 class RunConfig:
     """One checked run configuration.
 
-    ``radius`` is accepted (INI key and field) and has no effect: the
-    benchmark's sweep workload still reads it, until a benchmark change
-    drops that read."""
+    ``jobs`` is the number of worker processes that walk the catalog
+    (`run_catalog`); at 1 the run walks in this process.  ``radius`` is
+    accepted (INI key and field) and has no effect: the benchmark's sweep
+    workload still reads it, until a benchmark change drops that read."""
 
     backend: str = "both"  # one of BACKENDS
     grid: int = 64
@@ -159,7 +159,7 @@ class RunConfig:
         if self.steps < 1:
             raise ValueError(f"steps must be at least one step, got {self.steps}")
         if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1 worker thread, got {self.jobs}")
+            raise ValueError(f"jobs must be at least 1 worker process, got {self.jobs}")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {', '.join(BACKENDS)}, got {self.backend!r}")
         if self.mutate is not None and self.mutate not in MUTATIONS:
@@ -186,7 +186,8 @@ MUTATIONS = {
 
 
 class Env:
-    """The families shared by the catalog rows of one run.
+    """The families shared by the catalog rows of one run, or of one worker
+    process of a run (`run_catalog`).
 
     The family states have their own bounded cache (``Family.state``).
     Bundle data, test sections and case points are not kept here: a `walk`
@@ -445,7 +446,18 @@ def _kept(store: dict, key, build: Callable):
 def walk(env: Env, backend: str, rows: Iterable[Row]) -> dict[str, list[tuple[float, int]]]:
     """Every case residual of ``rows`` on ``backend`` with its level, per
     identity, in each row's own ``(p, k, v)`` order: the one expansion of
-    the case axes.
+    the case axes (`walk_part` over every level, `merged`)."""
+    return merged(walk_part(env, backend, rows))
+
+
+def walk_part(env: Env, backend: str, rows: Iterable[Row], level: int | None = None) -> dict[str, list]:
+    """The cases of ``rows`` on ``backend`` per identity, each case as
+    ``((ip, ik, iv), residuals, k)`` with its place in the whole walk.
+
+    With ``level`` the walk covers one part of the whole: at a level of
+    the run, the rows with a ``k`` axis at that level only; at 0, the rows
+    without one.  The keys are those of the whole walk, so `merged` puts
+    the cases of its parts in its order.
 
     Per parameter ``p`` the walk builds the bundle data and the test
     sections of each level once, as the rows first ask for them.  Per
@@ -455,6 +467,8 @@ def walk(env: Env, backend: str, rows: Iterable[Row]) -> dict[str, list[tuple[fl
     Each is dropped when the walk moves on.  A row without a ``p`` or ``v``
     axis is evaluated at the first ``p`` or ``v`` only.
     """
+    if level is not None:
+        rows = [row for row in rows if _in_part(row, level)]
     rows = tuple(rows)
     fam, eps, levels = env.family(backend), env.cfg.eps, env.cfg.levels
     solve = torus_sections if backend == "torus" else chart_sections
@@ -469,6 +483,8 @@ def walk(env: Env, backend: str, rows: Iterable[Row]) -> dict[str, list[tuple[fl
                 if ("p" not in ax and ip) or ("v" not in ax and iv):
                     continue
                 for ik, k in enumerate(levels) if "k" in ax else ((0, 0),):
+                    if level and k != level:
+                        continue
                     s = bd = pt = None
                     defects = ()
                     if axis or "k" in ax:
@@ -486,7 +502,22 @@ def walk(env: Env, backend: str, rows: Iterable[Row]) -> dict[str, list[tuple[fl
                         p if "p" in ax else None, k, v if "v" in ax else None, s, bd, pt, defects,
                     ))
                     found[row.identity].append(((ip, ik, iv), np.ravel(case_ratio(*r)).tolist(), k))
-    return {i: [(x, k) for _, r, k in sorted(cases) for x in r] for i, cases in found.items()}
+    return found
+
+
+def _in_part(row: Row, level: int) -> bool:
+    """Whether ``row`` walks in the part at ``level`` of its walk (`walk_part`)."""
+    return ("k" in row.axes) == (level > 0)
+
+
+def merged(*parts: dict[str, list]) -> dict[str, list[tuple[float, int]]]:
+    """The cases of the `walk_part` parts of one walk per identity, each
+    residual with its level, in the order of the whole walk."""
+    keyed: dict[str, list] = {}
+    for part in parts:
+        for identity, cases in part.items():
+            keyed.setdefault(identity, []).extend(cases)
+    return {i: [(x, k) for _, r, k in sorted(cases) for x in r] for i, cases in keyed.items()}
 
 
 TORUS, CHART = "torus", "chart"
@@ -677,9 +708,8 @@ def budget_for(
     b = row.budgets[backend]
     if backend == "torus":
         return b
-    grid = env.family("chart").grid
     eps_eff = step_for(env.cfg.sigma, env.cfg.eps)
-    scale = eps_eff**2 + grid.h**4
+    scale = eps_eff**2 + ChartGrid(env.cfg.grid).h ** 4
     if row.k_cubic and k:
         return b * max(int(k), 1) ** 3 * scale
     return b * scale
@@ -750,11 +780,55 @@ def select_entries(cfg: RunConfig) -> list[Entry]:
     return chosen
 
 
-def _job(entries: list[Entry], env: Env) -> list[dict]:
-    """The rows of ``entries``, all on one backend, from one `walk`: each
-    entry's walked cases go to `_row` as its runner's."""
-    cases = walk(env, entries[0].backend, [ROWS[e.identity] for e in entries])
-    return [_row(replace(e, runner=lambda *_, c=cases[e.identity]: c), env) for e in entries]
+_worker_env: Env | None = None  # in a pool worker: the Env its tasks share
+
+
+def _start_worker(cfg: RunConfig) -> None:
+    global _worker_env
+    _worker_env = Env(cfg)
+
+
+def _walk_task(backend: str, identities: tuple[str, ...], level: int) -> dict[str, list]:
+    """One task of a pool worker: a `walk_part` on the worker's `Env`."""
+    return walk_part(_worker_env, backend, [ROWS[i] for i in identities], level)
+
+
+def _walk_in_workers(cfg: RunConfig, jobs: list[list[Entry]]) -> list[dict] | None:
+    """The cases of each job, as `walk` gives them, walked by ``cfg.jobs``
+    forked worker processes; None where the platform cannot fork.
+
+    A task is one job at one level part (`walk_part`): level 0 and each
+    level of the run, where the job has rows.  Each worker builds one `Env`
+    and walks its tasks on it; only the backend, the identities and the
+    level go to a worker, and the keyed cases come back.  The pool is shut
+    down, its processes joined, before this returns or raises.
+    """
+    import multiprocessing  # here: a run in one process does not pay for the import
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    tasks = [
+        (j, job[0].backend, ids, level)
+        for j, job in enumerate(jobs)
+        for level in (0, *dict.fromkeys(cfg.levels))
+        if (ids := tuple(e.identity for e in job if _in_part(ROWS[e.identity], level)))
+    ]
+    tasks.sort(key=lambda task: bool(ROWS[task[2][0]].axes))  # the transport rows, the longest, first
+    pool = ProcessPoolExecutor(
+        min(cfg.jobs, len(tasks)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(cfg,),
+    )
+    try:
+        futures = [(j, pool.submit(_walk_task, *task)) for j, *task in tasks]
+        parts: list[list] = [[] for _ in jobs]
+        for j, future in futures:
+            parts[j].append(future.result())
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return [merged(*part) for part in parts]
 
 
 def run_catalog(cfg: RunConfig) -> list[dict]:
@@ -765,18 +839,26 @@ def run_catalog(cfg: RunConfig) -> list[dict]:
     sections per ``(p, k)`` and one point per case coordinate; each row
     without axes (the transport rows) is a job of its own.  The jobs keep
     the registry's order, a group at the place of its first row: a default
-    run has 4.
+    run has 4.  At ``cfg.jobs`` 1, or where the platform cannot fork, each
+    job is one `walk` in this process.  Otherwise worker processes walk the
+    jobs by level part (`_walk_in_workers`): a default run has 8 tasks, 3
+    per backend and one per transport row.  Either way every row's cases
+    go to `_row` in this process, as its runner's.
     """
     env = Env(cfg)
     jobs: dict = {}  # the rows with axes by backend, every other entry by itself
     for e in select_entries(cfg):
         jobs.setdefault(e.backend if ROWS[e.identity].axes else e, []).append(e)
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as ex:
-            done = list(ex.map(lambda job: _job(job, env), jobs.values()))
-    else:
-        done = [_job(job, env) for job in jobs.values()]
-    return sorted((row for job in done for row in job), key=lambda r: (r["identity"], r["backend"]))
+    groups = list(jobs.values())
+    walked = _walk_in_workers(cfg, groups) if cfg.jobs > 1 else None
+    if walked is None:
+        walked = [walk(env, job[0].backend, [ROWS[e.identity] for e in job]) for job in groups]
+    rows = [
+        _row(replace(e, runner=lambda *_, c=cases[e.identity]: c), env)
+        for job, cases in zip(groups, walked)
+        for e in job
+    ]
+    return sorted(rows, key=lambda r: (r["identity"], r["backend"]))
 
 
 # ---------------------------------------------------------------------------

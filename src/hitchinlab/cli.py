@@ -155,7 +155,12 @@ def main(argv: list[str] | None = None) -> int:
         help="flip one term of a selected identity (the run must then fail): "
         + ", ".join(sorted(MUTATIONS)),
     )
-    p_verify.add_argument("--jobs", type=FIELDS["jobs"], help="worker threads; a default run has 4 jobs")
+    p_verify.add_argument(
+        "--jobs",
+        type=FIELDS["jobs"],
+        help="worker processes; 1 walks in this process, more walk each backend by level "
+        "(a default run has 8 tasks)",
+    )
     p_verify.add_argument("--eps", type=FIELDS["eps"], help="parameter step")
     p_verify.set_defaults(fn=_cmd_verify)
 

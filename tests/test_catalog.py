@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import multiprocessing
 import sys
 import threading
 import time
 import weakref
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -152,25 +154,43 @@ def _bench_workloads(monkeypatch):
 def test_bench_case_check_sees_every_walked_case(monkeypatch):
     """A run hands every case of a row that walks with its backend to the
     benchmark's `CaseCheck`: a NaN planted in ``gram_rank``, walked with
-    the other torus rows, is recorded, and the row is an error."""
+    the other torus rows, is recorded, and the row is an error; at two
+    jobs too, where the planted row is walked in a forked worker process
+    and its cases reach `_row` in this one."""
     check = _bench_workloads(monkeypatch).CaseCheck(catalog)
     nan = dataclasses.replace(ROWS["gram_rank"], residual=lambda c: ([0.0, float("nan")], 1.0))
     monkeypatch.setitem(ROWS, "gram_rank", nan)
     ids = ("gram_rank", "heat_mode", "basis_holomorphy")
-    rows = run_catalog(RunConfig(backend="torus", grid=16, identities=ids, jobs=1))
-    assert check.active and set(check.bad) == {"gram_rank/torus"}
-    assert [r["verdict"] for r in rows if r["identity"] == "gram_rank"] == ["error"]
+    for jobs in (1, 2):
+        check.bad.clear()
+        rows = run_catalog(RunConfig(backend="torus", grid=16, identities=ids, jobs=jobs))
+        assert check.active and set(check.bad) == {"gram_rank/torus"}, jobs
+        assert [r["verdict"] for r in rows if r["identity"] == "gram_rank"] == ["error"]
 
 
 CATALOG_IDS = tuple(i for i in IDENTITY_NAMES if i not in ("transport_oracle", "loop_offscalar"))
 
 
-def test_a_pass_walks_each_backend_once(monkeypatch):
+def _logged(log: Path, fn: Callable, line: Callable) -> Callable:
+    """``fn``, which first appends ``line(*args)`` to the file ``log``: a
+    count that forked worker processes add to as well."""
+
+    def logged(*args):
+        with open(log, "a") as f:
+            f.write(line(*args) + "\n")
+        return fn(*args)
+
+    return logged
+
+
+def test_a_pass_walks_each_backend_once(monkeypatch, tmp_path):
     """A catalog pass without the transport rows, at the default taus and
     levels, walks each backend once, with every selected row of it, and
     builds 3 chart and 6 torus test sections, one per ``(backend, p, k)`` at
-    k = 0, 1 and 3; at one worker thread and at four, which give the same
-    rows."""
+    k = 0, 1 and 3.  At four worker processes, which count through a file,
+    each backend walks in three parts, one per level part: the rows without
+    a level at level 0, those with one at level 1 and at level 3.  The parts
+    build the same 3 + 6 sections, and the rows are those of one worker."""
     walked, built = [], []
     walk = catalog.walk
 
@@ -183,17 +203,55 @@ def test_a_pass_walks_each_backend_once(monkeypatch):
     for name in ("chart_sections", "torus_sections"):
         solve = getattr(catalog, name)
         monkeypatch.setattr(catalog, name, lambda bd, _f=solve, _n=name: built.append(_n) or _f(bd))
-    got = {}
-    for jobs in (1, 4):
-        walked.clear()
-        built.clear()
-        cfg = RunConfig(grid=24, identities=CATALOG_IDS, jobs=jobs)
-        got[jobs] = run_catalog(cfg)
-        entries = select_entries(cfg)
-        want = [(b, sorted(e.identity for e in entries if e.backend == b)) for b in ("chart", "torus")]
-        assert sorted(walked) == want
-        assert sorted(built) == ["chart_sections"] * 3 + ["torus_sections"] * 6
-    assert got[1] == got[4]
+    cfg = RunConfig(grid=24, identities=CATALOG_IDS, jobs=1)
+    want_rows = run_catalog(cfg)
+    entries = select_entries(cfg)
+    want = [(b, sorted(e.identity for e in entries if e.backend == b)) for b in ("chart", "torus")]
+    assert sorted(walked) == want
+    assert sorted(built) == ["chart_sections"] * 3 + ["torus_sections"] * 6
+
+    walked.clear()
+    log = tmp_path / "log"
+    monkeypatch.setattr(catalog, "walk_part", _logged(
+        log, catalog.walk_part,
+        lambda env, backend, rows, level: f"walk {backend} {level} {' '.join(sorted(r.identity for r in rows))}",
+    ))
+    for name in ("chart_sections", "torus_sections"):
+        monkeypatch.setattr(catalog, name, _logged(log, getattr(catalog, name), lambda bd, _n=name: _n))
+    got = run_catalog(dataclasses.replace(cfg, jobs=4))
+    lines = log.read_text().splitlines()
+    parts = sorted(line.split()[1:] for line in lines if line.startswith("walk "))
+    want_parts = sorted(
+        [b, str(level), *(i for i in ids if ("k" in ROWS[i].axes) == (level > 0))]
+        for b, ids in want
+        for level in (0, 1, 3)
+    )
+    assert walked == [] and parts == want_parts
+    assert sorted(line for line in lines if not line.startswith("walk ")) == sorted(built)
+    assert got == want_rows
+
+
+def test_a_worker_error_leaves_the_run_as_in_one_process(monkeypatch):
+    """An exception raised in a walk leaves `run_catalog` with the type and
+    message it has at one job also at two, where a forked worker raises it
+    (the level-1 part, as the first case of one walk).  No worker process
+    outlives a run at two jobs, whether it ends cleanly or raises."""
+    ids = ("gram_rank", "heat_mode")
+    cfg = RunConfig(backend="torus", grid=16, identities=ids, jobs=2)
+    run_catalog(cfg)
+    assert multiprocessing.active_children() == []
+
+    def planted(c):
+        raise ZeroDivisionError(f"planted at k={c.k}")
+
+    monkeypatch.setitem(ROWS, "gram_rank", dataclasses.replace(ROWS["gram_rank"], residual=planted))
+    raised = []
+    for jobs in (1, 2):
+        with pytest.raises(ZeroDivisionError) as err:
+            run_catalog(dataclasses.replace(cfg, jobs=jobs))
+        raised.append((type(err.value), str(err.value)))
+        assert multiprocessing.active_children() == []
+    assert raised == [(ZeroDivisionError, "planted at k=1")] * 2
 
 
 def test_states_are_built_once_under_threads(monkeypatch):
@@ -422,13 +480,14 @@ def test_catalog_builds_bundle_data_once_per_walk_position(monkeypatch):
     assert calls == {"bundle_data": 9}
 
 
-def test_points_are_built_once_under_threads(monkeypatch):
-    """The walked points hold under a thread pool with more workers than
-    cores and a short switch interval: every point is built once, though
-    each build is slowed to let the threads race, and the rows read the
-    bits of a one-thread run.  A pass at the default taus and levels builds
-    36 points: per ``(backend, p, v)`` one member-direction point and 5
-    section points (``'s'`` at levels 0, 1 and 3, ``'f'`` at 1 and 3)."""
+def test_points_are_built_once_per_walk_part(monkeypatch, tmp_path):
+    """Every walked point is built once in its walk, and the rows at four
+    worker processes read the bits of a one-worker run.  A pass at the
+    default taus and levels builds 36 points in one walk per backend: per
+    ``(backend, p, v)`` one member-direction point and 5 section points
+    (``'s'`` at levels 0, 1 and 3, ``'f'`` at 1 and 3).  At four workers,
+    which count through a file, each of the three level parts of a backend
+    builds its own member-direction point: 48."""
     built = []
     point = catalog.Point
 
@@ -441,14 +500,13 @@ def test_points_are_built_once_under_threads(monkeypatch):
     cfg = RunConfig(grid=24, identities=POINT_ROWS, jobs=1)
     want = run_catalog(cfg)
     n = len(built)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = run_catalog(dataclasses.replace(cfg, jobs=4))
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == want
-    assert n == 36 and len(built) == 2 * n
+    assert n == 36
+
+    log = tmp_path / "log"
+    monkeypatch.setattr(catalog, "Point", _logged(log, point, lambda *args: "member" if len(args) == 4 else "section"))
+    got = run_catalog(dataclasses.replace(cfg, jobs=4))
+    assert got == want and len(built) == n
+    assert sorted(log.read_text().splitlines()) == ["member"] * 18 + ["section"] * 30
 
 
 def test_sweep_reads_two_christoffel_symbols(monkeypatch):

@@ -94,8 +94,9 @@ def test_verify_reports_are_deterministic(tmp_path, capsys):
 
 
 def test_verify_reports_the_same_bytes_at_one_and_two_jobs(tmp_path):
-    """The worker threads share the run's families; the report does not
-    depend on how many there are."""
+    """One job walks each backend in this process, two walk its level
+    parts in forked worker processes; the report does not depend on how
+    many there are."""
     ids = ",".join(i for i in IDENTITY_NAMES if i not in ("transport_oracle", "loop_offscalar"))
     codes = [
         main(["verify", "--grid", "24", "--identities", ids, "--jobs", jobs, "--out", str(tmp_path / jobs)])
@@ -310,8 +311,8 @@ def test_basis_subcommand_is_gone(capsys):
         ),
         (["verify", "--config", "{missing_ini}"], "config file not found"),
         (["verify", "--config", "{levels_ini}"], "levels must be at least 1"),
-        (["verify", "--jobs", "0"], "jobs must be at least 1 worker thread, got 0"),
-        (["verify", "--config", "{jobs_ini}"], "jobs must be at least 1 worker thread, got -2"),
+        (["verify", "--jobs", "0"], "jobs must be at least 1 worker process, got 0"),
+        (["verify", "--config", "{jobs_ini}"], "jobs must be at least 1 worker process, got -2"),
         (["verify", "--config", "{grid_ini}"], "bad value for 'grid': invalid literal"),
         (["verify", "--config", "{headless_ini}"], "no section headers"),
         (["verify", "--grid", "abc"], "argument --grid: invalid int value: 'abc'"),
