@@ -34,8 +34,9 @@ Mutation hooks flip the sign of a single term inside a chosen identity
 from __future__ import annotations
 
 import math
+import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -111,7 +112,15 @@ CHART_COEFFS = {0: 0.1, 1: 0.15 + 0.1j}
 
 def chart_family(grid: int) -> ChartFamily:
     """The catalog's chart family on a ``grid x grid`` chart."""
-    return rigid_family(ChartGrid(grid), CHART_COEFFS, order=8)[0]
+    return rigid_family(ChartGrid(grid), CHART_COEFFS)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity set where the platform
+    has one, else every CPU), at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -119,7 +128,8 @@ class RunConfig:
     """One checked run configuration.
 
     ``jobs`` is the number of worker processes that walk the catalog
-    (`run_catalog`); at 1 the run walks in this process.  ``radius`` is
+    (`run_catalog`), by default one per CPU this process may run on
+    (`usable_cpus`); at 1 the run walks in this process.  ``radius`` is
     accepted (INI key and field) and has no effect: the benchmark's sweep
     workload still reads it, until a benchmark change drops that read."""
 
@@ -133,7 +143,7 @@ class RunConfig:
     steps: int = 200
     mutate: str | None = None
     identities: tuple[str, ...] | None = None
-    jobs: int = 4
+    jobs: int = field(default_factory=usable_cpus)
 
     def __post_init__(self) -> None:
         for name in ("levels", "taus"):

@@ -158,8 +158,8 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.add_argument(
         "--jobs",
         type=FIELDS["jobs"],
-        help="worker processes; 1 walks in this process, more walk each backend by level "
-        "(a default run has 8 tasks)",
+        help="worker processes (default: one per CPU this process may run on); 1 walks in "
+        "this process, more walk each backend by level (a default run has 8 tasks)",
     )
     p_verify.add_argument("--eps", type=FIELDS["eps"], help="parameter step")
     p_verify.set_defaults(fn=_cmd_verify)

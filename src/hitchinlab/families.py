@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import Future
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -261,28 +260,6 @@ def make_state(family: "Family", sigma: complex) -> KahlerState:
 # ---------------------------------------------------------------------------
 
 
-def build_once(lock: threading.Lock, cache: OrderedDict, key, build: Callable, bound: int):
-    """``cache[key]``, made by ``build()`` once even when threads race.
-
-    The first caller stores a pending result under ``lock`` and builds it;
-    later callers wait for that result.  ``cache`` drops its oldest entries
-    beyond ``bound``.
-    """
-    with lock:
-        pending = cache.get(key)
-        owner = pending is None
-        if owner:
-            pending = cache[key] = Future()
-            while len(cache) > bound:
-                cache.popitem(last=False)
-    if owner:
-        try:
-            pending.set_result(build())
-        except BaseException as exc:
-            pending.set_exception(exc)
-    return pending.result()
-
-
 class Family:
     """Base class: subclasses provide ``J_at`` and ``dw_at`` on the grid or,
     for a structure and frame constant over it, at one node with grid axes
@@ -301,13 +278,22 @@ class Family:
         raise NotImplementedError
 
     def state(self, sigma: complex) -> KahlerState:
-        """The member at ``sigma``; the 48 latest states are kept, unless
-        `drop_states` forgets them first (a sweep does after each parameter
-        step, keeping only its centre member)."""
+        """The member at ``sigma``, found or built under the family's lock, so
+        each is built once even when threads race.  The 48 latest-inserted
+        states are kept (a lookup does not refresh one): a build first
+        forgets the oldest while 48 are held.  A build that raises keeps
+        nothing, and the next lookup builds again.  `drop_states` forgets
+        them sooner (a sweep does after each parameter step, keeping only
+        its centre member)."""
         sigma = complex(sigma)
-        lock = self.__dict__.setdefault("_state_lock", threading.Lock())
-        cache = self.__dict__.setdefault("_states", OrderedDict())
-        return build_once(lock, cache, sigma, lambda: make_state(self, sigma), bound=48)
+        with self.__dict__.setdefault("_state_lock", threading.Lock()):
+            cache = self.__dict__.setdefault("_states", OrderedDict())
+            st = cache.get(sigma)
+            if st is None:
+                while len(cache) >= 48:
+                    cache.popitem(last=False)
+                st = cache[sigma] = make_state(self, sigma)
+            return st
 
     def drop_states(self, keep: complex) -> None:
         """Forget every kept state but the member at ``keep``, which stays
@@ -411,23 +397,10 @@ class ChartFamily(Family):
 # chart family constructors
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class GeneratorReport:
-    """Construction record of the polynomial rigid-family generator."""
-
-    order: int
-    f_coeffs: tuple[tuple[int, complex], ...]
-    radius: float
-    mu_sup: float  # sup |mu| over the box at the stated radius
+RIGID_ORDER = 8  # the sigma order at which rigid_family truncates its series
 
 
-def _poly_series_family(
-    grid: ChartGrid,
-    mu_series: list[dict],
-    w_series: list[dict],
-    label: str,
-) -> ChartFamily:
+def _poly_series_family(grid: ChartGrid, mu_series: list[dict], w_series: list[dict]) -> ChartFamily:
     r"""The family :math:`\mu(\sigma) = \sum_j \sigma^j\mu_j`,
     :math:`w(\sigma) = \sum_j \sigma^j w_j` of polynomial coefficients
     ``mu_series[j]``, ``w_series[j]``; each nonzero coefficient of
@@ -457,15 +430,10 @@ def _poly_series_family(
     def w_at(sigma: complex) -> tuple[Array, Array]:
         return series_at(sigma, wzs), series_at(sigma, wzbs)
 
-    return ChartFamily(grid, mu_at, w_at, label=label)
+    return ChartFamily(grid, mu_at, w_at, label="chart-rigid")
 
 
-def rigid_family(
-    grid: ChartGrid,
-    f_coeffs: dict[int, complex],
-    order: int = 8,
-    radius: float = 0.1,
-) -> tuple[ChartFamily, GeneratorReport]:
+def rigid_family(grid: ChartGrid, f_coeffs: dict[int, complex]) -> ChartFamily:
     r"""Generate a family whose variation is :math:`f(w)\partial_w^{\otimes 2}`.
 
     Solves order by order in :math:`\sigma` the coupled system
@@ -477,13 +445,13 @@ def rigid_family(
 
     with :math:`\mu(0) = 0`, :math:`w(0) = z`; both unknowns are exact
     polynomials in :math:`(z, \bar z, \sigma)`.  The truncation at
-    ``order`` leaves a rigidity defect ``O(radius**order)`` which the
+    ``RIGID_ORDER`` leaves a rigidity defect :math:`O(|\sigma|^8)` which the
     rigidity gate measures a posteriori (nothing here is assumed).
     """
-    mu_series: list[dict] = [dict() for _ in range(order + 1)]
-    w_series: list[dict] = [dict() for _ in range(order + 1)]
+    mu_series: list[dict] = [dict() for _ in range(RIGID_ORDER + 1)]
+    w_series: list[dict] = [dict() for _ in range(RIGID_ORDER + 1)]
     w_series[0] = {(1, 0): 1.0}
-    for j in range(1, order + 1):
+    for j in range(1, RIGID_ORDER + 1):
         # w_series[0] = z, so wz has unit leading term; truncate at order j-1
         wz = [_pdz(w_series[i]) for i in range(j)]
         wpow: list[list[dict]] = [[{(0, 0): 1.0}] + [dict() for _ in range(j - 1)]]
@@ -501,17 +469,7 @@ def rigid_family(
         for i in range(1, j):
             beltrami = _padd(beltrami, _pmul(mu_series[i], _pdz(w_series[j - i])))
         w_series[j] = _pint_zbar(beltrami)
-    fam = _poly_series_family(grid, mu_series, w_series, label="chart-rigid")
-    mu_sup = 0.0
-    for phase in (1.0, 1j, (1 + 1j) / np.sqrt(2)):
-        mu_sup = max(mu_sup, float(np.max(np.abs(fam.mu(radius * phase)))))
-    report = GeneratorReport(
-        order=order,
-        f_coeffs=tuple(sorted((k, complex(v)) for k, v in f_coeffs.items())),
-        radius=radius,
-        mu_sup=mu_sup,
-    )
-    return fam, report
+    return _poly_series_family(grid, mu_series, w_series)
 
 
 def nonrigid_family(grid: ChartGrid) -> ChartFamily:

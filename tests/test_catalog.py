@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import multiprocessing
+import os
 import sys
 import threading
 import time
@@ -626,6 +627,19 @@ def test_runconfig_is_frozen():
     cfg = RunConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.grid = 128
+
+
+def test_runconfig_jobs_default_to_the_usable_cpus(monkeypatch):
+    """One worker per CPU this process may run on: its affinity set where the
+    platform has one, else every CPU, and at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    assert RunConfig().jobs == cpus >= 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert RunConfig().jobs == 1
 
 
 def test_budget_model():

@@ -328,11 +328,43 @@ def test_state_cache_returns_same_object(torus32):
     assert torus32.state(1j) is torus32.state(1j)
 
 
+def test_state_cache_policy(monkeypatch):
+    """``Family.state`` keeps the 48 latest-inserted states: the 49th distinct
+    sigma evicts the first inserted, even after a lookup of it; during a
+    build at most 48 states are held, the new one included; `drop_states`
+    keeps only its member; and a build that raises is built again."""
+    fam = families.TorusFamily(TorusGrid(4))
+    held, fail = [], []
+
+    def building(family, sigma):
+        held.append(len([s for s in family.__dict__["_states"] if s != sigma]) + 1)
+        if fail:
+            raise fail.pop()
+        return make_state(family, sigma)
+
+    monkeypatch.setattr(families, "make_state", building)
+    sigmas = [complex(0.01 * i, 1.0) for i in range(49)]
+    first = fam.state(sigmas[0])
+    for s in sigmas[1:48]:
+        fam.state(s)
+    assert fam.state(sigmas[0]) is first and len(held) == 48
+    fam.state(sigmas[48])
+    assert list(fam.__dict__["_states"]) == sigmas[1:]
+    assert max(held) == 48
+    keep = fam.state(sigmas[10])
+    fam.drop_states(keep=sigmas[10])
+    assert list(fam.__dict__["_states"]) == [sigmas[10]] and fam.state(sigmas[10]) is keep
+    fail.append(RuntimeError("planted"))
+    with pytest.raises(RuntimeError, match="planted"):
+        fam.state(2j)
+    assert fam.state(2j).sigma == 2j and held[-2:] == [2, 2]
+
+
 def test_rigid_family_constant_datum_closed_form():
     # with f = c the generator must reproduce mu = (omega0 c / 4) sigma exactly
     grid = ChartGrid(17)
     c = 0.3 - 0.2j
-    fam, _ = rigid_family(grid, {0: c}, order=6, radius=0.2)
+    fam = rigid_family(grid, {0: c})
     for sigma in (0.1, 0.05 + 0.12j):
         target = (2 * np.pi * c / 4.0) * sigma
         assert max_norm(fam.mu(sigma) - target) < 1e-14
@@ -343,9 +375,9 @@ def _capture_series(monkeypatch) -> list:
     built = []
     make = families._poly_series_family
 
-    def recording(grid, mu_series, w_series, label):
+    def recording(grid, mu_series, w_series):
         built.append((mu_series, w_series))
-        return make(grid, mu_series, w_series, label)
+        return make(grid, mu_series, w_series)
 
     monkeypatch.setattr(families, "_poly_series_family", recording)
     return built
@@ -405,9 +437,9 @@ def test_chart_family_evaluates_its_polynomials_once(monkeypatch):
 
 
 def test_rigid_family_gates():
-    fam, report = rigid_family(ChartGrid(48), CHART_COEFFS, order=8, radius=0.35)
-    assert report.order == 8
-    assert report.mu_sup < 0.5  # still a genuine structure at the stated radius
+    fam = rigid_family(ChartGrid(48), CHART_COEFFS)
+    for phase in (1.0, 1j, (1 + 1j) / np.sqrt(2)):
+        assert max_norm(fam.mu(0.35 * phase)) < 0.5  # still a genuine structure at |sigma| 0.35
     var = variation(fam, 0.1 + 0.05j, 1.0, EPS)
     assert var.anticommute_residual < 1e-8
     assert var.symmetry_residual < 1e-10

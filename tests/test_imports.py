@@ -1,7 +1,9 @@
 """Static checks: every name a module imports is used in that module,
 every name a function binds is read in that function, every parameter
-of a program function is read in it, and every top-level function and
-class of the program is referenced by the program.
+of a program function is read in it, every annotated class field of the
+program is read by the program, and every top-level function and class
+of the program is referenced by the program.  One run-time check too:
+importing the command line loads no concurrency module.
 
 The checks walk each file's syntax tree, so they need no linter.  An
 imported name counts as used when it appears as a name anywhere in the
@@ -11,6 +13,9 @@ module or is listed in ``__all__``.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -171,6 +176,59 @@ def test_no_unread_parameters():
         if (unread := unread_params(path.read_text()))
     }
     assert found == {}
+
+
+# the benchmark's sweep workload reads it; it goes with that read (ROADMAP items 8 and 24)
+UNREAD_FIELD_EXEMPT = ("RunConfig.radius",)
+
+
+def unread_fields(sources: list[str]) -> list[str]:
+    """The annotated class fields of ``sources``, as ``Class.field``, that no
+    code of the sources reads as an attribute.
+
+    A read is an attribute load ``x.field`` anywhere in the sources, in the
+    class itself too; a store or a docstring mention is not one.
+    """
+    fields, reads = [], set()
+    for source in sources:
+        tree = ast.parse(source)
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                fields += [
+                    f"{cls.name}.{stmt.target.id}"
+                    for stmt in cls.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+        reads |= {
+            n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        }
+    return sorted(f for f in fields if f.split(".", 1)[1] not in reads)
+
+
+def test_every_field_is_read():
+    # the check itself sees a field only stored, one named only in a
+    # docstring, and reads in its own class and in another module
+    snippet = [
+        'class A:\n    """Has b."""\n    a: int\n    b: int = 0\n    c: int\n'
+        "    def f(self):\n        self.c = 1\n        return self.a\n",
+        "def g(x):\n    return x.d\nclass D:\n    d: float\n",
+    ]
+    assert unread_fields(snippet) == ["A.b", "A.c"]
+    found = unread_fields([path.read_text() for path in SRC])
+    assert found == list(UNREAD_FIELD_EXEMPT)
+
+
+def test_importing_the_cli_loads_no_concurrency_module():
+    """A run in one process does not pay for the worker pool's imports."""
+    probe = (
+        "import sys, hitchinlab.cli\n"
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 FLOORS = (1e-300, 1e-12)
