@@ -69,6 +69,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import lapack_lite
 from numpy.polynomial import chebyshev as _cheb
 
 from .bundle import (
@@ -395,11 +396,77 @@ def torus_sections(bd: BundleData) -> TestSections:
     return TestSections(values=basis, defects=defects)
 
 
-def _anchored_coeffs(D: Array, systems: list[tuple[Array, Array]]) -> list[Array]:
-    r"""Minimum-norm least-squares solutions of ``[D; kappa R] c = [0; kappa t]``,
-    one per anchor system ``(R, t)``, with ``kappa = ||D||_2``.
+def _chart_basis(grid: ChartGrid, k: float) -> tuple[list[tuple[int, int]], Array, Array, Array, Array]:
+    """The tensor-Chebyshev basis of the level-``k`` chart sections: the
+    degrees ``(p, q)`` of its elements, the grid coordinates ``u1``, ``v1``
+    scaled to ``[-1, 1]`` and the factors ``Vx``, ``Vy`` of the elements'
+    values there (``(n, deg + 1)`` each)."""
+    # the sections decay like exp(-k w0 |z|^2 / 4); steeper levels
+    # need more polynomial headroom before the defect floor is hit
+    deg = min(14 + 2 * int(round(k)), 26)
+    u1 = (grid.x[:, 0] - grid.center[0]) / grid.half
+    v1 = (grid.y[0, :] - grid.center[1]) / grid.half
+    pairs = [(p, q) for p in range(deg + 1) for q in range(deg + 1 - p)]
+    return pairs, u1, v1, _cheb.chebvander(u1, deg), _cheb.chebvander(v1, deg)
 
-    The tall ``D`` (``M`` rows, ``N`` columns) is factored once,
+
+def _chart_design(bd: BundleData, order: str) -> Array:
+    """The design of :func:`chart_sections`, ``n^2`` rows by one column per
+    basis element of :func:`_chart_basis`: column ``j`` is the (0,1)
+    covariant derivative of element ``pairs[j]`` on every node, along
+    ``conj(l)/|l|``.  ``order`` is its memory layout: ``"F"``
+    (column-major) is the one :func:`_qr_r_inplace` factors, ``"C"``
+    (row-major) the one the defects ``D @ c`` take.  The columns are
+    written one by one into that layout, so both hold the same bits."""
+    grid: ChartGrid = bd.grid
+    pairs, u1, v1, Vx, Vy = _chart_basis(grid, bd.k)
+    deg = Vx.shape[1] - 1
+    Ax, Ay = bd.A
+    Q = bd.state.Q
+    l_norm = np.hypot(np.abs(Q[0, 0]), np.abs(Q[0, 1]))
+    wx, wy = np.einsum("ab...,b...->a...", Q, np.conj(Q[0])) / l_norm
+    dVx = np.stack([_cheb.chebval(u1, _cheb.chebder(np.eye(deg + 1)[:, p])) for p in range(deg + 1)], 1) / grid.half
+    dVy = np.stack([_cheb.chebval(v1, _cheb.chebder(np.eye(deg + 1)[:, q])) for q in range(deg + 1)], 1) / grid.half
+    D = np.empty((grid.n * grid.n, len(pairs)), dtype=complex, order=order)
+    for j, (p, q) in enumerate(pairs):
+        s = np.outer(Vx[:, p], Vy[:, q])
+        sx = np.outer(dVx[:, p], Vy[:, q]) + Ax * s
+        sy = np.outer(Vx[:, p], dVy[:, q]) + Ay * s
+        D[:, j] = (sx * wx + sy * wy).ravel()
+    return D
+
+
+def _qr_r_inplace(D: Array) -> Array:
+    """The triangular factor ``R_D`` of ``D = Q R_D`` (``min(M, N)`` rows),
+    factored by LAPACK ``zgeqrf`` in the storage of ``D`` itself, which it
+    overwrites: ``D`` is ``(M, N)``, complex and column-major
+    (Fortran-contiguous).  ``np.linalg.qr(D, mode="r")`` makes the same
+    call on two copies of ``D``; the workspace is queried and sized as
+    there, so ``R_D`` has the same bits."""
+    if D.ndim != 2 or D.dtype != np.complex128 or not D.flags.f_contiguous:
+        raise ValueError(f"expected a column-major complex128 matrix, got {D.dtype} of shape {D.shape}")
+    m, n = D.shape
+    a = D.T  # row-major (N, M): the column-major D that LAPACK reads
+    tau = np.empty(min(m, n), dtype=complex)
+
+    def geqrf(work: Array, lwork: int) -> None:
+        info = lapack_lite.zgeqrf(m, n, a, max(1, m), tau, work, lwork, 0)["info"]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"zgeqrf failed with info = {info}")
+
+    query = np.empty(1, dtype=complex)
+    geqrf(query, -1)
+    work = np.empty(max(1, n, int(query[0].real)), dtype=complex)
+    geqrf(work, len(work))
+    return np.triu(D[: min(m, n)])
+
+
+def _anchored_coeffs(RD: Array, rows: int, systems: list[tuple[Array, Array]]) -> list[Array]:
+    r"""Minimum-norm least-squares solutions of ``[D; kappa R] c = [0; kappa t]``,
+    one per anchor system ``(R, t)``, with ``kappa = ||D||_2``, from the
+    triangular factor ``RD`` of the design ``D`` (:func:`_qr_r_inplace`).
+
+    The tall ``D`` (``M = rows`` rows, ``N`` columns) is factored once,
     ``D = Q R_D``, and each system is solved on the small
     ``[R_D; kappa R]``: ``Q`` is an isometry and the target is zero on the
     ``D`` rows, so both systems have the same singular values and the same
@@ -413,13 +480,12 @@ def _anchored_coeffs(D: Array, systems: list[tuple[Array, Array]]) -> list[Array
     directions of the numerical kernel that the stacked solve drops (rank
     150 -> 153 at ``k = 1``), and the sections move by 0.36 (sup).
     """
-    RD = np.linalg.qr(D, mode="r")
     kappa = float(np.linalg.norm(RD, 2))
     out = []
     for R, t in systems:
         stacked = np.vstack([RD, kappa * R])
         target = np.concatenate([np.zeros(RD.shape[0], dtype=complex), kappa * t])
-        rcond = np.finfo(float).eps * max(2 * D.shape[0] + len(t), D.shape[1])
+        rcond = np.finfo(float).eps * max(2 * rows + len(t), RD.shape[1])
         out.append(np.linalg.lstsq(stacked, target, rcond=rcond)[0])
     return out
 
@@ -443,40 +509,26 @@ def chart_sections(bd: BundleData) -> TestSections:
     The (0,1) projector ``Q = (I + iJ)/2`` has rank one, so at each node
     the (0,1)-form ``(d_a s + A_a s) Q[a, b]`` is ``c * l_b`` with
     ``l = Q[0, :]`` and ``|l| >= |Q[0, 0]| >= 1/2`` (``J`` is real).  The
-    design therefore takes one row per node, the component along the unit
-    direction ``conj(l)/|l|``: it has the Gram matrix of the design with
-    one row per node and coordinate component, so the same singular values
-    and the same minimum-norm solution, with half the rows to factor.  The
-    defect is the larger coordinate component, ``|c| max_b |l_b|``.  The
-    design is factored once per call and both anchored systems are solved
-    on its triangular factor (:func:`_anchored_coeffs`), with the rank
-    cutoff of the two-component stacked system.
+    design (:func:`_chart_design`) therefore takes one row per node, the
+    component along the unit direction ``conj(l)/|l|``: it has the Gram
+    matrix of the design with one row per node and coordinate component,
+    so the same singular values and the same minimum-norm solution, with
+    half the rows to factor.  The defect is the larger coordinate
+    component, ``|c| max_b |l_b|``.
+
+    One copy of the design is alive at a time.  It is built column-major
+    and factored in place (:func:`_qr_r_inplace`), both anchored systems
+    are solved on its triangular factor (:func:`_anchored_coeffs`) with
+    the rank cutoff of the two-component stacked system, and it is freed;
+    the defects take a row-major rebuild, since ``D @ c`` on the
+    column-major layout differs at rounding (up to 5.7e-14).
     """
     grid: ChartGrid = bd.grid
-    st = bd.state
-    # the sections decay like exp(-k w0 |z|^2 / 4); steeper levels
-    # need more polynomial headroom before the defect floor is hit
-    deg = min(14 + 2 * int(round(bd.k)), 26)
-    u1 = (grid.x[:, 0] - grid.center[0]) / grid.half
-    v1 = (grid.y[0, :] - grid.center[1]) / grid.half
-    Vx = _cheb.chebvander(u1, deg)  # (n, deg+1)
-    Vy = _cheb.chebvander(v1, deg)
-    pairs = [(p, q) for p in range(deg + 1) for q in range(deg + 1 - p)]
-    Ax, Ay = bd.A
-    Q = st.Q
-    l_norm = np.hypot(np.abs(Q[0, 0]), np.abs(Q[0, 1]))
-    wx, wy = np.einsum("ab...,b...->a...", Q, np.conj(Q[0])) / l_norm
+    pairs, _, _, Vx, Vy = _chart_basis(grid, bd.k)
+    deg = Vx.shape[1] - 1
+    Q = bd.state.Q
     # the larger coordinate component of c * l, relative to |c * l|
-    comp = np.maximum(np.abs(Q[0, 0]), np.abs(Q[0, 1])) / l_norm
-    dVx = np.stack([_cheb.chebval(u1, _cheb.chebder(np.eye(deg + 1)[:, p])) for p in range(deg + 1)], 1) / grid.half
-    dVy = np.stack([_cheb.chebval(v1, _cheb.chebder(np.eye(deg + 1)[:, q])) for q in range(deg + 1)], 1) / grid.half
-    # each column is written in place: no second copy of the design
-    D = np.empty((grid.n * grid.n, len(pairs)), dtype=complex)
-    for j, (p, q) in enumerate(pairs):
-        s = np.outer(Vx[:, p], Vy[:, q])
-        sx = np.outer(dVx[:, p], Vy[:, q]) + Ax * s
-        sy = np.outer(Vx[:, p], dVy[:, q]) + Ay * s
-        D[:, j] = (sx * wx + sy * wy).ravel()
+    comp = np.maximum(np.abs(Q[0, 0]), np.abs(Q[0, 1])) / np.hypot(np.abs(Q[0, 0]), np.abs(Q[0, 1]))
 
     def value_row(a: complex) -> Array:
         tu = _cheb.chebvander(np.array([(a.real - grid.center[0]) / grid.half]), deg)[0]
@@ -489,10 +541,13 @@ def chart_sections(bd: BundleData) -> TestSections:
         (np.stack([value_row(a) for a, _ in anchors]), np.array([v for _, v in anchors], dtype=complex))
         for anchors in ([(a0, 1.0)], [(a0, 0.0), (a1, 1.0)])
     ]
+    # the column-major design is factored in place and freed before the row-major one is built
+    solutions = _anchored_coeffs(_qr_r_inplace(_chart_design(bd, "F")), grid.n * grid.n, systems)
+    D = _chart_design(bd, "C")
     values = []
     defects = []
     coeffs = []
-    for c in _anchored_coeffs(D, systems):
+    for c in solutions:
         C = np.zeros((deg + 1, deg + 1), dtype=complex)
         for (p, q), cc in zip(pairs, c):
             C[p, q] = cc

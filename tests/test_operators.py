@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from numpy.polynomial import chebyshev as cheb
 
 from hitchinlab import families, operators
 from hitchinlab.bundle import _times_potential, bundle_data, sec_deriv, sec_grad
-from hitchinlab.catalog import case_ratio
+from hitchinlab.catalog import case_ratio, chart_family
 from hitchinlab.families import variation_tensors, vj_of
 from hitchinlab.fields import ChartGrid, TorusGrid, grad, max_norm
 from hitchinlab.geometry import cov_deriv
@@ -382,12 +383,11 @@ def test_chart_sections_solve_and_reevaluate(chart48):
         assert max_norm(re_eval - ts.values[i]) < 1e-12
 
 
-def _two_row_design(bd):
-    """The design of :func:`chart_sections` with one row per grid node and
-    coordinate component of the (0,1)-form ``(d_a s + A_a s) Q[a, b]``
-    (``2 n^2`` rows): the reference for its one-row design.  Returns the
-    design and the ``(p, q)`` degrees of its columns."""
-    grid, Q = bd.grid, bd.state.Q
+def _basis_derivatives(bd):
+    """The ``(p, q)`` degrees of the tensor-Chebyshev basis of
+    :func:`chart_sections` and, one element at a time, its covariant
+    derivatives ``(d_x s + A_x s, d_y s + A_y s)`` on the grid."""
+    grid = bd.grid
     deg = min(14 + 2 * int(round(bd.k)), 26)
     u1 = (grid.x[:, 0] - grid.center[0]) / grid.half
     v1 = (grid.y[0, :] - grid.center[1]) / grid.half
@@ -396,23 +396,102 @@ def _two_row_design(bd):
     dVy = np.stack([cheb.chebval(v1, cheb.chebder(np.eye(deg + 1)[:, q])) for q in range(deg + 1)], 1) / grid.half
     pairs = [(p, q) for p in range(deg + 1) for q in range(deg + 1 - p)]
     Ax, Ay = bd.A
-    cols = []
-    for p, q in pairs:
-        s = np.outer(Vx[:, p], Vy[:, q])
-        sx = np.outer(dVx[:, p], Vy[:, q]) + Ax * s
-        sy = np.outer(Vx[:, p], dVy[:, q]) + Ay * s
-        cols.append(np.stack([sx * Q[0, 0] + sy * Q[1, 0], sx * Q[0, 1] + sy * Q[1, 1]]).ravel())
+
+    def derivs():
+        for p, q in pairs:
+            s = np.outer(Vx[:, p], Vy[:, q])
+            yield np.outer(dVx[:, p], Vy[:, q]) + Ax * s, np.outer(Vx[:, p], dVy[:, q]) + Ay * s
+
+    return pairs, derivs()
+
+
+def _two_row_design(bd):
+    """The design of :func:`chart_sections` with one row per grid node and
+    coordinate component of the (0,1)-form ``(d_a s + A_a s) Q[a, b]``
+    (``2 n^2`` rows): the reference for its one-row design.  Returns the
+    design and the ``(p, q)`` degrees of its columns."""
+    Q = bd.state.Q
+    pairs, derivs = _basis_derivatives(bd)
+    cols = [np.stack([sx * Q[0, 0] + sy * Q[1, 0], sx * Q[0, 1] + sy * Q[1, 1]]).ravel() for sx, sy in derivs]
     return np.stack(cols, axis=1), pairs
 
 
+def _per_column_design(bd):
+    """The one-row design of :func:`chart_sections`, written column by
+    column into a row-major array: the reference loop for both layouts of
+    ``operators._chart_design``."""
+    Q = bd.state.Q
+    l_norm = np.hypot(np.abs(Q[0, 0]), np.abs(Q[0, 1]))
+    wx, wy = np.einsum("ab...,b...->a...", Q, np.conj(Q[0])) / l_norm
+    pairs, derivs = _basis_derivatives(bd)
+    D = np.empty((bd.grid.n * bd.grid.n, len(pairs)), dtype=complex)
+    for j, (sx, sy) in enumerate(derivs):
+        D[:, j] = (sx * wx + sy * wy).ravel()
+    return D
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_chart_design_layouts_match_the_per_column_loop(chart48, k):
+    """Both layouts of the design hold the bits of the per-column loop."""
+    bd = bundle_data(chart48, SIGMA, k)
+    ref = _per_column_design(bd)
+    for order, contiguous in (("F", "F_CONTIGUOUS"), ("C", "C_CONTIGUOUS")):
+        D = operators._chart_design(bd, order)
+        assert D.flags[contiguous]
+        assert D.dtype == ref.dtype and np.array_equal(D, ref)
+
+
+@pytest.mark.parametrize("grid, k", [(48, 0), (48, 1), (48, 3), (13, 3)])
+def test_inplace_qr_keeps_the_bits_of_numpy_qr(chart48, grid, k):
+    """The in-place ``zgeqrf`` factor equals ``np.linalg.qr(D, mode="r")``
+    bit for bit on the real designs, tall (grid 48) and wide (grid 13 at
+    ``k = 3``: 169 rows, 231 columns)."""
+    fam = chart48 if grid == 48 else chart_family(grid)
+    D = operators._chart_design(bundle_data(fam, SIGMA, k), "F")
+    assert (D.shape[0] < D.shape[1]) == (grid == 13)
+    ref = np.linalg.qr(D, mode="r")
+    RD = operators._qr_r_inplace(D)
+    assert RD.shape == ref.shape == (min(D.shape), D.shape[1])
+    assert RD.dtype == ref.dtype and np.array_equal(RD, ref)
+
+
+def test_inplace_qr_takes_a_column_major_complex_matrix():
+    """A row-major or real matrix is refused before LAPACK sees it: a
+    row-major buffer would factor the transpose."""
+    D = np.ones((4, 3), dtype=complex)
+    for bad in (D, D.real.copy(order="F"), np.ones((2, 4, 3), dtype=complex, order="F")):
+        with pytest.raises(ValueError, match="column-major complex128"):
+            operators._qr_r_inplace(bad)
+
+
+def test_chart_sections_hold_one_copy_of_the_design():
+    """One grid-64, ``k = 3`` solve traces at most 1.25 times the design's
+    bytes (14.4 MiB): the design is factored in place and rebuilt for the
+    defects only once the factored copy is freed (a solve through
+    ``np.linalg.qr``, which copies the design, traces 30.4 MiB).
+    tracemalloc sees the arrays NumPy allocates, not the buffers LAPACK
+    and the linalg gufuncs allocate themselves, so the process's RSS rises
+    by a little more (17.5 MiB)."""
+    bd = bundle_data(chart_family(64), SIGMA, 3)
+    design_bytes = 64 * 64 * 231 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        chart_sections(bd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * design_bytes, f"traced peak {peak / 2**20:.1f} MiB"
+
+
 def _recorded_solves(monkeypatch):
-    """Record the design and the anchor systems of each :func:`chart_sections` solve."""
+    """Record the triangular factor, its design's row count and the anchor
+    systems of each :func:`chart_sections` solve."""
     calls = []
     solve = operators._anchored_coeffs
 
-    def recorded(D, systems):
-        calls.append((D, systems))
-        return solve(D, systems)
+    def recorded(RD, rows, systems):
+        calls.append((RD, rows, systems))
+        return solve(RD, rows, systems)
 
     monkeypatch.setattr(operators, "_anchored_coeffs", recorded)
     return calls
@@ -438,7 +517,7 @@ def test_chart_sections_match_the_stacked_solve(chart48, monkeypatch, k):
     calls = _recorded_solves(monkeypatch)
     monkeypatch.setattr(np.linalg, "lstsq", ranked)
     ts = chart_sections(bd)
-    ((_, systems),) = calls
+    ((_, _, systems),) = calls
     D, pairs = _two_row_design(bd)
     kappa = float(np.linalg.norm(D, 2))
     ps, qs = np.array(pairs).T
@@ -457,16 +536,14 @@ def test_chart_sections_match_the_stacked_solve(chart48, monkeypatch, k):
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
-def test_chart_design_compresses_the_two_row_design(chart48, monkeypatch, k):
+def test_chart_design_compresses_the_two_row_design(chart48, k):
     """``Q = (I + iJ)/2`` has rank one, so the two coordinate blocks of the
     two-row design are pointwise proportional, ``c * l_0`` and ``c * l_1``
     with ``l = Q[0, :]``, and the one-row design, their component along
     ``conj(l)/|l|``, has the same Gram matrix."""
     fam = chart48
     bd = bundle_data(fam, SIGMA, k)
-    calls = _recorded_solves(monkeypatch)
-    chart_sections(bd)
-    ((D1, _),) = calls
+    D1 = operators._chart_design(bd, "C")
     D, _ = _two_row_design(bd)
     m = D1.shape[0]
     assert D.shape == (2 * m, D1.shape[1])
