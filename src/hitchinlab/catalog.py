@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
@@ -149,6 +148,8 @@ class RunConfig:
         for name in ("levels", "taus"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
+        if self.identities is not None and not self.identities:
+            raise ValueError("identities must not be empty: leave them unset to run every row")
         if min(self.levels) < 1:
             raise ValueError(f"levels must be at least 1, got {self.levels}")
         bad = [t for t in self.taus if not (np.isfinite(t) and complex(t).imag > 0)]
@@ -191,13 +192,14 @@ MUTATIONS = {
 
 
 # ---------------------------------------------------------------------------
-# evaluation environment (shared caches for one run)
+# evaluation environment (the families of one process)
 # ---------------------------------------------------------------------------
 
 
 class Env:
-    """The families shared by the catalog rows of one run, or of one worker
-    process of a run (`run_catalog`).
+    """The families that the catalog rows of one process read: of the whole
+    run at ``jobs = 1``, or of one worker process of a run (`run_catalog`).
+    A process runs its rows in one thread.
 
     The family states have their own bounded cache (``Family.state``).
     Bundle data, test sections and case points are not kept here: a `walk`
@@ -206,22 +208,17 @@ class Env:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self._lock = threading.Lock()
         self._families: dict[str, Family] = {}
 
     def family(self, backend: str) -> Family:
-        with self._lock:
-            fam = self._families.get(backend)
-            if fam is None:
-                if backend == "torus":
-                    fam = TorusFamily(TorusGrid(self.cfg.grid))
-                else:
-                    fam = chart_family(self.cfg.grid)
-                self._families[backend] = fam
-            return fam
-
-    def chart(self) -> ChartFamily:
-        return self.family("chart")
+        fam = self._families.get(backend)
+        if fam is None:
+            if backend == "torus":
+                fam = TorusFamily(TorusGrid(self.cfg.grid))
+            else:
+                fam = chart_family(self.cfg.grid)
+            self._families[backend] = fam
+        return fam
 
     def params(self, backend: str) -> tuple[complex, ...]:
         return self.cfg.taus if backend == "torus" else (self.cfg.sigma,)
@@ -944,18 +941,19 @@ def sweep_orders(
     res = []  # per configuration: identity -> residual
     for cfg in cfgs:
         env = Env(cfg)
+        fam = env.family("chart")
         if coeff is None:  # the frozen section, from the coarsest grid
-            coeff = chart_sections(bundle_data(env.chart(), sigma, k)).coeff[0]
-        s = section_on(env.chart().grid, coeff)
-        bd = bundle_data(env.chart(), sigma, k)
+            coeff = chart_sections(bundle_data(fam, sigma, k)).coeff[0]
+        s = section_on(fam.grid, coeff)
+        bd = bundle_data(fam, sigma, k)
         for e in (eps,) + (tuple(eps_pair) if cfg is cfgs[-1] else ()):
             # one case per step, so one point: the identities share its
             # ingredients, and rebinding ``c`` frees the last step's point
-            pt = Point(env.chart(), sigma, 1.0, e, bd, s)
+            pt = Point(fam, sigma, 1.0, e, bd, s)
             c = Case(env, "chart", e, None, sigma, k, 1.0, s, bd, pt)
             res.append({i: float(case_ratio(*ROWS[i].residual(c))) for i in identities})
-            env.chart().drop_states(keep=sigma)  # no later step reads this step's neighbours
-        del env, s, bd, c, pt  # free this Env before the next one is built
+            fam.drop_states(keep=sigma)  # no later step reads this step's neighbours
+        del env, fam, s, bd, c, pt  # free this Env before the next one is built
     rows: list[dict] = []
     for identity in identities:
         r = [at[identity] for at in res]

@@ -43,7 +43,6 @@ operators of ``hitchinlab.operators`` both use them.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,7 +54,6 @@ from .fields import (
     Array,
     ChartGrid,
     Grid,
-    TorusGrid,
     mat_mul,
     max_norm,
     proj_anti,
@@ -271,6 +269,10 @@ class Family:
     normalized_potential: bool = False
     closed_form: bool = False  # has vj_exact, g_exact and a_t_exact
 
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self._states: OrderedDict[complex, KahlerState] = OrderedDict()
+
     def J_at(self, sigma: complex) -> Array:
         raise NotImplementedError
 
@@ -278,31 +280,26 @@ class Family:
         raise NotImplementedError
 
     def state(self, sigma: complex) -> KahlerState:
-        """The member at ``sigma``, found or built under the family's lock, so
-        each is built once even when threads race.  The 48 latest-inserted
+        """The member at ``sigma``, found or built.  The 48 latest-inserted
         states are kept (a lookup does not refresh one): a build first
         forgets the oldest while 48 are held.  A build that raises keeps
         nothing, and the next lookup builds again.  `drop_states` forgets
         them sooner (a sweep does after each parameter step, keeping only
         its centre member)."""
         sigma = complex(sigma)
-        with self.__dict__.setdefault("_state_lock", threading.Lock()):
-            cache = self.__dict__.setdefault("_states", OrderedDict())
-            st = cache.get(sigma)
-            if st is None:
-                while len(cache) >= 48:
-                    cache.popitem(last=False)
-                st = cache[sigma] = make_state(self, sigma)
-            return st
+        st = self._states.get(sigma)
+        if st is None:
+            while len(self._states) >= 48:
+                self._states.popitem(last=False)
+            st = self._states[sigma] = make_state(self, sigma)
+        return st
 
     def drop_states(self, keep: complex) -> None:
         """Forget every kept state but the member at ``keep``, which stays
         with the symbols it has built."""
         keep = complex(keep)
-        with self.__dict__.setdefault("_state_lock", threading.Lock()):
-            cache = self.__dict__.get("_states", {})
-            for sigma in [s for s in cache if s != keep]:
-                del cache[sigma]
+        for sigma in [s for s in self._states if s != keep]:
+            del self._states[sigma]
 
     # closed-form variations: only the torus has them
     def vj_exact(self, sigma: complex, v: complex) -> Array:
@@ -318,12 +315,9 @@ class Family:
 class TorusFamily(Family):
     r"""Unit torus, :math:`\omega = 2\pi\,dx\wedge dy`, :math:`w = x + \tau y`."""
 
+    label = "torus"
+    normalized_potential = True
     closed_form = True
-
-    def __init__(self, grid: TorusGrid):
-        self.grid = grid
-        self.label = "torus"
-        self.normalized_potential = True
 
     def J_at(self, sigma: complex) -> Array:
         t1, t2 = sigma.real, sigma.imag
@@ -376,11 +370,10 @@ class ChartFamily(Family):
         w_at: Callable[[complex], tuple[Array, Array]],
         label: str,
     ):
-        self.grid = grid
+        super().__init__(grid)
         self._mu_at = mu_at
         self._w_at = w_at
         self.label = label
-        self.normalized_potential = False
 
     def mu(self, sigma: complex) -> Array:
         return self._mu_at(complex(sigma))

@@ -139,7 +139,7 @@ def curvature_reds():
     interior mask, within the row's chart budget."""
     cfg = RunConfig()
     env = Env(cfg)
-    fam = env.chart()
+    fam = env.family("chart")
     comm = param_commutator_curvature(fam, cfg.sigma, cfg.eps)
     comm = comm[fam.grid.interior()]
     tt = max(1.0 / (4.0 * t.imag**2) for t in cfg.taus)

@@ -5,7 +5,6 @@ import importlib.util
 import multiprocessing
 import os
 import sys
-import threading
 import time
 import weakref
 from pathlib import Path
@@ -32,7 +31,6 @@ from hitchinlab.catalog import (
     select_entries,
     sweep_axis_ok,
 )
-from hitchinlab.fields import TorusGrid
 from hitchinlab.reports import (
     CATALOG_COLUMNS,
     format_catalog,
@@ -255,28 +253,6 @@ def test_a_worker_error_leaves_the_run_as_in_one_process(monkeypatch):
     assert raised == [(ZeroDivisionError, "planted at k=1")] * 2
 
 
-def test_states_are_built_once_under_threads(monkeypatch):
-    built = []
-    make_state = families.make_state
-
-    def slow_make_state(family, sigma):
-        built.append(sigma)
-        time.sleep(0.2)
-        return make_state(family, sigma)
-
-    monkeypatch.setattr(families, "make_state", slow_make_state)
-    fam = families.TorusFamily(TorusGrid(16))
-    got = []
-    threads = [threading.Thread(target=lambda: got.append(fam.state(1j))) for _ in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=10)
-    assert not any(t.is_alive() for t in threads)
-    assert built == [1j]
-    assert len(got) == 2 and got[0] is got[1]
-
-
 def test_sweep_builds_each_configuration_once(monkeypatch):
     calls = {"sections": 0, "families": 0}
 
@@ -324,7 +300,7 @@ def test_shared_point_gives_the_bits_of_a_fresh_point(mutated):
     and after every mutation's flipped residual has read the shared point
     (``mutated``): a flipped term or ``H(V)`` is never stored."""
     env = Env(RunConfig(backend="chart", grid=24, levels=(1,)))
-    sigma, k, eps, fam = env.cfg.sigma, 1, env.cfg.eps, env.chart()
+    sigma, k, eps, fam = env.cfg.sigma, 1, env.cfg.eps, env.family("chart")
     bd = catalog.bundle_data(fam, sigma, k)
     s = operators.chart_sections(bd).values[:1]
 
@@ -553,7 +529,7 @@ def test_sweep_keeps_no_state_of_a_finished_step(monkeypatch):
 
     def holding(*args):
         if built[-1].grid.n == 32:
-            held.append(list(built[-1].__dict__["_states"]))
+            held.append(list(built[-1]._states))
         return case_ratio(*args)
 
     monkeypatch.setattr(catalog, "chart_family", building)
@@ -677,7 +653,7 @@ def test_parameter_step_is_scaled_once(monkeypatch, backend, p):
     outer = [e for sigma, e in steps if sigma == p]
     assert outer and all(e == cfg.eps * (1 + abs(p)) for e in outer)
     if backend == "chart":
-        h = env.chart().grid.h
+        h = env.family("chart").grid.h
         C = ROWS["metric_variation"].budgets["chart"]
         expected = C * (step_for(cfg.sigma, cfg.eps) ** 2 + h**4)
         assert budget_for("metric_variation", "chart", env) == expected

@@ -332,6 +332,9 @@ def test_basis_subcommand_is_gone(capsys):
             "unrecognized arguments: --backend torus --grid 24",
         ),
         (["sweep", "--grid", "12", "--grids", "24,32"], "unrecognized arguments: --grid 12"),
+        (["verify", "--identities", ","], "identities must not be empty"),
+        (["sweep", "--identities", ","], "identities must not be empty"),
+        (["verify", "--config", "{identities_ini}"], "identities must not be empty"),
     ],
     ids=[
         "verify_lower_half_plane",
@@ -376,6 +379,9 @@ def test_basis_subcommand_is_gone(capsys):
         "transport_path_nan_with_loop",
         "sweep_backend_and_grid_flags",
         "sweep_grid_flag",
+        "verify_identities_empty",
+        "sweep_identities_empty",
+        "verify_ini_identities_empty",
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):
@@ -391,6 +397,7 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):
         "taus_nan_ini": "[run]\ntaus = nan+1j\n",
         "taus_inf_ini": "[run]\ntaus = inf+1j\n",
         "sigma_nan_ini": "[run]\nsigma = nan+0j\n",
+        "identities_ini": "[run]\nidentities =\n",
     }
     paths = {"missing_ini": tmp_path / "missing.ini"}
     for name, text in files.items():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import threading
 import tracemalloc
 
 import numpy as np
@@ -245,26 +244,6 @@ def test_lazy_symbols_equal_the_eager_formulas(n):
         assert _same_bits(st.rho, ricci_form(fam.grid, gamma, st.J))
 
 
-def test_threads_reading_fresh_symbols_agree(chart48):
-    """Two threads that read the symbols of one fresh state together get
-    equal arrays, and later reads get the one kept."""
-    st = make_state(chart48, 0.1 + 0.05j)
-    start = threading.Barrier(2)
-    got = [None, None]
-
-    def read(i: int) -> None:
-        start.wait()
-        got[i] = st.gamma
-
-    threads = [threading.Thread(target=read, args=(i,)) for i in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert _same_bits(got[0], got[1])
-    assert st.gamma is st.gamma and _same_bits(st.gamma, got[0])
-
-
 def test_chart_state_holds_no_symbols_until_read():
     """A 128x128 chart member holds 3 MiB of fields until its symbols are
     read (4.5 MiB with the symbols and the Ricci form)."""
@@ -337,7 +316,7 @@ def test_state_cache_policy(monkeypatch):
     held, fail = [], []
 
     def building(family, sigma):
-        held.append(len([s for s in family.__dict__["_states"] if s != sigma]) + 1)
+        held.append(len([s for s in family._states if s != sigma]) + 1)
         if fail:
             raise fail.pop()
         return make_state(family, sigma)
@@ -349,11 +328,11 @@ def test_state_cache_policy(monkeypatch):
         fam.state(s)
     assert fam.state(sigmas[0]) is first and len(held) == 48
     fam.state(sigmas[48])
-    assert list(fam.__dict__["_states"]) == sigmas[1:]
+    assert list(fam._states) == sigmas[1:]
     assert max(held) == 48
     keep = fam.state(sigmas[10])
     fam.drop_states(keep=sigmas[10])
-    assert list(fam.__dict__["_states"]) == [sigmas[10]] and fam.state(sigmas[10]) is keep
+    assert list(fam._states) == [sigmas[10]] and fam.state(sigmas[10]) is keep
     fail.append(RuntimeError("planted"))
     with pytest.raises(RuntimeError, match="planted"):
         fam.state(2j)

@@ -2,8 +2,9 @@
 every name a function binds is read in that function, every parameter
 of a program function is read in it, every annotated class field of the
 program is read by the program, and every top-level function and class
-of the program is referenced by the program.  One run-time check too:
-importing the command line loads no concurrency module.
+of the program is referenced by the program, and no module of the
+program imports ``threading``.  One run-time check too: importing the
+command line loads no concurrency module.
 
 The checks walk each file's syntax tree, so they need no linter.  An
 imported name counts as used when it appears as a name anywhere in the
@@ -229,6 +230,29 @@ def test_importing_the_cli_loads_no_concurrency_module():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the absolute imports of ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_module_imports_threading():
+    """The program runs one thread per process; at ``jobs > 1`` the catalog
+    walks in worker processes (``catalog._walk_in_workers``).  A probe of
+    ``sys.modules`` cannot tell, as ``import numpy`` loads ``threading``."""
+    # the check itself sees an aliased import, a from-import and a dotted
+    # import, and skips a relative one
+    snippet = "import threading as t\nfrom threading import Lock\nfrom .x import y\nimport os.path\n"
+    assert imported_modules(snippet) == {"threading", "os"}
+    found = [path.name for path in SRC if "threading" in imported_modules(path.read_text())]
+    assert found == []
 
 
 FLOORS = (1e-300, 1e-12)
