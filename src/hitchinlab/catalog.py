@@ -800,15 +800,26 @@ def _walk_task(backend: str, identities: tuple[str, ...], level: int) -> dict[st
     return walk_part(_worker_env, backend, [ROWS[i] for i in identities], level)
 
 
+def _task_order(task: tuple) -> tuple:
+    """The key that submits the longest pool tasks first: the transport rows,
+    then the chart parts (least-squares sections on full grids), then the
+    torus parts; within a backend, more rows first, then the higher level."""
+    _, backend, ids, level = task
+    return bool(ROWS[ids[0]].axes), backend != CHART, -len(ids), -level
+
+
 def _walk_in_workers(cfg: RunConfig, jobs: list[list[Entry]]) -> list[dict] | None:
     """The cases of each job, as `walk` gives them, walked by ``cfg.jobs``
     forked worker processes; None where the platform cannot fork.
 
     A task is one job at one level part (`walk_part`): level 0 and each
-    level of the run, where the job has rows.  Each worker builds one `Env`
-    and walks its tasks on it; only the backend, the identities and the
-    level go to a worker, and the keyed cases come back.  The pool is shut
-    down, its processes joined, before this returns or raises.
+    level of the run, where the job has rows, the longest first
+    (`_task_order`); results are gathered in walk order, so an error of
+    several tasks is the one a run in one process raises first.  Each
+    worker builds one `Env` and walks its tasks on it; only the backend,
+    the identities and the level go to a worker, and the keyed cases come
+    back.  The pool is shut down, its processes joined, before this returns
+    or raises.
     """
     import multiprocessing  # here: a run in one process does not pay for the import
     from concurrent.futures import ProcessPoolExecutor
@@ -821,7 +832,6 @@ def _walk_in_workers(cfg: RunConfig, jobs: list[list[Entry]]) -> list[dict] | No
         for level in (0, *dict.fromkeys(cfg.levels))
         if (ids := tuple(e.identity for e in job if _in_part(ROWS[e.identity], level)))
     ]
-    tasks.sort(key=lambda task: bool(ROWS[task[2][0]].axes))  # the transport rows, the longest, first
     pool = ProcessPoolExecutor(
         min(cfg.jobs, len(tasks)),
         mp_context=multiprocessing.get_context("fork"),
@@ -829,10 +839,10 @@ def _walk_in_workers(cfg: RunConfig, jobs: list[list[Entry]]) -> list[dict] | No
         initargs=(cfg,),
     )
     try:
-        futures = [(j, pool.submit(_walk_task, *task)) for j, *task in tasks]
+        futures = {task: pool.submit(_walk_task, *task[1:]) for task in sorted(tasks, key=_task_order)}
         parts: list[list] = [[] for _ in jobs]
-        for j, future in futures:
-            parts[j].append(future.result())
+        for task in tasks:
+            parts[task[0]].append(futures[task].result())
     finally:
         pool.shutdown(cancel_futures=True)
     return [merged(*part) for part in parts]

@@ -398,36 +398,37 @@ def torus_sections(bd: BundleData) -> TestSections:
 
 def _chart_basis(grid: ChartGrid, k: float) -> tuple[list[tuple[int, int]], Array, Array, Array, Array]:
     """The tensor-Chebyshev basis of the level-``k`` chart sections: the
-    degrees ``(p, q)`` of its elements, the grid coordinates ``u1``, ``v1``
-    scaled to ``[-1, 1]`` and the factors ``Vx``, ``Vy`` of the elements'
-    values there (``(n, deg + 1)`` each)."""
+    degrees ``(p, q)`` of its elements, the factors ``Vx``, ``Vy`` of the
+    elements' values on the grid and ``dVx``, ``dVy`` of their coordinate
+    derivatives (``(n, deg + 1)`` each)."""
     # the sections decay like exp(-k w0 |z|^2 / 4); steeper levels
     # need more polynomial headroom before the defect floor is hit
     deg = min(14 + 2 * int(round(k)), 26)
     u1 = (grid.x[:, 0] - grid.center[0]) / grid.half
     v1 = (grid.y[0, :] - grid.center[1]) / grid.half
     pairs = [(p, q) for p in range(deg + 1) for q in range(deg + 1 - p)]
-    return pairs, u1, v1, _cheb.chebvander(u1, deg), _cheb.chebvander(v1, deg)
-
-
-def _chart_design(bd: BundleData, order: str) -> Array:
-    """The design of :func:`chart_sections`, ``n^2`` rows by one column per
-    basis element of :func:`_chart_basis`: column ``j`` is the (0,1)
-    covariant derivative of element ``pairs[j]`` on every node, along
-    ``conj(l)/|l|``.  ``order`` is its memory layout: ``"F"``
-    (column-major) is the one :func:`_qr_r_inplace` factors, ``"C"``
-    (row-major) the one the defects ``D @ c`` take.  The columns are
-    written one by one into that layout, so both hold the same bits."""
-    grid: ChartGrid = bd.grid
-    pairs, u1, v1, Vx, Vy = _chart_basis(grid, bd.k)
-    deg = Vx.shape[1] - 1
-    Ax, Ay = bd.A
-    Q = bd.state.Q
-    l_norm = np.hypot(np.abs(Q[0, 0]), np.abs(Q[0, 1]))
-    wx, wy = np.einsum("ab...,b...->a...", Q, np.conj(Q[0])) / l_norm
     dVx = np.stack([_cheb.chebval(u1, _cheb.chebder(np.eye(deg + 1)[:, p])) for p in range(deg + 1)], 1) / grid.half
     dVy = np.stack([_cheb.chebval(v1, _cheb.chebder(np.eye(deg + 1)[:, q])) for q in range(deg + 1)], 1) / grid.half
-    D = np.empty((grid.n * grid.n, len(pairs)), dtype=complex, order=order)
+    return pairs, _cheb.chebvander(u1, deg), _cheb.chebvander(v1, deg), dVx, dVy
+
+
+def _along_l(bd: BundleData) -> Array:
+    """The weights ``(wx, wy)`` of ``(d_x s + A_x s, d_y s + A_y s)`` in the
+    (0,1)-form's component along ``conj(l)/|l|`` (:func:`chart_sections`)."""
+    Q = bd.state.Q
+    return np.einsum("ab...,b...->a...", Q, np.conj(Q[0])) / np.hypot(np.abs(Q[0, 0]), np.abs(Q[0, 1]))
+
+
+def _chart_design(bd: BundleData, basis: tuple) -> Array:
+    """The design of :func:`chart_sections`, ``n^2`` rows by one column per
+    element of ``basis`` (:func:`_chart_basis`), column-major, as
+    :func:`_qr_r_inplace` factors it: column ``j`` is the (0,1) covariant
+    derivative of element ``pairs[j]`` on every node, along
+    ``conj(l)/|l|``, written column by column."""
+    pairs, Vx, Vy, dVx, dVy = basis
+    Ax, Ay = bd.A
+    wx, wy = _along_l(bd)
+    D = np.empty((bd.grid.n * bd.grid.n, len(pairs)), dtype=complex, order="F")
     for j, (p, q) in enumerate(pairs):
         s = np.outer(Vx[:, p], Vy[:, q])
         sx = np.outer(dVx[:, p], Vy[:, q]) + Ax * s
@@ -516,15 +517,16 @@ def chart_sections(bd: BundleData) -> TestSections:
     half the rows to factor.  The defect is the larger coordinate
     component, ``|c| max_b |l_b|``.
 
-    One copy of the design is alive at a time.  It is built column-major
-    and factored in place (:func:`_qr_r_inplace`), both anchored systems
-    are solved on its triangular factor (:func:`_anchored_coeffs`) with
-    the rank cutoff of the two-component stacked system, and it is freed;
-    the defects take a row-major rebuild, since ``D @ c`` on the
-    column-major layout differs at rounding (up to 5.7e-14).
+    The design is built once, column-major, and factored in place
+    (:func:`_qr_r_inplace`); both anchored systems are solved on its
+    triangular factor (:func:`_anchored_coeffs`) with the rank cutoff of
+    the two-component stacked system.  The defect ``D @ c`` is then taken
+    from the coefficient matrix ``C`` itself, as the section's own
+    covariant derivative ``(dVx C Vy^T + A_x S, Vx C dVy^T + A_y S)``,
+    ``S = Vx C Vy^T``, along ``conj(l)/|l|``.
     """
     grid: ChartGrid = bd.grid
-    pairs, _, _, Vx, Vy = _chart_basis(grid, bd.k)
+    basis = pairs, Vx, Vy, dVx, dVy = _chart_basis(grid, bd.k)
     deg = Vx.shape[1] - 1
     Q = bd.state.Q
     # the larger coordinate component of c * l, relative to |c * l|
@@ -541,9 +543,9 @@ def chart_sections(bd: BundleData) -> TestSections:
         (np.stack([value_row(a) for a, _ in anchors]), np.array([v for _, v in anchors], dtype=complex))
         for anchors in ([(a0, 1.0)], [(a0, 0.0), (a1, 1.0)])
     ]
-    # the column-major design is factored in place and freed before the row-major one is built
-    solutions = _anchored_coeffs(_qr_r_inplace(_chart_design(bd, "F")), grid.n * grid.n, systems)
-    D = _chart_design(bd, "C")
+    solutions = _anchored_coeffs(_qr_r_inplace(_chart_design(bd, basis)), grid.n * grid.n, systems)
+    Ax, Ay = bd.A
+    wx, wy = _along_l(bd)
     values = []
     defects = []
     coeffs = []
@@ -554,7 +556,8 @@ def chart_sections(bd: BundleData) -> TestSections:
         s_full = Vx @ C @ Vy.T
         scale = max(float(np.max(np.abs(s_full))), 1e-300)
         values.append(s_full / scale)
-        defects.append(float(np.max(np.abs(D @ c) * comp.ravel())) / scale)
+        dbar = wx * (dVx @ C @ Vy.T + Ax * s_full) + wy * (Vx @ C @ dVy.T + Ay * s_full)
+        defects.append(float(np.max(np.abs(dbar) * comp)) / scale)
         coeffs.append(C / scale)
     return TestSections(values=np.stack(values), defects=tuple(defects), coeff=np.stack(coeffs))
 

@@ -233,8 +233,11 @@ def test_a_pass_walks_each_backend_once(monkeypatch, tmp_path):
 def test_a_worker_error_leaves_the_run_as_in_one_process(monkeypatch):
     """An exception raised in a walk leaves `run_catalog` with the type and
     message it has at one job also at two, where a forked worker raises it
-    (the level-1 part, as the first case of one walk).  No worker process
-    outlives a run at two jobs, whether it ends cleanly or raises."""
+    (the level-1 part, as the first case of one walk).  With an error in a
+    transport row too, whose task the pool runs first, the run still raises
+    the walk's, as in one process: the results are gathered in the order of
+    the walks.  No worker process outlives a run at two jobs, whether it
+    ends cleanly or raises."""
     ids = ("gram_rank", "heat_mode")
     cfg = RunConfig(backend="torus", grid=16, identities=ids, jobs=2)
     run_catalog(cfg)
@@ -243,14 +246,68 @@ def test_a_worker_error_leaves_the_run_as_in_one_process(monkeypatch):
     def planted(c):
         raise ZeroDivisionError(f"planted at k={c.k}")
 
+    def planted_transport(c):
+        raise ZeroDivisionError("planted in transport_oracle")
+
     monkeypatch.setitem(ROWS, "gram_rank", dataclasses.replace(ROWS["gram_rank"], residual=planted))
-    raised = []
-    for jobs in (1, 2):
-        with pytest.raises(ZeroDivisionError) as err:
-            run_catalog(dataclasses.replace(cfg, jobs=jobs))
-        raised.append((type(err.value), str(err.value)))
-        assert multiprocessing.active_children() == []
-    assert raised == [(ZeroDivisionError, "planted at k=1")] * 2
+    for run, message in (
+        (cfg, "planted at k=1"),
+        (dataclasses.replace(cfg, identities=("transport_oracle",)), "planted in transport_oracle"),
+        (dataclasses.replace(cfg, identities=ids + ("transport_oracle",)), "planted at k=1"),
+    ):
+        monkeypatch.setitem(
+            ROWS, "transport_oracle", dataclasses.replace(ROWS["transport_oracle"], residual=planted_transport)
+        )
+        raised = []
+        for jobs in (1, 2):
+            with pytest.raises(ZeroDivisionError) as err:
+                run_catalog(dataclasses.replace(run, jobs=jobs))
+            raised.append((type(err.value), str(err.value)))
+            assert multiprocessing.active_children() == []
+        assert raised == [(ZeroDivisionError, message)] * 2
+
+
+class _Submitted(Exception):
+    """What each task of `_submission_order`'s pool raises: no task runs."""
+
+
+def _submission_order(monkeypatch, cfg: RunConfig) -> list:
+    """The tasks `run_catalog` submits to its pool, in order: a transport
+    row by its identity, a walk part as ``(backend, level)``.  The pool
+    runs none of them."""
+    import concurrent.futures
+
+    submitted = []
+
+    class Recorded:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def submit(self, fn, backend, identities, level):
+            axes = ROWS[identities[0]].axes
+            submitted.append((backend, level) if axes else identities[0])
+            future = concurrent.futures.Future()
+            future.set_exception(_Submitted())
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    with pytest.raises(_Submitted):
+        run_catalog(cfg)
+    return submitted
+
+
+def test_the_pool_takes_the_longest_tasks_first(monkeypatch):
+    """A default run submits the transport rows first, then the chart
+    parts, which solve least-squares sections on full grids, then the
+    torus parts; within a backend the part with more rows, then the higher
+    level, goes first.  Without the transport rows the parts keep their
+    order."""
+    parts = [("chart", 0), ("chart", 3), ("chart", 1), ("torus", 0), ("torus", 3), ("torus", 1)]
+    assert _submission_order(monkeypatch, RunConfig(jobs=2)) == ["transport_oracle", "loop_offscalar", *parts]
+    assert _submission_order(monkeypatch, RunConfig(jobs=2, identities=CATALOG_IDS)) == parts
 
 
 def test_sweep_builds_each_configuration_once(monkeypatch):

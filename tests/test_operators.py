@@ -418,7 +418,7 @@ def _two_row_design(bd):
 
 def _per_column_design(bd):
     """The one-row design of :func:`chart_sections`, written column by
-    column into a row-major array: the reference loop for both layouts of
+    column into a row-major array: the reference loop for
     ``operators._chart_design``."""
     Q = bd.state.Q
     l_norm = np.hypot(np.abs(Q[0, 0]), np.abs(Q[0, 1]))
@@ -430,15 +430,39 @@ def _per_column_design(bd):
     return D
 
 
+def _design(bd):
+    """The column-major design that :func:`chart_sections` factors."""
+    return operators._chart_design(bd, operators._chart_basis(bd.grid, bd.k))
+
+
 @pytest.mark.parametrize("k", [0, 1, 3])
 def test_chart_design_layouts_match_the_per_column_loop(chart48, k):
-    """Both layouts of the design hold the bits of the per-column loop."""
+    """The design, column-major, holds the bits of the per-column loop."""
     bd = bundle_data(chart48, SIGMA, k)
     ref = _per_column_design(bd)
-    for order, contiguous in (("F", "F_CONTIGUOUS"), ("C", "C_CONTIGUOUS")):
-        D = operators._chart_design(bd, order)
-        assert D.flags[contiguous]
-        assert D.dtype == ref.dtype and np.array_equal(D, ref)
+    D = _design(bd)
+    assert D.flags["F_CONTIGUOUS"]
+    assert D.dtype == ref.dtype and np.array_equal(D, ref)
+
+
+@pytest.mark.parametrize("grid", [13, 48, 64])
+def test_chart_defects_match_the_design_product(chart48, grid):
+    """Each defect, taken from the coefficient matrix as the section's own
+    (0,1)-derivative, is ``max |D c| comp / scale`` on the per-column
+    design, to rounding: the largest gap over grids 13, 48 and 64 and
+    ``k = 0, 1, 3`` is 1.72e-15 (grid 48, ``k = 1``, second section; BLAS
+    threads pinned, 2.2e-15 at two), and the bound is three times that, rounded up."""
+    fam = chart48 if grid == 48 else chart_family(grid)
+    for k in (0, 1, 3):
+        bd = bundle_data(fam, SIGMA, k)
+        ts = chart_sections(bd)
+        ps, qs = np.array(_basis_derivatives(bd)[0]).T
+        D = _per_column_design(bd)
+        Q = bd.state.Q
+        comp = np.maximum(np.abs(Q[0, 0]), np.abs(Q[0, 1])) / np.hypot(np.abs(Q[0, 0]), np.abs(Q[0, 1]))
+        for defect, C in zip(ts.defects, ts.coeff):
+            ref = float(np.max(np.abs(D @ C[ps, qs]) * comp.ravel()))
+            assert abs(defect - ref) <= 6e-15, (k, defect, ref)
 
 
 @pytest.mark.parametrize("grid, k", [(48, 0), (48, 1), (48, 3), (13, 3)])
@@ -447,7 +471,7 @@ def test_inplace_qr_keeps_the_bits_of_numpy_qr(chart48, grid, k):
     bit for bit on the real designs, tall (grid 48) and wide (grid 13 at
     ``k = 3``: 169 rows, 231 columns)."""
     fam = chart48 if grid == 48 else chart_family(grid)
-    D = operators._chart_design(bundle_data(fam, SIGMA, k), "F")
+    D = _design(bundle_data(fam, SIGMA, k))
     assert (D.shape[0] < D.shape[1]) == (grid == 13)
     ref = np.linalg.qr(D, mode="r")
     RD = operators._qr_r_inplace(D)
@@ -466,9 +490,9 @@ def test_inplace_qr_takes_a_column_major_complex_matrix():
 
 def test_chart_sections_hold_one_copy_of_the_design():
     """One grid-64, ``k = 3`` solve traces at most 1.25 times the design's
-    bytes (14.4 MiB): the design is factored in place and rebuilt for the
-    defects only once the factored copy is freed (a solve through
-    ``np.linalg.qr``, which copies the design, traces 30.4 MiB).
+    bytes (14.4 MiB): the design is built once and factored in place, and
+    the defects take no design (a solve through ``np.linalg.qr``, which
+    copies the design, traces 30.4 MiB).
     tracemalloc sees the arrays NumPy allocates, not the buffers LAPACK
     and the linalg gufuncs allocate themselves, so the process's RSS rises
     by a little more (17.5 MiB)."""
@@ -543,7 +567,7 @@ def test_chart_design_compresses_the_two_row_design(chart48, k):
     ``conj(l)/|l|``, has the same Gram matrix."""
     fam = chart48
     bd = bundle_data(fam, SIGMA, k)
-    D1 = operators._chart_design(bd, "C")
+    D1 = _design(bd)
     D, _ = _two_row_design(bd)
     m = D1.shape[0]
     assert D.shape == (2 * m, D1.shape[1])
